@@ -35,7 +35,8 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, kron_all, outer_all, pauli
+from .linalg import (canonical_indices, hermitian_eigenvalues, kron_all, pauli,
+                     signed_site_product)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -226,6 +227,11 @@ def pair_signs(n: int, b: int) -> Tuple[float, ...]:
                  for j in range(n))
 
 
+def pair_sign_matrix(n: int) -> np.ndarray:
+    """Signs ``pair_signs(n, b)`` of every pair b < 2^(n-1), one row each."""
+    return np.array([pair_signs(n, b) for b in range(2 ** (n - 1))])
+
+
 def antidiagonal_profile(protocol: BellProtocol,
                          angles: Sequence[float]) -> np.ndarray:
     """Closed-form antidiagonal entries W[b, b~] for b = 0 .. 2^n - 1."""
@@ -323,19 +329,21 @@ def quantum_bound(protocol: BellProtocol) -> float:
 
 
 def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
-    """Largest antidiagonal magnitude over a product grid of angles."""
+    """Largest antidiagonal magnitude over a product grid of angles.
+
+    The magnitudes of all pairs at a point are permuted along with the
+    parties, so only one sorted angle tuple per permutation orbit is
+    evaluated (``canonical_indices``), all 2^(n-1) pairs at once.
+    """
     n = protocol.n
     zc = corner_coefficient(protocol)
-    cs = np.cos(grid)
-    sn = np.sin(grid)
-    best = 0.0
-    for b in range(2 ** (n - 1)):
-        sig = pair_signs(n, b)
-        minus = outer_all([cs - sig[j] * sn for j in range(n)])
-        plus = outer_all([cs + sig[j] * sn for j in range(n)])
-        profile = zc * minus + np.conj(zc) * plus
-        best = max(best, float(np.max(np.abs(profile))))
-    return best
+    idx = canonical_indices([grid] * n)
+    cs = np.cos(grid)[idx]
+    sn = np.sin(grid)[idx]
+    sig = pair_sign_matrix(n)
+    profile = (zc * signed_site_product(cs, sn, -sig)
+               + np.conj(zc) * signed_site_product(cs, sn, sig))
+    return float(np.max(np.abs(profile)))
 
 
 def validate_state(rho: np.ndarray, n: int,

@@ -174,6 +174,8 @@ def cmd_verify(options: _Options) -> int:
         "argmin_angles": list(report.argmin_angles),
         "refined": report.refined,
         "passed": report.passed,
+        "binding_pair": report.binding_pair,
+        "block_evaluations": report.block_evaluations,
     }
     fmt = str(options.get("format"))
     if fmt == "json":

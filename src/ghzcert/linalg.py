@@ -1,14 +1,16 @@
 """Dense Hermitian linear algebra helpers.
 
-Provides the Pauli matrices, Kronecker-product utilities, persymmetry tests,
-and a self-contained cyclic Jacobi eigenvalue solver for complex Hermitian
-matrices.  The solver is used wherever the package needs a full spectrum, so
-certification results do not depend on an external eigensolver.
+Provides the Pauli matrices, Kronecker-product utilities, the canonical
+index tuples of a product grid (one per permutation orbit) with the per-site
+products the scans evaluate on them, persymmetry tests, and a self-contained
+cyclic Jacobi eigenvalue solver for complex Hermitian matrices.  The solver
+is used wherever the package needs a full spectrum, so certification results
+do not depend on an external eigensolver.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +55,68 @@ def outer_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(factors[0])
     for f in factors[1:]:
         out = np.multiply.outer(out, f)
+    return out
+
+
+def sorted_index_tuples(size: int, length: int) -> np.ndarray:
+    """All nondecreasing index tuples over range(size), in lexicographic order.
+
+    Returns an integer array of shape (C(size + length - 1, length), length)
+    holding one representative of every orbit of range(size)^length under
+    permutations of the coordinates.  Each step appends a coordinate that
+    runs from the previous row's last entry up to size - 1.
+    """
+    if size < 1 or length < 1:
+        raise ValueError("need a positive size and length")
+    tuples = np.arange(size).reshape(-1, 1)
+    for _ in range(length - 1):
+        last = tuples[:, -1]
+        counts = size - last
+        starts = np.repeat(np.cumsum(counts) - counts - last, counts)
+        tuples = np.column_stack([np.repeat(tuples, counts, axis=0),
+                                  np.arange(int(counts.sum())) - starts])
+    return tuples
+
+
+def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Index tuples of a product grid, one per orbit of permuting equal axes.
+
+    Axes with identical values form a group; a tuple is canonical when its
+    indices are nondecreasing within every group.  Groups are combined as a
+    Cartesian product, the first group varying slowest.  Returns an integer
+    array of shape (len(axes), number of canonical tuples) whose row j
+    indexes ``axes[j]``.
+    """
+    if not axes:
+        raise ValueError("canonical_indices requires at least one axis")
+    groups: List[List[int]] = []
+    for j, axis in enumerate(axes):
+        for group in groups:
+            if np.array_equal(axes[group[0]], axis):
+                group.append(j)
+                break
+        else:
+            groups.append([j])
+    out = np.empty((len(axes), 1), dtype=np.intp)
+    for group in groups:
+        block = sorted_index_tuples(len(axes[group[0]]), len(group)).T
+        reps = block.shape[1]
+        out = np.repeat(out, reps, axis=1)
+        out[group] = np.tile(block, out.shape[1] // reps)
+    return out
+
+
+def signed_site_product(base: np.ndarray, other: np.ndarray,
+                        signs: np.ndarray) -> np.ndarray:
+    """Per-site products prod_j (base[j] + signs[:, j] * other[j]).
+
+    ``base`` and ``other`` hold one row of values per site, ``signs`` one
+    row of per-site signs per pair.  The product runs left to right over the
+    sites, as ``outer_all`` does, and has shape (len(signs), base.shape[1]).
+    """
+    out = base[0] + signs[:, :1] * other[0]
+    for j in range(1, len(base)):
+        out = out * (base[j] + signs[:, j:j + 1] * other[j])
     return out
 
 

@@ -12,6 +12,15 @@ blocks over index pairs (b, 2^n - 1 - b).  The scan therefore only needs the
 closed-form lower eigenvalue of each block, which this module evaluates on
 product grids with local refinement around the minimizer.
 
+Bell coefficients depend only on Hamming weight and the channel acts the same
+way on every site, so permuting the parties maps block b at angles alpha to
+block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant
+on each permutation orbit of a grid, and the scan evaluates one sorted angle
+tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
+2^(n-1) pairs at once.  Refinement stencils shrink the same way along axes
+that coincide.  A grid pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations
+is refused before anything is allocated.
+
 Independent routes cross-check the reduction:
 
 * ``block_decompose`` conjugates the assembled matrix by an explicit pairing
@@ -33,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
-                   corner_coefficient, ghz_phase, pair_signs)
-from .linalg import outer_all
+                   corner_coefficient, ghz_phase, pair_sign_matrix)
+from .linalg import canonical_indices, outer_all, signed_site_product
 from .root2 import Root2
 from .states import DephasingChannel, apply_channel, g_param, ghz_state
 
@@ -42,6 +51,10 @@ PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
 _ANGLE_SLACK = 1e-12
 SQRT2 = math.sqrt(2.0)
+# Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
+# (canonical points times pairs).  A scan peaks at about 120 bytes per
+# evaluation, so the largest accepted one stays just under 1 GB.
+MAX_BLOCK_EVALUATIONS = 8_000_000
 
 
 class StructureViolation(Exception):
@@ -81,7 +94,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of one grid scan."""
+    """Outcome of one grid scan.
+
+    ``binding_pair`` is the block pair b (of 2^(n-1)) holding the minimum and
+    ``block_evaluations`` counts the 2 x 2 blocks evaluated by the grid pass
+    and every refinement round.
+    """
 
     constants: CertificateConstants
     grid_points_per_axis: int
@@ -89,6 +107,8 @@ class CertificationReport:
     argmin_angles: Tuple[float, ...]
     refined: bool
     passed: bool
+    binding_pair: int
+    block_evaluations: int
 
 
 _CATALOG: Dict[Tuple[str, int], Tuple[Root2, Root2, Root2]] = {
@@ -190,45 +210,44 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                          axes: Sequence[np.ndarray]):
     """Minimum block lower-eigenvalue over a product grid of angles.
 
-    Evaluates, for every antidiagonal pair b and every grid point, the
-    closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2 block,
-    where D and K_c are the diagonal and corner entries of the channel output
-    and W_c the corner entry of the Bell operator.
+    Evaluates, for every antidiagonal pair b and every canonical grid point,
+    the closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
+    block, where D and K_c are the diagonal and corner entries of the channel
+    output and W_c the corner entry of the Bell operator.  Permuting parties
+    maps block b at a point to block pi(b) at the permuted point, so the
+    minimum over all pairs is the same on every point of a permutation orbit
+    and only one tuple per orbit (``canonical_indices``) is evaluated.
+    Returns the minimum, its angles, the binding pair and the number of
+    block evaluations.
     """
     n = protocol.n
     zc = corner_coefficient(protocol)
     psi = ghz_phase(protocol)
-    cs = [np.cos(a) for a in axes]
-    sn = [np.sin(a) for a in axes]
-    gs = [_g_of(a) for a in axes]
-    dx = [np.where(a <= math.pi / 4 + _ANGLE_SLACK, 1.0, g)
-          for a, g in zip(axes, gs)]
-    dy = [np.where(a <= math.pi / 4 + _ANGLE_SLACK, g, 1.0)
-          for a, g in zip(axes, gs)]
+    idx = canonical_indices(axes)
+    quarter = [a <= math.pi / 4 + _ANGLE_SLACK for a in axes]
+    g_axes = [_g_of(a) for a in axes]
+
+    def at_points(per_axis):
+        return np.array([values[i] for values, i in zip(per_axis, idx)])
+
+    cs = at_points([np.cos(a) for a in axes])
+    sn = at_points([np.sin(a) for a in axes])
+    dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
+    dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
+    gs = at_points(g_axes)
+    ones = np.ones_like(gs)
+    sig = pair_sign_matrix(n)
     scale = 1.0 / 2 ** (n + 1)
-    best = math.inf
-    best_point: Tuple[float, ...] = ()
-    best_pair = 0
-    for b in range(2 ** (n - 1)):
-        sig = pair_signs(n, b)
-        diag = scale * (outer_all([1.0 + sig[j] * gs[j] for j in range(n)])
-                        + outer_all([1.0 - sig[j] * gs[j] for j in range(n)]))
-        kc = scale * (np.conj(psi) * outer_all([dx[j] + sig[j] * dy[j]
-                                                for j in range(n)])
-                      + psi * outer_all([dx[j] - sig[j] * dy[j]
-                                         for j in range(n)]))
-        wc = (zc * outer_all([cs[j] - sig[j] * sn[j] for j in range(n)])
-              + np.conj(zc) * outer_all([cs[j] + sig[j] * sn[j]
-                                         for j in range(n)]))
-        low = (diag - mu) - np.abs(kc - s * wc)
-        flat = int(np.argmin(low))
-        value = float(low.flat[flat])
-        if value < best:
-            best = value
-            idx = np.unravel_index(flat, low.shape)
-            best_point = tuple(float(axes[j][idx[j]]) for j in range(n))
-            best_pair = b
-    return best, best_point, best_pair
+    diag = scale * (signed_site_product(ones, gs, sig)
+                    + signed_site_product(ones, gs, -sig))
+    kc = scale * (np.conj(psi) * signed_site_product(dx, dy, sig)
+                  + psi * signed_site_product(dx, dy, -sig))
+    wc = (zc * signed_site_product(cs, sn, -sig)
+          + np.conj(zc) * signed_site_product(cs, sn, sig))
+    low = (diag - mu) - np.abs(kc - s * wc)
+    pair, k = divmod(int(np.argmin(low)), low.shape[1])
+    point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
+    return float(low[pair, k]), point, pair, low.size
 
 
 def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
@@ -236,16 +255,33 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
                       psd_tol: float = PSD_TOLERANCE) -> CertificationReport:
     """Scan the certificate over a product grid and report the minimum.
 
+    The grid pass evaluates C(P + n - 1, n) canonical points (sorted angle
+    tuples) times 2^(n-1) block pairs; requests above
+    ``MAX_BLOCK_EVALUATIONS`` are refused before anything is allocated.
     When the grid minimum sits near zero the scan refines locally around the
     minimizer, shrinking a 5-point stencil for ``refinement_depth`` rounds,
     so the reported value reflects the continuum minimum rather than grid
-    placement.
+    placement.  Non-finite constants or tolerance raise ValueError, and a
+    non-finite minimum never passes.
     """
+    for name, value in (("s", constants.s), ("mu", constants.mu),
+                        ("PSD tolerance", psd_tol)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if psd_tol < 0.0:
+        raise ValueError(f"PSD tolerance must be nonnegative, got {psd_tol}")
     lo, hi = grid.domain
     n = protocol.n
+    grid_evaluations = (math.comb(grid.points_per_axis + n - 1, n)
+                        * 2 ** (n - 1))
+    if grid_evaluations > MAX_BLOCK_EVALUATIONS:
+        raise ValueError(
+            f"grid of {grid.points_per_axis} points per axis needs "
+            f"{grid_evaluations} block evaluations at n={n}, above the "
+            f"limit {MAX_BLOCK_EVALUATIONS}")
     axis = np.linspace(lo, hi, grid.points_per_axis)
-    best, point, _ = _min_block_over_axes(protocol, constants.s, constants.mu,
-                                          [axis] * n)
+    best, point, pair, evaluations = _min_block_over_axes(
+        protocol, constants.s, constants.mu, [axis] * n)
     refined = False
     if abs(best) <= 10 * psd_tol and grid.refinement_depth > 0:
         refined = True
@@ -254,10 +290,11 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
         for _ in range(grid.refinement_depth):
             sub = [np.clip(np.linspace(p[j] - h, p[j] + h, 5), lo, hi)
                    for j in range(n)]
-            value, sub_point, _ = _min_block_over_axes(
+            value, sub_point, sub_pair, count = _min_block_over_axes(
                 protocol, constants.s, constants.mu, sub)
+            evaluations += count
             if value < best:
-                best, point = value, sub_point
+                best, point, pair = value, sub_point, sub_pair
                 p = np.array(sub_point)
             h /= 2.0
     return CertificationReport(constants=constants,
@@ -265,7 +302,10 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
                                min_eigenvalue=best,
                                argmin_angles=tuple(point),
                                refined=refined,
-                               passed=bool(best >= -psd_tol))
+                               passed=bool(math.isfinite(best)
+                                           and best >= -psd_tol),
+                               binding_pair=pair,
+                               block_evaluations=evaluations)
 
 
 def _check_closed_form_domain(angles: Sequence[float]) -> None:

@@ -1,11 +1,19 @@
 """Test-local reference constructions, independent of the package internals.
 
-Everything here is built from raw numpy Pauli algebra so that package outputs
-can be checked against a second, separately written route.
+Most of this is built from raw numpy Pauli algebra so that package outputs
+can be checked against a second, separately written route.  The scan
+oracles at the end keep the package's per-point closed forms but evaluate
+them on the whole product grid, one pair at a time, so the permutation
+orbit reduction of the package kernels can be checked against them.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ghzcert.bell import corner_coefficient, ghz_phase, pair_signs
+from ghzcert.linalg import outer_all
 
 SQ2 = np.sqrt(2.0)
 PAULI = {
@@ -109,3 +117,57 @@ def reference_channel_output_3(a1: float, a2: float, a3: float) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (b + b.conj().T) / 2
+
+
+def full_grid_min_block(protocol, s: float, mu: float, axes) -> tuple:
+    """Minimum block lower-eigenvalue over every point of a product grid.
+
+    Returns (minimum, argmin angles, binding pair); the first pair and the
+    first grid point in C order win ties.
+    """
+    n = protocol.n
+    zc = corner_coefficient(protocol)
+    psi = ghz_phase(protocol)
+    quarter = math.pi / 4 + 1e-12
+    cs = [np.cos(a) for a in axes]
+    sn = [np.sin(a) for a in axes]
+    gs = [np.clip((1 + SQ2) * (np.sin(a) + np.cos(a) - 1.0), 0.0, 1.0)
+          for a in axes]
+    dx = [np.where(a <= quarter, 1.0, g) for a, g in zip(axes, gs)]
+    dy = [np.where(a <= quarter, g, 1.0) for a, g in zip(axes, gs)]
+    scale = 1.0 / 2 ** (n + 1)
+    best, best_point, best_pair = math.inf, (), 0
+    for b in range(2 ** (n - 1)):
+        sig = pair_signs(n, b)
+        diag = scale * (outer_all([1.0 + sig[j] * gs[j] for j in range(n)])
+                        + outer_all([1.0 - sig[j] * gs[j] for j in range(n)]))
+        kc = scale * (np.conj(psi) * outer_all([dx[j] + sig[j] * dy[j]
+                                                for j in range(n)])
+                      + psi * outer_all([dx[j] - sig[j] * dy[j]
+                                         for j in range(n)]))
+        wc = (zc * outer_all([cs[j] - sig[j] * sn[j] for j in range(n)])
+              + np.conj(zc) * outer_all([cs[j] + sig[j] * sn[j]
+                                         for j in range(n)]))
+        low = (diag - mu) - np.abs(kc - s * wc)
+        flat = int(np.argmin(low))
+        if low.flat[flat] < best:
+            best = float(low.flat[flat])
+            idx = np.unravel_index(flat, low.shape)
+            best_point = tuple(float(axes[j][idx[j]]) for j in range(n))
+            best_pair = b
+    return best, best_point, best_pair
+
+
+def full_grid_corner_max(protocol, grid: np.ndarray) -> float:
+    """Largest antidiagonal magnitude of the Bell operator on the full grid."""
+    n = protocol.n
+    zc = corner_coefficient(protocol)
+    cs, sn = np.cos(grid), np.sin(grid)
+    best = 0.0
+    for b in range(2 ** (n - 1)):
+        sig = pair_signs(n, b)
+        minus = outer_all([cs - sig[j] * sn for j in range(n)])
+        plus = outer_all([cs + sig[j] * sn for j in range(n)])
+        best = max(best, float(np.max(np.abs(zc * minus
+                                             + np.conj(zc) * plus))))
+    return best

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, build_mabk,
-                          build_operator, build_svetlichny, coefficient_table,
-                          evaluate, hybrid_bound, local_bound, observable,
-                          quantum_bound)
-from oracles import (kron_chain, pauli_coefficient, pauli_string,
-                     reference_svetlichny_3, reference_svetlichny_4)
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
+                          build_mabk, build_operator, build_svetlichny,
+                          coefficient_table, evaluate, hybrid_bound,
+                          local_bound, observable, pair_sign_matrix,
+                          pair_signs, quantum_bound)
+from oracles import (full_grid_corner_max, kron_chain, pauli_coefficient,
+                     pauli_string, reference_svetlichny_3,
+                     reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
 
@@ -321,6 +323,24 @@ def test_quantum_bound_matches_catalog():
         for n in (3, 4, 5):
             protocol = BellProtocol(family, n)
             assert abs(quantum_bound(protocol) - protocol.beta_Q) <= 1e-8
+
+
+def test_corner_magnitude_max_matches_full_grid_oracle():
+    grid = np.linspace(0.0, math.pi / 2, 9)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            reduced = _corner_magnitude_max(protocol, grid)
+            assert abs(reduced - full_grid_corner_max(protocol, grid)) <= 1e-15
+            assert abs(reduced - protocol.beta_Q) <= 1e-8
+
+
+def test_pair_sign_matrix_rows():
+    for n in (3, 4):
+        table = pair_sign_matrix(n)
+        assert table.shape == (2 ** (n - 1), n)
+        for b, row in enumerate(table):
+            assert tuple(row) == pair_signs(n, b)
 
 
 def top_eigen_projector(m: np.ndarray) -> np.ndarray:

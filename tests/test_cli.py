@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -60,6 +62,62 @@ def test_verify_json_report(tmp_path, capsys):
 def test_verify_full_domain():
     assert main(["verify", "--family", "svetlichny", "-n", "4",
                  "--grid", "7", "--full-domain"]) == 0
+
+
+def test_verify_appends_scan_fields(capsys):
+    args = ["verify", "--family", "svetlichny", "-n", "3"]
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    keys = list(payload)
+    assert keys[:10] == ["family", "n", "s", "mu", "beta_T",
+                         "grid_points_per_axis", "min_eigenvalue",
+                         "argmin_angles", "refined", "passed"]
+    assert keys[10:] == ["binding_pair", "block_evaluations"]
+    assert payload["block_evaluations"] > math.comb(21 + 2, 3) * 4
+    assert main(args + ["--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[-3:] == ["passed", "binding_pair",
+                                      "block_evaluations"]
+    values = row.split(",")
+    assert values[-2:] == [str(payload["binding_pair"]),
+                           str(payload["block_evaluations"])]
+    assert main(args + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"binding_pair={payload['binding_pair']}"
+    assert lines[-1] == f"block_evaluations={payload['block_evaluations']}"
+
+
+@pytest.mark.parametrize("flag", ["--s", "--mu"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_non_finite_constants(flag, value, capsys):
+    assert main(["verify", "--family", "svetlichny", "-n", "3",
+                 flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(value, capsys):
+    assert main(["verify", "-n", "3", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_verify_refuses_oversized_grid_without_allocating(capsys):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["verify", "-n", "5", "--grid", "3000"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "limit" in capsys.readouterr().err
+    assert elapsed < 2.0
+    assert peak < 1_000_000
 
 
 def test_curve_csv(tmp_path):

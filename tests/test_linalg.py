@@ -1,12 +1,16 @@
 """Dense complex linear algebra: Pauli matrices, kron, eigenvalues, predicates."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from ghzcert.linalg import (eig2x2_hermitian, exchange_matrix,
-                            hermitian_eigenvalues, is_persymmetric, kron,
-                            kron_all, pauli)
+from ghzcert.linalg import (canonical_indices, eig2x2_hermitian,
+                            exchange_matrix, hermitian_eigenvalues,
+                            is_persymmetric, kron, kron_all, pauli,
+                            signed_site_product, sorted_index_tuples)
 from oracles import random_hermitian
 
 SQ2 = np.sqrt(2.0)
@@ -115,3 +119,52 @@ def test_is_persymmetric():
     h = random_hermitian(rng, 4)
     sym = h + j @ h.T @ j
     assert is_persymmetric(sym, tol=1e-10)
+
+
+def test_sorted_index_tuples_one_per_orbit():
+    for size, length in [(1, 1), (1, 4), (4, 1), (3, 3), (5, 4), (7, 3),
+                         (4, 6)]:
+        tuples = sorted_index_tuples(size, length)
+        assert tuples.shape == (math.comb(size + length - 1, length), length)
+        rows = [tuple(row) for row in tuples.tolist()]
+        assert rows == sorted(rows)
+        assert all(list(row) == sorted(row) for row in rows)
+        full = {tuple(sorted(t))
+                for t in itertools.product(range(size), repeat=length)}
+        assert full == set(rows)
+    with pytest.raises(ValueError):
+        sorted_index_tuples(0, 3)
+    with pytest.raises(ValueError):
+        sorted_index_tuples(3, 0)
+
+
+def test_canonical_indices_groups_identical_axes():
+    a = np.linspace(0.0, 1.0, 4)
+    b = np.linspace(0.0, 2.0, 3)
+    axes = [a, b, a.copy(), b, a]
+    idx = canonical_indices(axes)
+    assert idx.shape == (5, math.comb(4 + 2, 3) * math.comb(3 + 1, 2))
+    got = {tuple(col) for col in idx.T.tolist()}
+    assert len(got) == idx.shape[1]
+    want = set()
+    for t in itertools.product(*(range(len(x)) for x in axes)):
+        first = sorted(t[j] for j in (0, 2, 4))
+        second = sorted(t[j] for j in (1, 3))
+        want.add((first[0], second[0], first[1], second[1], first[2]))
+    assert got == want
+    distinct = canonical_indices([a, b])
+    assert distinct.shape == (2, 12)
+    with pytest.raises(ValueError):
+        canonical_indices([])
+
+
+def test_signed_site_product_matches_outer_products():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(3, 6))
+    other = rng.normal(size=(3, 6))
+    signs = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+    got = signed_site_product(base, other, signs)
+    for row, sig in zip(got, signs):
+        want = (base[0] + sig[0] * other[0]) * (base[1] + sig[1] * other[1]) \
+            * (base[2] + sig[2] * other[2])
+        assert np.array_equal(row, want)

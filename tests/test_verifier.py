@@ -9,13 +9,15 @@ import pytest
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.linalg import eig2x2_hermitian, hermitian_eigenvalues, is_persymmetric
 from ghzcert.states import ghz_state
-from ghzcert.verifier import (GridSpec, StructureViolation, block_decompose,
-                              block_unitary, build_T, catalog_constants,
-                              closed_form_crosscheck, min_eig_over_grid,
-                              parity_projector, projector_lambda,
-                              sv3_block_functions, sv4_block_functions,
-                              sv4_determinant)
-from oracles import pauli_string
+import ghzcert.verifier
+from ghzcert.verifier import (CertificateConstants, GridSpec,
+                              StructureViolation, _min_block_over_axes,
+                              block_decompose, block_unitary, build_T,
+                              catalog_constants, closed_form_crosscheck,
+                              min_eig_over_grid, parity_projector,
+                              projector_lambda, sv3_block_functions,
+                              sv4_block_functions, sv4_determinant)
+from oracles import full_grid_min_block, pauli_string
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -240,6 +242,100 @@ def test_min_eig_over_grid_full_domain():
     spec = GridSpec(points_per_axis=9, domain=(0.0, math.pi / 2))
     report = min_eig_over_grid(protocol, constants, spec)
     assert report.passed and report.min_eigenvalue >= -1e-8
+
+
+def _assert_matches_oracle(protocol, s, mu, axes):
+    value, point, pair, evaluations = _min_block_over_axes(protocol, s, mu,
+                                                           axes)
+    assert abs(value - full_grid_min_block(protocol, s, mu, axes)[0]) <= 1e-15
+    # The reported tuple and pair attain the minimum on their own.
+    at_point = full_grid_min_block(protocol, s, mu,
+                                   [np.array([x]) for x in point])
+    assert at_point[0] <= value + 1e-15
+    assert 0 <= pair < 2 ** (protocol.n - 1)
+    assert evaluations < np.prod([len(a) for a in axes]) * 2 ** (protocol.n - 1)
+
+
+def test_reduced_scan_matches_full_grid_oracle():
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        default = np.linspace(0.0, math.pi / 4, 11 if protocol.n == 5 else 21)
+        full = np.linspace(0.0, math.pi / 2, 7)
+        for s in (constants.s, 1.1 * constants.s):
+            for axis in (default, full):
+                _assert_matches_oracle(protocol, s, constants.mu,
+                                       [axis] * protocol.n)
+
+
+def test_reduced_scan_matches_full_grid_oracle_on_stencils():
+    h = 0.05
+    for protocol in ALL_PROTOCOLS:
+        n = protocol.n
+        constants = catalog_constants(protocol)
+        centres = [(0.3,) + (math.pi / 4,) * (n - 1),
+                   (0.2, 0.9, 0.2, 0.9, 0.2)[:n],
+                   (0.0,) * (n - 1) + (math.pi / 2,)]
+        for s in (constants.s, 1.1 * constants.s):
+            for centre in centres:
+                hi = math.pi / 2 if max(centre) > math.pi / 4 else math.pi / 4
+                axes = [np.clip(np.linspace(c - h, c + h, 5), 0.0, hi)
+                        for c in centre]
+                _assert_matches_oracle(protocol, s, constants.mu, axes)
+
+
+def test_min_eig_over_grid_reports_scan_size():
+    protocol = BellProtocol(SVETLICHNY, 4)
+    constants = catalog_constants(protocol)
+    grid_evals = math.comb(21 + 3, 4) * 8
+    broken = CertificateConstants(protocol=protocol, s=1.1 * constants.s,
+                                  mu=constants.mu, beta_T=constants.beta_T)
+    report = min_eig_over_grid(protocol, broken, GridSpec(points_per_axis=21))
+    assert not report.refined
+    assert report.block_evaluations == grid_evals
+    report = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=21))
+    assert report.refined
+    assert report.block_evaluations > grid_evals
+    assert report.block_evaluations < grid_evals + 6 * 5 ** 4 * 8
+    assert 0 <= report.binding_pair < 8
+
+
+def test_min_eig_over_grid_rejects_non_finite_input():
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    spec = GridSpec(points_per_axis=5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for s, mu in ((bad, constants.mu), (constants.s, bad)):
+            odd = CertificateConstants(protocol=protocol, s=s, mu=mu,
+                                       beta_T=constants.beta_T)
+            with pytest.raises(ValueError):
+                min_eig_over_grid(protocol, odd, spec)
+        with pytest.raises(ValueError):
+            min_eig_over_grid(protocol, constants, spec, psd_tol=bad)
+    with pytest.raises(ValueError):
+        min_eig_over_grid(protocol, constants, spec, psd_tol=-1.0)
+
+
+def test_min_eig_over_grid_never_passes_a_non_finite_minimum(monkeypatch):
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    for value in (math.nan, math.inf):
+        monkeypatch.setattr(
+            ghzcert.verifier, "_min_block_over_axes",
+            lambda *args, value=value: (value, (0.0, 0.0, 0.0), 0, 1))
+        report = min_eig_over_grid(protocol, constants,
+                                   GridSpec(points_per_axis=5))
+        assert not report.passed
+
+
+def test_min_eig_over_grid_size_limit(monkeypatch):
+    protocol = BellProtocol(MABK, 3)
+    constants = catalog_constants(protocol)
+    grid_evals = math.comb(21 + 2, 3) * 4
+    monkeypatch.setattr(ghzcert.verifier, "MAX_BLOCK_EVALUATIONS", grid_evals)
+    assert min_eig_over_grid(protocol, constants,
+                             GridSpec(points_per_axis=21)).passed
+    with pytest.raises(ValueError, match="limit"):
+        min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=22))
 
 
 def test_grid_spec_validation():
