@@ -11,7 +11,8 @@ simulate    run a finite-statistics experiment and certify the estimate
 crosscheck  compare the hand-expanded closed forms with the matrix route
 
 Exit codes: 0 success, 1 certification or bounds failure, 2 usage or input
-error, 3 structural violation in the block reduction.
+error (including an ``--out`` path that cannot be written), 3 structural
+violation in the block reduction.
 
 Options may also come from a ``--config`` file of flat ``key=value`` lines
 (``#`` starts a comment, unknown keys are ignored); explicit flags win over
@@ -234,8 +235,13 @@ def cmd_simulate(options: _Options) -> int:
     print(f"fidelity_bound={format_float(record.fidelity_bound)}")
     print(f"clamped={str(record.clamped).lower()}")
     print(f"trivial={str(record.trivial).lower()}")
-    if options.get("out"):
+    out_path = options.get("out")
+    if out_path:
         print(f"persisted={str(record.persisted).lower()}")
+        if not record.persisted:
+            print(f"error: could not append the record to {out_path}",
+                  file=sys.stderr)
+            return 2
     return 0
 
 

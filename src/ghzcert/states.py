@@ -8,7 +8,10 @@ Two independent routes produce the ideal target state:
   operator at the optimal angles, using the fact that an antidiagonal
   operator has eigenvectors supported on index pairs (b, b~).
 
-``ghz_state`` runs both routes where both exist and insists they agree.
+``ghz_state`` runs both routes where both exist and insists they agree.  It
+is the single cache of the target state: each scenario is built and
+cross-checked once per process, and the returned ``rho`` is read-only so no
+caller can alter what the others read.
 
 The extraction channel applies, at each site, the Kraus pair built from the
 attenuation parameter g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1),
@@ -18,6 +21,7 @@ persymmetric matrices.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -157,16 +161,22 @@ def spectral_ghz_state(protocol: BellProtocol) -> IdealState:
     return IdealState(protocol=protocol, rho=rho, eta=_eta(protocol, rho))
 
 
+@functools.lru_cache(maxsize=None)
 def ghz_state(protocol: BellProtocol) -> IdealState:
-    """Target state; cross-validates both routes where both are available."""
+    """Target state; cross-validates both routes where both are available.
+
+    Cached per protocol; the returned ``rho`` is read-only.
+    """
     key = (protocol.family, protocol.n)
     if key in _EXPLICIT_TABLES:
-        explicit = explicit_ghz_state(protocol)
+        state = explicit_ghz_state(protocol)
         spectral = spectral_ghz_state(protocol)
-        if np.max(np.abs(explicit.rho - spectral.rho)) > _ROUTE_AGREEMENT:
+        if np.max(np.abs(state.rho - spectral.rho)) > _ROUTE_AGREEMENT:
             raise ArithmeticError("explicit and spectral target states disagree")
-        return explicit
-    return spectral_ghz_state(protocol)
+    else:
+        state = spectral_ghz_state(protocol)
+    state.rho.setflags(write=False)
+    return state
 
 
 def _eta(protocol: BellProtocol, rho: np.ndarray) -> float:

@@ -139,20 +139,10 @@ def catalog_constants(protocol: BellProtocol) -> CertificateConstants:
                                 beta_T_exact=beta_t)
 
 
-_STATE_CACHE: Dict[Tuple[str, int], np.ndarray] = {}
-
-
-def _target_state(protocol: BellProtocol) -> np.ndarray:
-    key = (protocol.family, protocol.n)
-    if key not in _STATE_CACHE:
-        _STATE_CACHE[key] = ghz_state(protocol).rho
-    return _STATE_CACHE[key]
-
-
 def build_T(protocol: BellProtocol, angles: Sequence[float], s: float,
             mu: float) -> np.ndarray:
     """Assemble the certificate matrix Lambda(rho) - s W - mu I."""
-    rho = _target_state(protocol)
+    rho = ghz_state(protocol).rho
     channel = DephasingChannel(tuple(angles))
     if channel.n != protocol.n:
         raise ValueError(f"expected {protocol.n} angles, got {channel.n}")
@@ -259,7 +249,8 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
     tuples) times 2^(n-1) block pairs; requests above
     ``MAX_BLOCK_EVALUATIONS`` are refused before anything is allocated.
     When the grid minimum sits near zero the scan refines locally around the
-    minimizer, shrinking a 5-point stencil for ``refinement_depth`` rounds,
+    minimizer, shrinking a 5-point stencil (clipped to the domain, with
+    repeated edge points dropped) for ``refinement_depth`` rounds,
     so the reported value reflects the continuum minimum rather than grid
     placement.  Non-finite constants or tolerance raise ValueError, and a
     non-finite minimum never passes.
@@ -288,7 +279,10 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
         h = (hi - lo) / (grid.points_per_axis - 1)
         p = np.array(point)
         for _ in range(grid.refinement_depth):
-            sub = [np.clip(np.linspace(p[j] - h, p[j] + h, 5), lo, hi)
+            # Clipping at the domain edge repeats the edge point; keep
+            # each stencil point once.
+            sub = [np.unique(np.clip(np.linspace(p[j] - h, p[j] + h, 5),
+                                     lo, hi))
                    for j in range(n)]
             value, sub_point, sub_pair, count = _min_block_over_axes(
                 protocol, constants.s, constants.mu, sub)

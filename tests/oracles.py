@@ -1,7 +1,9 @@
 """Test-local reference constructions, independent of the package internals.
 
 Most of this is built from raw numpy Pauli algebra so that package outputs
-can be checked against a second, separately written route.  The scan
+can be checked against a second, separately written route.
+``dense_born_probabilities`` is the dense Born route: one 2^n x 2^n
+projector per outcome, built by Kronecker products.  The scan
 oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
 orbit reduction of the package kernels can be checked against them.
@@ -112,6 +114,26 @@ def reference_channel_output_3(a1: float, a2: float, a3: float) -> np.ndarray:
         - pauli_string("XXX") + g2 * g3 * pauli_string("XYY") \
         + g1 * g3 * pauli_string("YXY") + g1 * g2 * pauli_string("YYX")
     return out / 8
+
+
+def dense_born_probabilities(state: np.ndarray, settings, angles) -> np.ndarray:
+    """Born distribution from one dense Kronecker projector per outcome.
+
+    Outcome index bit j (most significant first) is 0 for outcome +1 of
+    party j.  Clips and renormalises as the package does.
+    """
+    n = len(angles)
+    projectors = []
+    for r, alpha in zip(settings, angles):
+        a = math.cos(alpha) * PAULI["X"] + (-1) ** r * math.sin(alpha) * PAULI["Y"]
+        projectors.append(((np.eye(2) + a) / 2, (np.eye(2) - a) / 2))
+    dist = np.empty(2 ** n)
+    for k in range(2 ** n):
+        p = kron_chain([projectors[j][(k >> (n - 1 - j)) & 1]
+                        for j in range(n)])
+        dist[k] = np.trace(state @ p).real
+    dist = np.clip(dist, 0.0, None)
+    return dist / dist.sum()
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -174,6 +174,17 @@ def test_simulate_appends_deterministic_records(tmp_path, capsys):
     assert records[0] == records[1]
 
 
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    log = tmp_path / "missing-dir" / "log.jsonl"
+    assert main(["simulate", "--family", "svetlichny", "-n", "3",
+                 "--shots", "500", "--seed", "2", "--out", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert "fidelity_bound=" in captured.out
+    assert "persisted=false" in captured.out.splitlines()
+    assert captured.err.startswith("error:")
+    assert not log.exists()
+
+
 def test_simulate_flags_trivial(capsys):
     assert main(["simulate", "--family", "svetlichny", "-n", "3",
                  "--visibility", "0", "--shots", "1000", "--seed", "1"]) == 0

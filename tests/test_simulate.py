@@ -7,16 +7,36 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, evaluate
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, evaluate,
+                          functional_coefficients)
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               born_probabilities, certify, estimate_violation,
                               noisy_state, outcome_products, records_to_csv,
                               sample_outcomes)
 from ghzcert.states import ghz_state
 from ghzcert.verifier import catalog_constants
+from oracles import dense_born_probabilities, random_hermitian
 
 SQ2 = math.sqrt(2.0)
 QUARTER3 = (math.pi / 4,) * 3
+ALL_PROTOCOLS = [BellProtocol(family, n) for family in (SVETLICHNY, MABK)
+                 for n in (3, 4, 5)]
+ORACLE_TOL = 1e-15
+
+
+def all_settings(n: int):
+    return [tuple((k >> (n - 1 - j)) & 1 for j in range(n))
+            for k in range(2 ** n)]
+
+
+def product_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Product of random pure qubit states: separable, and not X-shaped."""
+    out = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        out = np.kron(out, np.outer(v, v.conj()))
+    return out
 
 
 def test_born_probabilities_ghz3():
@@ -46,6 +66,53 @@ def test_born_probabilities_marginals():
 def test_born_probabilities_rejects_invalid_state():
     with pytest.raises(ValueError):
         born_probabilities(np.eye(8, dtype=complex), (0, 0, 0), QUARTER3)
+
+
+def test_born_probabilities_match_dense_oracle_on_scenarios():
+    for protocol in ALL_PROTOCOLS:
+        n = protocol.n
+        quarter = (math.pi / 4,) * n
+        for v in (1.0, 0.9, 0.0):
+            state = noisy_state(protocol, NoiseModel("visibility", v))
+            for settings in all_settings(n):
+                got = born_probabilities(state, settings, quarter)
+                want = dense_born_probabilities(state, settings, quarter)
+                assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_born_probabilities_match_dense_oracle_on_random_states():
+    rng = np.random.default_rng(41)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            h = random_hermitian(rng, 2 ** n)
+            state = h @ h.conj().T + 0.1 * np.eye(2 ** n)
+            state /= np.trace(state).real
+            settings = tuple(int(r) for r in rng.integers(0, 2, size=n))
+            angles = tuple(rng.uniform(0.0, math.pi / 2, size=n))
+            got = born_probabilities(state, settings, angles)
+            want = dense_born_probabilities(state, settings, angles)
+            assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_born_probabilities_match_dense_oracle_on_separable_mixture():
+    rng = np.random.default_rng(42)
+    protocol = BellProtocol(MABK, 4)
+    sigma = product_state(rng, 4)
+    antidiagonal = np.eye(16, dtype=bool) | np.eye(16, dtype=bool)[::-1]
+    assert np.max(np.abs(sigma[~antidiagonal])) > 1e-3
+    state = noisy_state(protocol, NoiseModel("separable_mixture", 0.6, sigma))
+    for settings in all_settings(4):
+        angles = tuple(rng.uniform(0.0, math.pi / 2, size=4))
+        got = born_probabilities(state, settings, angles)
+        want = dense_born_probabilities(state, settings, angles)
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_born_probabilities_unvalidated_shape_check():
+    for shape in ((4, 16), (16, 4), (8,), (4, 4)):
+        with pytest.raises(ValueError):
+            born_probabilities(np.ones(shape, dtype=complex) / 8, (0, 0, 0),
+                               QUARTER3, validate=False)
 
 
 def test_outcome_products():
@@ -131,6 +198,52 @@ def test_estimate_violation_deterministic():
     first = estimate_violation(protocol, state, QUARTER3, 5000, seed=3)
     second = estimate_violation(protocol, state, QUARTER3, 5000, seed=3)
     assert first == second
+
+
+def _estimate_sampling_every_setting(protocol, state, angles, shots, seed):
+    """Estimate that samples every setting, zero coefficients included."""
+    coefficients = functional_coefficients(protocol)
+    children = np.random.SeedSequence(seed).spawn(2 ** protocol.n)
+    products = outcome_products(protocol.n)
+    beta_hat = variance = 0.0
+    for index, settings in enumerate(sorted(coefficients)):
+        rng = np.random.Generator(np.random.PCG64(children[index]))
+        dist = born_probabilities(state, settings, angles)
+        counts = sample_outcomes(dist, shots, rng)
+        correlator = float(counts @ products) / shots
+        c = coefficients[settings]
+        beta_hat += c * correlator
+        variance += c ** 2 * (1.0 - correlator ** 2) / shots
+    return beta_hat, math.sqrt(max(variance, 0.0))
+
+
+def test_skipping_zero_coefficients_keeps_records():
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        quarter = (math.pi / 4,) * protocol.n
+        for v, seed in ((1.0, 0), (0.8, 3), (0.0, 5)):
+            noise = NoiseModel("visibility", v)
+            record = certify(protocol, constants, noise,
+                             shots_per_setting=3000, seed=seed)
+            want = _estimate_sampling_every_setting(
+                protocol, noisy_state(protocol, noise), quarter, 3000, seed)
+            assert (record.estimated_beta, record.std_error) == want
+
+
+def test_certify_records_repeat_bit_identically():
+    sigma = product_state(np.random.default_rng(43), 3)
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        noises = [NoiseModel("visibility", 0.9)]
+        if protocol.n == 3:
+            noises.append(NoiseModel("separable_mixture", 0.7, sigma))
+        for noise in noises:
+            first, second = (json.loads(certify(
+                protocol, constants, noise, shots_per_setting=2000,
+                seed=17).to_json_line()) for _ in range(2))
+            first.pop("timestamp")
+            second.pop("timestamp")
+            assert first == second
 
 
 def test_estimate_violation_unbiased_over_seeds():

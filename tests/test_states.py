@@ -88,6 +88,18 @@ def test_ghz_state_density_matrix_properties():
         assert abs(evaluate(protocol, rho, quarter) - protocol.beta_Q) <= 1e-9
 
 
+def test_ghz_state_is_cached_and_read_only():
+    for protocol in ALL_PROTOCOLS:
+        first = ghz_state(protocol)
+        second = ghz_state(BellProtocol(protocol.family, protocol.n))
+        assert second is first
+        assert not first.rho.flags.writeable
+        with pytest.raises(ValueError):
+            first.rho[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            first.rho += 1.0
+
+
 def test_ghz_state_matches_printed_expansions():
     rho3 = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
     assert np.max(np.abs(rho3 - reference_state_3())) <= 1e-12

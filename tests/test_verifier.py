@@ -299,6 +299,19 @@ def test_min_eig_over_grid_reports_scan_size():
     assert 0 <= report.binding_pair < 8
 
 
+def test_refinement_stencil_drops_repeated_edge_points():
+    # The n=5 catalog certificates bind at (t, pi/4, pi/4, pi/4, pi/4).  The
+    # clipped stencil holds 3 distinct points on each pi/4 axis, so a round
+    # evaluates 5 * C(3 + 4 - 1, 4) = 75 canonical points, not 5 * C(8, 4).
+    grid_evals = math.comb(11 + 4, 5) * 16
+    for family in (SVETLICHNY, MABK):
+        protocol = BellProtocol(family, 5)
+        report = min_eig_over_grid(protocol, catalog_constants(protocol),
+                                   GridSpec(points_per_axis=11))
+        assert report.refined and report.passed
+        assert report.block_evaluations == grid_evals + 6 * 75 * 16 == 55_248
+
+
 def test_min_eig_over_grid_rejects_non_finite_input():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
