@@ -7,9 +7,9 @@ bounds, and simulates finite-statistics experiments.
 """
 from __future__ import annotations
 
-from .bell import (MABK, SVETLICHNY, BellProtocol, build_mabk, build_operator,
-                   build_svetlichny, coefficient_table, evaluate, hybrid_bound,
-                   local_bound, observable, quantum_bound)
+from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
+                   coefficient_table, evaluate, hybrid_bound, local_bound,
+                   observable, quantum_bound)
 from .linalg import (eig2x2_hermitian, exchange_matrix, hermitian_eigenvalues,
                      is_persymmetric, kron, kron_all, pauli)
 from .root2 import SQRT2, Root2
@@ -40,7 +40,7 @@ __all__ = [
     "IdealState", "MABK", "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2",
     "SVETLICHNY", "StructureViolation", "TradeoffCurve", "apply_channel",
     "block_decompose", "block_unitary", "born_probabilities", "build_T",
-    "build_mabk", "build_operator", "build_svetlichny", "catalog_constants",
+    "build_operator", "catalog_constants",
     "certify", "closed_form_crosscheck", "coefficient_table", "curve_to_csv",
     "curve_to_json", "eig2x2_hermitian", "emit_curve", "estimate_violation",
     "evaluate", "exchange_matrix", "explicit_ghz_state",

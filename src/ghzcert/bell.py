@@ -23,8 +23,10 @@ is a signed sum over all 2^n setting strings x:
 where the coefficient depends only on the Hamming weight |x| and the family.
 Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
-magnitude.  The corner-coefficient helpers expose the closed form for those
-antidiagonal entries, which downstream modules reuse for fast scans.
+magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
+entries, batched over angle tuples; the quantum bound, the norm ratio of the
+target state and the certificate scan all read it.  ``build_operator`` keeps
+the dense Kronecker sum as the reference route the tests compare against.
 """
 from __future__ import annotations
 
@@ -43,10 +45,12 @@ SVETLICHNY = "svetlichny"
 MABK = "mabk"
 FAMILIES = (SVETLICHNY, MABK)
 
-_ANGLE_SLACK = 1e-12
+ANGLE_SLACK = 1e-12
 _MIN_PARTIES = 3
 _MAX_PARTIES = 6
 SQRT2 = math.sqrt(2.0)
+# Outcome pairs (a(0), a(1)) of one party's deterministic strategies.
+_OUTCOME_PAIRS = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
 
 
 class CoefficientRow(NamedTuple):
@@ -103,9 +107,11 @@ class BellProtocol:
         return float(self.beta_Q_exact)
 
 
-def _check_angle(alpha: float) -> float:
-    if not (-_ANGLE_SLACK <= alpha <= math.pi / 2 + _ANGLE_SLACK):
-        raise ValueError(f"angle {alpha} outside [0, pi/2]")
+def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
+    """``alpha`` as a float; ValueError outside [0, upper] (pi/2 or pi/4)."""
+    if not (-ANGLE_SLACK <= alpha <= upper + ANGLE_SLACK):
+        raise ValueError(
+            f"angle {alpha} outside [0, pi/{round(math.pi / upper)}]")
     return float(alpha)
 
 
@@ -113,7 +119,7 @@ def observable(r: int, alpha: float) -> np.ndarray:
     """Equatorial qubit observable cos(alpha) X + (-1)^r sin(alpha) Y."""
     if r not in (0, 1):
         raise ValueError(f"setting must be 0 or 1, got {r}")
-    alpha = _check_angle(alpha)
+    alpha = check_angle(alpha)
     return math.cos(alpha) * pauli("X") + (-1) ** r * math.sin(alpha) * pauli("Y")
 
 
@@ -157,43 +163,16 @@ def functional_coefficients(protocol: BellProtocol) -> Dict[Tuple[int, ...], flo
     return out
 
 
-def _validate_build(n: int, angles: Sequence[float]) -> Tuple[float, ...]:
-    if n < _MIN_PARTIES:
-        raise ValueError(f"need at least {_MIN_PARTIES} parties, got {n}")
-    if len(angles) != n:
-        raise ValueError(f"expected {n} angles, got {len(angles)}")
-    return tuple(_check_angle(a) for a in angles)
-
-
-def build_svetlichny(n: int, angles: Sequence[float]) -> np.ndarray:
-    """Svetlichny operator S_n at the given per-party angles."""
-    angles = _validate_build(n, angles)
-    obs = [(observable(0, a), observable(1, a)) for a in angles]
-    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for x in itertools.product((0, 1), repeat=n):
-        sign = _svetlichny_sign(n, sum(x))
-        total += sign * kron_all([obs[j][x[j]] for j in range(n)])
-    return total
-
-
-def build_mabk(n: int, angles: Sequence[float]) -> np.ndarray:
-    """MABK operator M_n at the given per-party angles."""
-    angles = _validate_build(n, angles)
-    obs = [(observable(0, a), observable(1, a)) for a in angles]
-    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for x in itertools.product((0, 1), repeat=n):
-        c = _mabk_coefficient(n, sum(x))
-        if c == 0.0:
-            continue
-        total += c * kron_all([obs[j][x[j]] for j in range(n)])
-    return total
-
-
 def build_operator(protocol: BellProtocol, angles: Sequence[float]) -> np.ndarray:
-    """Build the Bell operator of ``protocol`` at the given angles."""
-    if protocol.family == SVETLICHNY:
-        return build_svetlichny(protocol.n, angles)
-    return build_mabk(protocol.n, angles)
+    """Dense operator sum_x c(x) A^{x_1} ... A^{x_n} at the given angles."""
+    if len(angles) != protocol.n:
+        raise ValueError(f"expected {protocol.n} angles, got {len(angles)}")
+    obs = [(observable(0, a), observable(1, a)) for a in angles]
+    total = np.zeros((protocol.dim, protocol.dim), dtype=complex)
+    for x, c in functional_coefficients(protocol).items():
+        if c != 0.0:
+            total += c * kron_all([obs[j][x[j]] for j in range(protocol.n)])
+    return total
 
 
 def corner_coefficient(protocol: BellProtocol) -> complex:
@@ -232,49 +211,45 @@ def pair_sign_matrix(n: int) -> np.ndarray:
     return np.array([pair_signs(n, b) for b in range(2 ** (n - 1))])
 
 
-def antidiagonal_profile(protocol: BellProtocol,
-                         angles: Sequence[float]) -> np.ndarray:
-    """Closed-form antidiagonal entries W[b, b~] for b = 0 .. 2^n - 1."""
-    n = protocol.n
+def corner_entries(protocol: BellProtocol, cs: np.ndarray,
+                   sn: np.ndarray) -> np.ndarray:
+    """Antidiagonal entries W[b, b~] of every pair b < 2^(n-1).
+
+    ``cs`` and ``sn`` hold the cosines and sines of the angles, one row per
+    party and one column per angle tuple; the result has one row per pair
+    and one column per tuple (see ``corner_coefficient``).
+    """
     zc = corner_coefficient(protocol)
-    cs = [math.cos(a) for a in angles]
-    sn = [math.sin(a) for a in angles]
-    out = np.empty(2 ** n, dtype=complex)
-    for b in range(2 ** n):
-        sig = pair_signs(n, b)
-        minus = 1.0
-        plus = 1.0
-        for j in range(n):
-            minus *= cs[j] - sig[j] * sn[j]
-            plus *= cs[j] + sig[j] * sn[j]
-        out[b] = zc * minus + np.conj(zc) * plus
-    return out
+    sig = pair_sign_matrix(protocol.n)
+    return (zc * signed_site_product(cs, sn, -sig)
+            + np.conj(zc) * signed_site_product(cs, sn, sig))
+
+
+def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:
+    """Functional coefficients c(x) as an array indexed by the setting bits."""
+    c = np.zeros((2,) * protocol.n)
+    for x, value in functional_coefficients(protocol).items():
+        c[x] = value
+    return c
 
 
 def local_bound(protocol: BellProtocol) -> float:
     """Maximum of the Bell functional over deterministic local strategies.
 
     Enumerates all 4^n assignments of outcome pairs (a_j(0), a_j(1)) in
-    {-1, +1}^2 and returns the largest functional value.  For MABK this is
+    {-1, +1}^2 and returns the largest functional value: the 4 x 2 table of
+    outcome pairs is contracted into the coefficient tensor once per party,
+    leaving one value per assignment.  For MABK this is
     the catalog ``beta_L``; for Svetlichny it is the fully local bound
     2^floor((n+1)/2), below the catalog's hybrid ``beta_L`` for n >= 4
     (see ``hybrid_bound``).
     """
     if protocol.n > _MAX_PARTIES:
         raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
-    coeffs = [(x, c) for x, c in functional_coefficients(protocol).items()
-              if c != 0.0]
-    best = -math.inf
-    for assignment in itertools.product((1.0, -1.0), repeat=2 * protocol.n):
-        value = 0.0
-        for x, c in coeffs:
-            product = c
-            for j, bit in enumerate(x):
-                product *= assignment[2 * j + bit]
-            value += product
-        if value > best:
-            best = value
-    return best
+    values = _coefficient_tensor(protocol)
+    for _ in range(protocol.n):
+        values = np.tensordot(values, _OUTCOME_PAIRS, axes=([0], [1]))
+    return float(np.max(values))
 
 
 def hybrid_bound(protocol: BellProtocol) -> float:
@@ -294,9 +269,7 @@ def hybrid_bound(protocol: BellProtocol) -> float:
     n = protocol.n
     if n > _MAX_PARTIES:
         raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
-    c = np.zeros((2,) * n)
-    for x, value in functional_coefficients(protocol).items():
-        c[x] = value
+    c = _coefficient_tensor(protocol)
     best = -math.inf
     for mask in range(1, 2 ** (n - 1)):
         group = [j for j in range(n) if (mask >> j) & 1]
@@ -313,14 +286,12 @@ def hybrid_bound(protocol: BellProtocol) -> float:
 def quantum_bound(protocol: BellProtocol) -> float:
     """Maximal quantum value, computed as the norm at the optimal angles.
 
-    The spectral norm is evaluated with the package eigensolver at the
-    all-pi/4 point and cross-checked against the closed-form antidiagonal
-    magnitudes on a coarse grid over the full angle domain.
+    W is antidiagonal, so its spectral norm is its largest antidiagonal
+    magnitude; that is read off ``corner_entries`` at the all-pi/4 point and
+    cross-checked against the same magnitudes on a coarse grid over the full
+    angle domain.
     """
-    quarter = (math.pi / 4,) * protocol.n
-    w = build_operator(protocol, quarter)
-    value = float(np.max(np.abs(hermitian_eigenvalues(w))))
-
+    value = _corner_magnitude_max(protocol, np.array([math.pi / 4]))
     grid_max = _corner_magnitude_max(protocol, np.linspace(0.0, math.pi / 2, 9))
     if grid_max > value + 1e-8:
         raise ArithmeticError(
@@ -335,15 +306,9 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
     parties, so only one sorted angle tuple per permutation orbit is
     evaluated (``canonical_indices``), all 2^(n-1) pairs at once.
     """
-    n = protocol.n
-    zc = corner_coefficient(protocol)
-    idx = canonical_indices([grid] * n)
-    cs = np.cos(grid)[idx]
-    sn = np.sin(grid)[idx]
-    sig = pair_sign_matrix(n)
-    profile = (zc * signed_site_product(cs, sn, -sig)
-               + np.conj(zc) * signed_site_product(cs, sn, sig))
-    return float(np.max(np.abs(profile)))
+    idx = canonical_indices([grid] * protocol.n)
+    entries = corner_entries(protocol, np.cos(grid)[idx], np.sin(grid)[idx])
+    return float(np.max(np.abs(entries)))
 
 
 def validate_state(rho: np.ndarray, n: int,

@@ -21,6 +21,7 @@ config values, which win over defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -156,6 +157,17 @@ def _constants_for(options: _Options,
                                 beta_T=(0.5 - mu) / s)
 
 
+def _render(value: object) -> str:
+    """One csv or text field: lists joined by ';', lowercase bools."""
+    if isinstance(value, list):
+        return ";".join(format_float(item) for item in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
 def cmd_verify(options: _Options) -> int:
     protocol = _protocol(options, _SCAN_PARTY_RANGE)
     constants = _constants_for(options, protocol)
@@ -182,27 +194,11 @@ def cmd_verify(options: _Options) -> int:
     if fmt == "json":
         text = json.dumps(fields, indent=2) + "\n"
     elif fmt == "csv":
-        header = ",".join(fields)
-        row = ",".join(
-            ";".join(format_float(a) for a in value) if key == "argmin_angles"
-            else str(value).lower() if isinstance(value, bool)
-            else format_float(value) if isinstance(value, float)
-            else str(value)
-            for key, value in fields.items())
-        text = header + "\n" + row + "\n"
+        text = (",".join(fields) + "\n"
+                + ",".join(_render(value) for value in fields.values()) + "\n")
     else:
-        lines = []
-        for key, value in fields.items():
-            if key == "argmin_angles":
-                rendered = ";".join(format_float(a) for a in value)
-            elif isinstance(value, bool):
-                rendered = str(value).lower()
-            elif isinstance(value, float):
-                rendered = format_float(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{key}={rendered}")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key}={_render(value)}\n"
+                       for key, value in fields.items())
     _emit(text, options.get("out"))
     return 0 if report.passed else 1
 
@@ -275,7 +271,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value options file")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each parse returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="ghzcert",
         description="Certify GHZ fidelity from multipartite Bell violations.")

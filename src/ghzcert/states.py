@@ -29,15 +29,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .bell import (SVETLICHNY, BellProtocol, antidiagonal_profile,
-                   build_operator)
+from .bell import (ANGLE_SLACK, SQRT2, SVETLICHNY, BellProtocol,
+                   build_operator, check_angle, quantum_bound)
 from .linalg import is_persymmetric, kron_all, pauli
 
-_ANGLE_SLACK = 1e-12
 _DEGENERACY_GAP = 1e-6
 _ROUTE_AGREEMENT = 1e-12
 _MAX_PARTIES = 6
-SQRT2 = math.sqrt(2.0)
 
 # Pauli expansions of the target states, as (coefficient, labels) pairs.
 _EXPLICIT_TABLES = {
@@ -62,19 +60,25 @@ class IdealState:
     eta: float
 
 
+def g_values(alpha: np.ndarray) -> np.ndarray:
+    """Attenuation parameter g, clamped into [0, 1], of each angle given.
+
+    The angles are not checked; callers check their domain first.
+    """
+    value = (1 + SQRT2) * (np.sin(alpha) + np.cos(alpha) - 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
+
+
 def g_param(alpha: float) -> float:
-    """Attenuation parameter g(alpha), clamped into [0, 1]."""
-    if not (-_ANGLE_SLACK <= alpha <= math.pi / 2 + _ANGLE_SLACK):
-        raise ValueError(f"angle {alpha} outside [0, pi/2]")
-    value = (1 + SQRT2) * (math.sin(alpha) + math.cos(alpha) - 1.0)
-    return min(max(value, 0.0), 1.0)
+    """Attenuation parameter g(alpha) of one angle in [0, pi/2]."""
+    return float(g_values(check_angle(alpha)))
 
 
 def kraus_pair(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Single-site Kraus pair (K0, K1) of the dephasing channel at alpha."""
     g = g_param(alpha)
     k0 = math.sqrt((1.0 + g) / 2.0) * pauli("I")
-    gamma = pauli("X") if alpha <= math.pi / 4 + _ANGLE_SLACK else pauli("Y")
+    gamma = pauli("X") if alpha <= math.pi / 4 + ANGLE_SLACK else pauli("Y")
     k1 = math.sqrt(max((1.0 - g) / 2.0, 0.0)) * gamma
     return k0, k1
 
@@ -88,10 +92,8 @@ class DephasingChannel:
     def __post_init__(self) -> None:
         if not self.angles:
             raise ValueError("channel needs at least one site")
-        for alpha in self.angles:
-            if not (-_ANGLE_SLACK <= alpha <= math.pi / 2 + _ANGLE_SLACK):
-                raise ValueError(f"angle {alpha} outside [0, pi/2]")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        object.__setattr__(self, "angles",
+                           tuple(check_angle(a) for a in self.angles))
 
     @property
     def n(self) -> int:
@@ -140,6 +142,10 @@ def spectral_ghz_state(protocol: BellProtocol) -> IdealState:
     At the optimal angles the built operator is antidiagonal, so each
     eigenvector lives on one index pair (b, 2^n - 1 - b).  The maximal pair
     must be unique; a near-degenerate second pair raises ArithmeticError.
+    The corners are read off the dense operator rather than
+    ``corner_entries``: the two differ in the last bit of the phase, which
+    would change the served state of MABK n = 3, 4, 6 and Svetlichny
+    n = 5, 6, and with it seeded simulation records.
     """
     if protocol.n > _MAX_PARTIES:
         raise ValueError(f"spectral construction supports n <= {_MAX_PARTIES}")
@@ -181,7 +187,5 @@ def ghz_state(protocol: BellProtocol) -> IdealState:
 
 def _eta(protocol: BellProtocol, rho: np.ndarray) -> float:
     """Ratio of the state's Bell value to the operator norm at pi/4."""
-    quarter = (math.pi / 4,) * protocol.n
-    w = build_operator(protocol, quarter)
-    norm = float(np.max(np.abs(antidiagonal_profile(protocol, quarter))))
-    return float(np.trace(rho @ w).real) / norm
+    w = build_operator(protocol, (math.pi / 4,) * protocol.n)
+    return float(np.trace(rho @ w).real) / quantum_bound(protocol)

@@ -9,15 +9,13 @@ curves sampled between beta_T and the quantum bound.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List
 
-from .bell import SVETLICHNY, BellProtocol
+from .bell import SQRT2, SVETLICHNY, BellProtocol
 from .verifier import CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

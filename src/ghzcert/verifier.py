@@ -41,16 +41,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
-                   corner_coefficient, ghz_phase, pair_sign_matrix)
+from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
+                   build_operator, check_angle, corner_entries, ghz_phase,
+                   pair_sign_matrix)
 from .linalg import canonical_indices, outer_all, signed_site_product
 from .root2 import Root2
-from .states import DephasingChannel, apply_channel, g_param, ghz_state
+from .states import DephasingChannel, apply_channel, g_values, ghz_state
 
 PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
-_ANGLE_SLACK = 1e-12
-SQRT2 = math.sqrt(2.0)
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
 # (canonical points times pairs).  A scan peaks at about 120 bytes per
 # evaluation, so the largest accepted one stays just under 1 GB.
@@ -86,7 +85,7 @@ class GridSpec:
         if self.points_per_axis < 2:
             raise ValueError("grid needs at least 2 points per axis")
         lo, hi = self.domain
-        if not (-_ANGLE_SLACK <= lo < hi <= math.pi / 2 + _ANGLE_SLACK):
+        if not (-ANGLE_SLACK <= lo < hi <= math.pi / 2 + ANGLE_SLACK):
             raise ValueError(f"invalid scan domain {self.domain}")
         if self.refinement_depth < 0:
             raise ValueError("refinement depth must be nonnegative")
@@ -192,10 +191,6 @@ def block_decompose(t: np.ndarray, n: int,
     return blocks
 
 
-def _g_of(axis: np.ndarray) -> np.ndarray:
-    return np.clip((1 + SQRT2) * (np.sin(axis) + np.cos(axis) - 1.0), 0.0, 1.0)
-
-
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                          axes: Sequence[np.ndarray]):
     """Minimum block lower-eigenvalue over a product grid of angles.
@@ -211,11 +206,10 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     block evaluations.
     """
     n = protocol.n
-    zc = corner_coefficient(protocol)
     psi = ghz_phase(protocol)
     idx = canonical_indices(axes)
-    quarter = [a <= math.pi / 4 + _ANGLE_SLACK for a in axes]
-    g_axes = [_g_of(a) for a in axes]
+    quarter = [a <= math.pi / 4 + ANGLE_SLACK for a in axes]
+    g_axes = [g_values(a) for a in axes]
 
     def at_points(per_axis):
         return np.array([values[i] for values, i in zip(per_axis, idx)])
@@ -232,9 +226,7 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                     + signed_site_product(ones, gs, -sig))
     kc = scale * (np.conj(psi) * signed_site_product(dx, dy, sig)
                   + psi * signed_site_product(dx, dy, -sig))
-    wc = (zc * signed_site_product(cs, sn, -sig)
-          + np.conj(zc) * signed_site_product(cs, sn, sig))
-    low = (diag - mu) - np.abs(kc - s * wc)
+    low = (diag - mu) - np.abs(kc - s * corner_entries(protocol, cs, sn))
     pair, k = divmod(int(np.argmin(low)), low.shape[1])
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
     return float(low[pair, k]), point, pair, low.size
@@ -302,10 +294,10 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
                                block_evaluations=evaluations)
 
 
-def _check_closed_form_domain(angles: Sequence[float]) -> None:
-    for alpha in angles:
-        if not (-_ANGLE_SLACK <= alpha <= math.pi / 4 + _ANGLE_SLACK):
-            raise ValueError(f"angle {alpha} outside [0, pi/4]")
+def _closed_form_g(angles: Sequence[float]) -> List[float]:
+    """g of each angle, after checking that all lie in [0, pi/4]."""
+    return g_values(np.array([check_angle(a, math.pi / 4)
+                              for a in angles])).tolist()
 
 
 def sv3_block_functions(angles: Sequence[float], s: float) -> List[float]:
@@ -317,9 +309,8 @@ def sv3_block_functions(angles: Sequence[float], s: float) -> List[float]:
     """
     if len(angles) != 3:
         raise ValueError(f"expected 3 angles, got {len(angles)}")
-    _check_closed_form_domain(angles)
+    g1, g2, g3 = _closed_form_g(angles)
     a1, a2, a3 = angles
-    g1, g2, g3 = (g_param(a) for a in (a1, a2, a3))
     cos, sin = math.cos, math.sin
     f1 = (-7 + g2 * g3 + g1 * (g2 + g3)) / 8 + 4 * SQRT2 * s
     f2 = (-1 - g2 * g3 - g1 * (g2 + g3)) / 8 \
@@ -346,9 +337,8 @@ def sv4_block_functions(angles: Sequence[float],
     """
     if len(angles) != 4:
         raise ValueError(f"expected 4 angles, got {len(angles)}")
-    _check_closed_form_domain(angles)
+    g0, g1, g2, g3 = _closed_form_g(angles)
     a0, a1, a2, a3 = angles
-    g0, g1, g2, g3 = (g_param(a) for a in angles)
     ge = (g0 * g1 + g0 * g2 + g1 * g2 + g0 * g3 + g1 * g3 + g2 * g3
           + g0 * g1 * g2 * g3)
     go = (g0 + g1 + g2 + g3
@@ -371,9 +361,8 @@ def sv4_determinant(angles: Sequence[float], s: float) -> float:
     """
     if len(angles) != 4:
         raise ValueError(f"expected 4 angles, got {len(angles)}")
-    _check_closed_form_domain(angles)
+    g0, g1, g2, g3 = _closed_form_g(angles)
     a0, a1, a2, a3 = angles
-    g0, g1, g2, g3 = (g_param(a) for a in angles)
     ge = (g0 * g1 + g0 * g2 + g1 * g2 + g0 * g3 + g1 * g3 + g2 * g3
           + g0 * g1 * g2 * g3)
     go = (g0 + g1 + g2 + g3
@@ -414,10 +403,9 @@ def projector_lambda(angles: Sequence[float], s: float, x1: int,
         raise ValueError(f"expected 3 angles, got {len(angles)}")
     if x1 not in (0, 1) or x2 not in (0, 1):
         raise ValueError("parity labels must be 0 or 1")
-    _check_closed_form_domain(angles)
+    g1, g2, g3 = _closed_form_g(angles)
     a1, a2, a3 = angles
     mu = 1 - 4 * SQRT2 * s
-    g1, g2, g3 = (g_param(a) for a in angles)
     c1, c2, c3 = (math.cos(a) for a in angles)
     s1, s2, s3 = (math.sin(a) for a in angles)
     t1 = -1 / 8 + 4 * s * c1 * c2 * c3

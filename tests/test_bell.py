@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
-                          build_mabk, build_operator, build_svetlichny,
-                          coefficient_table, evaluate, hybrid_bound,
-                          local_bound, observable, pair_sign_matrix,
-                          pair_signs, quantum_bound)
+                          build_operator, check_angle, coefficient_table,
+                          corner_entries,
+                          evaluate, hybrid_bound, local_bound, observable,
+                          pair_sign_matrix, pair_signs, quantum_bound)
+from ghzcert.linalg import hermitian_eigenvalues
 from oracles import (full_grid_corner_max, kron_chain, pauli_coefficient,
                      pauli_string, reference_svetlichny_3,
                      reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
+SV3 = BellProtocol(SVETLICHNY, 3)
+SV4 = BellProtocol(SVETLICHNY, 4)
+MABK3 = BellProtocol(MABK, 3)
 
 
 def random_angles(rng: np.random.Generator, n: int, hi: float = math.pi / 2):
@@ -69,6 +73,17 @@ def test_observable_rejects_bad_inputs():
         observable(2, 0.3)
 
 
+def test_check_angle_bounds():
+    value = check_angle(np.float64(0.3))
+    assert value == 0.3 and type(value) is float
+    assert check_angle(-1e-13) == -1e-13
+    for upper, label in ((math.pi / 2, "pi/2"), (math.pi / 4, "pi/4")):
+        assert check_angle(upper + 1e-13, upper) == upper + 1e-13
+        for bad in (-0.1, upper + 1e-9, math.nan):
+            with pytest.raises(ValueError, match=label):
+                check_angle(bad, upper)
+
+
 def test_coefficient_table_small_cases():
     rows = coefficient_table(2)
     assert [(row.bits, row.nu) for row in rows] == [("0", 1), ("1", -1)]
@@ -117,10 +132,10 @@ def test_build_svetlichny_matches_reference_expansion():
     rng = np.random.default_rng(22)
     for _ in range(5):
         angles3 = random_angles(rng, 3)
-        assert np.max(np.abs(build_svetlichny(3, angles3)
+        assert np.max(np.abs(build_operator(SV3, angles3)
                              - reference_svetlichny_3(*angles3))) <= 1e-10
         angles4 = random_angles(rng, 4)
-        assert np.max(np.abs(build_svetlichny(4, angles4)
+        assert np.max(np.abs(build_operator(SV4, angles4)
                              - reference_svetlichny_4(list(angles4)))) <= 1e-10
 
 
@@ -128,53 +143,48 @@ def test_build_mabk_matches_reference_expansion():
     rng = np.random.default_rng(23)
     for _ in range(5):
         angles = random_angles(rng, 3)
-        assert np.max(np.abs(build_mabk(3, angles)
+        assert np.max(np.abs(build_operator(MABK3, angles)
                              - reference_mabk_3(angles))) <= 1e-10
 
 
 def test_svetlichny_known_coefficients():
     quarter = (math.pi / 4,) * 3
-    w = build_svetlichny(3, quarter)
+    w = build_operator(SV3, quarter)
     assert abs(pauli_coefficient(w, "XYY") - SQ2) <= 1e-12
     assert spectral_norm(w) <= 4 * SQ2 + 1e-12
     assert abs(spectral_norm(w) - 4 * SQ2) <= 1e-10
-    w0 = build_svetlichny(3, (0.0,) * 3)
+    w0 = build_operator(SV3, (0.0,) * 3)
     assert np.max(np.abs(w0 + 4 * pauli_string("XXX"))) <= 1e-12
-    w0 = build_svetlichny(4, (0.0,) * 4)
+    w0 = build_operator(SV4, (0.0,) * 4)
     assert abs(pauli_coefficient(w0, "XXXX") + 4.0) <= 1e-12
     assert np.max(np.abs(w0 + 4 * pauli_string("XXXX"))) <= 1e-12
 
 
 def test_mabk_known_values():
-    w0 = build_mabk(3, (0.0,) * 3)
+    w0 = build_operator(MABK3, (0.0,) * 3)
     assert np.max(np.abs(w0 + 2 * pauli_string("XXX"))) <= 1e-12
-    assert abs(spectral_norm(build_mabk(3, (math.pi / 4,) * 3)) - 4) <= 1e-10
-    assert abs(spectral_norm(build_mabk(5, (math.pi / 4,) * 5)) - 16) <= 1e-10
+    assert abs(spectral_norm(build_operator(MABK3, (math.pi / 4,) * 3))
+               - 4) <= 1e-10
+    assert abs(spectral_norm(build_operator(BellProtocol(MABK, 5),
+                                            (math.pi / 4,) * 5)) - 16) <= 1e-10
 
 
 def test_four_party_svetlichny_is_scaled_mabk():
     rng = np.random.default_rng(24)
     for _ in range(5):
         angles = random_angles(rng, 4)
-        assert np.max(np.abs(build_svetlichny(4, angles)
-                             - SQ2 * build_mabk(4, angles))) <= 1e-10
-
-
-def test_build_operator_dispatch():
-    angles = (0.3, 0.5, 0.7)
-    assert np.array_equal(build_operator(BellProtocol(SVETLICHNY, 3), angles),
-                          build_svetlichny(3, angles))
-    assert np.array_equal(build_operator(BellProtocol(MABK, 3), angles),
-                          build_mabk(3, angles))
+        assert np.max(np.abs(build_operator(SV4, angles)
+                             - SQ2 * build_operator(BellProtocol(MABK, 4),
+                                                    angles))) <= 1e-10
 
 
 def test_builders_reject_bad_inputs():
     with pytest.raises(ValueError):
-        build_svetlichny(2, (0.1, 0.2))
+        build_operator(BellProtocol(SVETLICHNY, 2), (0.1, 0.2))
     with pytest.raises(ValueError):
-        build_mabk(3, (0.1, 0.2))
+        build_operator(MABK3, (0.1, 0.2))
     with pytest.raises(ValueError):
-        build_svetlichny(3, (0.1, 0.2, 2.0))
+        build_operator(SV3, (0.1, 0.2, 2.0))
 
 
 def test_operators_antidiagonal_hermitian_persymmetric():
@@ -206,11 +216,22 @@ def test_norm_capped_on_coarse_grid():
 def test_norm_via_antidiagonal_entries():
     rng = np.random.default_rng(26)
     for family in (SVETLICHNY, MABK):
-        protocol = BellProtocol(family, 4)
-        for _ in range(10):
-            w = build_operator(protocol, random_angles(rng, 4))
-            idx = np.arange(16)
-            assert abs(spectral_norm(w) - np.max(np.abs(w[idx, 15 - idx]))) <= 1e-10
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            dim = 2 ** n
+            idx = np.arange(dim)
+            for _ in range(10):
+                angles = random_angles(rng, n)
+                w = build_operator(protocol, angles)
+                corners = w[idx, dim - 1 - idx]
+                assert abs(spectral_norm(w)
+                           - np.max(np.abs(corners))) <= 1e-10
+                column = np.array(angles).reshape(n, 1)
+                closed = corner_entries(protocol, np.cos(column),
+                                        np.sin(column))
+                assert closed.shape == (dim // 2, 1)
+                assert np.max(np.abs(closed[:, 0]
+                                     - corners[:dim // 2])) <= 1e-12
 
 
 def test_norm_reflection_symmetry_even_parties():
@@ -254,11 +275,18 @@ def test_local_bound_enumeration_values():
         assert abs(local_bound(BellProtocol(family, n)) - value) <= 1e-9
 
 
-def test_local_bound_independent_enumeration_three_parties():
-    sv = enumerate_local_max(3, lambda w: (-1.0) ** (w * (w + 1) // 2))
-    assert abs(local_bound(BellProtocol(SVETLICHNY, 3)) - sv) <= 1e-12
-    mabk = enumerate_local_max(3, lambda w: (1.0, 0.0, -1.0, 0.0)[w % 4])
-    assert abs(local_bound(BellProtocol(MABK, 3)) - mabk) <= 1e-12
+def test_local_bound_independent_enumeration():
+    for n in (3, 4, 5, 6):
+        if n % 2:
+            sv = enumerate_local_max(n, lambda w: (-1.0) ** (w * (w + 1) // 2))
+            mabk = enumerate_local_max(
+                n, lambda w: (1.0, 0.0, -1.0, 0.0)[w % 4])
+        else:
+            sv = enumerate_local_max(n, lambda w: (-1.0) ** (w * (w - 1) // 2))
+            mabk = enumerate_local_max(
+                n, lambda w: (1.0, 1.0, -1.0, -1.0)[w % 4] / SQ2)
+        assert abs(local_bound(BellProtocol(SVETLICHNY, n)) - sv) <= 1e-12
+        assert abs(local_bound(BellProtocol(MABK, n)) - mabk) <= 1e-12
 
 
 def enumerate_hybrid_max(n: int, coefficient) -> float:
@@ -320,9 +348,13 @@ def test_hybrid_bound_rejects_too_many_parties():
 
 def test_quantum_bound_matches_catalog():
     for family in (SVETLICHNY, MABK):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            assert abs(quantum_bound(protocol) - protocol.beta_Q) <= 1e-8
+            value = quantum_bound(protocol)
+            assert abs(value - protocol.beta_Q) <= 1e-8
+            w = build_operator(protocol, (math.pi / 4,) * n)
+            jacobi = np.max(np.abs(hermitian_eigenvalues(w)))
+            assert abs(value - jacobi) <= 1e-12
 
 
 def test_corner_magnitude_max_matches_full_grid_oracle():
@@ -351,12 +383,12 @@ def top_eigen_projector(m: np.ndarray) -> np.ndarray:
 
 def test_evaluate_examples():
     quarter3 = (math.pi / 4,) * 3
-    rho = top_eigen_projector(build_svetlichny(3, quarter3))
+    rho = top_eigen_projector(build_operator(SV3, quarter3))
     protocol = BellProtocol(SVETLICHNY, 3)
     assert abs(evaluate(protocol, rho, quarter3) - 4 * SQ2) <= 1e-9
     assert abs(evaluate(protocol, np.eye(8) / 8, (0.2, 0.9, 0.4))) <= 1e-12
     quarter4 = (math.pi / 4,) * 4
-    rho4 = top_eigen_projector(build_mabk(4, quarter4))
+    rho4 = top_eigen_projector(build_operator(BellProtocol(MABK, 4), quarter4))
     mixed = 0.5 * rho4 + 0.5 * np.eye(16) / 16
     assert abs(evaluate(BellProtocol(MABK, 4), mixed, quarter4) - 4.0) <= 1e-9
 

@@ -218,6 +218,25 @@ def test_config_file_with_flag_override(tmp_path):
     assert abs(float(first[0]) - 2 * SQ2) <= 1e-9
 
 
+def test_parser_built_once():
+    assert ghzcert.cli._build_parser() is ghzcert.cli._build_parser()
+
+
+def test_cached_parser_gives_same_output_as_fresh_parsers(capsys):
+    argvs = [["verify", "-n", "3", "--format", "json"],
+             ["simulate", "-n", "3", "--shots", "100", "--seed", "4"],
+             ["verify", "-n", "3"]]
+    in_sequence = []
+    for argv in argvs:
+        assert main(argv) == 0
+        in_sequence.append(capsys.readouterr().out)
+    for argv, expected in zip(argvs, in_sequence):
+        ghzcert.cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert in_sequence[0] != in_sequence[2]
+
+
 def test_usage_errors():
     assert main([]) == 2
     assert main(["bogus"]) == 2

@@ -9,7 +9,7 @@ import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator, evaluate
 from ghzcert.states import (DephasingChannel, apply_channel, explicit_ghz_state,
-                            g_param, ghz_state, kraus_pair,
+                            g_param, g_values, ghz_state, kraus_pair,
                             persymmetry_preserved, spectral_ghz_state)
 from oracles import (pauli_string, random_hermitian, reference_channel_output_3,
                      reference_state_3, reference_state_4)
@@ -43,11 +43,20 @@ def test_g_param_symmetry_and_range():
         assert abs(value - g_param(math.pi / 2 - alpha)) <= 1e-12
 
 
+def test_g_values_match_g_param_elementwise():
+    angles = np.linspace(0.0, math.pi / 2, 1001)
+    values = g_values(angles)
+    assert values.shape == angles.shape
+    assert values.tolist() == [g_param(a) for a in angles]
+
+
 def test_g_param_rejects_out_of_range():
     with pytest.raises(ValueError):
         g_param(-0.2)
     with pytest.raises(ValueError):
         g_param(math.pi / 2 + 0.2)
+    with pytest.raises(ValueError):
+        DephasingChannel((0.1, math.pi / 2 + 0.2))
 
 
 def test_kraus_pair_examples():

@@ -414,6 +414,11 @@ def test_projector_lambda_validates_domain():
     s = catalog_constants(BellProtocol(SVETLICHNY, 3)).s
     with pytest.raises(ValueError):
         projector_lambda((0.9, 0.1, 0.1), s, 0, 0)
+    with pytest.raises(ValueError, match="pi/4"):
+        sv3_block_functions((0.1, 0.9, 0.1), s)
+    for closed_form in (sv4_block_functions, sv4_determinant):
+        with pytest.raises(ValueError, match="pi/4"):
+            closed_form((0.1, 0.1, 0.1, 0.9), s)
 
 
 def test_closed_form_crosscheck():
