@@ -7,11 +7,9 @@ bounds, and simulates finite-statistics experiments.
 """
 from __future__ import annotations
 
-from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
-                   coefficient_table, evaluate, hybrid_bound, local_bound,
-                   observable, quantum_bound)
-from .linalg import (eig2x2_hermitian, exchange_matrix, hermitian_eigenvalues,
-                     is_persymmetric, kron, kron_all, pauli)
+from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator, evaluate,
+                   hybrid_bound, local_bound, observable, quantum_bound)
+from .linalg import hermitian_eigenvalues, is_persymmetric, kron_all, pauli
 from .root2 import SQRT2, Root2
 from .simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                        born_probabilities, certify, estimate_violation,
@@ -40,13 +38,12 @@ __all__ = [
     "IdealState", "MABK", "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2",
     "SVETLICHNY", "StructureViolation", "TradeoffCurve", "apply_channel",
     "block_decompose", "block_unitary", "born_probabilities", "build_T",
-    "build_operator", "catalog_constants",
-    "certify", "closed_form_crosscheck", "coefficient_table", "curve_to_csv",
-    "curve_to_json", "eig2x2_hermitian", "emit_curve", "estimate_violation",
-    "evaluate", "exchange_matrix", "explicit_ghz_state",
+    "build_operator", "catalog_constants", "certify",
+    "closed_form_crosscheck", "curve_to_csv", "curve_to_json", "emit_curve",
+    "estimate_violation", "evaluate", "explicit_ghz_state",
     "fidelity_lower_bound", "format_float", "g_param", "ghz_state",
     "hermitian_eigenvalues", "hybrid_bound", "is_persymmetric",
-    "is_trivial_bound", "kron", "kron_all", "kraus_pair", "local_bound",
+    "is_trivial_bound", "kron_all", "kraus_pair", "local_bound",
     "min_eig_over_grid", "noisy_state", "observable", "outcome_products",
     "parity_projector",
     "pauli", "persymmetry_preserved", "projector_lambda", "quantum_bound",

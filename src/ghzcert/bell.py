@@ -24,21 +24,23 @@ where the coefficient depends only on the Hamming weight |x| and the family.
 Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
-entries, batched over angle tuples; the quantum bound, the norm ratio of the
-target state and the certificate scan all read it.  ``build_operator`` keeps
-the dense Kronecker sum as the reference route the tests compare against.
+entries, batched over angle tuples; the quantum bound, the served target
+state and its norm ratio, and the certificate scan all read it.
+``build_operator`` is the dense reference route the tests compare against:
+it contracts the coefficient tensor c(x) with each party's stacked pair
+(A^0, A^1) in turn and assumes no structure of W.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (canonical_indices, hermitian_eigenvalues, kron_all, pauli,
-                     signed_site_product)
+from .linalg import (canonical_indices, hermitian_eigenvalues,
+                     interleaved_to_matrix, pauli, signed_site_product)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -51,14 +53,6 @@ _MAX_PARTIES = 6
 SQRT2 = math.sqrt(2.0)
 # Outcome pairs (a(0), a(1)) of one party's deterministic strategies.
 _OUTCOME_PAIRS = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
-
-
-class CoefficientRow(NamedTuple):
-    """One row of the block coefficient table: index, bit string, sign."""
-
-    mu: int
-    bits: str
-    nu: int
 
 
 @dataclass(frozen=True)
@@ -123,22 +117,6 @@ def observable(r: int, alpha: float) -> np.ndarray:
     return math.cos(alpha) * pauli("X") + (-1) ** r * math.sin(alpha) * pauli("Y")
 
 
-def coefficient_table(n: int) -> List[CoefficientRow]:
-    """Signed index table for the 2^(n-1) two-dimensional blocks.
-
-    Row mu carries the (n-1)-bit string of mu - 1 (most significant bit
-    first) and the sign nu = (-1)^(m(m+1)/2) where m is the bit weight.
-    """
-    if n < 2:
-        raise ValueError(f"coefficient table needs n >= 2, got {n}")
-    rows = []
-    for mu in range(1, 2 ** (n - 1) + 1):
-        bits = format(mu - 1, f"0{n - 1}b")
-        m = bits.count("1")
-        rows.append(CoefficientRow(mu=mu, bits=bits, nu=(-1) ** (m * (m + 1) // 2)))
-    return rows
-
-
 def _svetlichny_sign(n: int, w: int) -> int:
     if n % 2 == 1:
         return (-1) ** (w * (w + 1) // 2)
@@ -164,15 +142,19 @@ def functional_coefficients(protocol: BellProtocol) -> Dict[Tuple[int, ...], flo
 
 
 def build_operator(protocol: BellProtocol, angles: Sequence[float]) -> np.ndarray:
-    """Dense operator sum_x c(x) A^{x_1} ... A^{x_n} at the given angles."""
+    """Dense operator sum_x c(x) A^{x_1} ... A^{x_n} at the given angles.
+
+    The coefficient tensor c(x) is contracted with each party's stacked pair
+    (A^0, A^1) in turn, which replaces that party's setting index by its row
+    and column indices.
+    """
     if len(angles) != protocol.n:
         raise ValueError(f"expected {protocol.n} angles, got {len(angles)}")
-    obs = [(observable(0, a), observable(1, a)) for a in angles]
-    total = np.zeros((protocol.dim, protocol.dim), dtype=complex)
-    for x, c in functional_coefficients(protocol).items():
-        if c != 0.0:
-            total += c * kron_all([obs[j][x[j]] for j in range(protocol.n)])
-    return total
+    tensor = _coefficient_tensor(protocol)
+    for alpha in angles:
+        pair = np.stack([observable(0, alpha), observable(1, alpha)])
+        tensor = np.tensordot(tensor, pair, axes=([0], [0]))
+    return interleaved_to_matrix(tensor)
 
 
 def corner_coefficient(protocol: BellProtocol) -> complex:

@@ -1,6 +1,7 @@
 """Dense Hermitian linear algebra helpers.
 
-Provides the Pauli matrices, Kronecker-product utilities, the canonical
+Provides the Pauli matrices, the Kronecker product ``kron_all``, the
+matrix form of a site-by-site contraction (``interleaved_to_matrix``), the canonical
 index tuples of a product grid (one per permutation orbit) with the per-site
 products the scans evaluate on them, persymmetry tests, and a self-contained
 cyclic Jacobi eigenvalue solver for complex Hermitian matrices.  The solver
@@ -10,7 +11,7 @@ do not depend on an external eigensolver.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,11 +34,6 @@ def pauli(label: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli label {label!r}") from None
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(a, b)
-
-
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty sequence of matrices, left to right."""
     if not mats:
@@ -46,6 +42,17 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def interleaved_to_matrix(tensor: np.ndarray) -> np.ndarray:
+    """The 2^n x 2^n matrix of a tensor indexed (row 1, column 1, ..., column n).
+
+    Site-by-site contractions leave each site's row and column index side by
+    side; this gathers the row indices before the column indices.
+    """
+    n = tensor.ndim // 2
+    rows_then_columns = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return tensor.transpose(rows_then_columns).reshape(2 ** n, 2 ** n)
 
 
 def outer_all(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,13 +127,6 @@ def signed_site_product(base: np.ndarray, other: np.ndarray,
     return out
 
 
-def exchange_matrix(dim: int) -> np.ndarray:
-    """Return the dim x dim exchange (reversal) matrix J."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    return np.eye(dim, dtype=complex)[::-1]
-
-
 def is_persymmetric(m: np.ndarray, tol: float = 1e-10) -> bool:
     """Check whether ``m`` is symmetric about its antidiagonal: m = J m.T J."""
     m = np.asarray(m)
@@ -134,12 +134,6 @@ def is_persymmetric(m: np.ndarray, tol: float = 1e-10) -> bool:
         raise ValueError("persymmetry is defined for square matrices")
     flipped = m[::-1, ::-1].T
     return bool(np.max(np.abs(m - flipped)) <= tol)
-
-
-def eig2x2_hermitian(a: float, b: complex) -> Tuple[float, float]:
-    """Eigenvalues of [[a, b], [conj(b), a]], returned as (low, high)."""
-    r = abs(b)
-    return (a - r, a + r)
 
 
 def hermitian_eigenvalues(m: np.ndarray,

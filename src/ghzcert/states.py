@@ -4,9 +4,12 @@ Two independent routes produce the ideal target state:
 
 * ``explicit_ghz_state`` sums a hard-coded Pauli expansion (available for the
   three- and four-party Svetlichny scenarios).
-* ``spectral_ghz_state`` reads the maximal eigenvector off the built Bell
-  operator at the optimal angles, using the fact that an antidiagonal
-  operator has eigenvectors supported on index pairs (b, b~).
+* ``spectral_ghz_state`` builds the maximal eigenvector of the Bell operator
+  at the optimal angles from its closed-form antidiagonal entries
+  (``bell.corner_entries``), using the fact that an antidiagonal operator
+  has eigenvectors supported on index pairs (b, b~).  It never builds the
+  dense operator, so the served state does not depend on the dense
+  reference route.
 
 ``ghz_state`` runs both routes where both exist and insists they agree.  It
 is the single cache of the target state: each scenario is built and
@@ -17,21 +20,22 @@ The extraction channel applies, at each site, the Kraus pair built from the
 attenuation parameter g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1),
 flipping the dephasing axis from X to Y at alpha = pi/4.  The channel is
 unital, self-adjoint, trace preserving, and maps persymmetric matrices to
-persymmetric matrices.
+persymmetric matrices.  ``apply_channel`` is a dense reference route: it
+contracts each site's Kraus superoperator into that site's row and column
+indices and assumes no structure of its input.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .bell import (ANGLE_SLACK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angle, quantum_bound)
-from .linalg import is_persymmetric, kron_all, pauli
+from .bell import (ANGLE_SLACK, SQRT2, SVETLICHNY, BellProtocol, check_angle,
+                   corner_entries, quantum_bound)
+from .linalg import interleaved_to_matrix, is_persymmetric, kron_all, pauli
 
 _DEGENERACY_GAP = 1e-6
 _ROUTE_AGREEMENT = 1e-12
@@ -104,17 +108,26 @@ class DephasingChannel:
 
 
 def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
-    """Apply the product channel to any matrix of matching dimension."""
+    """Apply the product channel to any matrix of matching dimension.
+
+    The matrix is reshaped to one row and one column index per site, and
+    each site's superoperator sum_k K_k (.) K_k^dagger is contracted into its
+    two indices in turn: O(n 4^n) work and no 2^n x 2^n Kraus operator.
+    """
     mat = np.asarray(mat, dtype=complex)
-    dim = 2 ** channel.n
+    n = channel.n
+    dim = 2 ** n
     if mat.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
-    pairs = channel.kraus_pairs()
-    out = np.zeros_like(mat)
-    for bits in itertools.product((0, 1), repeat=channel.n):
-        k = kron_all([pairs[j][b] for j, b in enumerate(bits)])
-        out += k @ mat @ k.conj().T
-    return out
+    tensor = mat.reshape((2,) * (2 * n))
+    for j, pair in enumerate(channel.kraus_pairs()):
+        kraus = np.stack(pair)
+        # Indexed (row in, column in, row out, column out).
+        superoperator = np.einsum("kab,kcd->bdac", kraus, kraus.conj())
+        # Site j's row and column indices lead the row and column halves of
+        # what is left; its output pair is appended at the end.
+        tensor = np.tensordot(tensor, superoperator, axes=([0, n - j], [0, 1]))
+    return interleaved_to_matrix(tensor)
 
 
 def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel,
@@ -136,23 +149,24 @@ def explicit_ghz_state(protocol: BellProtocol) -> IdealState:
     return IdealState(protocol=protocol, rho=rho, eta=_eta(protocol, rho))
 
 
+def _quarter_corners(protocol: BellProtocol) -> np.ndarray:
+    """Antidiagonal entries W[b, b~] of every pair b < 2^(n-1) at all-pi/4."""
+    angles = np.full((protocol.n, 1), math.pi / 4)
+    return corner_entries(protocol, np.cos(angles), np.sin(angles))[:, 0]
+
+
 def spectral_ghz_state(protocol: BellProtocol) -> IdealState:
     """Target state from the corner-pair eigenstructure of the operator.
 
-    At the optimal angles the built operator is antidiagonal, so each
-    eigenvector lives on one index pair (b, 2^n - 1 - b).  The maximal pair
-    must be unique; a near-degenerate second pair raises ArithmeticError.
-    The corners are read off the dense operator rather than
-    ``corner_entries``: the two differ in the last bit of the phase, which
-    would change the served state of MABK n = 3, 4, 6 and Svetlichny
-    n = 5, 6, and with it seeded simulation records.
+    At the optimal angles the operator is antidiagonal, so each eigenvector
+    lives on one index pair (b, 2^n - 1 - b); the corners are read from the
+    closed form ``corner_entries``.  The maximal pair must be unique; a
+    near-degenerate second pair raises ArithmeticError.
     """
     if protocol.n > _MAX_PARTIES:
         raise ValueError(f"spectral construction supports n <= {_MAX_PARTIES}")
     dim = protocol.dim
-    quarter = (math.pi / 4,) * protocol.n
-    w = build_operator(protocol, quarter)
-    corners = np.array([w[b, dim - 1 - b] for b in range(dim // 2)])
+    corners = _quarter_corners(protocol)
     magnitudes = np.abs(corners)
     order = np.argsort(magnitudes)
     b_star = int(order[-1])
@@ -186,6 +200,13 @@ def ghz_state(protocol: BellProtocol) -> IdealState:
 
 
 def _eta(protocol: BellProtocol, rho: np.ndarray) -> float:
-    """Ratio of the state's Bell value to the operator norm at pi/4."""
-    w = build_operator(protocol, (math.pi / 4,) * protocol.n)
-    return float(np.trace(rho @ w).real) / quantum_bound(protocol)
+    """Ratio of the state's Bell value to the operator norm at pi/4.
+
+    W is antidiagonal and Hermitian, so Tr[rho W] sums
+    rho[b~, b] W[b, b~] + rho[b, b~] conj(W[b, b~]) over the pairs b.
+    """
+    b = np.arange(protocol.dim // 2)
+    b_tilde = protocol.dim - 1 - b
+    corners = _quarter_corners(protocol)
+    value = np.sum(rho[b_tilde, b] * corners + rho[b, b_tilde] * np.conj(corners))
+    return float(value.real) / quantum_bound(protocol)

@@ -23,8 +23,9 @@ is refused before anything is allocated.
 
 Independent routes cross-check the reduction:
 
-* ``block_decompose`` conjugates the assembled matrix by an explicit pairing
-  permutation and fails loudly if any off-block weight remains.
+* ``block_decompose`` reads each 2 x 2 block of the assembled matrix off its
+  index pair and fails loudly if any off-block weight remains;
+  ``block_unitary``, the pairing permutation, is its reference.
 * ``sv3_block_functions`` / ``sv4_block_functions`` are hand-expanded scalar
   formulas for the block entries of the three- and four-party Svetlichny
   certificates, with ``sv4_determinant`` and ``projector_lambda`` covering
@@ -34,6 +35,7 @@ Independent routes cross-check the reduction:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,29 +168,48 @@ def block_unitary(n: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of every 2 x 2 pair block and of every off-block entry.
+
+    Block i holds the entries of index pair (i, 2^n - 1 - i), shape
+    (2^(n-1), 2, 2); both arrays are read-only.
+    """
+    dim = 2 ** n
+    low = np.arange(dim // 2)
+    pairs = np.stack([low, dim - 1 - low], axis=1)
+    on_block = pairs[:, :, None] * dim + pairs[:, None, :]
+    off = np.ones(dim * dim, dtype=bool)
+    off[on_block.ravel()] = False
+    off_block = np.flatnonzero(off)
+    on_block.setflags(write=False)
+    off_block.setflags(write=False)
+    return on_block, off_block
+
+
 def block_decompose(t: np.ndarray, n: int,
                     residue_tol: float = _BLOCK_RESIDUE_TOL) -> List[np.ndarray]:
     """Split a diagonal-plus-antidiagonal matrix into its 2 x 2 blocks.
 
-    Block i couples indices (i, 2^n - 1 - i).  Raises StructureViolation if
-    the conjugated matrix carries weight outside the blocks.
+    Block i is t restricted to the index pair (i, 2^n - 1 - i), the block
+    that conjugation by ``block_unitary`` brings to the diagonal.  Raises
+    ValueError on non-finite input and StructureViolation if any entry off
+    the diagonal and antidiagonal exceeds ``residue_tol``.
     """
     t = np.asarray(t, dtype=complex)
     dim = 2 ** n
     if t.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {t.shape}")
-    u = block_unitary(n)
-    t2 = u @ t @ u.conj().T
-    blocks = []
-    residue = t2.copy()
-    for i in range(dim // 2):
-        blocks.append(t2[2 * i:2 * i + 2, 2 * i:2 * i + 2].copy())
-        residue[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
-    worst = float(np.max(np.abs(residue)))
-    if worst > residue_tol:
+    flat = t.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix has non-finite entries")
+    on_block, off_block = _block_layout(n)
+    worst = float(np.max(np.abs(flat[off_block]), initial=0.0))
+    # Written so that a NaN residue or tolerance fails too.
+    if not worst <= residue_tol:
         raise StructureViolation(
             f"off-block weight {worst} exceeds tolerance {residue_tol}")
-    return blocks
+    return list(flat[on_block])
 
 
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
@@ -436,11 +457,15 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     constants = catalog_constants(protocol)
     rng = np.random.default_rng(seed)
     failures: List[str] = []
     if protocol.n == 3:
         checks = ["block_entries", "parity_sector_invariant"]
+        sectors = {(x1, x2): parity_projector(x1, x2)
+                   for x1 in (0, 1) for x2 in (0, 1)}
     else:
         checks = ["block_entries", "determinant_expansion", "sylvester_test"]
     for index in range(samples):
@@ -453,15 +478,13 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
                 if (abs(block[0, 0].real - f[2 * i]) > 1e-10
                         or abs(block[0, 1] - f[2 * i + 1]) > 1e-10):
                     failures.append(f"sample {index}: block {i} mismatch")
-            for x1 in (0, 1):
-                for x2 in (0, 1):
-                    p = parity_projector(x1, x2)
-                    m = p @ t @ p
-                    direct = np.trace(m).real ** 2 - np.trace(m @ m).real
-                    got = projector_lambda(angles, constants.s, x1, x2)
-                    if abs(got - direct) > 1e-10:
-                        failures.append(
-                            f"sample {index}: sector ({x1},{x2}) mismatch")
+            for (x1, x2), p in sectors.items():
+                m = p @ t @ p
+                direct = np.trace(m).real ** 2 - np.trace(m @ m).real
+                got = projector_lambda(angles, constants.s, x1, x2)
+                if abs(got - direct) > 1e-10:
+                    failures.append(
+                        f"sample {index}: sector ({x1},{x2}) mismatch")
         else:
             f1, f2 = sv4_block_functions(angles, constants.s)
             block = blocks[0]

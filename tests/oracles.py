@@ -1,20 +1,29 @@
 """Test-local reference constructions, independent of the package internals.
 
 Most of this is built from raw numpy Pauli algebra so that package outputs
-can be checked against a second, separately written route.
-``dense_born_probabilities`` is the dense Born route: one 2^n x 2^n
-projector per outcome, built by Kronecker products.  The scan
+can be checked against a second, separately written route.  The Kronecker
+routes build one 2^n x 2^n matrix per term: ``kron_sum_operator`` (the Bell
+operator as a sum over setting strings), ``kraus_loop_channel`` (the channel
+as a sum over product Kraus operators), ``dense_spectral_ghz_rho`` (the
+target state read off the Kronecker-sum operator) and
+``dense_born_probabilities`` (one projector per outcome).  The scan
 oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
-orbit reduction of the package kernels can be checked against them.
+orbit reduction of the package kernels can be checked against them.  The
+small helpers after the Pauli algebra (``kron``, ``exchange_matrix``,
+``eig2x2_hermitian``, ``coefficient_table``) are reference tools the tests
+use and the package does not.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ghzcert.bell import corner_coefficient, ghz_phase, pair_signs
+from ghzcert.bell import (corner_coefficient, functional_coefficients,
+                          ghz_phase, pair_signs)
 from ghzcert.linalg import outer_all
 
 SQ2 = np.sqrt(2.0)
@@ -31,6 +40,48 @@ def kron_chain(mats: list[np.ndarray]) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices."""
+    return np.kron(a, b)
+
+
+def exchange_matrix(dim: int) -> np.ndarray:
+    """Return the dim x dim exchange (reversal) matrix J."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    return np.eye(dim, dtype=complex)[::-1]
+
+
+def eig2x2_hermitian(a: float, b: complex) -> tuple[float, float]:
+    """Eigenvalues of [[a, b], [conj(b), a]], returned as (low, high)."""
+    r = abs(b)
+    return (a - r, a + r)
+
+
+class CoefficientRow(NamedTuple):
+    """One row of the block coefficient table: index, bit string, sign."""
+
+    mu: int
+    bits: str
+    nu: int
+
+
+def coefficient_table(n: int) -> list[CoefficientRow]:
+    """Signed index table for the 2^(n-1) two-dimensional blocks.
+
+    Row mu carries the (n-1)-bit string of mu - 1 (most significant bit
+    first) and the sign nu = (-1)^(m(m+1)/2) where m is the bit weight.
+    """
+    if n < 2:
+        raise ValueError(f"coefficient table needs n >= 2, got {n}")
+    rows = []
+    for mu in range(1, 2 ** (n - 1) + 1):
+        bits = format(mu - 1, f"0{n - 1}b")
+        m = bits.count("1")
+        rows.append(CoefficientRow(mu=mu, bits=bits, nu=(-1) ** (m * (m + 1) // 2)))
+    return rows
 
 
 def pauli_string(labels: str) -> np.ndarray:
@@ -116,6 +167,47 @@ def reference_channel_output_3(a1: float, a2: float, a3: float) -> np.ndarray:
     return out / 8
 
 
+def equatorial(r: int, alpha: float) -> np.ndarray:
+    """cos(alpha) X + (-1)^r sin(alpha) Y."""
+    return math.cos(alpha) * PAULI["X"] + (-1) ** r * math.sin(alpha) * PAULI["Y"]
+
+
+def kron_sum_operator(protocol, angles) -> np.ndarray:
+    """Bell operator as the sum over settings x of c(x) A^{x_1} ... A^{x_n}."""
+    obs = [(equatorial(0, a), equatorial(1, a)) for a in angles]
+    total = np.zeros((protocol.dim, protocol.dim), dtype=complex)
+    for x, c in functional_coefficients(protocol).items():
+        if c != 0.0:
+            total += c * kron_chain([obs[j][x[j]] for j in range(protocol.n)])
+    return total
+
+
+def kraus_loop_channel(mat: np.ndarray, channel) -> np.ndarray:
+    """Channel output as the sum over product Kraus operators K M K^dagger."""
+    pairs = channel.kraus_pairs()
+    out = np.zeros((2 ** channel.n,) * 2, dtype=complex)
+    for bits in itertools.product((0, 1), repeat=channel.n):
+        k = kron_chain([pairs[j][b] for j, b in enumerate(bits)])
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def dense_spectral_ghz_rho(protocol) -> np.ndarray:
+    """Target state from the corners of the Kronecker-sum operator at pi/4.
+
+    The maximal antidiagonal pair (b, b~) carries the eigenvector
+    (|b> + e^(i phi) |b~>)/sqrt(2), with e^(i phi) = conj(W[b, b~])/|W[b, b~]|.
+    """
+    dim = protocol.dim
+    w = kron_sum_operator(protocol, (math.pi / 4,) * protocol.n)
+    corners = np.array([w[b, dim - 1 - b] for b in range(dim // 2)])
+    b_star = int(np.argmax(np.abs(corners)))
+    v = np.zeros(dim, dtype=complex)
+    v[b_star] = 1.0 / SQ2
+    v[dim - 1 - b_star] = np.conj(corners[b_star]) / abs(corners[b_star]) / SQ2
+    return np.outer(v, v.conj())
+
+
 def dense_born_probabilities(state: np.ndarray, settings, angles) -> np.ndarray:
     """Born distribution from one dense Kronecker projector per outcome.
 
@@ -125,7 +217,7 @@ def dense_born_probabilities(state: np.ndarray, settings, angles) -> np.ndarray:
     n = len(angles)
     projectors = []
     for r, alpha in zip(settings, angles):
-        a = math.cos(alpha) * PAULI["X"] + (-1) ** r * math.sin(alpha) * PAULI["Y"]
+        a = equatorial(r, alpha)
         projectors.append(((np.eye(2) + a) / 2, (np.eye(2) - a) / 2))
     dist = np.empty(2 ** n)
     for k in range(2 ** n):

@@ -17,8 +17,7 @@ import numpy as np
 
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, evaluate,
                           hybrid_bound, local_bound, quantum_bound)
-from ghzcert.linalg import (eig2x2_hermitian, exchange_matrix,
-                            hermitian_eigenvalues)
+from ghzcert.linalg import hermitian_eigenvalues
 from ghzcert.simulate import NoiseModel, certify
 from ghzcert.states import DephasingChannel, apply_channel, ghz_state, \
     persymmetry_preserved
@@ -28,7 +27,7 @@ from ghzcert.verifier import (CertificateConstants, GridSpec, block_decompose,
                               parity_projector, projector_lambda,
                               sv3_block_functions, sv4_block_functions,
                               sv4_determinant)
-from oracles import random_hermitian
+from oracles import eig2x2_hermitian, exchange_matrix, random_hermitian
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK)

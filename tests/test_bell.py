@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
-                          build_operator, check_angle, coefficient_table,
-                          corner_entries,
+                          build_operator, check_angle, corner_entries,
                           evaluate, hybrid_bound, local_bound, observable,
                           pair_sign_matrix, pair_signs, quantum_bound)
 from ghzcert.linalg import hermitian_eigenvalues
-from oracles import (full_grid_corner_max, kron_chain, pauli_coefficient,
-                     pauli_string, reference_svetlichny_3,
-                     reference_svetlichny_4)
+from oracles import (coefficient_table, full_grid_corner_max, kron_chain,
+                     kron_sum_operator, pauli_coefficient, pauli_string,
+                     reference_svetlichny_3, reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
 SV3 = BellProtocol(SVETLICHNY, 3)
@@ -176,6 +175,18 @@ def test_four_party_svetlichny_is_scaled_mabk():
         assert np.max(np.abs(build_operator(SV4, angles)
                              - SQ2 * build_operator(BellProtocol(MABK, 4),
                                                     angles))) <= 1e-10
+
+
+def test_build_operator_matches_kron_sum_oracle():
+    rng = np.random.default_rng(28)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            points = [random_angles(rng, n) for _ in range(5)]
+            points.append((math.pi / 4,) * n)
+            for angles in points:
+                assert np.max(np.abs(build_operator(protocol, angles)
+                                     - kron_sum_operator(protocol, angles))) <= 1e-13
 
 
 def test_builders_reject_bad_inputs():

@@ -203,6 +203,16 @@ def test_crosscheck_rejects_unsupported_protocol(capsys):
     assert main(["crosscheck", "--family", "mabk", "-n", "3"]) == 2
 
 
+def test_crosscheck_rejects_empty_sample(capsys):
+    for n in ("3", "4"):
+        for samples in ("0", "-5"):
+            assert main(["crosscheck", "--family", "svetlichny", "-n", n,
+                         "--samples", samples]) == 2
+            captured = capsys.readouterr()
+            assert "result=" not in captured.out
+            assert "at least one sample" in captured.err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=mabk\nn=4\nresolution=3\n# comment line\n"

@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.linalg import (canonical_indices, eig2x2_hermitian,
-                            exchange_matrix, hermitian_eigenvalues,
-                            is_persymmetric, kron, kron_all, pauli,
+from ghzcert.linalg import (canonical_indices, hermitian_eigenvalues,
+                            is_persymmetric, kron_all, pauli,
                             signed_site_product, sorted_index_tuples)
-from oracles import random_hermitian
+from oracles import eig2x2_hermitian, exchange_matrix, kron, random_hermitian
 
 SQ2 = np.sqrt(2.0)
 

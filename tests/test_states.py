@@ -11,7 +11,8 @@ from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator, evaluat
 from ghzcert.states import (DephasingChannel, apply_channel, explicit_ghz_state,
                             g_param, g_values, ghz_state, kraus_pair,
                             persymmetry_preserved, spectral_ghz_state)
-from oracles import (pauli_string, random_hermitian, reference_channel_output_3,
+from oracles import (dense_spectral_ghz_rho, kraus_loop_channel, pauli_string,
+                     random_hermitian, reference_channel_output_3,
                      reference_state_3, reference_state_4)
 
 SQ2 = math.sqrt(2.0)
@@ -131,6 +132,27 @@ def test_spectral_construction_matches_explicit():
         explicit = explicit_ghz_state(protocol)
         spectral = spectral_ghz_state(protocol)
         assert np.max(np.abs(explicit.rho - spectral.rho)) <= 1e-12
+
+
+def test_served_state_matches_dense_eigenvector_oracle():
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            assert np.max(np.abs(ghz_state(protocol).rho
+                                 - dense_spectral_ghz_rho(protocol))) <= 1e-15
+
+
+def test_apply_channel_matches_kraus_loop_oracle():
+    rng = np.random.default_rng(41)
+    for n in (3, 4, 5, 6):
+        dim = 2 ** n
+        for _ in range(3):
+            channel = DephasingChannel(
+                tuple(rng.uniform(0.0, math.pi / 2, size=n)))
+            general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for mat in (random_hermitian(rng, dim), general):
+                assert np.max(np.abs(apply_channel(mat, channel)
+                                     - kraus_loop_channel(mat, channel))) <= 1e-14
 
 
 def test_apply_channel_identity_at_quarter_pi():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
-from ghzcert.linalg import eig2x2_hermitian, hermitian_eigenvalues, is_persymmetric
+from ghzcert.linalg import hermitian_eigenvalues, is_persymmetric
 from ghzcert.states import ghz_state
 import ghzcert.verifier
 from ghzcert.verifier import (CertificateConstants, GridSpec,
@@ -17,7 +17,7 @@ from ghzcert.verifier import (CertificateConstants, GridSpec,
                               min_eig_over_grid, parity_projector,
                               projector_lambda, sv3_block_functions,
                               sv4_block_functions, sv4_determinant)
-from oracles import full_grid_min_block, pauli_string
+from oracles import eig2x2_hermitian, full_grid_min_block, pauli_string
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -126,6 +126,40 @@ def test_block_decompose_rejects_unstructured_input():
     dense = (dense + dense.T) / 2
     with pytest.raises(StructureViolation):
         block_decompose(dense.astype(complex), 3)
+
+
+def test_block_decompose_matches_block_unitary_conjugation():
+    rng = np.random.default_rng(44)
+    matrices = []
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        angles = tuple(rng.uniform(0.0, math.pi / 2, size=protocol.n))
+        matrices.append((build_T(protocol, angles, constants.s, constants.mu),
+                         protocol.n))
+    for n in (1, 2, 6):
+        dim = 2 ** n
+        general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        structure = np.eye(dim, dtype=bool) | np.eye(dim, dtype=bool)[::-1]
+        matrices.append((np.where(structure, general, 0.0), n))
+    for t, n in matrices:
+        u = block_unitary(n)
+        conjugated = u @ t @ u.conj().T
+        blocks = block_decompose(t, n)
+        assert len(blocks) == 2 ** (n - 1)
+        for i, block in enumerate(blocks):
+            assert np.array_equal(block, conjugated[2 * i:2 * i + 2,
+                                                    2 * i:2 * i + 2])
+
+
+def test_block_decompose_refuses_non_finite_input():
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        for row, col in ((0, 0), (0, 7), (2, 5), (0, 1)):
+            t = np.eye(8, dtype=complex)
+            t[row, col] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                block_decompose(t, 3)
+    with pytest.raises(StructureViolation):
+        block_decompose(np.eye(8, dtype=complex), 3, residue_tol=math.nan)
 
 
 def test_block_eigenvalues_match_full_spectrum():
@@ -430,3 +464,11 @@ def test_closed_form_crosscheck():
         assert report["failures"] == []
     with pytest.raises(ValueError):
         closed_form_crosscheck(BellProtocol(MABK, 3), samples=10, seed=7)
+
+
+def test_closed_form_crosscheck_rejects_empty_sample():
+    for n in (3, 4):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="at least one sample"):
+                closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
+                                       samples=samples)
