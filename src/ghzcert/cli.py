@@ -15,8 +15,11 @@ error (including an ``--out`` path that cannot be written), 3 structural
 violation in the block reduction.
 
 Options may also come from a ``--config`` file of flat ``key=value`` lines
-(``#`` starts a comment, unknown keys are ignored); explicit flags win over
-config values, which win over defaults.
+(``#`` starts a comment).  Each line whose key names an option of the
+subcommand becomes that flag, placed before the command-line flags and
+checked like them; other keys are ignored.  So explicit flags win over
+config values, which win over defaults.  ``full_domain`` takes 1/true/yes/on
+or 0/false/no/off.
 """
 from __future__ import annotations
 
@@ -25,51 +28,28 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from .bell import BellProtocol, local_bound, quantum_bound
+from .bell import FAMILIES, SVETLICHNY, BellProtocol, local_bound, quantum_bound
 from .simulate import NoiseModel, certify
 from .tradeoff import curve_to_csv, curve_to_json, emit_curve, format_float
-from .verifier import (CertificateConstants, GridSpec, StructureViolation,
-                       catalog_constants, closed_form_crosscheck,
-                       min_eig_over_grid)
+from .verifier import (PSD_TOLERANCE, CertificateConstants, GridSpec,
+                       StructureViolation, catalog_constants,
+                       closed_form_crosscheck, min_eig_over_grid)
 
 _BOUNDS_TOL = 1e-8
 _SCAN_PARTY_RANGE = (3, 4, 5)
 _BOUNDS_PARTY_RANGE = (3, 4, 5, 6)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
-_DEFAULTS = {
-    "family": "svetlichny",
-    "n": 3,
-    "tol": 1e-8,
-    "format": "csv",
-    "out": None,
-    "full_domain": False,
-    "s": None,
-    "mu": None,
-    "visibility": 1.0,
-    "shots": 10000,
-    "seed": 0,
-    "resolution": 50,
-    "samples": 500,
-}
 
-_CASTS: Dict[str, Callable[[str], object]] = {
-    "family": str,
-    "n": int,
-    "grid": int,
-    "tol": float,
-    "format": str,
-    "out": str,
-    "full_domain": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "s": float,
-    "mu": float,
-    "visibility": float,
-    "shots": int,
-    "seed": int,
-    "resolution": int,
-    "samples": int,
-}
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected 1/true/yes/on or 0/false/no/off, got {text!r}") from None
 
 
 def _load_config(path: str) -> Dict[str, str]:
@@ -86,36 +66,6 @@ def _load_config(path: str) -> Dict[str, str]:
     return values
 
 
-class _Options:
-    """Flag > config > default resolution for one parsed invocation."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._args = args
-        config_path = getattr(args, "config", None)
-        self._config = _load_config(config_path) if config_path else {}
-
-    def get(self, key: str, default: object = None) -> object:
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return value
-        if key in self._config:
-            return _CASTS[key](self._config[key])
-        if default is not None:
-            return default
-        return _DEFAULTS.get(key)
-
-    def grid(self, n: int) -> int:
-        return int(self.get("grid", 11 if n == 5 else 21))
-
-
-def _protocol(options: _Options, allowed: Sequence[int]) -> BellProtocol:
-    family = str(options.get("family"))
-    n = int(options.get("n"))
-    if n not in allowed:
-        raise ValueError(f"party count {n} not in {sorted(allowed)}")
-    return BellProtocol(family, n)
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -124,8 +74,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def cmd_bounds(options: _Options) -> int:
-    protocol = _protocol(options, _BOUNDS_PARTY_RANGE)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    protocol = BellProtocol(args.family, args.n)
     local = local_bound(protocol)
     quantum = quantum_bound(protocol)
     local_ok = abs(local - protocol.beta_L) <= _BOUNDS_TOL
@@ -142,19 +92,20 @@ def cmd_bounds(options: _Options) -> int:
     return 0 if ok else 1
 
 
-def _constants_for(options: _Options,
+def _constants_for(args: argparse.Namespace,
                    protocol: BellProtocol) -> CertificateConstants:
     constants = catalog_constants(protocol)
-    s_override = options.get("s")
-    mu_override = options.get("mu")
-    if s_override is None and mu_override is None:
+    if args.s is None and args.mu is None:
         return constants
-    s = float(s_override) if s_override is not None else constants.s
-    mu = float(mu_override) if mu_override is not None else constants.mu
+    s = args.s if args.s is not None else constants.s
+    mu = args.mu if args.mu is not None else constants.mu
     if s <= 0.0:
         raise ValueError("slope s must be positive")
-    return CertificateConstants(protocol=protocol, s=s, mu=mu,
-                                beta_T=(0.5 - mu) / s)
+    beta_t = (0.5 - mu) / s
+    if not math.isfinite(beta_t):
+        raise ValueError(f"s={s} and mu={mu} give the threshold "
+                         f"beta_T={beta_t}")
+    return CertificateConstants(protocol=protocol, s=s, mu=mu, beta_T=beta_t)
 
 
 def _render(value: object) -> str:
@@ -168,14 +119,14 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def cmd_verify(options: _Options) -> int:
-    protocol = _protocol(options, _SCAN_PARTY_RANGE)
-    constants = _constants_for(options, protocol)
-    full_domain = bool(options.get("full_domain"))
-    domain = (0.0, math.pi / 2) if full_domain else (0.0, math.pi / 4)
-    spec = GridSpec(points_per_axis=options.grid(protocol.n), domain=domain)
-    report = min_eig_over_grid(protocol, constants, spec,
-                               psd_tol=float(options.get("tol")))
+def cmd_verify(args: argparse.Namespace) -> int:
+    protocol = BellProtocol(args.family, args.n)
+    constants = _constants_for(args, protocol)
+    domain = (0.0, math.pi / 2) if args.full_domain else (0.0, math.pi / 4)
+    grid = args.grid if args.grid is not None else (
+        11 if protocol.n == 5 else 21)
+    spec = GridSpec(points_per_axis=grid, domain=domain)
+    report = min_eig_over_grid(protocol, constants, spec, psd_tol=args.tol)
     fields = {
         "family": protocol.family,
         "n": protocol.n,
@@ -190,39 +141,35 @@ def cmd_verify(options: _Options) -> int:
         "binding_pair": report.binding_pair,
         "block_evaluations": report.block_evaluations,
     }
-    fmt = str(options.get("format"))
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(fields, indent=2) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = (",".join(fields) + "\n"
                 + ",".join(_render(value) for value in fields.values()) + "\n")
     else:
         text = "".join(f"{key}={_render(value)}\n"
                        for key, value in fields.items())
-    _emit(text, options.get("out"))
+    _emit(text, args.out)
     return 0 if report.passed else 1
 
 
-def cmd_curve(options: _Options) -> int:
-    protocol = _protocol(options, _SCAN_PARTY_RANGE)
-    curve = emit_curve(protocol, resolution=int(options.get("resolution")))
-    fmt = str(options.get("format"))
-    if fmt == "json":
+def cmd_curve(args: argparse.Namespace) -> int:
+    protocol = BellProtocol(args.family, args.n)
+    curve = emit_curve(protocol, resolution=args.resolution)
+    if args.format == "json":
         text = curve_to_json(curve) + "\n"
     else:
         text = curve_to_csv(curve)
-    _emit(text, options.get("out"))
+    _emit(text, args.out)
     return 0
 
 
-def cmd_simulate(options: _Options) -> int:
-    protocol = _protocol(options, _SCAN_PARTY_RANGE)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    protocol = BellProtocol(args.family, args.n)
     constants = catalog_constants(protocol)
-    noise = NoiseModel("visibility", float(options.get("visibility")))
-    record = certify(protocol, constants, noise,
-                     shots_per_setting=int(options.get("shots")),
-                     seed=int(options.get("seed")),
-                     log_path=options.get("out"))
+    noise = NoiseModel("visibility", args.visibility)
+    record = certify(protocol, constants, noise, shots_per_setting=args.shots,
+                     seed=args.seed, log_path=args.out)
     print(f"family={record.family} n={record.n} "
           f"visibility={format_float(record.visibility)} "
           f"shots_per_setting={record.shots_per_setting} seed={record.seed}")
@@ -231,21 +178,19 @@ def cmd_simulate(options: _Options) -> int:
     print(f"fidelity_bound={format_float(record.fidelity_bound)}")
     print(f"clamped={str(record.clamped).lower()}")
     print(f"trivial={str(record.trivial).lower()}")
-    out_path = options.get("out")
-    if out_path:
+    if args.out:
         print(f"persisted={str(record.persisted).lower()}")
         if not record.persisted:
-            print(f"error: could not append the record to {out_path}",
+            print(f"error: could not append the record to {args.out}",
                   file=sys.stderr)
             return 2
     return 0
 
 
-def cmd_crosscheck(options: _Options) -> int:
-    protocol = _protocol(options, _SCAN_PARTY_RANGE)
-    report = closed_form_crosscheck(protocol,
-                                    samples=int(options.get("samples")),
-                                    seed=int(options.get("seed")))
+def cmd_crosscheck(args: argparse.Namespace) -> int:
+    protocol = BellProtocol(args.family, args.n)
+    report = closed_form_crosscheck(protocol, samples=args.samples,
+                                    seed=args.seed)
     print(f"family={report['family']} n={report['n']} "
           f"samples={report['samples']}")
     print(f"checks={','.join(report['checks'])}")
@@ -265,9 +210,12 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", help="svetlichny or mabk")
-    parser.add_argument("-n", type=int, dest="n", help="number of parties")
+def _add_common(parser: argparse.ArgumentParser,
+                parties: Sequence[int]) -> None:
+    parser.add_argument("--family", choices=FAMILIES, default=SVETLICHNY,
+                        help="operator family")
+    parser.add_argument("-n", type=int, choices=parties, default=3,
+                        help="number of parties")
     parser.add_argument("--config", help="key=value options file")
 
 
@@ -280,53 +228,77 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("bounds", help="compare computed and catalog bounds")
-    _add_common(p)
+    _add_common(p, _BOUNDS_PARTY_RANGE)
 
     p = sub.add_parser("verify", help="scan the certificate over a grid")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="points per angle axis")
-    p.add_argument("--tol", type=float, help="PSD tolerance")
+    _add_common(p, _SCAN_PARTY_RANGE)
+    p.add_argument("--grid", type=int,
+                   help="points per angle axis (default 21, 11 when n = 5)")
+    p.add_argument("--tol", type=float, default=PSD_TOLERANCE,
+                   help="PSD tolerance")
     p.add_argument("--s", type=float, help="override slope s")
     p.add_argument("--mu", type=float, help="override offset mu")
-    p.add_argument("--full-domain", action="store_true", default=None,
-                   dest="full_domain", help="scan [0, pi/2] instead of [0, pi/4]")
-    p.add_argument("--format", choices=("text", "csv", "json"),
+    p.add_argument("--full-domain", type=_boolean, nargs="?", const=True,
+                   default=False, dest="full_domain", metavar="BOOL",
+                   help="scan [0, pi/2] instead of [0, pi/4]")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="csv",
                    help="report format")
     p.add_argument("--out", help="write the report to this path")
 
     p = sub.add_parser("curve", help="emit the fidelity tradeoff curve")
-    _add_common(p)
-    p.add_argument("--resolution", type=int, help="number of curve points")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+    _add_common(p, _SCAN_PARTY_RANGE)
+    p.add_argument("--resolution", type=int, default=50,
+                   help="number of curve points")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format")
     p.add_argument("--out", help="write the curve to this path")
 
     p = sub.add_parser("simulate", help="simulate a finite-statistics run")
-    _add_common(p)
-    p.add_argument("--visibility", type=float, help="target state visibility")
-    p.add_argument("--shots", type=int, help="shots per setting")
-    p.add_argument("--seed", type=int, help="base RNG seed")
+    _add_common(p, _SCAN_PARTY_RANGE)
+    p.add_argument("--visibility", type=float, default=1.0,
+                   help="target state visibility")
+    p.add_argument("--shots", type=int, default=10000, help="shots per setting")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", help="append a JSONL record to this path")
 
     p = sub.add_parser("crosscheck", help="check closed forms against matrices")
-    _add_common(p)
-    p.add_argument("--samples", type=int, help="random angle samples")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    _add_common(p, _SCAN_PARTY_RANGE)
+    p.add_argument("--samples", type=int, default=500,
+                   help="random angle samples")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser,
+           argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv``, with ``--config`` lines read in as leading flags.
+
+    Config keys that name none of the subcommand's options are dropped; the
+    rest become ``--key=value`` flags right after the subcommand name, so
+    the command-line flags after them win.
+    """
+    args = parser.parse_args(argv)
+    if args.command is None or args.config is None:
+        return args
+    options = vars(parser.parse_args([args.command]))
+    flags = [("-n=" if key == "n" else f"--{key.replace('_', '-')}=") + value
+             for key, value in _load_config(args.config).items()
+             if key in options and key not in ("command", "config")]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, list(sys.argv[1:] if argv is None else argv))
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        options = _Options(args)
-        return _COMMANDS[args.command](options)
     except StructureViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

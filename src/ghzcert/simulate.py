@@ -26,6 +26,8 @@ RNG_ALGORITHM = "PCG64"
 _NOISE_KINDS = ("visibility", "separable_mixture")
 _PROB_FLOOR = -1e-12
 _PROB_SUM_TOL = 1e-10
+# The largest draw count numpy's multinomial accepts (an int64).
+MAX_SHOTS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
 def sample_outcomes(dist: np.ndarray, shots: int,
                     seed_or_rng: Union[int, np.random.Generator]) -> np.ndarray:
     """Multinomial outcome counts for ``shots`` draws from ``dist``."""
-    if shots < 1:
-        raise ValueError("shot count must be positive")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shot count must be in [1, {MAX_SHOTS}], got {shots}")
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
     else:

@@ -10,7 +10,8 @@ import pytest
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
                           build_operator, check_angle, corner_entries,
                           evaluate, hybrid_bound, local_bound, observable,
-                          pair_sign_matrix, pair_signs, quantum_bound)
+                          pair_sign_matrix, pair_signs, quantum_bound,
+                          validate_state)
 from ghzcert.linalg import hermitian_eigenvalues
 from oracles import (coefficient_table, full_grid_corner_max, kron_chain,
                      kron_sum_operator, pauli_coefficient, pauli_string,
@@ -416,3 +417,12 @@ def test_evaluate_rejects_invalid_states():
     skew[0, 1] = 0.3
     with pytest.raises(ValueError):
         evaluate(protocol, skew, angles)
+
+
+def test_validate_state_rejects_non_finite_states():
+    for bad in (math.nan, math.inf):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[3, 3] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                validate_state(rho, 3)

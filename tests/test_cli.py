@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -226,6 +227,83 @@ def test_config_file_with_flag_override(tmp_path):
                  "--out", str(out_path2)]) == 0
     first = out_path2.read_text().strip().splitlines()[1].split(",")
     assert abs(float(first[0]) - 2 * SQ2) <= 1e-9
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command, line", [
+    ("verify", "format=yaml"),
+    ("curve", "format=text"),
+    ("curve", "n=abc"),
+    ("simulate", "n=7"),
+    ("verify", "full_domain=maybe"),
+    ("verify", "full_domain="),
+    ("crosscheck", "samples=1.5"),
+    ("bounds", "family=bogus"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line):
+    cfg = _write_config(tmp_path, line + "\n")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_config_full_domain_matches_the_flag(tmp_path, capsys):
+    base = ["verify", "-n", "4", "--grid", "7", "--format", "json"]
+    assert main(base + ["--full-domain"]) == 0
+    flagged = capsys.readouterr().out
+    assert main(base) == 0
+    quarter = capsys.readouterr().out
+    assert flagged != quarter
+    for value, expected in (("true", flagged), ("YES", flagged),
+                            ("1", flagged), ("on", flagged),
+                            ("false", quarter), ("no", quarter),
+                            ("0", quarter), ("Off", quarter)):
+        cfg = _write_config(tmp_path, f"full-domain = {value}\n")
+        assert main(base + ["--config", cfg]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_config_ignores_keys_the_subcommand_lacks(tmp_path, capsys):
+    argv = ["curve", "--family", "mabk", "-n", "3", "--resolution", "4"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    cfg = _write_config(tmp_path, "command=verify\nconfig=missing.cfg\n"
+                                  "res=9\nshots=abc\n")
+    assert main(argv + ["--config", cfg]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["curve", "--config", cfg, "--family", "mabk", "-n", "3",
+                 "--resolution", "4"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_simulate_rejects_shot_counts_numpy_cannot_draw(capsys):
+    assert main(["simulate", "-n", "5",
+                 "--shots", "10000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "shot count" in captured.err
+    assert main(["simulate", "-n", "3", "--shots", str(2 ** 63 - 1)]) == 0
+    assert f"shots_per_setting={2 ** 63 - 1}" in capsys.readouterr().out
+
+
+def test_verify_rejects_overflowing_constants(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "-n", "3", "--s", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: s=1e+308 and mu=")
+    assert main(["verify", "-n", "5", "--grid", "2", "--s=1e-308",
+                 "--mu=-1e308", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: s=1e-308 and mu=-1e+308 give")
 
 
 def test_parser_built_once():

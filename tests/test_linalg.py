@@ -64,6 +64,17 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(np.ones((2, 3)))
 
 
+def test_hermitian_eigenvalues_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(np.inf, np.inf)):
+        for i, j in ((0, 0), (0, 1)):
+            m = np.eye(4, dtype=complex)
+            m[i, j] = bad
+            m[j, i] = np.conj(bad)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="Hermitian"):
+                    hermitian_eigenvalues(m)
+
+
 def test_hermitian_eigenvalues_against_lapack():
     rng = np.random.default_rng(11)
     for dim in (2, 4, 8, 16, 32):

@@ -346,6 +346,30 @@ def test_certify_survives_persistence_failure():
     assert record.fidelity_bound > 0
 
 
+def test_certify_rejects_shot_counts_outside_multinomial_range(tmp_path):
+    protocol = BellProtocol(SVETLICHNY, 5)
+    constants = catalog_constants(protocol)
+    log = tmp_path / "runs.jsonl"
+    for shots in (0, -1, 2 ** 63, 10 ** 19):
+        with pytest.raises(ValueError, match="shot count"):
+            certify(protocol, constants, NoiseModel("visibility", 1.0),
+                    shots_per_setting=shots, seed=0, log_path=str(log))
+        with pytest.raises(ValueError, match="shot count"):
+            sample_outcomes(np.array([0.5, 0.5]), shots, 0)
+    assert not log.exists()
+
+
+def test_certify_accepts_the_largest_shot_count(tmp_path):
+    protocol = BellProtocol(MABK, 3)
+    constants = catalog_constants(protocol)
+    log = tmp_path / "runs.jsonl"
+    record = certify(protocol, constants, NoiseModel("visibility", 0.9),
+                     shots_per_setting=2 ** 63 - 1, seed=3, log_path=str(log))
+    assert record.persisted
+    assert json.loads(log.read_text())["shots_per_setting"] == 2 ** 63 - 1
+    assert abs(record.estimated_beta - 0.9 * protocol.beta_Q) <= 1e-6
+
+
 def test_records_to_csv():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)

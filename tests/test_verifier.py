@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import math
+import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.linalg import hermitian_eigenvalues, is_persymmetric
+from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.verifier
 from ghzcert.verifier import (CertificateConstants, GridSpec,
@@ -56,6 +60,32 @@ def test_catalog_constants_values():
         assert abs(constants.beta_T - beta_t) <= 1e-12
         assert abs(constants.s * protocol.beta_Q + constants.mu - 1.0) <= 1e-12
         assert abs(constants.beta_T - (0.5 - constants.mu) / constants.s) <= 1e-12
+
+
+def test_catalog_constants_derive_mu_and_threshold_from_the_slope():
+    """mu and beta_T derived from s equal the triples once stored, exactly."""
+    stored = {
+        (SVETLICHNY, 3): (Root2(Fraction(3, 16), Fraction(3, 16)),
+                          Root2(Fraction(-1, 2), Fraction(-3, 4)),
+                          Root2(Fraction(8, 3), Fraction(4, 3))),
+        (SVETLICHNY, 4): (Root2(Fraction(1, 16), Fraction(1, 16)),
+                          Root2(0, Fraction(-1, 2)), Root2(8)),
+        (SVETLICHNY, 5): (Root2(Fraction(1, 32), Fraction(1, 32)),
+                          Root2(0, Fraction(-1, 2)), Root2(16)),
+        (MABK, 3): (Root2(Fraction(1, 4), Fraction(1, 8)),
+                    Root2(0, Fraction(-1, 2)), Root2(0, 2)),
+        (MABK, 4): (Root2(Fraction(1, 8), Fraction(1, 16)),
+                    Root2(0, Fraction(-1, 2)), Root2(0, 4)),
+        (MABK, 5): (Root2(Fraction(1, 16), Fraction(1, 32)),
+                    Root2(0, Fraction(-1, 2)), Root2(0, 8)),
+    }
+    for (family, n), exact in stored.items():
+        constants = catalog_constants(BellProtocol(family, n))
+        got = (constants.s_exact, constants.mu_exact, constants.beta_T_exact)
+        assert got == exact
+        floats = (constants.s, constants.mu, constants.beta_T)
+        assert [struct.pack("<d", x) for x in floats] == \
+            [struct.pack("<d", float(x)) for x in exact]
 
 
 def test_build_T_examples():
@@ -360,6 +390,30 @@ def test_min_eig_over_grid_rejects_non_finite_input():
             min_eig_over_grid(protocol, constants, spec, psd_tol=bad)
     with pytest.raises(ValueError):
         min_eig_over_grid(protocol, constants, spec, psd_tol=-1.0)
+
+
+def test_min_eig_over_grid_rejects_overflowing_constants():
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    spec = GridSpec(points_per_axis=5)
+    for s, mu in ((1e308, constants.mu), (1e308, -1e308), (1e308, 1e308)):
+        odd = CertificateConstants(protocol=protocol, s=s, mu=mu,
+                                   beta_T=constants.beta_T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s=.* and mu=.* overflow"):
+                min_eig_over_grid(protocol, odd, spec)
+    # Large but representable constants still give a finite verdict.
+    for s, mu, passed in ((1e300, constants.mu, False),
+                          (constants.s, 1e308, False),
+                          (constants.s, -1e308, True)):
+        odd = CertificateConstants(protocol=protocol, s=s, mu=mu,
+                                   beta_T=constants.beta_T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = min_eig_over_grid(protocol, odd, spec)
+        assert math.isfinite(report.min_eigenvalue)
+        assert report.passed is passed
 
 
 def test_min_eig_over_grid_never_passes_a_non_finite_minimum(monkeypatch):
