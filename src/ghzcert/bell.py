@@ -24,8 +24,9 @@ where the coefficient depends only on the Hamming weight |x| and the family.
 Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
-entries, batched over angle tuples; the quantum bound, the served target
-state and its norm ratio, and the certificate scan all read it.
+entries, batched over angle tuples and read off one ``sign_products`` table;
+the quantum bound, the served target state and its norm ratio, and the
+certificate scan all read it.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn and assumes no structure of W.
@@ -40,7 +41,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .linalg import (canonical_indices, hermitian_eigenvalues,
-                     interleaved_to_matrix, pauli, signed_site_product)
+                     interleaved_to_matrix, pauli, sign_products)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -182,29 +183,26 @@ def ghz_phase(protocol: BellProtocol) -> complex:
     return zc / abs(zc)
 
 
-def pair_signs(n: int, b: int) -> Tuple[float, ...]:
-    """Per-party signs sigma_j for antidiagonal pair index b (MSB first)."""
-    return tuple(1.0 if ((b >> (n - 1 - j)) & 1) == 0 else -1.0
-                 for j in range(n))
-
-
-def pair_sign_matrix(n: int) -> np.ndarray:
-    """Signs ``pair_signs(n, b)`` of every pair b < 2^(n-1), one row each."""
-    return np.array([pair_signs(n, b) for b in range(2 ** (n - 1))])
-
-
 def corner_entries(protocol: BellProtocol, cs: np.ndarray,
                    sn: np.ndarray) -> np.ndarray:
     """Antidiagonal entries W[b, b~] of every pair b < 2^(n-1).
 
     ``cs`` and ``sn`` hold the cosines and sines of the angles, one row per
     party and one column per angle tuple; the result has one row per pair
-    and one column per tuple (see ``corner_coefficient``).
+    and one column per tuple (see ``corner_coefficient``).  Both products
+    of pair b are rows of one ``sign_products`` table, b and 2^n - 1 - b;
+    the real and imaginary parts are formed in real arithmetic.
     """
     zc = corner_coefficient(protocol)
-    sig = pair_sign_matrix(protocol.n)
-    return (zc * signed_site_product(cs, sn, -sig)
-            + np.conj(zc) * signed_site_product(cs, sn, sig))
+    table = sign_products(cs + sn, cs - sn)
+    half = len(table) // 2
+    plus, minus = table[:half], table[::-1][:half]
+    out = np.empty(plus.shape, dtype=complex)
+    np.multiply(zc.real, minus, out=out.real)
+    out.real += zc.real * plus
+    np.multiply(zc.imag, minus, out=out.imag)
+    out.imag += (-zc.imag) * plus
+    return out
 
 
 def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:

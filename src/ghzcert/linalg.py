@@ -1,11 +1,12 @@
 """Dense Hermitian linear algebra helpers.
 
 Provides the Pauli matrices, the Kronecker product ``kron_all``, the
-matrix form of a site-by-site contraction (``interleaved_to_matrix``), the canonical
-index tuples of a product grid (one per permutation orbit) with the per-site
-products the scans evaluate on them, persymmetry tests, and a checked
-Hermitian spectrum.  Certification reads its spectra from closed-form 2 x 2
-blocks; the full spectrum serves state validation and the tests.
+matrix form of a site-by-site contraction (``interleaved_to_matrix``), the
+canonical index tuples of a product grid (one per permutation orbit), the
+per-site products over every sign choice (``sign_products``), persymmetry
+tests, and a checked Hermitian spectrum.  Certification reads its spectra
+from closed-form 2 x 2 blocks; the full spectrum serves state validation
+and the tests.
 """
 from __future__ import annotations
 
@@ -108,18 +109,22 @@ def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def signed_site_product(base: np.ndarray, other: np.ndarray,
-                        signs: np.ndarray) -> np.ndarray:
-    """Per-site products prod_j (base[j] + signs[:, j] * other[j]).
+def sign_products(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Per-site products prod_j (plus[j] or minus[j]) over every sign choice.
 
-    ``base`` and ``other`` hold one row of values per site, ``signs`` one
-    row of per-site signs per pair.  The product runs left to right over the
-    sites, as ``outer_all`` does, and has shape (len(signs), base.shape[1]).
+    ``plus`` and ``minus`` hold one row per site.  Row r of the 2^n-row
+    result takes plus[j] where bit j of r (most significant first) is 0 and
+    minus[j] where it is 1, multiplied left to right; rows r and 2^n - 1 - r
+    choose oppositely at every site.  Each site doubles the table, about
+    2^(n+1) row products in all.
     """
-    out = base[0] + signs[:, :1] * other[0]
-    for j in range(1, len(base)):
-        out = out * (base[j] + signs[:, j:j + 1] * other[j])
-    return out
+    table = np.stack([plus[0], minus[0]])
+    for p, q in zip(plus[1:], minus[1:]):
+        out = np.empty((2 * len(table),) + table.shape[1:], table.dtype)
+        np.multiply(table, p, out=out[0::2])
+        np.multiply(table, q, out=out[1::2])
+        table = out
+    return table
 
 
 def is_persymmetric(m: np.ndarray, tol: float = 1e-10) -> bool:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bell import (BellProtocol, functional_coefficients, observable,
                    validate_state)
+from .linalg import sign_products
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
@@ -61,10 +62,7 @@ def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
 
 def outcome_products(n: int) -> np.ndarray:
     """Product of the n outcome signs for each outcome index."""
-    out = np.empty(2 ** n)
-    for k in range(2 ** n):
-        out[k] = (-1.0) ** bin(k).count("1")
-    return out
+    return sign_products(np.ones((n, 1)), -np.ones((n, 1)))[:, 0]
 
 
 def born_probabilities(state: np.ndarray, settings: Sequence[int],
@@ -168,21 +166,9 @@ class ExperimentRecord:
     persisted: bool = field(default=False)
 
     def to_json_line(self) -> str:
-        payload = {
-            "family": self.family,
-            "n": self.n,
-            "noise_kind": self.noise_kind,
-            "visibility": self.visibility,
-            "shots_per_setting": self.shots_per_setting,
-            "seed": self.seed,
-            "estimated_beta": self.estimated_beta,
-            "std_error": self.std_error,
-            "fidelity_bound": self.fidelity_bound,
-            "clamped": self.clamped,
-            "trivial": self.trivial,
-            "rng": self.rng,
-            "timestamp": self.timestamp,
-        }
+        """Every field but ``persisted``, in declaration order."""
+        payload = dict(vars(self))
+        del payload["persisted"]
         return json.dumps(payload)
 
 

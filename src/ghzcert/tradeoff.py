@@ -16,6 +16,8 @@ from .bell import SQRT2, SVETLICHNY, BellProtocol
 from .verifier import CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
+# Most points emit_curve builds, at about 75 us and 360 bytes each.
+MAX_CURVE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,10 @@ def relative_violation(protocol: BellProtocol, beta_O: float) -> float:
 
 
 def emit_curve(protocol: BellProtocol, resolution: int = 50) -> TradeoffCurve:
-    """Sample the certified curve on ``resolution`` points in [beta_T, beta_Q]."""
-    if resolution < 2:
-        raise ValueError("curve resolution must be at least 2")
+    """Sample the curve on 2..``MAX_CURVE_POINTS`` points in [beta_T, beta_Q]."""
+    if not 2 <= resolution <= MAX_CURVE_POINTS:
+        raise ValueError(f"curve resolution must be at least 2 and at most "
+                         f"{MAX_CURVE_POINTS}, got {resolution}")
     constants = catalog_constants(protocol)
     start = constants.beta_T
     stop = protocol.beta_Q

@@ -17,9 +17,10 @@ way on every site, so permuting the parties maps block b at angles alpha to
 block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant
 on each permutation orbit of a grid, and the scan evaluates one sorted angle
 tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
-2^(n-1) pairs at once.  Refinement stencils shrink the same way along axes
-that coincide.  A grid pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations
-is refused before anything is allocated.
+2^(n-1) pairs at once, each block entry read off a ``sign_products`` table.
+Refinement stencils shrink the same way along axes that coincide.  A grid
+pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before
+anything is allocated.
 
 Independent routes cross-check the reduction:
 
@@ -44,18 +45,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angle, corner_entries, ghz_phase,
-                   pair_sign_matrix)
-from .linalg import canonical_indices, outer_all, signed_site_product
+                   build_operator, check_angle, corner_entries, ghz_phase)
+from .linalg import canonical_indices, outer_all, sign_products
 from .root2 import Root2
 from .states import DephasingChannel, apply_channel, g_values, ghz_state
 
 PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
-# (canonical points times pairs).  A scan peaks at about 120 bytes per
-# evaluation, so the largest accepted one stays just under 1 GB.
+# (canonical points times pairs).  A scan peaks at about 82 bytes per
+# evaluation, so the largest accepted one stays under about 650 MB.
 MAX_BLOCK_EVALUATIONS = 8_000_000
+# Most samples closed_form_crosscheck draws, at about 0.36 ms each (n = 4).
+MAX_CROSSCHECK_SAMPLES = 100_000
 
 
 class StructureViolation(Exception):
@@ -223,7 +225,9 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     Evaluates, for every antidiagonal pair b and every canonical grid point,
     the closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
     block, where D and K_c are the diagonal and corner entries of the channel
-    output and W_c the corner entry of the Bell operator.  Permuting parties
+    output and W_c the corner entry of the Bell operator.  Each sums the
+    per-site products of pair b and its complement, rows of one
+    ``sign_products`` table dropped once reduced.  Permuting parties
     maps block b at a point to block pi(b) at the permuted point, so the
     minimum over all pairs is the same on every point of a permutation orbit
     and only one tuple per orbit (``canonical_indices``) is evaluated.
@@ -231,7 +235,7 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     block evaluations.
     """
     n = protocol.n
-    psi = ghz_phase(protocol)
+    half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
     idx = canonical_indices(axes)
     quarter = [a <= math.pi / 4 + ANGLE_SLACK for a in axes]
     g_axes = [g_values(a) for a in axes]
@@ -239,19 +243,23 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     def at_points(per_axis):
         return np.array([values[i] for values, i in zip(per_axis, idx)])
 
-    cs = at_points([np.cos(a) for a in axes])
-    sn = at_points([np.sin(a) for a in axes])
+    gs = at_points(g_axes)
+    table = sign_products(1.0 + gs, 1.0 - gs)
+    low = scale * (table[:half] + table[::-1][:half]) - mu
+    del gs, table
     dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
     dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
-    gs = at_points(g_axes)
-    ones = np.ones_like(gs)
-    sig = pair_sign_matrix(n)
-    scale = 1.0 / 2 ** (n + 1)
-    diag = scale * (signed_site_product(ones, gs, sig)
-                    + signed_site_product(ones, gs, -sig))
-    kc = scale * (np.conj(psi) * signed_site_product(dx, dy, sig)
-                  + psi * signed_site_product(dx, dy, -sig))
-    low = (diag - mu) - np.abs(kc - s * corner_entries(protocol, cs, sn))
+    table = sign_products(dx + dy, dx - dy)
+    plus, minus, psi = table[:half], table[::-1][:half], ghz_phase(protocol)
+    corner = np.empty(low.shape, dtype=complex)
+    corner.real = scale * (psi.real * plus + psi.real * minus)
+    corner.imag = scale * ((-psi.imag) * plus + psi.imag * minus)
+    del dx, dy, table, plus, minus
+    w = corner_entries(protocol, at_points([np.cos(a) for a in axes]),
+                       at_points([np.sin(a) for a in axes]))
+    corner.real -= s * w.real
+    corner.imag -= s * w.imag
+    low -= np.abs(corner)
     pair, k = divmod(int(np.argmin(low)), low.shape[1])
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
     return float(low[pair, k]), point, pair, low.size
@@ -360,13 +368,8 @@ def sv3_block_functions(angles: Sequence[float], s: float) -> List[float]:
             float(f5), float(f6), float(f7), float(f8)]
 
 
-def sv4_block_functions(angles: Sequence[float],
-                        s: float) -> Tuple[float, complex]:
-    """Diagonal f1 and corner f2 of the four-party outer certificate block.
-
-    Valid on [0, pi/4]^4 with mu = 1 - 8 sqrt(2) s; the corner entry f2 is
-    the (lower-left) block entry T[15, 0].
-    """
+def _sv4_terms(angles: Sequence[float]) -> Tuple[float, float, float, float]:
+    """Even and odd g sums and the two angle terms of the four-party block."""
     if len(angles) != 4:
         raise ValueError(f"expected 4 angles, got {len(angles)}")
     g0, g1, g2, g3 = _closed_form_g(angles)
@@ -379,6 +382,17 @@ def sv4_block_functions(angles: Sequence[float],
           + math.sin(a1 + a2) * math.sin(a0 + a3))
     t2 = (-math.cos(a0 - a3) * math.sin(a1 + a2)
           - math.cos(a1 - a2) * math.sin(a0 + a3))
+    return ge, go, t1, t2
+
+
+def sv4_block_functions(angles: Sequence[float],
+                        s: float) -> Tuple[float, complex]:
+    """Diagonal f1 and corner f2 of the four-party outer certificate block.
+
+    Valid on [0, pi/4]^4 with mu = 1 - 8 sqrt(2) s; the corner entry f2 is
+    the (lower-left) block entry T[15, 0].
+    """
+    ge, go, t1, t2 = _sv4_terms(angles)
     f1 = (-15 + ge) / 16 + 8 * SQRT2 * s
     f2 = (-(1 + ge) / (16 * SQRT2) + 4 * t1 * s
           + 1j * (go / (16 * SQRT2) + 4 * t2 * s))
@@ -391,18 +405,7 @@ def sv4_determinant(angles: Sequence[float], s: float) -> float:
     Independent of ``sv4_block_functions``: the quadratic-in-s expansion is
     written out term by term rather than formed as f1^2 - |f2|^2.
     """
-    if len(angles) != 4:
-        raise ValueError(f"expected 4 angles, got {len(angles)}")
-    g0, g1, g2, g3 = _closed_form_g(angles)
-    a0, a1, a2, a3 = angles
-    ge = (g0 * g1 + g0 * g2 + g1 * g2 + g0 * g3 + g1 * g3 + g2 * g3
-          + g0 * g1 * g2 * g3)
-    go = (g0 + g1 + g2 + g3
-          + g0 * g1 * g2 + g0 * g1 * g3 + g0 * g2 * g3 + g1 * g2 * g3)
-    t1 = (math.cos(a0 - a3) * math.cos(a1 - a2)
-          + math.sin(a1 + a2) * math.sin(a0 + a3))
-    t2 = (-math.cos(a0 - a3) * math.sin(a1 + a2)
-          - math.cos(a1 - a2) * math.sin(a0 + a3))
+    ge, go, t1, t2 = _sv4_terms(angles)
     return ((128 - 16 * (t1 ** 2 + t2 ** 2)) * s ** 2
             + (-15 * SQRT2 + ge * SQRT2 + (1 + ge) / (2 * SQRT2) * t1
                - go / (2 * SQRT2) * t2) * s
@@ -464,12 +467,14 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     hand-expanded block entries (plus, for n = 4, the determinant expansion
     and the Sylvester positivity test, and for n = 3 the parity-sector
     invariant) against the assembled certificate matrix.  Only the three- and
-    four-party Svetlichny scenarios have closed forms.
+    four-party Svetlichny scenarios have closed forms.  ``samples`` must
+    lie in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    if not 1 <= samples <= MAX_CROSSCHECK_SAMPLES:
+        raise ValueError(f"need at least one sample and at most "
+                         f"{MAX_CROSSCHECK_SAMPLES}, got {samples}")
     constants = catalog_constants(protocol)
     rng = np.random.default_rng(seed)
     failures: List[str] = []

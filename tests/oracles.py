@@ -9,10 +9,17 @@ target state read off the Kronecker-sum operator) and
 ``dense_born_probabilities`` (one projector per outcome).  The scan
 oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
-orbit reduction of the package kernels can be checked against them.  The
-small helpers after the Pauli algebra (``kron``, ``exchange_matrix``,
-``eig2x2_hermitian``, ``coefficient_table``) are reference tools the tests
-use and the package does not.
+orbit reduction of the package kernels can be checked against them.
+``complex_corner_entries`` and ``complex_min_block_over_axes`` are the
+per-pair route to the corner closed form and the orbit-reduced scan: one
+``signed_site_product`` per pair table and sign, corner algebra in complex
+arrays; the package's sign tables and real arithmetic must match them bit
+for bit.  The small helpers after the Pauli algebra (``kron``,
+``exchange_matrix``, ``eig2x2_hermitian``, ``coefficient_table``) are
+reference tools the tests use and the package does not;
+``stop_past_validation`` stands in for the first step after an input
+check, so a test can show that a large input is accepted without running
+it.
 """
 from __future__ import annotations
 
@@ -22,9 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ghzcert.bell import (corner_coefficient, functional_coefficients,
-                          ghz_phase, pair_signs)
-from ghzcert.linalg import outer_all
+from ghzcert.bell import (ANGLE_SLACK, corner_coefficient,
+                          functional_coefficients, ghz_phase)
+from ghzcert.linalg import canonical_indices, outer_all
+from ghzcert.states import g_values
 
 SQ2 = np.sqrt(2.0)
 PAULI = {
@@ -82,6 +90,15 @@ def coefficient_table(n: int) -> list[CoefficientRow]:
         m = bits.count("1")
         rows.append(CoefficientRow(mu=mu, bits=bits, nu=(-1) ** (m * (m + 1) // 2)))
     return rows
+
+
+class PastValidation(Exception):
+    """Raised by ``stop_past_validation``."""
+
+
+def stop_past_validation(*args, **kwargs):
+    """Stub for the first call after an input check: raise PastValidation."""
+    raise PastValidation
 
 
 def pauli_string(labels: str) -> np.ndarray:
@@ -285,3 +302,71 @@ def full_grid_corner_max(protocol, grid: np.ndarray) -> float:
         best = max(best, float(np.max(np.abs(zc * minus
                                              + np.conj(zc) * plus))))
     return best
+
+
+def pair_signs(n: int, b: int) -> tuple[float, ...]:
+    """Per-party signs sigma_j for antidiagonal pair index b (MSB first)."""
+    return tuple(1.0 if ((b >> (n - 1 - j)) & 1) == 0 else -1.0
+                 for j in range(n))
+
+
+def pair_sign_matrix(n: int) -> np.ndarray:
+    """Signs ``pair_signs(n, b)`` of every pair b < 2^(n-1), one row each."""
+    return np.array([pair_signs(n, b) for b in range(2 ** (n - 1))])
+
+
+def signed_site_product(base: np.ndarray, other: np.ndarray,
+                        signs: np.ndarray) -> np.ndarray:
+    """Per-site products prod_j (base[j] + signs[:, j] * other[j]).
+
+    ``base`` and ``other`` hold one row of values per site, ``signs`` one
+    row of per-site signs per pair.  The product runs left to right over the
+    sites, as ``outer_all`` does, and has shape (len(signs), base.shape[1]).
+    """
+    out = base[0] + signs[:, :1] * other[0]
+    for j in range(1, len(base)):
+        out = out * (base[j] + signs[:, j:j + 1] * other[j])
+    return out
+
+
+def complex_corner_entries(protocol, cs: np.ndarray,
+                           sn: np.ndarray) -> np.ndarray:
+    """Antidiagonal entries W[b, b~], one signed product per pair and sign."""
+    zc = corner_coefficient(protocol)
+    sig = pair_sign_matrix(protocol.n)
+    return (zc * signed_site_product(cs, sn, -sig)
+            + np.conj(zc) * signed_site_product(cs, sn, sig))
+
+
+def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
+    """Orbit-reduced scan minimum in complex arithmetic.
+
+    Same contract and return tuple as ``verifier._min_block_over_axes``:
+    the minimum, its angles, the binding pair and the evaluation count.
+    """
+    n = protocol.n
+    psi = ghz_phase(protocol)
+    idx = canonical_indices(axes)
+    quarter = [a <= math.pi / 4 + ANGLE_SLACK for a in axes]
+    g_axes = [g_values(a) for a in axes]
+
+    def at_points(per_axis):
+        return np.array([values[i] for values, i in zip(per_axis, idx)])
+
+    cs = at_points([np.cos(a) for a in axes])
+    sn = at_points([np.sin(a) for a in axes])
+    dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
+    dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
+    gs = at_points(g_axes)
+    ones = np.ones_like(gs)
+    sig = pair_sign_matrix(n)
+    scale = 1.0 / 2 ** (n + 1)
+    diag = scale * (signed_site_product(ones, gs, sig)
+                    + signed_site_product(ones, gs, -sig))
+    kc = scale * (np.conj(psi) * signed_site_product(dx, dy, sig)
+                  + psi * signed_site_product(dx, dy, -sig))
+    low = (diag - mu) - np.abs(kc - s * complex_corner_entries(protocol,
+                                                                cs, sn))
+    pair, k = divmod(int(np.argmin(low)), low.shape[1])
+    point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
+    return float(low[pair, k]), point, pair, low.size

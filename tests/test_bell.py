@@ -10,12 +10,13 @@ import pytest
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
                           build_operator, check_angle, corner_entries,
                           evaluate, hybrid_bound, local_bound, observable,
-                          pair_sign_matrix, pair_signs, quantum_bound,
-                          validate_state)
-from ghzcert.linalg import hermitian_eigenvalues
-from oracles import (coefficient_table, full_grid_corner_max, kron_chain,
-                     kron_sum_operator, pauli_coefficient, pauli_string,
-                     reference_svetlichny_3, reference_svetlichny_4)
+                          quantum_bound, validate_state)
+from ghzcert.linalg import canonical_indices, hermitian_eigenvalues
+from oracles import (coefficient_table, complex_corner_entries,
+                     full_grid_corner_max, kron_chain,
+                     kron_sum_operator, pair_sign_matrix, pair_signs,
+                     pauli_coefficient, pauli_string, reference_svetlichny_3,
+                     reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
 SV3 = BellProtocol(SVETLICHNY, 3)
@@ -385,6 +386,19 @@ def test_pair_sign_matrix_rows():
         assert table.shape == (2 ** (n - 1), n)
         for b, row in enumerate(table):
             assert tuple(row) == pair_signs(n, b)
+
+
+def test_corner_entries_match_complex_route_bit_for_bit():
+    grid = np.linspace(0.0, math.pi / 2, 9)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            idx = canonical_indices([grid] * n)
+            cs, sn = np.cos(grid)[idx], np.sin(grid)[idx]
+            got = corner_entries(protocol, cs, sn)
+            want = complex_corner_entries(protocol, cs, sn)
+            assert got.shape == want.shape == (2 ** (n - 1), idx.shape[1])
+            assert got.tobytes() == want.tobytes()
 
 
 def top_eigen_projector(m: np.ndarray) -> np.ndarray:

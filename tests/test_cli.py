@@ -10,8 +10,12 @@ import warnings
 import pytest
 
 import ghzcert.cli
+import ghzcert.tradeoff
+import ghzcert.verifier
 from ghzcert.cli import main
-from ghzcert.verifier import StructureViolation
+from ghzcert.tradeoff import MAX_CURVE_POINTS
+from ghzcert.verifier import MAX_CROSSCHECK_SAMPLES, StructureViolation
+from oracles import PastValidation, stop_past_validation
 
 SQ2 = math.sqrt(2.0)
 
@@ -202,6 +206,26 @@ def test_crosscheck_pass(capsys):
 
 def test_crosscheck_rejects_unsupported_protocol(capsys):
     assert main(["crosscheck", "--family", "mabk", "-n", "3"]) == 2
+
+
+@pytest.mark.parametrize("module, step, command, flag, limit", [
+    (ghzcert.tradeoff, "catalog_constants", "curve", "--resolution",
+     MAX_CURVE_POINTS),
+    (ghzcert.verifier, "build_T", "crosscheck", "--samples",
+     MAX_CROSSCHECK_SAMPLES),
+])
+def test_count_limits(monkeypatch, capsys, module, step, command, flag,
+                      limit):
+    # Past the limit: exit 2 and no output.  At it, the run gets past
+    # validation, where a stub stops it before any point or sample is built.
+    argv = [command, "-n", "4", flag]
+    assert main(argv + [str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most {limit}, got {limit + 1}" in captured.err
+    monkeypatch.setattr(module, step, stop_past_validation)
+    with pytest.raises(PastValidation):
+        main(argv + [str(limit)])
 
 
 def test_crosscheck_rejects_empty_sample(capsys):

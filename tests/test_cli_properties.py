@@ -19,6 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzcert.cli import main
+from ghzcert.tradeoff import MAX_CURVE_POINTS
+from ghzcert.verifier import MAX_CROSSCHECK_SAMPLES
 
 FAMILIES = st.sampled_from(["svetlichny", "mabk"])
 FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
@@ -91,21 +93,28 @@ def test_simulate_maps_every_shot_count_to_an_exit_code(family, shots, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(family=FAMILIES, n=st.integers(3, 4), samples=st.integers(-5, 5))
+@example(family="svetlichny", n=4, samples=MAX_CROSSCHECK_SAMPLES + 1)
+@given(family=FAMILIES, n=st.integers(3, 4),
+       samples=st.integers(-5, 5)
+       | st.integers(MAX_CROSSCHECK_SAMPLES + 1, 2 ** 70))
 def test_crosscheck_never_passes_an_empty_sample(family, n, samples):
     code, out = run(["crosscheck", "--family", family, "-n", str(n),
                      "--samples", str(samples)])
     if code == 0:
         assert samples >= 1 and "result=pass" in out
+    if samples > MAX_CROSSCHECK_SAMPLES:
+        assert code == 2 and out == ""
 
 
 @settings(max_examples=20, deadline=None)
+@example(family="mabk", n=3, resolution=MAX_CURVE_POINTS + 1)
 @given(family=FAMILIES, n=st.integers(3, 5),
-       resolution=st.integers(-2, 200))
+       resolution=st.integers(-2, 200)
+       | st.integers(MAX_CURVE_POINTS + 1, 2 ** 70))
 def test_curve_maps_every_resolution_to_an_exit_code(family, n, resolution):
     code, out = run(["curve", "--family", family, "-n", str(n),
                      "--resolution", str(resolution)])
-    assert code == (0 if resolution >= 2 else 2)
+    assert code == (0 if 2 <= resolution <= MAX_CURVE_POINTS else 2)
     assert len(out.splitlines()) == (resolution + 1 if code == 0 else 0)
 
 

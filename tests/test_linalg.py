@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from ghzcert.linalg import (canonical_indices, hermitian_eigenvalues,
-                            is_persymmetric, kron_all, pauli,
-                            signed_site_product, sorted_index_tuples)
-from oracles import eig2x2_hermitian, exchange_matrix, kron, random_hermitian
+                            is_persymmetric, kron_all, pauli, sign_products,
+                            sorted_index_tuples)
+from oracles import (eig2x2_hermitian, exchange_matrix, kron, pair_signs,
+                     random_hermitian, signed_site_product)
 
 SQ2 = np.sqrt(2.0)
 
@@ -178,3 +179,18 @@ def test_signed_site_product_matches_outer_products():
         want = (base[0] + sig[0] * other[0]) * (base[1] + sig[1] * other[1]) \
             * (base[2] + sig[2] * other[2])
         assert np.array_equal(row, want)
+
+
+def test_sign_products_match_signed_site_products():
+    # Row r takes the signs of pair_signs(n, r); the doubling multiplies in
+    # the same left-to-right order, so every entry is bit-identical.
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for _ in range(3):
+            base = rng.normal(size=(n, 13))
+            other = rng.normal(size=(n, 13))
+            signs = np.array([pair_signs(n, r) for r in range(2 ** n)])
+            table = sign_products(base + other, base - other)
+            assert table.shape == (2 ** n, 13)
+            assert np.array_equal(table,
+                                  signed_site_product(base, other, signs))

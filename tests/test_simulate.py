@@ -392,3 +392,18 @@ def test_experiment_record_round_trip():
     assert payload["seed"] == 21
     assert payload["visibility"] == 0.9
     assert isinstance(record, ExperimentRecord)
+
+
+def test_experiment_record_json_line_fields():
+    # The JSONL schema: every record field in declaration order, without
+    # the in-memory ``persisted`` flag.
+    protocol = BellProtocol(MABK, 3)
+    record = certify(protocol, catalog_constants(protocol),
+                     NoiseModel("visibility", 1.0), shots_per_setting=10,
+                     seed=3)
+    payload = json.loads(record.to_json_line())
+    assert list(payload) == [
+        "family", "n", "noise_kind", "visibility", "shots_per_setting",
+        "seed", "estimated_beta", "std_error", "fidelity_bound", "clamped",
+        "trivial", "rng", "timestamp"]
+    assert payload["family"] == MABK and payload["rng"] == RNG_ALGORITHM

@@ -6,13 +6,15 @@ import math
 
 import pytest
 
+import ghzcert.tradeoff
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
-from ghzcert.tradeoff import (curve_to_csv, curve_to_json, emit_curve,
-                              fidelity_lower_bound, format_float,
+from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
+                              emit_curve, fidelity_lower_bound, format_float,
                               is_trivial_bound, relative_violation, threshold,
                               tightness_check, tradeoff_upper_bound,
                               upper_bound_reference)
 from ghzcert.verifier import catalog_constants
+from oracles import PastValidation, stop_past_validation
 
 SQ2 = math.sqrt(2.0)
 
@@ -151,6 +153,18 @@ def test_emit_curve_endpoints_and_intercepts():
 def test_emit_curve_validates_resolution():
     with pytest.raises(ValueError):
         emit_curve(BellProtocol(SVETLICHNY, 3), resolution=1)
+
+
+def test_emit_curve_resolution_limit(monkeypatch):
+    # Building the largest curve takes seconds; stopping at the first step
+    # after validation shows the limit itself is accepted.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    monkeypatch.setattr(ghzcert.tradeoff, "catalog_constants",
+                        stop_past_validation)
+    with pytest.raises(PastValidation):
+        emit_curve(protocol, resolution=MAX_CURVE_POINTS)
+    with pytest.raises(ValueError, match="at most 100000, got 100001"):
+        emit_curve(protocol, resolution=MAX_CURVE_POINTS + 1)
 
 
 def test_curve_serialization():

@@ -14,14 +14,17 @@ from ghzcert.linalg import hermitian_eigenvalues, is_persymmetric
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.verifier
-from ghzcert.verifier import (CertificateConstants, GridSpec,
-                              StructureViolation, _min_block_over_axes,
+from ghzcert.verifier import (MAX_CROSSCHECK_SAMPLES, CertificateConstants,
+                              GridSpec, StructureViolation,
+                              _min_block_over_axes,
                               block_decompose, block_unitary, build_T,
                               catalog_constants, closed_form_crosscheck,
                               min_eig_over_grid, parity_projector,
                               projector_lambda, sv3_block_functions,
                               sv4_block_functions, sv4_determinant)
-from oracles import eig2x2_hermitian, full_grid_min_block, pauli_string
+from oracles import (PastValidation, complex_min_block_over_axes,
+                     eig2x2_hermitian, full_grid_min_block, pauli_string,
+                     stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -347,6 +350,34 @@ def test_reduced_scan_matches_full_grid_oracle_on_stencils():
                 _assert_matches_oracle(protocol, s, constants.mu, axes)
 
 
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
+                         ids=lambda p: f"{p.family}-{p.n}")
+def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
+    # Grid 31 at n = 5 takes seconds and about 0.5 GB in the complex route;
+    # grid 16 keeps the n = 5 case small.
+    n = protocol.n
+    constants = catalog_constants(protocol)
+    grids = [np.linspace(0.0, math.pi / 4, 11 if n == 5 else 21),
+             np.linspace(0.0, math.pi / 2, 7),
+             np.linspace(0.0, math.pi / 4, 16 if n == 5 else 31)]
+    for s in (constants.s, 1.1 * constants.s, 0.7 * constants.s):
+        for axis in grids:
+            axes = [axis] * n
+            assert (_min_block_over_axes(protocol, s, constants.mu, axes)
+                    == complex_min_block_over_axes(protocol, s,
+                                                   constants.mu, axes))
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        hi = rng.choice([math.pi / 4, math.pi / 2])
+        h = rng.uniform(1e-4, 0.2)
+        axes = [np.unique(np.clip(np.linspace(c - h, c + h, 5), 0.0, hi))
+                for c in rng.uniform(0.0, hi, size=n)]
+        s = constants.s * rng.uniform(0.5, 1.5)
+        assert (_min_block_over_axes(protocol, s, constants.mu, axes)
+                == complex_min_block_over_axes(protocol, s, constants.mu,
+                                               axes))
+
+
 def test_min_eig_over_grid_reports_scan_size():
     protocol = BellProtocol(SVETLICHNY, 4)
     constants = catalog_constants(protocol)
@@ -526,3 +557,14 @@ def test_closed_form_crosscheck_rejects_empty_sample():
             with pytest.raises(ValueError, match="at least one sample"):
                 closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
                                        samples=samples)
+
+
+def test_closed_form_crosscheck_sample_limit(monkeypatch):
+    # The largest run takes about half a minute; stopping at the first
+    # certificate shows the limit itself is accepted.
+    protocol = BellProtocol(SVETLICHNY, 4)
+    monkeypatch.setattr(ghzcert.verifier, "build_T", stop_past_validation)
+    with pytest.raises(PastValidation):
+        closed_form_crosscheck(protocol, samples=MAX_CROSSCHECK_SAMPLES)
+    with pytest.raises(ValueError, match="at most 100000, got 100001"):
+        closed_form_crosscheck(protocol, samples=MAX_CROSSCHECK_SAMPLES + 1)
