@@ -15,9 +15,9 @@ from .simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                        born_probabilities, certify, estimate_violation,
                        noisy_state, outcome_products, records_to_csv,
                        sample_outcomes)
-from .states import (DephasingChannel, IdealState, apply_channel,
-                     explicit_ghz_state, g_param, ghz_state, kraus_pair,
-                     persymmetry_preserved, spectral_ghz_state)
+from .states import (DephasingChannel, apply_channel, explicit_ghz_state,
+                     g_param, ghz_state, kraus_pair, persymmetry_preserved,
+                     spectral_ghz_state)
 from .tradeoff import (CurvePoint, TradeoffCurve, curve_to_csv, curve_to_json,
                        emit_curve, fidelity_lower_bound, format_float,
                        is_trivial_bound, relative_violation, threshold,
@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellProtocol", "CertificateConstants", "CertificationReport",
-    "CurvePoint", "DephasingChannel", "ExperimentRecord", "GridSpec",
-    "IdealState", "MABK", "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2",
-    "SVETLICHNY", "StructureViolation", "TradeoffCurve", "apply_channel",
+    "CurvePoint", "DephasingChannel", "ExperimentRecord", "GridSpec", "MABK",
+    "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2", "SVETLICHNY",
+    "StructureViolation", "TradeoffCurve", "apply_channel",
     "block_decompose", "block_unitary", "born_probabilities", "build_T",
     "build_operator", "catalog_constants", "certify",
     "closed_form_crosscheck", "curve_to_csv", "curve_to_json", "emit_curve",

@@ -25,14 +25,15 @@ Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
 entries, batched over angle tuples and read off one ``sign_products`` table;
-the quantum bound, the served target state and its norm ratio, and the
-certificate scan all read it.
+the quantum bound, the served target state and the certificate scan all
+read it.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn and assumes no structure of W.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,8 +41,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (canonical_indices, hermitian_eigenvalues,
-                     interleaved_to_matrix, pauli, sign_products)
+from .linalg import (HERMITICITY_TOL, canonical_indices, conjugate_pair_sum,
+                     hermitian_eigenvalues, interleaved_to_matrix, pauli,
+                     sign_products)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -52,6 +54,10 @@ ANGLE_SLACK = 1e-12
 _MIN_PARTIES = 3
 _MAX_PARTIES = 6
 SQRT2 = math.sqrt(2.0)
+# A density matrix's trace may differ from 1, and its least eigenvalue fall
+# below 0, by at most these.
+_TRACE_TOL = 1e-10
+_STATE_PSD_TOL = 1e-8
 # Outcome pairs (a(0), a(1)) of one party's deterministic strategies.
 _OUTCOME_PAIRS = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
 
@@ -93,11 +99,12 @@ class BellProtocol:
             return Root2(0, 2 ** (self.n - 1))
         return Root2(2 ** (self.n - 1))
 
-    @property
+    # Cached in the instance: the tradeoff curve reads both once per point.
+    @functools.cached_property
     def beta_L(self) -> float:
         return float(self.beta_L_exact)
 
-    @property
+    @functools.cached_property
     def beta_Q(self) -> float:
         return float(self.beta_Q_exact)
 
@@ -190,19 +197,11 @@ def corner_entries(protocol: BellProtocol, cs: np.ndarray,
     ``cs`` and ``sn`` hold the cosines and sines of the angles, one row per
     party and one column per angle tuple; the result has one row per pair
     and one column per tuple (see ``corner_coefficient``).  Both products
-    of pair b are rows of one ``sign_products`` table, b and 2^n - 1 - b;
-    the real and imaginary parts are formed in real arithmetic.
+    of pair b are rows of one ``sign_products`` table, b and 2^n - 1 - b,
+    combined by ``conjugate_pair_sum``.
     """
-    zc = corner_coefficient(protocol)
-    table = sign_products(cs + sn, cs - sn)
-    half = len(table) // 2
-    plus, minus = table[:half], table[::-1][:half]
-    out = np.empty(plus.shape, dtype=complex)
-    np.multiply(zc.real, minus, out=out.real)
-    out.real += zc.real * plus
-    np.multiply(zc.imag, minus, out=out.imag)
-    out.imag += (-zc.imag) * plus
-    return out
+    return conjugate_pair_sum(sign_products(cs + sn, cs - sn),
+                              corner_coefficient(protocol))
 
 
 def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:
@@ -291,21 +290,18 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
     return float(np.max(np.abs(entries)))
 
 
-def validate_state(rho: np.ndarray, n: int,
-                   hermiticity_tol: float = 1e-10,
-                   trace_tol: float = 1e-10,
-                   psd_tol: float = 1e-8) -> np.ndarray:
+def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
     """Check that ``rho`` is an n-qubit density matrix and return it."""
     rho = np.asarray(rho, dtype=complex)
     dim = 2 ** n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} state, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > hermiticity_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise ValueError("state trace differs from 1")
-    eigenvalues = hermitian_eigenvalues(rho, hermiticity_tol=hermiticity_tol)
-    if eigenvalues[0] < -psd_tol:
+    eigenvalues = hermitian_eigenvalues(rho)
+    if eigenvalues[0] < -_STATE_PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {eigenvalues[0]}")
     return rho
 

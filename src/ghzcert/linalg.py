@@ -3,8 +3,9 @@
 Provides the Pauli matrices, the Kronecker product ``kron_all``, the
 matrix form of a site-by-site contraction (``interleaved_to_matrix``), the
 canonical index tuples of a product grid (one per permutation orbit), the
-per-site products over every sign choice (``sign_products``), persymmetry
-tests, and a checked Hermitian spectrum.  Certification reads its spectra
+per-site products over every sign choice (``sign_products``) and their
+conjugate-pair combination (``conjugate_pair_sum``), a persymmetry test,
+and a checked Hermitian spectrum.  Certification reads its spectra
 from closed-form 2 x 2 blocks; the full spectrum serves state validation
 and the tests.
 """
@@ -13,6 +14,11 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
+
+# Largest |m - m^dagger| entry a Hermitian matrix may have, and largest
+# |m - J m^T J| entry a persymmetric one may have.
+HERMITICITY_TOL = 1e-10
+_PERSYMMETRY_TOL = 1e-10
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -127,17 +133,32 @@ def sign_products(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return table
 
 
-def is_persymmetric(m: np.ndarray, tol: float = 1e-10) -> bool:
+def conjugate_pair_sum(table: np.ndarray, z: complex) -> np.ndarray:
+    """z table[2^n - 1 - b] + conj(z) table[b] for every row b < 2^(n-1).
+
+    ``table`` is a real ``sign_products`` table; the real and imaginary parts
+    are formed in real arithmetic, each complement row first.
+    """
+    half = len(table) // 2
+    low, high = table[:half], table[::-1][:half]
+    out = np.empty(low.shape, dtype=complex)
+    np.multiply(z.real, high, out=out.real)
+    out.real += z.real * low
+    np.multiply(z.imag, high, out=out.imag)
+    out.imag += (-z.imag) * low
+    return out
+
+
+def is_persymmetric(m: np.ndarray) -> bool:
     """Check whether ``m`` is symmetric about its antidiagonal: m = J m.T J."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("persymmetry is defined for square matrices")
     flipped = m[::-1, ::-1].T
-    return bool(np.max(np.abs(m - flipped)) <= tol)
+    return bool(np.max(np.abs(m - flipped)) <= _PERSYMMETRY_TOL)
 
 
-def hermitian_eigenvalues(m: np.ndarray,
-                          hermiticity_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, sorted ascending.
 
     Raises ValueError for non-square or non-Hermitian input, which includes
@@ -147,6 +168,6 @@ def hermitian_eigenvalues(m: np.ndarray,
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     # A non-finite entry makes its own difference NaN or infinite.
-    if not np.max(np.abs(a - a.conj().T)) <= hermiticity_tol:
+    if not np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)

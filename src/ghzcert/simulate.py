@@ -50,7 +50,7 @@ class NoiseModel:
 
 def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
     """Mix the target state with white noise or a supplied separable state."""
-    rho = ghz_state(protocol).rho
+    rho = ghz_state(protocol)
     v = noise.visibility
     if noise.kind == "visibility":
         background = np.eye(protocol.dim, dtype=complex) / protocol.dim
@@ -174,19 +174,17 @@ class ExperimentRecord:
 
 def certify(protocol: BellProtocol, constants: CertificateConstants,
             noise: NoiseModel, shots_per_setting: int, seed: int,
-            angles: Optional[Sequence[float]] = None,
             log_path: Optional[str] = None) -> ExperimentRecord:
     """Simulate one run and convert the estimate into a certified bound.
 
-    The raw estimate is stored unmodified; for the bound it is clamped into
-    [beta_L, beta_Q] so statistical overshoot never certifies a fidelity
-    above 1, and undershoot is flagged as trivial instead of extrapolated.
+    Every party measures at the optimal angle pi/4.  The raw estimate is
+    stored unmodified; for the bound it is clamped into [beta_L, beta_Q] so
+    statistical overshoot never certifies a fidelity above 1, and
+    undershoot is flagged as trivial instead of extrapolated.
     """
-    if angles is None:
-        angles = (math.pi / 4,) * protocol.n
     state = noisy_state(protocol, noise)
-    beta_hat, std_error = estimate_violation(protocol, state, angles,
-                                             shots_per_setting, seed)
+    beta_hat, std_error = estimate_violation(
+        protocol, state, (math.pi / 4,) * protocol.n, shots_per_setting, seed)
     clipped = min(max(beta_hat, protocol.beta_L), protocol.beta_Q)
     bound = fidelity_lower_bound(constants, clipped)
     record = ExperimentRecord(

@@ -13,7 +13,7 @@ Two independent routes produce the ideal target state:
 
 ``ghz_state`` runs both routes where both exist and insists they agree.  It
 is the single cache of the target state: each scenario is built and
-cross-checked once per process, and the returned ``rho`` is read-only so no
+cross-checked once per process, and the returned matrix is read-only so no
 caller can alter what the others read.
 
 The extraction channel applies, at each site, the Kraus pair built from the
@@ -29,12 +29,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .bell import (ANGLE_SLACK, SQRT2, SVETLICHNY, BellProtocol, check_angle,
-                   corner_entries, quantum_bound)
+                   corner_entries)
 from .linalg import interleaved_to_matrix, is_persymmetric, kron_all, pauli
 
 _DEGENERACY_GAP = 1e-6
@@ -53,15 +53,6 @@ _EXPLICIT_TABLES = {
        for bits in range(16)
        for w in [bin(bits).count("1")]],
 }
-
-
-@dataclass(frozen=True)
-class IdealState:
-    """A target state together with its Bell-value-to-norm ratio eta."""
-
-    protocol: BellProtocol
-    rho: np.ndarray
-    eta: float
 
 
 def g_values(alpha: np.ndarray) -> np.ndarray:
@@ -130,14 +121,12 @@ def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
     return interleaved_to_matrix(tensor)
 
 
-def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel,
-                          tol: float = 1e-10) -> bool:
+def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel) -> bool:
     """Check that both the input and its channel image are persymmetric."""
-    return (is_persymmetric(rho, tol=tol)
-            and is_persymmetric(apply_channel(rho, channel), tol=tol))
+    return is_persymmetric(rho) and is_persymmetric(apply_channel(rho, channel))
 
 
-def explicit_ghz_state(protocol: BellProtocol) -> IdealState:
+def explicit_ghz_state(protocol: BellProtocol) -> np.ndarray:
     """Target state from its hard-coded Pauli expansion."""
     key = (protocol.family, protocol.n)
     if key not in _EXPLICIT_TABLES:
@@ -146,7 +135,7 @@ def explicit_ghz_state(protocol: BellProtocol) -> IdealState:
     rho = np.zeros((dim, dim), dtype=complex)
     for coefficient, labels in _EXPLICIT_TABLES[key]:
         rho += coefficient * kron_all([pauli(c) for c in labels])
-    return IdealState(protocol=protocol, rho=rho, eta=_eta(protocol, rho))
+    return rho
 
 
 def _quarter_corners(protocol: BellProtocol) -> np.ndarray:
@@ -155,7 +144,7 @@ def _quarter_corners(protocol: BellProtocol) -> np.ndarray:
     return corner_entries(protocol, np.cos(angles), np.sin(angles))[:, 0]
 
 
-def spectral_ghz_state(protocol: BellProtocol) -> IdealState:
+def spectral_ghz_state(protocol: BellProtocol) -> np.ndarray:
     """Target state from the corner-pair eigenstructure of the operator.
 
     At the optimal angles the operator is antidiagonal, so each eigenvector
@@ -177,36 +166,22 @@ def spectral_ghz_state(protocol: BellProtocol) -> IdealState:
     v = np.zeros(dim, dtype=complex)
     v[b_star] = 1.0 / SQRT2
     v[dim - 1 - b_star] = phase / SQRT2
-    rho = np.outer(v, v.conj())
-    return IdealState(protocol=protocol, rho=rho, eta=_eta(protocol, rho))
+    return np.outer(v, v.conj())
 
 
 @functools.lru_cache(maxsize=None)
-def ghz_state(protocol: BellProtocol) -> IdealState:
-    """Target state; cross-validates both routes where both are available.
+def ghz_state(protocol: BellProtocol) -> np.ndarray:
+    """Target density matrix; cross-validates both routes where both exist.
 
-    Cached per protocol; the returned ``rho`` is read-only.
+    Cached per protocol; the returned matrix is read-only.
     """
     key = (protocol.family, protocol.n)
     if key in _EXPLICIT_TABLES:
-        state = explicit_ghz_state(protocol)
-        spectral = spectral_ghz_state(protocol)
-        if np.max(np.abs(state.rho - spectral.rho)) > _ROUTE_AGREEMENT:
+        rho = explicit_ghz_state(protocol)
+        if np.max(np.abs(rho - spectral_ghz_state(protocol))) > _ROUTE_AGREEMENT:
             raise ArithmeticError("explicit and spectral target states disagree")
     else:
-        state = spectral_ghz_state(protocol)
-    state.rho.setflags(write=False)
-    return state
+        rho = spectral_ghz_state(protocol)
+    rho.setflags(write=False)
+    return rho
 
-
-def _eta(protocol: BellProtocol, rho: np.ndarray) -> float:
-    """Ratio of the state's Bell value to the operator norm at pi/4.
-
-    W is antidiagonal and Hermitian, so Tr[rho W] sums
-    rho[b~, b] W[b, b~] + rho[b, b~] conj(W[b, b~]) over the pairs b.
-    """
-    b = np.arange(protocol.dim // 2)
-    b_tilde = protocol.dim - 1 - b
-    corners = _quarter_corners(protocol)
-    value = np.sum(rho[b_tilde, b] * corners + rho[b, b_tilde] * np.conj(corners))
-    return float(value.real) / quantum_bound(protocol)

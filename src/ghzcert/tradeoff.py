@@ -16,7 +16,8 @@ from .bell import SQRT2, SVETLICHNY, BellProtocol
 from .verifier import CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
-# Most points emit_curve builds, at about 75 us and 360 bytes each.
+_TIGHTNESS_TOL = 1e-12
+# Most points emit_curve builds, at about 2 us and 180 bytes each.
 MAX_CURVE_POINTS = 100_000
 
 
@@ -89,12 +90,12 @@ def tradeoff_upper_bound(protocol: BellProtocol, beta_O: float,
     return 0.5 + 0.5 * (beta_O - reference) / (protocol.beta_Q - reference)
 
 
-def tightness_check(protocol: BellProtocol, tol: float = 1e-12) -> bool:
+def tightness_check(protocol: BellProtocol) -> bool:
     """Whether the certified lower bound meets the model upper bound."""
     constants = catalog_constants(protocol)
     reference = upper_bound_reference(protocol)
     slope = 0.5 / (protocol.beta_Q - reference)
-    return bool(abs(constants.s - slope) <= tol)
+    return bool(abs(constants.s - slope) <= _TIGHTNESS_TOL)
 
 
 def relative_violation(protocol: BellProtocol, beta_O: float) -> float:

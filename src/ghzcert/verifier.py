@@ -40,18 +40,21 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angle, corner_entries, ghz_phase)
-from .linalg import canonical_indices, outer_all, sign_products
+from .linalg import (canonical_indices, conjugate_pair_sum, outer_all,
+                     sign_products)
 from .root2 import Root2
 from .states import DephasingChannel, apply_channel, g_values, ghz_state
 
 PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
+# Rounds of local refinement around a grid minimum near zero.
+REFINEMENT_DEPTH = 6
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
 # (canonical points times pairs).  A scan peaks at about 82 bytes per
 # evaluation, so the largest accepted one stays under about 650 MB.
@@ -72,18 +75,19 @@ class CertificateConstants:
     s: float
     mu: float
     beta_T: float
-    s_exact: Optional[Root2] = None
-    mu_exact: Optional[Root2] = None
-    beta_T_exact: Optional[Root2] = None
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Product grid description for the certificate scan."""
+    """Product grid description for the certificate scan.
+
+    ``refinement_depth`` is ``REFINEMENT_DEPTH`` as a class attribute, not
+    a field: the benchmark worker reads it from an instance.
+    """
 
     points_per_axis: int
     domain: Tuple[float, float] = (0.0, math.pi / 4)
-    refinement_depth: int = 6
+    refinement_depth: ClassVar[int] = REFINEMENT_DEPTH
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 2:
@@ -91,8 +95,6 @@ class GridSpec:
         lo, hi = self.domain
         if not (-ANGLE_SLACK <= lo < hi <= math.pi / 2 + ANGLE_SLACK):
             raise ValueError(f"invalid scan domain {self.domain}")
-        if self.refinement_depth < 0:
-            raise ValueError("refinement depth must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,13 @@ _CATALOG: Dict[Tuple[str, int], Root2] = {
 
 @functools.lru_cache(maxsize=None)
 def catalog_constants(protocol: BellProtocol) -> CertificateConstants:
-    """Certificate constants for the supported scenarios, exact and float.
+    """Certificate constants for the supported scenarios.
 
     The catalog slope s fixes mu = 1 - s * beta_Q and the threshold
-    beta_T = (1/2 - mu) / s, where the fidelity bound s * beta + mu is 1/2.
-    Derived once per scenario (the exact arithmetic takes about 0.1 ms);
-    every caller shares the frozen result.
+    beta_T = (1/2 - mu) / s, where the fidelity bound s * beta + mu is 1/2;
+    both are derived exactly in Q[sqrt(2)] and stored as floats.  Derived
+    once per scenario (the exact arithmetic takes about 0.1 ms); every
+    caller shares the frozen result.
     """
     key = (protocol.family, protocol.n)
     if key not in _CATALOG:
@@ -142,14 +145,13 @@ def catalog_constants(protocol: BellProtocol) -> CertificateConstants:
     mu = 1 - s * protocol.beta_Q_exact
     beta_t = (Fraction(1, 2) - mu) / s
     return CertificateConstants(protocol=protocol, s=float(s), mu=float(mu),
-                                beta_T=float(beta_t), s_exact=s, mu_exact=mu,
-                                beta_T_exact=beta_t)
+                                beta_T=float(beta_t))
 
 
 def build_T(protocol: BellProtocol, angles: Sequence[float], s: float,
             mu: float) -> np.ndarray:
     """Assemble the certificate matrix Lambda(rho) - s W - mu I."""
-    rho = ghz_state(protocol).rho
+    rho = ghz_state(protocol)
     channel = DephasingChannel(tuple(angles))
     if channel.n != protocol.n:
         raise ValueError(f"expected {protocol.n} angles, got {channel.n}")
@@ -193,14 +195,13 @@ def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return on_block, off_block
 
 
-def block_decompose(t: np.ndarray, n: int,
-                    residue_tol: float = _BLOCK_RESIDUE_TOL) -> List[np.ndarray]:
+def block_decompose(t: np.ndarray, n: int) -> List[np.ndarray]:
     """Split a diagonal-plus-antidiagonal matrix into its 2 x 2 blocks.
 
     Block i is t restricted to the index pair (i, 2^n - 1 - i), the block
     that conjugation by ``block_unitary`` brings to the diagonal.  Raises
     ValueError on non-finite input and StructureViolation if any entry off
-    the diagonal and antidiagonal exceeds ``residue_tol``.
+    the diagonal and antidiagonal exceeds ``_BLOCK_RESIDUE_TOL`` (1e-12).
     """
     t = np.asarray(t, dtype=complex)
     dim = 2 ** n
@@ -211,10 +212,9 @@ def block_decompose(t: np.ndarray, n: int,
         raise ValueError("matrix has non-finite entries")
     on_block, off_block = _block_layout(n)
     worst = float(np.max(np.abs(flat[off_block]), initial=0.0))
-    # Written so that a NaN residue or tolerance fails too.
-    if not worst <= residue_tol:
+    if worst > _BLOCK_RESIDUE_TOL:
         raise StructureViolation(
-            f"off-block weight {worst} exceeds tolerance {residue_tol}")
+            f"off-block weight {worst} exceeds tolerance {_BLOCK_RESIDUE_TOL}")
     return list(flat[on_block])
 
 
@@ -249,12 +249,9 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     del gs, table
     dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
     dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
-    table = sign_products(dx + dy, dx - dy)
-    plus, minus, psi = table[:half], table[::-1][:half], ghz_phase(protocol)
-    corner = np.empty(low.shape, dtype=complex)
-    corner.real = scale * (psi.real * plus + psi.real * minus)
-    corner.imag = scale * ((-psi.imag) * plus + psi.imag * minus)
-    del dx, dy, table, plus, minus
+    corner = conjugate_pair_sum(sign_products(dx + dy, dx - dy),
+                                scale * ghz_phase(protocol))
+    del dx, dy
     w = corner_entries(protocol, at_points([np.cos(a) for a in axes]),
                        at_points([np.sin(a) for a in axes]))
     corner.real -= s * w.real
@@ -275,7 +272,7 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
     ``MAX_BLOCK_EVALUATIONS`` are refused before anything is allocated.
     When the grid minimum sits near zero the scan refines locally around the
     minimizer, shrinking a 5-point stencil (clipped to the domain, with
-    repeated edge points dropped) for ``refinement_depth`` rounds,
+    repeated edge points dropped) for ``REFINEMENT_DEPTH`` rounds,
     so the reported value reflects the continuum minimum rather than grid
     placement.  Non-finite constants or tolerance, and constants large
     enough to overflow the scan, raise ValueError; a non-finite minimum
@@ -302,11 +299,11 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
             best, point, pair, evaluations = _min_block_over_axes(
                 protocol, constants.s, constants.mu, [axis] * n)
             refined = False
-            if abs(best) <= 10 * psd_tol and grid.refinement_depth > 0:
+            if abs(best) <= 10 * psd_tol:
                 refined = True
                 h = (hi - lo) / (grid.points_per_axis - 1)
                 p = np.array(point)
-                for _ in range(grid.refinement_depth):
+                for _ in range(REFINEMENT_DEPTH):
                     # Clipping at the domain edge repeats the edge point;
                     # keep each stencil point once.
                     sub = [np.unique(np.clip(

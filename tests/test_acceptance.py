@@ -258,11 +258,10 @@ def test_criterion_7_channel_and_state_properties():
                               - np.trace(apply_channel(a, channel) @ b)))
         j = exchange_matrix(dim)
         persymmetric = (a + j @ a.T @ j) / 2
-        persym_ok = persym_ok and persymmetry_preserved(persymmetric, channel,
-                                                        tol=1e-10)
+        persym_ok = persym_ok and persymmetry_preserved(persymmetric, channel)
     state_dev = 0.0
     for protocol in ALL_PROTOCOLS:
-        rho = ghz_state(protocol).rho
+        rho = ghz_state(protocol)
         quarter = (math.pi / 4,) * protocol.n
         state_dev = max(state_dev,
                         abs(np.trace(rho @ rho).real - 1.0),

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.linalg import (canonical_indices, hermitian_eigenvalues,
-                            is_persymmetric, kron_all, pauli, sign_products,
-                            sorted_index_tuples)
+from ghzcert.linalg import (canonical_indices, conjugate_pair_sum,
+                            hermitian_eigenvalues, is_persymmetric, kron_all,
+                            pauli, sign_products, sorted_index_tuples)
 from oracles import (eig2x2_hermitian, exchange_matrix, kron, pair_signs,
                      random_hermitian, signed_site_product)
 
@@ -123,13 +123,13 @@ def test_exchange_matrix():
 
 
 def test_is_persymmetric():
-    assert is_persymmetric(np.diag([1.0, 2.0, 2.0, 1.0]), tol=1e-10)
-    assert not is_persymmetric(np.diag([1.0, 0.0, 0.0, 0.0]), tol=1e-10)
+    assert is_persymmetric(np.diag([1.0, 2.0, 2.0, 1.0]))
+    assert not is_persymmetric(np.diag([1.0, 0.0, 0.0, 0.0]))
     j = exchange_matrix(4)
     rng = np.random.default_rng(14)
     h = random_hermitian(rng, 4)
     sym = h + j @ h.T @ j
-    assert is_persymmetric(sym, tol=1e-10)
+    assert is_persymmetric(sym)
 
 
 def test_sorted_index_tuples_one_per_orbit():
@@ -194,3 +194,17 @@ def test_sign_products_match_signed_site_products():
             assert table.shape == (2 ** n, 13)
             assert np.array_equal(table,
                                   signed_site_product(base, other, signs))
+
+
+def test_conjugate_pair_sum_matches_complex_formula():
+    # A real factor times a complex one rounds each part once, so the real
+    # arithmetic route gives the complex formula's bits.
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        table = sign_products(rng.normal(size=(n, 9)), rng.normal(size=(n, 9)))
+        z = complex(*rng.normal(size=2))
+        half = 2 ** (n - 1)
+        expected = z * table[::-1][:half] + np.conj(z) * table[:half]
+        got = conjugate_pair_sum(table, z)
+        assert got.shape == (half, 9)
+        assert np.array_equal(got.view(float), expected.view(float))

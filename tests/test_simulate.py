@@ -40,7 +40,7 @@ def product_state(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_born_probabilities_ghz3():
-    rho = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
+    rho = ghz_state(BellProtocol(SVETLICHNY, 3))
     dist = born_probabilities(rho, (0, 0, 0), QUARTER3)
     assert dist.shape == (8,)
     assert np.all(dist >= 0.0)
@@ -56,7 +56,7 @@ def test_born_probabilities_maximally_mixed():
 
 
 def test_born_probabilities_marginals():
-    rho = ghz_state(BellProtocol(MABK, 3)).rho
+    rho = ghz_state(BellProtocol(MABK, 3))
     dist = born_probabilities(rho, (0, 1, 0), (0.2, 0.5, 0.9))
     first_party_plus = dist.reshape(2, 2, 2)[0].sum()
     assert 0.0 <= first_party_plus <= 1.0
@@ -140,7 +140,7 @@ def test_sample_outcomes_uniform_large_sample():
 
 def test_noisy_state_visibility():
     protocol = BellProtocol(SVETLICHNY, 3)
-    rho = ghz_state(protocol).rho
+    rho = ghz_state(protocol)
     state = noisy_state(protocol, NoiseModel("visibility", 0.7))
     assert np.max(np.abs(state - (0.7 * rho + 0.3 * np.eye(8) / 8))) <= 1e-12
     value = evaluate(protocol, state, QUARTER3)

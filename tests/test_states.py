@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator, evaluate
+from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, evaluate, ghz_phase
 from ghzcert.states import (DephasingChannel, apply_channel, explicit_ghz_state,
                             g_param, g_values, ghz_state, kraus_pair,
                             persymmetry_preserved, spectral_ghz_state)
@@ -84,8 +84,7 @@ def test_kraus_pair_completeness_and_hermiticity():
 
 def test_ghz_state_density_matrix_properties():
     for protocol in ALL_PROTOCOLS:
-        state = ghz_state(protocol)
-        rho = state.rho
+        rho = ghz_state(protocol)
         dim = 2 ** protocol.n
         assert rho.shape == (dim, dim)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -93,7 +92,6 @@ def test_ghz_state_density_matrix_properties():
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
         assert np.max(np.abs(rho @ rho - rho)) <= 1e-9
         assert np.max(np.abs(rho - rho[::-1, ::-1].T)) <= 1e-10
-        assert abs(state.eta - 1.0) <= 1e-9
         quarter = (math.pi / 4,) * protocol.n
         assert abs(evaluate(protocol, rho, quarter) - protocol.beta_Q) <= 1e-9
 
@@ -103,27 +101,41 @@ def test_ghz_state_is_cached_and_read_only():
         first = ghz_state(protocol)
         second = ghz_state(BellProtocol(protocol.family, protocol.n))
         assert second is first
-        assert not first.rho.flags.writeable
+        assert not first.flags.writeable
         with pytest.raises(ValueError):
-            first.rho[0, 0] = 0.0
+            first[0, 0] = 0.0
         with pytest.raises(ValueError):
-            first.rho += 1.0
+            first += 1.0
 
 
 def test_ghz_state_matches_printed_expansions():
-    rho3 = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
+    rho3 = ghz_state(BellProtocol(SVETLICHNY, 3))
     assert np.max(np.abs(rho3 - reference_state_3())) <= 1e-12
-    rho4 = ghz_state(BellProtocol(SVETLICHNY, 4)).rho
+    rho4 = ghz_state(BellProtocol(SVETLICHNY, 4))
     assert np.max(np.abs(rho4 - reference_state_4())) <= 1e-12
     assert abs(rho4[0, 15] - np.exp(-3j * math.pi / 4) / 2) <= 1e-12
 
 
 def test_ghz3_is_odd_parity_pair_state():
-    rho = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
+    rho = ghz_state(BellProtocol(SVETLICHNY, 3))
     expected = np.zeros((8, 8), dtype=complex)
     expected[0, 0] = expected[7, 7] = 0.5
     expected[0, 7] = expected[7, 0] = -0.5
     assert np.max(np.abs(rho - expected)) <= 1e-12
+
+
+def test_served_state_is_the_ghz_phase_corner_pair():
+    # The certificate scan takes psi = ghz_phase and never reads the served
+    # state; this ties the two together.
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            rho = ghz_state(protocol)
+            last = 2 ** n - 1
+            outside = np.ones(rho.shape, dtype=bool)
+            outside[np.ix_([0, last], [0, last])] = False
+            assert not np.any(rho[outside])
+            assert abs(rho[last, 0] - ghz_phase(protocol) / 2) <= 1e-15
 
 
 def test_spectral_construction_matches_explicit():
@@ -131,14 +143,14 @@ def test_spectral_construction_matches_explicit():
         protocol = BellProtocol(SVETLICHNY, n)
         explicit = explicit_ghz_state(protocol)
         spectral = spectral_ghz_state(protocol)
-        assert np.max(np.abs(explicit.rho - spectral.rho)) <= 1e-12
+        assert np.max(np.abs(explicit - spectral)) <= 1e-12
 
 
 def test_served_state_matches_dense_eigenvector_oracle():
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            assert np.max(np.abs(ghz_state(protocol).rho
+            assert np.max(np.abs(ghz_state(protocol)
                                  - dense_spectral_ghz_rho(protocol))) <= 1e-15
 
 
@@ -189,7 +201,7 @@ def test_apply_channel_matches_damping_factors():
 
 def test_apply_channel_matches_printed_three_party_form():
     rng = np.random.default_rng(35)
-    rho = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
+    rho = ghz_state(BellProtocol(SVETLICHNY, 3))
     for _ in range(5):
         angles = tuple(rng.uniform(0.0, math.pi / 4, size=3))
         out = apply_channel(rho, DephasingChannel(angles))
@@ -222,7 +234,7 @@ def test_channel_is_unital():
 
 def test_channel_preserves_positivity_and_trace():
     rng = np.random.default_rng(38)
-    rho = ghz_state(BellProtocol(MABK, 3)).rho
+    rho = ghz_state(BellProtocol(MABK, 3))
     for _ in range(20):
         angles = tuple(rng.uniform(0.0, math.pi / 2, size=3))
         out = apply_channel(rho, DephasingChannel(angles))
@@ -232,12 +244,12 @@ def test_channel_preserves_positivity_and_trace():
 
 def test_persymmetry_preserved():
     rng = np.random.default_rng(39)
-    rho3 = ghz_state(BellProtocol(SVETLICHNY, 3)).rho
+    rho3 = ghz_state(BellProtocol(SVETLICHNY, 3))
     assert persymmetry_preserved(rho3, DephasingChannel(
         tuple(rng.uniform(0.0, math.pi / 2, size=3))))
-    rho4 = ghz_state(BellProtocol(SVETLICHNY, 4)).rho
+    rho4 = ghz_state(BellProtocol(SVETLICHNY, 4))
     assert persymmetry_preserved(rho4, DephasingChannel((0.0,) * 4))
-    rho5 = ghz_state(BellProtocol(MABK, 5)).rho
+    rho5 = ghz_state(BellProtocol(MABK, 5))
     assert persymmetry_preserved(rho5, DephasingChannel(
         tuple(rng.uniform(0.0, math.pi / 2, size=5))))
 
@@ -245,7 +257,7 @@ def test_persymmetry_preserved():
 def test_even_party_reflection_spectrum_invariance():
     rng = np.random.default_rng(40)
     for family in (SVETLICHNY, MABK):
-        rho = ghz_state(BellProtocol(family, 4)).rho
+        rho = ghz_state(BellProtocol(family, 4))
         for _ in range(50):
             angles = rng.uniform(0.0, math.pi / 2, size=4)
             direct = apply_channel(rho, DephasingChannel(tuple(angles)))

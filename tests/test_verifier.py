@@ -66,7 +66,8 @@ def test_catalog_constants_values():
 
 
 def test_catalog_constants_derive_mu_and_threshold_from_the_slope():
-    """mu and beta_T derived from s equal the triples once stored, exactly."""
+    """mu and beta_T derived exactly from each catalog slope equal the stored
+    triples, and catalog_constants holds their floats bit for bit."""
     stored = {
         (SVETLICHNY, 3): (Root2(Fraction(3, 16), Fraction(3, 16)),
                           Root2(Fraction(-1, 2), Fraction(-3, 4)),
@@ -83,9 +84,11 @@ def test_catalog_constants_derive_mu_and_threshold_from_the_slope():
                     Root2(0, Fraction(-1, 2)), Root2(0, 8)),
     }
     for (family, n), exact in stored.items():
-        constants = catalog_constants(BellProtocol(family, n))
-        got = (constants.s_exact, constants.mu_exact, constants.beta_T_exact)
-        assert got == exact
+        protocol = BellProtocol(family, n)
+        s = ghzcert.verifier._CATALOG[(family, n)]
+        mu = 1 - s * protocol.beta_Q_exact
+        assert (s, mu, (Fraction(1, 2) - mu) / s) == exact
+        constants = catalog_constants(protocol)
         floats = (constants.s, constants.mu, constants.beta_T)
         assert [struct.pack("<d", x) for x in floats] == \
             [struct.pack("<d", float(x)) for x in exact]
@@ -111,7 +114,7 @@ def test_build_T_structure():
         t = build_T(protocol, angles, constants.s, constants.mu)
         dim = 2 ** protocol.n
         assert np.max(np.abs(t - t.conj().T)) <= 1e-12
-        assert is_persymmetric(t, tol=1e-10)
+        assert is_persymmetric(t)
         mask = np.ones((dim, dim), dtype=bool)
         idx = np.arange(dim)
         mask[idx, idx] = False
@@ -124,7 +127,7 @@ def test_kernel_condition_at_optimal_angles():
         constants = catalog_constants(protocol)
         quarter = (math.pi / 4,) * protocol.n
         t = build_T(protocol, quarter, constants.s, constants.mu)
-        rho = ghz_state(protocol).rho
+        rho = ghz_state(protocol)
         values, vectors = np.linalg.eigh(rho)
         ghz_vector = vectors[:, -1]
         assert abs(values[-1] - 1.0) <= 1e-9
@@ -191,8 +194,6 @@ def test_block_decompose_refuses_non_finite_input():
             t[row, col] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 block_decompose(t, 3)
-    with pytest.raises(StructureViolation):
-        block_decompose(np.eye(8, dtype=complex), 3, residue_tol=math.nan)
 
 
 def test_block_eigenvalues_match_full_spectrum():
