@@ -42,8 +42,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .linalg import (HERMITICITY_TOL, canonical_indices, conjugate_pair_sum,
-                     hermitian_eigenvalues, interleaved_to_matrix, pauli,
-                     sign_products)
+                     interleaved_to_matrix, least_block_eigenvalue, pauli,
+                     sign_products, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -291,18 +291,28 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
-    """Check that ``rho`` is an n-qubit density matrix and return it."""
+    """Check that ``rho`` is an n-qubit density matrix and return it.
+
+    Hermiticity, unit trace and positivity are each checked once, and each
+    comparison fails on NaN; a non-finite entry fails the Hermiticity check,
+    since its own difference is NaN or infinite.  When ``rho`` is diagonal
+    plus antidiagonal (``x_blocks``), its least eigenvalue is the least over
+    its 2^(n-1) 2 x 2 blocks (``least_block_eigenvalue``); any other state
+    takes numpy's full ``eigvalsh`` spectrum.
+    """
     rho = np.asarray(rho, dtype=complex)
     dim = 2 ** n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} state, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
         raise ValueError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
+    if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
         raise ValueError("state trace differs from 1")
-    eigenvalues = hermitian_eigenvalues(rho)
-    if eigenvalues[0] < -_STATE_PSD_TOL:
-        raise ValueError(f"state has negative eigenvalue {eigenvalues[0]}")
+    blocks = x_blocks(rho)
+    least = (np.linalg.eigvalsh(rho)[0] if blocks is None
+             else least_block_eigenvalue(blocks))
+    if not least >= -_STATE_PSD_TOL:
+        raise ValueError(f"state has negative eigenvalue {least}")
     return rho
 
 

@@ -4,14 +4,16 @@ Provides the Pauli matrices, the Kronecker product ``kron_all``, the
 matrix form of a site-by-site contraction (``interleaved_to_matrix``), the
 canonical index tuples of a product grid (one per permutation orbit), the
 per-site products over every sign choice (``sign_products``) and their
-conjugate-pair combination (``conjugate_pair_sum``), a persymmetry test,
-and a checked Hermitian spectrum.  Certification reads its spectra
-from closed-form 2 x 2 blocks; the full spectrum serves state validation
-and the tests.
+conjugate-pair combination (``conjugate_pair_sum``), the 2 x 2 blocks of
+a diagonal-plus-antidiagonal matrix (``x_blocks``) and their least
+eigenvalue, a persymmetry test, and a checked Hermitian spectrum.
+Certification and state validation read their spectra from closed-form
+2 x 2 blocks; the full spectrum serves states of no such structure and the
+tests.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +149,38 @@ def conjugate_pair_sum(table: np.ndarray, z: complex) -> np.ndarray:
     np.multiply(z.imag, high, out=out.imag)
     out.imag += (-z.imag) * low
     return out
+
+
+def x_blocks(m: np.ndarray
+             ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The 2 x 2 blocks of a matrix that is diagonal plus antidiagonal.
+
+    For every pair b < 2^(n-1), with b~ = 2^n - 1 - b, returns m[b, b],
+    m[b~, b~] and the corner m[b~, b] as three arrays indexed by b.  Returns
+    None when any entry off the diagonal and antidiagonal is nonzero (NaN
+    counts as nonzero).  The order must be even, so that the two lines share
+    no entry.
+    """
+    diagonal = np.diagonal(m)
+    corners = np.diagonal(m[::-1])
+    if np.count_nonzero(m) != (np.count_nonzero(diagonal)
+                               + np.count_nonzero(corners)):
+        return None
+    half = len(m) // 2
+    return diagonal[:half], diagonal[::-1][:half], corners[:half]
+
+
+def least_block_eigenvalue(
+        blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Least eigenvalue over Hermitian 2 x 2 blocks [[a, z*], [z, c]].
+
+    ``blocks`` holds (a, c, z) as ``x_blocks`` returns them; each block's
+    lower eigenvalue is (a + c)/2 - hypot((a - c)/2, |z|), and the
+    imaginary parts of a and c are ignored.
+    """
+    a, c, z = blocks
+    return float(np.min((a.real + c.real) / 2
+                        - np.hypot((a.real - c.real) / 2, np.abs(z))))
 
 
 def is_persymmetric(m: np.ndarray) -> bool:

@@ -4,9 +4,17 @@ Simulated runs draw multinomial outcome counts from the Born distribution of
 a noisy target state, one independent PCG64 stream per measurement setting,
 estimate the Bell value with its standard error, and convert the estimate
 into a certified fidelity bound.  Each run can be appended to a JSONL log.
+
+A run reads one Born table from ``_born_table``, one row per sampled
+setting.  The target state and its ``visibility`` mixtures are diagonal
+plus antidiagonal, and on such a state every distribution has a closed form
+in the 2^(n-1) antidiagonal corners.  Any other state, such as a
+``separable_mixture`` with an arbitrary background, is contracted site by
+site.  ``born_probabilities`` is the one-row call of the same kernel.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,9 +23,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bell import (BellProtocol, functional_coefficients, observable,
-                   validate_state)
-from .linalg import sign_products
+from .bell import (BellProtocol, check_angle, functional_coefficients,
+                   observable, validate_state)
+from .linalg import sign_products, x_blocks
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
@@ -60,9 +68,15 @@ def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
     return v * rho + (1.0 - v) * background
 
 
+@functools.lru_cache(maxsize=None)
 def outcome_products(n: int) -> np.ndarray:
-    """Product of the n outcome signs for each outcome index."""
-    return sign_products(np.ones((n, 1)), -np.ones((n, 1)))[:, 0]
+    """Product of the n outcome signs for each outcome index.
+
+    Cached per n; the returned array is read-only.
+    """
+    products = sign_products(np.ones((n, 1)), -np.ones((n, 1)))[:, 0]
+    products.setflags(write=False)
+    return products
 
 
 def born_probabilities(state: np.ndarray, settings: Sequence[int],
@@ -71,11 +85,9 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
     """Born outcome distribution of a state under one setting choice.
 
     Outcome index bit j (most significant first) is 0 for outcome +1 of
-    party j and 1 for outcome -1.  The state is reshaped to one row and one
-    column index per party, and each party's stacked projector pair
-    ((I + A)/2, (I - A)/2), transposed, is contracted into its two indices
-    in turn, leaving one outcome index per party: O(n 4^n) work and no
-    2^n x 2^n operator per outcome.
+    party j and 1 for outcome -1.  This is the one-row call of the batched
+    kernel ``estimate_violation`` samples from, so both give the same bits;
+    see ``_born_table`` for the two routes.
     """
     n = len(angles)
     if len(settings) != n:
@@ -87,21 +99,75 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
         if state.shape != (2 ** n, 2 ** n):
             raise ValueError(
                 f"expected a {2 ** n} x {2 ** n} state, got {state.shape}")
+    return _born_table(state, np.array([settings]), angles)[0]
+
+
+def _born_table(state: np.ndarray, settings: np.ndarray,
+                angles: Sequence[float]) -> np.ndarray:
+    """Born distributions of a state under each row of a (k, n) settings array.
+
+    A state that is exactly zero off its diagonal and antidiagonal (an X
+    state, ``x_blocks``) takes the closed form.  Every correlator of
+    equatorial observables over a nonempty proper subset of the parties
+    vanishes on it, so
+
+        p(o | x) = 2^-n (Tr rho + prod_j o_j E(x)),
+        E(x) = sum_{b < 2^(n-1)} 2 Re(rho[b~, b] prod_j A_j^{x_j}[b_j, b~_j]),
+
+    with the products read off one ``sign_products`` table of the factors
+    A^r[0, 1] = cos(alpha) - i (-1)^r sin(alpha) and their conjugates, one
+    column per setting string.  Any other state is contracted setting by
+    setting (``_contracted_distribution``).  The table is laid out as
+    (settings, pairs) and every reduction runs along a contiguous last axis,
+    so each row's bits do not depend on the other rows.
+    """
+    n = len(angles)
+    if settings.shape[1] != n:
+        raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
+    if not np.all((settings == 0) | (settings == 1)):
+        raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
+    alphas = np.array([check_angle(alpha) for alpha in angles])
+    blocks = x_blocks(state)
+    if blocks is None:
+        dist = np.stack([_contracted_distribution(state, row, alphas)
+                         for row in settings])
+    else:
+        factors = (np.cos(alphas)
+                   - 1j * (1 - 2 * settings) * np.sin(alphas)).T
+        products = sign_products(factors, factors.conj())
+        pairs = np.ascontiguousarray(products[:2 ** (n - 1)].T)
+        correlators = 2.0 * (blocks[2] * pairs).real.sum(axis=-1)
+        dist = (np.trace(state).real
+                + correlators[:, None] * outcome_products(n)) * 2.0 ** -n
+    least = np.min(dist, axis=-1)
+    if not np.all(least >= _PROB_FLOOR):
+        raise ValueError(f"negative Born probability {np.min(least)}")
+    dist = np.clip(dist, 0.0, None)
+    total = dist.sum(axis=-1, keepdims=True)
+    if not np.all(np.abs(total - 1.0) <= _PROB_SUM_TOL):
+        raise ValueError(f"Born probabilities sum to {total.ravel().tolist()}")
+    return dist / total
+
+
+def _contracted_distribution(state: np.ndarray, settings: np.ndarray,
+                             angles: np.ndarray) -> np.ndarray:
+    """Unnormalised Born distribution by site-by-site contraction.
+
+    The state is reshaped to one row and one column index per party, and
+    each party's stacked projector pair ((I + A)/2, (I - A)/2), transposed,
+    is contracted into its two indices in turn, leaving one outcome index per
+    party: O(n 4^n) work and no 2^n x 2^n operator per outcome.  It assumes
+    no structure of the state.
+    """
+    n = len(angles)
     tensor = state.reshape((2,) * (2 * n))
     for j, (r, alpha) in enumerate(zip(settings, angles)):
-        a = observable(r, alpha)
+        a = observable(int(r), alpha)
         pair = np.stack([(np.eye(2) + a).T / 2, (np.eye(2) - a).T / 2])
         # Party j's row and column indices lead the row and column halves
         # of what is left; its outcome index is appended at the end.
         tensor = np.tensordot(tensor, pair, axes=([0, n - j], [1, 2]))
-    dist = tensor.real.reshape(2 ** n)
-    if np.min(dist) < _PROB_FLOOR:
-        raise ValueError(f"negative Born probability {np.min(dist)}")
-    dist = np.clip(dist, 0.0, None)
-    total = dist.sum()
-    if abs(total - 1.0) > _PROB_SUM_TOL:
-        raise ValueError(f"Born probabilities sum to {total}")
-    return dist / total
+    return tensor.real.reshape(2 ** n)
 
 
 def sample_outcomes(dist: np.ndarray, shots: int,
@@ -131,14 +197,15 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     coefficients = functional_coefficients(protocol)
     children = np.random.SeedSequence(seed).spawn(2 ** protocol.n)
     products = outcome_products(protocol.n)
+    settings = sorted(coefficients)
+    sampled = [index for index, x in enumerate(settings)
+               if coefficients[x] != 0.0]
+    table = _born_table(state, np.array(settings)[sampled], angles)
     beta_hat = 0.0
     variance = 0.0
-    for index, settings in enumerate(sorted(coefficients)):
-        c = coefficients[settings]
-        if c == 0.0:
-            continue
+    for index, dist in zip(sampled, table):
+        c = coefficients[settings[index]]
         rng = np.random.Generator(np.random.PCG64(children[index]))
-        dist = born_probabilities(state, settings, angles, validate=False)
         counts = sample_outcomes(dist, shots_per_setting, rng)
         correlator = float(counts @ products) / shots_per_setting
         beta_hat += c * correlator

@@ -19,7 +19,8 @@ for bit.  The small helpers after the Pauli algebra (``kron``,
 reference tools the tests use and the package does not;
 ``stop_past_validation`` stands in for the first step after an input
 check, so a test can show that a large input is accepted without running
-it.
+it.  ``random_x_matrix`` builds random diagonal-plus-antidiagonal inputs
+from one random 2 x 2 block per index pair.
 """
 from __future__ import annotations
 
@@ -231,16 +232,31 @@ def dense_born_probabilities(state: np.ndarray, settings, angles) -> np.ndarray:
     Outcome index bit j (most significant first) is 0 for outcome +1 of
     party j.  Clips and renormalises as the package does.
     """
-    n = len(angles)
-    projectors = []
+    return dense_born_from_projectors(state,
+                                      dense_outcome_projectors(settings, angles))
+
+
+def dense_outcome_projectors(settings, angles) -> list[np.ndarray]:
+    """The dense Kronecker projector of every outcome index, in order.
+
+    Each is the ``kron_chain`` of its parties' projectors; the chains share
+    their prefixes, so each prefix is built once.
+    """
+    out = [np.array([[1.0 + 0j]])]
     for r, alpha in zip(settings, angles):
         a = equatorial(r, alpha)
-        projectors.append(((np.eye(2) + a) / 2, (np.eye(2) - a) / 2))
-    dist = np.empty(2 ** n)
-    for k in range(2 ** n):
-        p = kron_chain([projectors[j][(k >> (n - 1 - j)) & 1]
-                        for j in range(n)])
-        dist[k] = np.trace(state @ p).real
+        pair = ((np.eye(2) + a) / 2, (np.eye(2) - a) / 2)
+        out = [np.kron(prefix, p) for prefix in out for p in pair]
+    return out
+
+
+def dense_born_from_projectors(state: np.ndarray,
+                               projectors: list[np.ndarray]) -> np.ndarray:
+    """``dense_born_probabilities`` from projectors built beforehand.
+
+    One setting's projectors can then serve several states.
+    """
+    dist = np.array([np.trace(state @ p).real for p in projectors])
     dist = np.clip(dist, 0.0, None)
     return dist / dist.sum()
 
@@ -370,3 +386,26 @@ def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     pair, k = divmod(int(np.argmin(low)), low.shape[1])
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
     return float(low[pair, k]), point, pair, low.size
+
+
+def random_x_matrix(rng: np.random.Generator, n: int,
+                    density: bool = False) -> np.ndarray:
+    """Random matrix zero off its diagonal and antidiagonal.
+
+    One random 2 x 2 block is placed on each index pair (b, 2^n - 1 - b):
+    Hermitian, or, when ``density`` is set, positive semidefinite and scaled
+    so the whole matrix has unit trace.
+    """
+    dim = 2 ** n
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim // 2):
+        if density:
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            block = g @ g.conj().T
+        else:
+            block = random_hermitian(rng, 2)
+        pair = np.array([b, dim - 1 - b])
+        m[np.ix_(pair, pair)] = block
+    if density:
+        m /= np.trace(m).real
+    return m

@@ -440,3 +440,37 @@ def test_validate_state_rejects_non_finite_states():
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError):
                 validate_state(rho, 3)
+
+
+def test_validate_state_non_finite_fails_the_hermiticity_check(monkeypatch):
+    def no_solver(*args):
+        raise AssertionError("the eigen solver was reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
+    placements = (((0, 1), (1, 0)),   # off the diagonal and antidiagonal
+                  ((3, 3), (3, 3)),   # on the diagonal
+                  ((0, 7), (7, 0)))   # on the antidiagonal
+    for bad in (math.nan, math.inf):
+        for (i, j), (k, l) in placements:
+            rho = np.eye(8, dtype=complex) / 8
+            rho[i, j] = rho[k, l] = bad
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="state is not Hermitian"):
+                    validate_state(rho, 3)
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        validate_state(np.full((8, 8), math.nan), 3)
+
+
+def test_validate_state_reads_x_blocks_without_the_eigen_solver(monkeypatch):
+    def no_solver(*args):
+        raise AssertionError("the eigen solver was reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
+    rho = np.diag([0.25, 0.1, 0.1, 0.05, 0.05, 0.1, 0.1, 0.25]).astype(complex)
+    rho[0, 7] = rho[7, 0] = 0.25
+    assert validate_state(rho, 3) is not None
+    # Block (0, 7) is [[1/4, z], [z, 1/4]] with z = 1/4 + 1e-6: eigenvalue
+    # -1e-6, below the -1e-8 tolerance.
+    rho[0, 7] = rho[7, 0] = 0.25 + 1e-6
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_state(rho, 3)

@@ -9,9 +9,10 @@ import pytest
 
 from ghzcert.linalg import (canonical_indices, conjugate_pair_sum,
                             hermitian_eigenvalues, is_persymmetric, kron_all,
-                            pauli, sign_products, sorted_index_tuples)
+                            least_block_eigenvalue, pauli, sign_products,
+                            sorted_index_tuples, x_blocks)
 from oracles import (eig2x2_hermitian, exchange_matrix, kron, pair_signs,
-                     random_hermitian, signed_site_product)
+                     random_hermitian, random_x_matrix, signed_site_product)
 
 SQ2 = np.sqrt(2.0)
 
@@ -208,3 +209,25 @@ def test_conjugate_pair_sum_matches_complex_formula():
         got = conjugate_pair_sum(table, z)
         assert got.shape == (half, 9)
         assert np.array_equal(got.view(float), expected.view(float))
+
+
+def test_x_blocks_reads_pairs_and_rejects_other_entries():
+    m = np.arange(1, 65, dtype=float).reshape(8, 8)
+    x = np.where(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1], m, 0.0)
+    a, c, z = x_blocks(x)
+    assert list(a) == [m[b, b] for b in range(4)]
+    assert list(c) == [m[7 - b, 7 - b] for b in range(4)]
+    assert list(z) == [m[7 - b, b] for b in range(4)]
+    for i, j, value in ((0, 1, 1e-300), (2, 6, -1.0), (4, 1, math.nan)):
+        y = x.copy()
+        y[i, j] = value
+        assert x_blocks(y) is None
+
+
+def test_least_block_eigenvalue_matches_lapack():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(50):
+            m = random_x_matrix(rng, n)
+            got = least_block_eigenvalue(x_blocks(m))
+            assert abs(got - np.linalg.eigvalsh(m)[0]) <= 1e-14

@@ -1,21 +1,27 @@
 """Finite-statistics Born sampling, violation estimation, and certification."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ghzcert import simulate
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, evaluate,
                           functional_coefficients)
+from ghzcert.linalg import x_blocks
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
+                              _born_table, _contracted_distribution,
                               born_probabilities, certify, estimate_violation,
                               noisy_state, outcome_products, records_to_csv,
                               sample_outcomes)
 from ghzcert.states import ghz_state
 from ghzcert.verifier import catalog_constants
-from oracles import dense_born_probabilities, random_hermitian
+from oracles import (dense_born_from_projectors, dense_born_probabilities,
+                     dense_outcome_projectors, random_hermitian,
+                     random_x_matrix)
 
 SQ2 = math.sqrt(2.0)
 QUARTER3 = (math.pi / 4,) * 3
@@ -407,3 +413,123 @@ def test_experiment_record_json_line_fields():
         "seed", "estimated_beta", "std_error", "fidelity_bound", "clamped",
         "trivial", "rng", "timestamp"]
     assert payload["family"] == MABK and payload["rng"] == RNG_ALGORITHM
+
+
+EIGHT_PROTOCOLS = [BellProtocol(family, n) for family in (SVETLICHNY, MABK)
+                   for n in (3, 4, 5, 6)]
+
+
+def test_closed_form_matches_dense_oracle_on_scenarios():
+    # The dense projectors depend on the settings and angles only, so each
+    # is built once for both families and three visibilities.
+    rng = np.random.default_rng(44)
+    for n in (3, 4, 5, 6):
+        states = [noisy_state(BellProtocol(family, n),
+                              NoiseModel("visibility", v))
+                  for family in (SVETLICHNY, MABK) for v in (1.0, 0.7, 0.0)]
+        assert all(x_blocks(state) is not None for state in states)
+        for angles in ((math.pi / 4,) * n,
+                       tuple(rng.uniform(0.0, math.pi / 2, size=n))):
+            for settings in all_settings(n):
+                projectors = dense_outcome_projectors(settings, angles)
+                for state in states:
+                    got = born_probabilities(state, settings, angles)
+                    want = dense_born_from_projectors(state, projectors)
+                    assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_closed_form_matches_dense_oracle_on_random_x_states(monkeypatch):
+    def no_contraction(*args):
+        raise AssertionError("an X state was contracted")
+
+    monkeypatch.setattr(simulate, "_contracted_distribution", no_contraction)
+    rng = np.random.default_rng(45)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            state = random_x_matrix(rng, n, density=True)
+            assert x_blocks(state) is not None
+            settings = tuple(int(r) for r in rng.integers(0, 2, size=n))
+            angles = tuple(rng.uniform(0.0, math.pi / 2, size=n))
+            got = born_probabilities(state, settings, angles)
+            want = dense_born_probabilities(state, settings, angles)
+            assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_non_x_state_takes_the_contraction(monkeypatch):
+    contracted = []
+
+    def spy(*args):
+        contracted.append(args[1])
+        return _contracted_distribution(*args)
+
+    monkeypatch.setattr(simulate, "_contracted_distribution", spy)
+    rng = np.random.default_rng(46)
+    state = product_state(rng, 3)
+    assert x_blocks(state) is None
+    angles = tuple(rng.uniform(0.0, math.pi / 2, size=3))
+    for settings in all_settings(3):
+        got = born_probabilities(state, settings, angles)
+        want = dense_born_probabilities(state, settings, angles)
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+    assert [tuple(row) for row in contracted] == all_settings(3)
+
+
+def test_closed_form_rejects_bad_settings_and_angles():
+    state = noisy_state(BellProtocol(SVETLICHNY, 3),
+                        NoiseModel("visibility", 0.7))
+    assert x_blocks(state) is not None
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="0 or 1"):
+            born_probabilities(state, (0, 2, 0), QUARTER3, validate=validate)
+        for bad in (-0.1, 2.0, math.nan):
+            with pytest.raises(ValueError, match="angle"):
+                born_probabilities(state, (0, 1, 0), (0.3, bad, 0.2),
+                                   validate=validate)
+    for angles in ((math.pi / 4,), QUARTER3 + (0.1,)):
+        with pytest.raises(ValueError, match="settings, got 3"):
+            estimate_violation(BellProtocol(SVETLICHNY, 3), state, angles,
+                               shots_per_setting=10, seed=0)
+
+
+def test_sampled_rows_equal_born_probabilities_bit_for_bit(monkeypatch):
+    tables = []
+
+    def spy(state, settings, angles):
+        table = _born_table(state, settings, angles)
+        tables.append((state, settings, angles, table))
+        return table
+
+    monkeypatch.setattr(simulate, "_born_table", spy)
+    rng = np.random.default_rng(47)
+    sigma = product_state(rng, 3)
+    for protocol in EIGHT_PROTOCOLS:
+        states = [noisy_state(protocol, NoiseModel("visibility", v))
+                  for v in (1.0, 0.7, 0.0)]
+        if protocol.n == 3:
+            states.append(noisy_state(
+                protocol, NoiseModel("separable_mixture", 0.6, sigma)))
+        # The target state has one nonzero corner pair; a random X state
+        # has all of them, so its sums depend on the summation order.
+        states.append(random_x_matrix(rng, protocol.n, density=True))
+        random_angles = tuple(rng.uniform(0.0, math.pi / 2, size=protocol.n))
+        for angles, state in itertools.product(
+                ((math.pi / 4,) * protocol.n, random_angles), states):
+            tables.clear()
+            estimate_violation(protocol, state, angles, shots_per_setting=10,
+                               seed=1)
+            [(_, settings, got_angles, table)] = tables
+            coefficients = functional_coefficients(protocol)
+            assert [tuple(row) for row in settings] == [
+                x for x in sorted(coefficients) if coefficients[x] != 0.0]
+            assert got_angles == angles
+            for row, dist in zip(settings, table):
+                assert np.array_equal(
+                    dist, born_probabilities(state, tuple(row), angles))
+
+
+def test_outcome_products_cached_and_read_only():
+    products = outcome_products(4)
+    assert outcome_products(4) is products
+    assert not products.flags.writeable
+    with pytest.raises(ValueError):
+        products[0] = 2.0
