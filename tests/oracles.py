@@ -232,8 +232,8 @@ def dense_born_probabilities(state: np.ndarray, settings, angles) -> np.ndarray:
     Outcome index bit j (most significant first) is 0 for outcome +1 of
     party j.  Clips and renormalises as the package does.
     """
-    return dense_born_from_projectors(state,
-                                      dense_outcome_projectors(settings, angles))
+    projectors = dense_outcome_projectors(settings, angles)
+    return dense_born_from_projectors(state, projectors)
 
 
 def dense_outcome_projectors(settings, angles) -> list[np.ndarray]:
