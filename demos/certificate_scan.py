@@ -14,11 +14,10 @@ from ghzcert import (MABK, SVETLICHNY, BellProtocol, CertificateConstants,
                      GridSpec, catalog_constants, min_eig_over_grid)
 
 
-def scan(protocol: BellProtocol, constants: CertificateConstants,
-         points: int) -> None:
+def scan(constants: CertificateConstants, points: int) -> None:
+    protocol = constants.protocol
     t0 = time.perf_counter()
-    report = min_eig_over_grid(protocol, constants,
-                               GridSpec(points_per_axis=points))
+    report = min_eig_over_grid(constants, GridSpec(points_per_axis=points))
     dt = time.perf_counter() - t0
     angles = ", ".join(f"{a:.4f}" for a in report.argmin_angles)
     status = "certified" if report.passed else "REJECTED"
@@ -37,7 +36,7 @@ def main() -> None:
         for n in (3, 4, 5):
             protocol = BellProtocol(family, n)
             points = args.points or (11 if n == 5 else 21)
-            scan(protocol, catalog_constants(protocol), points)
+            scan(catalog_constants(protocol), points)
 
     print()
     print("Negative control: inflate s by 10% and watch the scan fail.")
@@ -46,7 +45,7 @@ def main() -> None:
     s = 1.1 * constants.s
     broken = CertificateConstants(protocol=protocol, s=s, mu=constants.mu,
                                   beta_T=(0.5 - constants.mu) / s)
-    scan(protocol, broken, args.points or 21)
+    scan(broken, args.points or 21)
 
 
 if __name__ == "__main__":

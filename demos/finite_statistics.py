@@ -31,8 +31,7 @@ def main() -> None:
 
     records = []
     for visibility in (1.0, 0.95, 0.9, 0.85, 0.8):
-        record = certify(protocol, constants,
-                         NoiseModel("visibility", visibility),
+        record = certify(constants, NoiseModel("visibility", visibility),
                          shots_per_setting=args.shots, seed=args.seed,
                          log_path=str(log_path))
         records.append(record)

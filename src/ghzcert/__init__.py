@@ -15,9 +15,8 @@ from .simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                        born_probabilities, certify, estimate_violation,
                        noisy_state, outcome_products, records_to_csv,
                        sample_outcomes)
-from .states import (DephasingChannel, apply_channel, explicit_ghz_state,
-                     g_param, ghz_state, kraus_pair, persymmetry_preserved,
-                     spectral_ghz_state)
+from .states import (DephasingChannel, apply_channel, g_param, ghz_state,
+                     kraus_pair, persymmetry_preserved)
 from .tradeoff import (CurvePoint, TradeoffCurve, curve_to_csv, curve_to_json,
                        emit_curve, fidelity_lower_bound, format_float,
                        is_trivial_bound, relative_violation, threshold,
@@ -34,21 +33,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellProtocol", "CertificateConstants", "CertificationReport",
-    "CurvePoint", "DephasingChannel", "ExperimentRecord", "GridSpec", "MABK",
-    "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2", "SVETLICHNY",
+    "CurvePoint", "DephasingChannel", "ExperimentRecord", "GridSpec",
+    "MABK", "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2", "SVETLICHNY",
     "StructureViolation", "TradeoffCurve", "apply_channel",
     "block_decompose", "block_unitary", "born_probabilities", "build_T",
     "build_operator", "catalog_constants", "certify",
-    "closed_form_crosscheck", "curve_to_csv", "curve_to_json", "emit_curve",
-    "estimate_violation", "evaluate", "explicit_ghz_state",
-    "fidelity_lower_bound", "format_float", "g_param", "ghz_state",
-    "hermitian_eigenvalues", "hybrid_bound", "is_persymmetric",
-    "is_trivial_bound", "kron_all", "kraus_pair", "local_bound",
-    "min_eig_over_grid", "noisy_state", "observable", "outcome_products",
-    "parity_projector",
-    "pauli", "persymmetry_preserved", "projector_lambda", "quantum_bound",
+    "closed_form_crosscheck", "curve_to_csv", "curve_to_json",
+    "emit_curve", "estimate_violation", "evaluate", "fidelity_lower_bound",
+    "format_float", "g_param", "ghz_state", "hermitian_eigenvalues",
+    "hybrid_bound", "is_persymmetric", "is_trivial_bound", "kron_all",
+    "kraus_pair", "local_bound", "min_eig_over_grid", "noisy_state",
+    "observable", "outcome_products", "parity_projector", "pauli",
+    "persymmetry_preserved", "projector_lambda", "quantum_bound",
     "records_to_csv", "relative_violation", "sample_outcomes",
-    "spectral_ghz_state", "sv3_block_functions", "sv4_block_functions",
-    "sv4_determinant", "threshold", "tightness_check", "tradeoff_upper_bound",
+    "sv3_block_functions", "sv4_block_functions", "sv4_determinant",
+    "threshold", "tightness_check", "tradeoff_upper_bound",
     "upper_bound_reference", "__version__",
 ]

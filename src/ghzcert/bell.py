@@ -25,8 +25,9 @@ Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
 entries, batched over angle tuples and read off one ``sign_products`` table;
-the quantum bound, the served target state and the certificate scan all
-read it.
+the quantum bound and the certificate scan read it.  Its pair (0, 2^n - 1)
+is the largest, and ``ghz_phase``, the phase of that pair's eigenvector,
+defines the target state the scan and ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn and assumes no structure of W.
@@ -185,7 +186,11 @@ def corner_coefficient(protocol: BellProtocol) -> complex:
 
 
 def ghz_phase(protocol: BellProtocol) -> complex:
-    """Unit phase e^(i psi) aligning the maximal eigenvector corner pair."""
+    """Unit phase e^(i psi) of the maximal eigenvector's corner pair.
+
+    The eigenvector is (|0...0> + e^(i psi) |1...1>) / sqrt(2) at the
+    optimal angles, the one target state of the package.
+    """
     zc = corner_coefficient(protocol)
     return zc / abs(zc)
 

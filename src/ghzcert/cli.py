@@ -126,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = args.grid if args.grid is not None else (
         11 if protocol.n == 5 else 21)
     spec = GridSpec(points_per_axis=grid, domain=domain)
-    report = min_eig_over_grid(protocol, constants, spec, psd_tol=args.tol)
+    report = min_eig_over_grid(constants, spec, psd_tol=args.tol)
     fields = {
         "family": protocol.family,
         "n": protocol.n,
@@ -165,10 +165,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    protocol = BellProtocol(args.family, args.n)
-    constants = catalog_constants(protocol)
+    constants = catalog_constants(BellProtocol(args.family, args.n))
     noise = NoiseModel("visibility", args.visibility)
-    record = certify(protocol, constants, noise, shots_per_setting=args.shots,
+    record = certify(constants, noise, shots_per_setting=args.shots,
                      seed=args.seed, log_path=args.out)
     print(f"family={record.family} n={record.n} "
           f"visibility={format_float(record.visibility)} "

@@ -80,8 +80,7 @@ def outcome_products(n: int) -> np.ndarray:
 
 
 def born_probabilities(state: np.ndarray, settings: Sequence[int],
-                       angles: Sequence[float],
-                       validate: bool = True) -> np.ndarray:
+                       angles: Sequence[float]) -> np.ndarray:
     """Born outcome distribution of a state under one setting choice.
 
     Outcome index bit j (most significant first) is 0 for outcome +1 of
@@ -92,14 +91,8 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
     n = len(angles)
     if len(settings) != n:
         raise ValueError(f"expected {n} settings, got {len(settings)}")
-    if validate:
-        state = validate_state(state, n)
-    else:
-        state = np.asarray(state, dtype=complex)
-        if state.shape != (2 ** n, 2 ** n):
-            raise ValueError(
-                f"expected a {2 ** n} x {2 ** n} state, got {state.shape}")
-    return _born_table(state, np.array([settings]), angles)[0]
+    return _born_table(validate_state(state, n), np.array([settings]),
+                       angles)[0]
 
 
 def _born_table(state: np.ndarray, settings: np.ndarray,
@@ -239,16 +232,19 @@ class ExperimentRecord:
         return json.dumps(payload)
 
 
-def certify(protocol: BellProtocol, constants: CertificateConstants,
-            noise: NoiseModel, shots_per_setting: int, seed: int,
+def certify(constants: CertificateConstants, noise: NoiseModel,
+            shots_per_setting: int, seed: int,
             log_path: Optional[str] = None) -> ExperimentRecord:
     """Simulate one run and convert the estimate into a certified bound.
 
-    Every party measures at the optimal angle pi/4.  The raw estimate is
-    stored unmodified; for the bound it is clamped into [beta_L, beta_Q] so
-    statistical overshoot never certifies a fidelity above 1, and
-    undershoot is flagged as trivial instead of extrapolated.
+    The scenario simulated is ``constants.protocol``, the one whose
+    certificate converts the estimate.  Every party measures at the
+    optimal angle pi/4.  The raw estimate is stored unmodified; for the
+    bound it is clamped into [beta_L, beta_Q] so statistical overshoot
+    never certifies a fidelity above 1, and undershoot is flagged as
+    trivial instead of extrapolated.
     """
+    protocol = constants.protocol
     state = noisy_state(protocol, noise)
     beta_hat, std_error = estimate_violation(
         protocol, state, (math.pi / 4,) * protocol.n, shots_per_setting, seed)

@@ -1,20 +1,12 @@
 """GHZ target states and the angle-dependent dephasing extraction channel.
 
-Two independent routes produce the ideal target state:
-
-* ``explicit_ghz_state`` sums a hard-coded Pauli expansion (available for the
-  three- and four-party Svetlichny scenarios).
-* ``spectral_ghz_state`` builds the maximal eigenvector of the Bell operator
-  at the optimal angles from its closed-form antidiagonal entries
-  (``bell.corner_entries``), using the fact that an antidiagonal operator
-  has eigenvectors supported on index pairs (b, b~).  It never builds the
-  dense operator, so the served state does not depend on the dense
-  reference route.
-
-``ghz_state`` runs both routes where both exist and insists they agree.  It
-is the single cache of the target state: each scenario is built and
-cross-checked once per process, and the returned matrix is read-only so no
-caller can alter what the others read.
+``ghz_state`` is the one definition of the target state: the GHZ pair on
+(0, 2^n - 1) with the relative phase ``bell.ghz_phase``, the same phase the
+certificate scan reads, so the scan, ``build_T``, the noisy states and the
+Born table share one target.  It is the single cache of that state, and
+the returned matrix is read-only so no caller can alter what the others
+read.  The tests check it against printed Pauli expansions and against the
+maximal eigenvector of the dense operator (``tests/oracles.py``).
 
 The extraction channel applies, at each site, the Kraus pair built from the
 attenuation parameter g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1),
@@ -33,26 +25,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bell import (ANGLE_SLACK, SQRT2, SVETLICHNY, BellProtocol, check_angle,
-                   corner_entries)
-from .linalg import interleaved_to_matrix, is_persymmetric, kron_all, pauli
-
-_DEGENERACY_GAP = 1e-6
-_ROUTE_AGREEMENT = 1e-12
-_MAX_PARTIES = 6
-
-# Pauli expansions of the target states, as (coefficient, labels) pairs.
-_EXPLICIT_TABLES = {
-    (SVETLICHNY, 3): [(1 / 8, t) for t in ("III", "ZZI", "IZZ", "ZIZ")]
-    + [(-1 / 8, "XXX")]
-    + [(1 / 8, t) for t in ("XYY", "YXY", "YYX")],
-    (SVETLICHNY, 4): [(1 / 16, t) for t in ("IIII", "ZZII", "ZIZI", "ZIIZ",
-                                            "IZZI", "IZIZ", "IIZZ", "ZZZZ")]
-    + [({0: -1, 1: 1, 2: 1, 3: -1, 4: -1}[w] / (16 * SQRT2),
-        "".join("Y" if (bits >> (3 - j)) & 1 else "X" for j in range(4)))
-       for bits in range(16)
-       for w in [bin(bits).count("1")]],
-}
+from .bell import ANGLE_SLACK, SQRT2, BellProtocol, check_angle, ghz_phase
+from .linalg import interleaved_to_matrix, is_persymmetric, pauli
 
 
 def g_values(alpha: np.ndarray) -> np.ndarray:
@@ -126,62 +100,19 @@ def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel) -> bool:
     return is_persymmetric(rho) and is_persymmetric(apply_channel(rho, channel))
 
 
-def explicit_ghz_state(protocol: BellProtocol) -> np.ndarray:
-    """Target state from its hard-coded Pauli expansion."""
-    key = (protocol.family, protocol.n)
-    if key not in _EXPLICIT_TABLES:
-        raise ValueError(f"no explicit expansion for {protocol.family} n={protocol.n}")
-    dim = protocol.dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for coefficient, labels in _EXPLICIT_TABLES[key]:
-        rho += coefficient * kron_all([pauli(c) for c in labels])
-    return rho
-
-
-def _quarter_corners(protocol: BellProtocol) -> np.ndarray:
-    """Antidiagonal entries W[b, b~] of every pair b < 2^(n-1) at all-pi/4."""
-    angles = np.full((protocol.n, 1), math.pi / 4)
-    return corner_entries(protocol, np.cos(angles), np.sin(angles))[:, 0]
-
-
-def spectral_ghz_state(protocol: BellProtocol) -> np.ndarray:
-    """Target state from the corner-pair eigenstructure of the operator.
-
-    At the optimal angles the operator is antidiagonal, so each eigenvector
-    lives on one index pair (b, 2^n - 1 - b); the corners are read from the
-    closed form ``corner_entries``.  The maximal pair must be unique; a
-    near-degenerate second pair raises ArithmeticError.
-    """
-    if protocol.n > _MAX_PARTIES:
-        raise ValueError(f"spectral construction supports n <= {_MAX_PARTIES}")
-    dim = protocol.dim
-    corners = _quarter_corners(protocol)
-    magnitudes = np.abs(corners)
-    order = np.argsort(magnitudes)
-    b_star = int(order[-1])
-    if dim // 2 > 1 and magnitudes[order[-1]] - magnitudes[order[-2]] <= _DEGENERACY_GAP:
-        raise ArithmeticError("maximal antidiagonal pair is degenerate")
-    corner = corners[b_star]
-    phase = np.conj(corner) / abs(corner)
-    v = np.zeros(dim, dtype=complex)
-    v[b_star] = 1.0 / SQRT2
-    v[dim - 1 - b_star] = phase / SQRT2
-    return np.outer(v, v.conj())
-
-
 @functools.lru_cache(maxsize=None)
 def ghz_state(protocol: BellProtocol) -> np.ndarray:
-    """Target density matrix; cross-validates both routes where both exist.
+    """Target density matrix |v><v|, v = (|0...0> + psi |1...1>) / sqrt(2).
 
-    Cached per protocol; the returned matrix is read-only.
+    psi is ``ghz_phase``, the phase the certificate scan reads; only the
+    corner pair (0, 2^n - 1) is nonzero.  Cached per protocol; the returned
+    matrix is read-only.
     """
-    key = (protocol.family, protocol.n)
-    if key in _EXPLICIT_TABLES:
-        rho = explicit_ghz_state(protocol)
-        if np.max(np.abs(rho - spectral_ghz_state(protocol))) > _ROUTE_AGREEMENT:
-            raise ArithmeticError("explicit and spectral target states disagree")
-    else:
-        rho = spectral_ghz_state(protocol)
+    last = protocol.dim - 1
+    psi = ghz_phase(protocol)
+    rho = np.zeros((protocol.dim, protocol.dim), dtype=complex)
+    rho[0, 0] = rho[last, last] = 0.5
+    rho[last, 0] = psi / 2
+    rho[0, last] = np.conj(psi) / 2
     rho.setflags(write=False)
     return rho
-

@@ -262,13 +262,13 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     return float(low[pair, k]), point, pair, low.size
 
 
-def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
-                      grid: GridSpec,
+def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
                       psd_tol: float = PSD_TOLERANCE) -> CertificationReport:
     """Scan the certificate over a product grid and report the minimum.
 
-    The grid pass evaluates C(P + n - 1, n) canonical points (sorted angle
-    tuples) times 2^(n-1) block pairs; requests above
+    The scenario scanned is ``constants.protocol``, the one the report's
+    constants name.  The grid pass evaluates C(P + n - 1, n) canonical
+    points (sorted angle tuples) times 2^(n-1) block pairs; requests above
     ``MAX_BLOCK_EVALUATIONS`` are refused before anything is allocated.
     When the grid minimum sits near zero the scan refines locally around the
     minimizer, shrinking a 5-point stencil (clipped to the domain, with
@@ -284,6 +284,7 @@ def min_eig_over_grid(protocol: BellProtocol, constants: CertificateConstants,
             raise ValueError(f"{name} must be finite, got {value}")
     if psd_tol < 0.0:
         raise ValueError(f"PSD tolerance must be nonnegative, got {psd_tol}")
+    protocol = constants.protocol
     lo, hi = grid.domain
     n = protocol.n
     grid_evaluations = (math.comb(grid.points_per_axis + n - 1, n)

@@ -91,7 +91,7 @@ def test_criterion_2_svetlichny_certification():
         constants = catalog_constants(protocol)
         t0 = time.perf_counter()
         report = min_eig_over_grid(
-            protocol, constants, GridSpec(points_per_axis=GRID_POINTS[n]))
+            constants, GridSpec(points_per_axis=GRID_POINTS[n]))
         dt = time.perf_counter() - t0
         corners = [(math.pi / 4,) * n]
         if n == 3:
@@ -118,7 +118,7 @@ def test_criterion_3_mabk_certification():
     results = []
     for n in (3, 4, 5):
         protocol = BellProtocol(MABK, n)
-        report = min_eig_over_grid(protocol, catalog_constants(protocol),
+        report = min_eig_over_grid(catalog_constants(protocol),
                                    GridSpec(points_per_axis=GRID_POINTS[n]))
         results.append((n, report))
     ok = all(r.passed and r.min_eigenvalue >= -1e-8 for _, r in results)
@@ -288,8 +288,7 @@ def test_criterion_8_negative_control():
                                          mu=constants.mu,
                                          beta_T=(0.5 - constants.mu) / s)
         report = min_eig_over_grid(
-            protocol, perturbed,
-            GridSpec(points_per_axis=GRID_POINTS[protocol.n]))
+            perturbed, GridSpec(points_per_axis=GRID_POINTS[protocol.n]))
         results.append((protocol, report))
     ok = all(not r.passed and r.min_eigenvalue < -1e-6 for _, r in results)
     detail = "; ".join(f"{p.family[:2]}{p.n} min={r.min_eigenvalue:.1e}"
@@ -304,10 +303,10 @@ def test_criterion_9_simulation_statistics():
     protocol = BellProtocol(SVETLICHNY, 4)
     constants = catalog_constants(protocol)
     shots = 10 ** 6
-    exact = certify(protocol, constants, NoiseModel("visibility", 1.0),
+    exact = certify(constants, NoiseModel("visibility", 1.0),
                     shots_per_setting=shots, seed=0)
     beta_dev = abs(exact.estimated_beta - protocol.beta_Q)
-    noisy = certify(protocol, constants, NoiseModel("visibility", 0.9),
+    noisy = certify(constants, NoiseModel("visibility", 0.9),
                     shots_per_setting=shots, seed=0)
     target = constants.s * (0.9 * protocol.beta_Q) + constants.mu
     bound_dev = abs(noisy.fidelity_bound - target)

@@ -118,7 +118,7 @@ def test_born_probabilities_unvalidated_shape_check():
     for shape in ((4, 16), (16, 4), (8,), (4, 4)):
         with pytest.raises(ValueError):
             born_probabilities(np.ones(shape, dtype=complex) / 8, (0, 0, 0),
-                               QUARTER3, validate=False)
+                               QUARTER3)
 
 
 def test_outcome_products():
@@ -229,8 +229,8 @@ def test_skipping_zero_coefficients_keeps_records():
         quarter = (math.pi / 4,) * protocol.n
         for v, seed in ((1.0, 0), (0.8, 3), (0.0, 5)):
             noise = NoiseModel("visibility", v)
-            record = certify(protocol, constants, noise,
-                             shots_per_setting=3000, seed=seed)
+            record = certify(constants, noise, shots_per_setting=3000,
+                             seed=seed)
             want = _estimate_sampling_every_setting(
                 protocol, noisy_state(protocol, noise), quarter, 3000, seed)
             assert (record.estimated_beta, record.std_error) == want
@@ -245,7 +245,7 @@ def test_certify_records_repeat_bit_identically():
             noises.append(NoiseModel("separable_mixture", 0.7, sigma))
         for noise in noises:
             first, second = (json.loads(certify(
-                protocol, constants, noise, shots_per_setting=2000,
+                constants, noise, shots_per_setting=2000,
                 seed=17).to_json_line()) for _ in range(2))
             first.pop("timestamp")
             second.pop("timestamp")
@@ -288,7 +288,7 @@ def test_predicted_error_tracks_seed_scatter():
 def test_certify_tracks_affine_bound():
     protocol = BellProtocol(SVETLICHNY, 4)
     constants = catalog_constants(protocol)
-    record = certify(protocol, constants, NoiseModel("visibility", 0.9),
+    record = certify(constants, NoiseModel("visibility", 0.9),
                      shots_per_setting=100_000, seed=11)
     target = constants.s * 0.9 * protocol.beta_Q + constants.mu
     assert abs(target - 0.8292893218813455) <= 1e-12
@@ -302,7 +302,7 @@ def test_certify_clamps_overshoot():
     constants = catalog_constants(protocol)
     overshoots = []
     for seed in range(30):
-        record = certify(protocol, constants, NoiseModel("visibility", 1.0),
+        record = certify(constants, NoiseModel("visibility", 1.0),
                          shots_per_setting=50, seed=seed)
         assert record.fidelity_bound <= 1.0 + 1e-12
         if record.clamped and record.estimated_beta > protocol.beta_Q:
@@ -314,7 +314,7 @@ def test_certify_clamps_overshoot():
 def test_certify_flags_trivial_regime():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
-    record = certify(protocol, constants, NoiseModel("visibility", 0.0),
+    record = certify(constants, NoiseModel("visibility", 0.0),
                      shots_per_setting=5000, seed=2)
     assert record.clamped
     assert record.trivial
@@ -325,9 +325,9 @@ def test_certify_persists_jsonl(tmp_path):
     protocol = BellProtocol(MABK, 4)
     constants = catalog_constants(protocol)
     log = tmp_path / "runs.jsonl"
-    first = certify(protocol, constants, NoiseModel("visibility", 0.95),
+    first = certify(constants, NoiseModel("visibility", 0.95),
                     shots_per_setting=2000, seed=9, log_path=str(log))
-    second = certify(protocol, constants, NoiseModel("visibility", 0.95),
+    second = certify(constants, NoiseModel("visibility", 0.95),
                      shots_per_setting=2000, seed=9, log_path=str(log))
     assert first.persisted and second.persisted
     lines = log.read_text().strip().splitlines()
@@ -345,7 +345,7 @@ def test_certify_persists_jsonl(tmp_path):
 def test_certify_survives_persistence_failure():
     protocol = BellProtocol(MABK, 3)
     constants = catalog_constants(protocol)
-    record = certify(protocol, constants, NoiseModel("visibility", 0.9),
+    record = certify(constants, NoiseModel("visibility", 0.9),
                      shots_per_setting=1000, seed=4,
                      log_path="/nonexistent-dir/never.jsonl")
     assert not record.persisted
@@ -358,7 +358,7 @@ def test_certify_rejects_shot_counts_outside_multinomial_range(tmp_path):
     log = tmp_path / "runs.jsonl"
     for shots in (0, -1, 2 ** 63, 10 ** 19):
         with pytest.raises(ValueError, match="shot count"):
-            certify(protocol, constants, NoiseModel("visibility", 1.0),
+            certify(constants, NoiseModel("visibility", 1.0),
                     shots_per_setting=shots, seed=0, log_path=str(log))
         with pytest.raises(ValueError, match="shot count"):
             sample_outcomes(np.array([0.5, 0.5]), shots, 0)
@@ -369,7 +369,7 @@ def test_certify_accepts_the_largest_shot_count(tmp_path):
     protocol = BellProtocol(MABK, 3)
     constants = catalog_constants(protocol)
     log = tmp_path / "runs.jsonl"
-    record = certify(protocol, constants, NoiseModel("visibility", 0.9),
+    record = certify(constants, NoiseModel("visibility", 0.9),
                      shots_per_setting=2 ** 63 - 1, seed=3, log_path=str(log))
     assert record.persisted
     assert json.loads(log.read_text())["shots_per_setting"] == 2 ** 63 - 1
@@ -379,7 +379,7 @@ def test_certify_accepts_the_largest_shot_count(tmp_path):
 def test_records_to_csv():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
-    records = [certify(protocol, constants, NoiseModel("visibility", v),
+    records = [certify(constants, NoiseModel("visibility", v),
                        shots_per_setting=2000, seed=13) for v in (0.8, 0.9)]
     text = records_to_csv(records)
     lines = text.strip().splitlines()
@@ -392,7 +392,7 @@ def test_records_to_csv():
 def test_experiment_record_round_trip():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
-    record = certify(protocol, constants, NoiseModel("visibility", 0.9),
+    record = certify(constants, NoiseModel("visibility", 0.9),
                      shots_per_setting=500, seed=21)
     payload = json.loads(record.to_json_line())
     assert payload["seed"] == 21
@@ -404,7 +404,7 @@ def test_experiment_record_json_line_fields():
     # The JSONL schema: every record field in declaration order, without
     # the in-memory ``persisted`` flag.
     protocol = BellProtocol(MABK, 3)
-    record = certify(protocol, catalog_constants(protocol),
+    record = certify(catalog_constants(protocol),
                      NoiseModel("visibility", 1.0), shots_per_setting=10,
                      seed=3)
     payload = json.loads(record.to_json_line())
@@ -478,13 +478,11 @@ def test_closed_form_rejects_bad_settings_and_angles():
     state = noisy_state(BellProtocol(SVETLICHNY, 3),
                         NoiseModel("visibility", 0.7))
     assert x_blocks(state) is not None
-    for validate in (True, False):
-        with pytest.raises(ValueError, match="0 or 1"):
-            born_probabilities(state, (0, 2, 0), QUARTER3, validate=validate)
-        for bad in (-0.1, 2.0, math.nan):
-            with pytest.raises(ValueError, match="angle"):
-                born_probabilities(state, (0, 1, 0), (0.3, bad, 0.2),
-                                   validate=validate)
+    with pytest.raises(ValueError, match="0 or 1"):
+        born_probabilities(state, (0, 2, 0), QUARTER3)
+    for bad in (-0.1, 2.0, math.nan):
+        with pytest.raises(ValueError, match="angle"):
+            born_probabilities(state, (0, 1, 0), (0.3, bad, 0.2))
     for angles in ((math.pi / 4,), QUARTER3 + (0.1,)):
         with pytest.raises(ValueError, match="settings, got 3"):
             estimate_violation(BellProtocol(SVETLICHNY, 3), state, angles,

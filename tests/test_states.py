@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, evaluate, ghz_phase
-from ghzcert.states import (DephasingChannel, apply_channel, explicit_ghz_state,
-                            g_param, g_values, ghz_state, kraus_pair,
-                            persymmetry_preserved, spectral_ghz_state)
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, corner_entries,
+                          evaluate, ghz_phase)
+from ghzcert.states import (DephasingChannel, apply_channel, g_param, g_values,
+                            ghz_state, kraus_pair, persymmetry_preserved)
 from oracles import (dense_spectral_ghz_rho, kraus_loop_channel, pauli_string,
                      random_hermitian, reference_channel_output_3,
                      reference_state_3, reference_state_4)
@@ -128,22 +128,30 @@ def test_served_state_is_the_ghz_phase_corner_pair():
     # The certificate scan takes psi = ghz_phase and never reads the served
     # state; this ties the two together.
     for family in (SVETLICHNY, MABK):
-        for n in (3, 4, 5, 6):
+        for n in (3, 4, 5, 6, 7):
             protocol = BellProtocol(family, n)
             rho = ghz_state(protocol)
+            psi = ghz_phase(protocol)
             last = 2 ** n - 1
             outside = np.ones(rho.shape, dtype=bool)
             outside[np.ix_([0, last], [0, last])] = False
             assert not np.any(rho[outside])
-            assert abs(rho[last, 0] - ghz_phase(protocol) / 2) <= 1e-15
+            assert rho[0, 0] == rho[last, last] == 0.5
+            assert rho[last, 0] == psi / 2
+            assert rho[0, last] == np.conj(psi) / 2
+            assert np.trace(rho) == 1.0
 
 
-def test_spectral_construction_matches_explicit():
-    for n in (3, 4):
-        protocol = BellProtocol(SVETLICHNY, n)
-        explicit = explicit_ghz_state(protocol)
-        spectral = spectral_ghz_state(protocol)
-        assert np.max(np.abs(explicit - spectral)) <= 1e-12
+def test_ghz_phase_pair_is_the_unique_maximal_corner():
+    # The target is the maximal eigenvector of W at pi/4 only if the corner
+    # pair (0, 2^n - 1) strictly dominates every other pair.
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6, 7):
+            quarter = np.full((n, 1), math.pi / 4)
+            magnitudes = np.abs(corner_entries(BellProtocol(family, n),
+                                               np.cos(quarter),
+                                               np.sin(quarter))[:, 0])
+            assert np.all(magnitudes[0] - magnitudes[1:] > 1e-6)
 
 
 def test_served_state_matches_dense_eigenvector_oracle():

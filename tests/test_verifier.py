@@ -261,14 +261,12 @@ def test_four_party_block_functions():
 
 
 def test_min_eig_over_grid_catalog_pass():
-    report = min_eig_over_grid(BellProtocol(SVETLICHNY, 4),
-                               catalog_constants(BellProtocol(SVETLICHNY, 4)),
+    report = min_eig_over_grid(catalog_constants(BellProtocol(SVETLICHNY, 4)),
                                GridSpec(points_per_axis=21))
     assert report.passed and report.min_eigenvalue >= -1e-8
     assert report.grid_points_per_axis == 21
     assert len(report.argmin_angles) == 4
-    report = min_eig_over_grid(BellProtocol(MABK, 5),
-                               catalog_constants(BellProtocol(MABK, 5)),
+    report = min_eig_over_grid(catalog_constants(BellProtocol(MABK, 5)),
                                GridSpec(points_per_axis=11))
     assert report.passed and report.min_eigenvalue >= -1e-8
 
@@ -278,7 +276,7 @@ def test_min_eig_over_grid_rejects_bad_constants():
     constants = catalog_constants(protocol)
     doubled = type(constants)(protocol=protocol, s=2 * constants.s,
                               mu=constants.mu, beta_T=constants.beta_T)
-    report = min_eig_over_grid(protocol, doubled, GridSpec(points_per_axis=21))
+    report = min_eig_over_grid(doubled, GridSpec(points_per_axis=21))
     assert not report.passed
     assert report.min_eigenvalue < -1e-6
 
@@ -286,10 +284,10 @@ def test_min_eig_over_grid_rejects_bad_constants():
 def test_min_eig_over_grid_deterministic_and_monotone():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
-    coarse = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=11))
-    fine = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=21))
+    coarse = min_eig_over_grid(constants, GridSpec(points_per_axis=11))
+    fine = min_eig_over_grid(constants, GridSpec(points_per_axis=21))
     assert fine.min_eigenvalue <= coarse.min_eigenvalue + 1e-8
-    again = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=21))
+    again = min_eig_over_grid(constants, GridSpec(points_per_axis=21))
     assert again.min_eigenvalue == fine.min_eigenvalue
     assert again.argmin_angles == fine.argmin_angles
 
@@ -297,7 +295,7 @@ def test_min_eig_over_grid_deterministic_and_monotone():
 def test_min_eig_over_grid_corner_refinement():
     protocol = BellProtocol(SVETLICHNY, 3)
     constants = catalog_constants(protocol)
-    report = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=2))
+    report = min_eig_over_grid(constants, GridSpec(points_per_axis=2))
     assert report.passed
     assert report.refined
     for angle in report.argmin_angles:
@@ -308,7 +306,7 @@ def test_min_eig_over_grid_full_domain():
     protocol = BellProtocol(SVETLICHNY, 4)
     constants = catalog_constants(protocol)
     spec = GridSpec(points_per_axis=9, domain=(0.0, math.pi / 2))
-    report = min_eig_over_grid(protocol, constants, spec)
+    report = min_eig_over_grid(constants, spec)
     assert report.passed and report.min_eigenvalue >= -1e-8
 
 
@@ -385,10 +383,10 @@ def test_min_eig_over_grid_reports_scan_size():
     grid_evals = math.comb(21 + 3, 4) * 8
     broken = CertificateConstants(protocol=protocol, s=1.1 * constants.s,
                                   mu=constants.mu, beta_T=constants.beta_T)
-    report = min_eig_over_grid(protocol, broken, GridSpec(points_per_axis=21))
+    report = min_eig_over_grid(broken, GridSpec(points_per_axis=21))
     assert not report.refined
     assert report.block_evaluations == grid_evals
-    report = min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=21))
+    report = min_eig_over_grid(constants, GridSpec(points_per_axis=21))
     assert report.refined
     assert report.block_evaluations > grid_evals
     assert report.block_evaluations < grid_evals + 6 * 5 ** 4 * 8
@@ -402,7 +400,7 @@ def test_refinement_stencil_drops_repeated_edge_points():
     grid_evals = math.comb(11 + 4, 5) * 16
     for family in (SVETLICHNY, MABK):
         protocol = BellProtocol(family, 5)
-        report = min_eig_over_grid(protocol, catalog_constants(protocol),
+        report = min_eig_over_grid(catalog_constants(protocol),
                                    GridSpec(points_per_axis=11))
         assert report.refined and report.passed
         assert report.block_evaluations == grid_evals + 6 * 75 * 16 == 55_248
@@ -417,11 +415,11 @@ def test_min_eig_over_grid_rejects_non_finite_input():
             odd = CertificateConstants(protocol=protocol, s=s, mu=mu,
                                        beta_T=constants.beta_T)
             with pytest.raises(ValueError):
-                min_eig_over_grid(protocol, odd, spec)
+                min_eig_over_grid(odd, spec)
         with pytest.raises(ValueError):
-            min_eig_over_grid(protocol, constants, spec, psd_tol=bad)
+            min_eig_over_grid(constants, spec, psd_tol=bad)
     with pytest.raises(ValueError):
-        min_eig_over_grid(protocol, constants, spec, psd_tol=-1.0)
+        min_eig_over_grid(constants, spec, psd_tol=-1.0)
 
 
 def test_min_eig_over_grid_rejects_overflowing_constants():
@@ -434,7 +432,7 @@ def test_min_eig_over_grid_rejects_overflowing_constants():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="s=.* and mu=.* overflow"):
-                min_eig_over_grid(protocol, odd, spec)
+                min_eig_over_grid(odd, spec)
     # Large but representable constants still give a finite verdict.
     for s, mu, passed in ((1e300, constants.mu, False),
                           (constants.s, 1e308, False),
@@ -443,7 +441,7 @@ def test_min_eig_over_grid_rejects_overflowing_constants():
                                    beta_T=constants.beta_T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = min_eig_over_grid(protocol, odd, spec)
+            report = min_eig_over_grid(odd, spec)
         assert math.isfinite(report.min_eigenvalue)
         assert report.passed is passed
 
@@ -455,8 +453,7 @@ def test_min_eig_over_grid_never_passes_a_non_finite_minimum(monkeypatch):
         monkeypatch.setattr(
             ghzcert.verifier, "_min_block_over_axes",
             lambda *args, value=value: (value, (0.0, 0.0, 0.0), 0, 1))
-        report = min_eig_over_grid(protocol, constants,
-                                   GridSpec(points_per_axis=5))
+        report = min_eig_over_grid(constants, GridSpec(points_per_axis=5))
         assert not report.passed
 
 
@@ -465,10 +462,9 @@ def test_min_eig_over_grid_size_limit(monkeypatch):
     constants = catalog_constants(protocol)
     grid_evals = math.comb(21 + 2, 3) * 4
     monkeypatch.setattr(ghzcert.verifier, "MAX_BLOCK_EVALUATIONS", grid_evals)
-    assert min_eig_over_grid(protocol, constants,
-                             GridSpec(points_per_axis=21)).passed
+    assert min_eig_over_grid(constants, GridSpec(points_per_axis=21)).passed
     with pytest.raises(ValueError, match="limit"):
-        min_eig_over_grid(protocol, constants, GridSpec(points_per_axis=22))
+        min_eig_over_grid(constants, GridSpec(points_per_axis=22))
 
 
 def test_grid_spec_validation():
