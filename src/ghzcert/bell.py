@@ -30,7 +30,8 @@ is the largest, and ``ghz_phase``, the phase of that pair's eigenvector,
 defines the target state the scan and ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
-(A^0, A^1) in turn and assumes no structure of W.
+(A^0, A^1) in turn, for one angle tuple or a batch of them at once, and
+assumes no structure of W.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .linalg import (HERMITICITY_TOL, canonical_indices, conjugate_pair_sum,
-                     interleaved_to_matrix, least_block_eigenvalue, pauli,
-                     sign_products, x_blocks)
+                     contract_site, interleaved_to_matrix,
+                     least_block_eigenvalue, sign_products, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -118,12 +119,41 @@ def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
     return float(alpha)
 
 
+def check_angles(angles: Sequence[float] | np.ndarray, n: int,
+                 upper: float = math.pi / 2) -> np.ndarray:
+    """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
+
+    ValueError for any other shape and for any angle, NaN and +-inf
+    included, outside [0, upper] (pi/2 or pi/4).
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise ValueError(f"expected {n} angles per tuple, got shape {a.shape}")
+    inside = (-ANGLE_SLACK <= a) & (a <= upper + ANGLE_SLACK)
+    if not inside.all():
+        check_angle(a[~inside][0], upper)  # raises, naming the first one
+    return a
+
+
+def _observable_pairs(alpha: np.ndarray) -> np.ndarray:
+    """Stacked pairs (A^0, A^1) at each angle, shape alpha.shape + (2, 2, 2).
+
+    A^r = [[0, c - (-1)^r i s], [c + (-1)^r i s, 0]] with c, s the cosine
+    and sine of the angle; the angles are not checked.
+    """
+    c, s = np.cos(alpha), np.sin(alpha)
+    pairs = np.zeros(np.shape(alpha) + (2, 2, 2), dtype=complex)
+    pairs.real[..., 0, 1] = pairs.real[..., 1, 0] = np.expand_dims(c, -1)
+    pairs.imag[..., 0, 0, 1] = pairs.imag[..., 1, 1, 0] = -s
+    pairs.imag[..., 0, 1, 0] = pairs.imag[..., 1, 0, 1] = s
+    return pairs
+
+
 def observable(r: int, alpha: float) -> np.ndarray:
     """Equatorial qubit observable cos(alpha) X + (-1)^r sin(alpha) Y."""
     if r not in (0, 1):
         raise ValueError(f"setting must be 0 or 1, got {r}")
-    alpha = check_angle(alpha)
-    return math.cos(alpha) * pauli("X") + (-1) ** r * math.sin(alpha) * pauli("Y")
+    return _observable_pairs(check_angle(alpha))[r]
 
 
 def _svetlichny_sign(n: int, w: int) -> int:
@@ -150,20 +180,27 @@ def functional_coefficients(protocol: BellProtocol) -> Dict[Tuple[int, ...], flo
     return out
 
 
-def build_operator(protocol: BellProtocol, angles: Sequence[float]) -> np.ndarray:
+def build_operator(protocol: BellProtocol,
+                   angles: Sequence[float] | np.ndarray) -> np.ndarray:
     """Dense operator sum_x c(x) A^{x_1} ... A^{x_n} at the given angles.
 
-    The coefficient tensor c(x) is contracted with each party's stacked pair
-    (A^0, A^1) in turn, which replaces that party's setting index by its row
-    and column indices.
+    ``angles`` is one tuple, shape (n,), giving a 2^n x 2^n matrix, or a
+    batch of k tuples, shape (k, n), giving k such matrices; a single tuple
+    is the batch of one.  The coefficient tensor c(x), with a leading batch
+    axis, is contracted with each party's stacked pair (A^0, A^1) in turn:
+    one batched matmul per party of the tensor, laid out (k, rest, x),
+    against the k pairs laid out (k, x, row column), which replaces that
+    party's setting index by its row and column indices.
     """
-    if len(angles) != protocol.n:
-        raise ValueError(f"expected {protocol.n} angles, got {len(angles)}")
-    tensor = _coefficient_tensor(protocol)
-    for alpha in angles:
-        pair = np.stack([observable(0, alpha), observable(1, alpha)])
-        tensor = np.tensordot(tensor, pair, axes=([0], [0]))
-    return interleaved_to_matrix(tensor)
+    a = check_angles(angles, protocol.n)
+    batch = a.reshape(-1, protocol.n)
+    pairs = _observable_pairs(batch).reshape(len(batch), protocol.n, 2, 4)
+    tensor = np.broadcast_to(_coefficient_tensor(protocol).astype(complex),
+                             (len(batch),) + (2,) * protocol.n)
+    for j in range(protocol.n):
+        tensor = contract_site(tensor, (1,), pairs[:, j])
+    w = interleaved_to_matrix(tensor)
+    return w if a.ndim == 2 else w[0]
 
 
 def corner_coefficient(protocol: BellProtocol) -> complex:

@@ -1,7 +1,8 @@
 """Dense Hermitian linear algebra helpers.
 
-Provides the Pauli matrices, the Kronecker product ``kron_all``, the
-matrix form of a site-by-site contraction (``interleaved_to_matrix``), the
+Provides the Pauli matrices, the Kronecker product ``kron_all``, one
+batched step of a site-by-site contraction (``contract_site``) and the
+matrices it leaves (``interleaved_to_matrix``), the
 canonical index tuples of a product grid (one per permutation orbit), the
 per-site products over every sign choice (``sign_products``) and their
 conjugate-pair combination (``conjugate_pair_sum``), the 2 x 2 blocks of
@@ -48,15 +49,31 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def contract_site(tensor: np.ndarray, axes: Tuple[int, ...],
+                  operators: np.ndarray) -> np.ndarray:
+    """Contract one site's indices of k tensors with k operators at once.
+
+    ``tensor`` has a leading batch axis of k; the indices named by ``axes``
+    are moved last and flattened, giving (k, rest, d), and multiplied by
+    ``operators`` of shape (k, d, 4) in one batched matmul.  The site's
+    output row and column indices are appended at the end.
+    """
+    lhs = np.moveaxis(tensor, axes, tuple(range(-len(axes), 0)))
+    rest = lhs.shape[:-len(axes)]
+    return np.matmul(lhs.reshape(len(tensor), -1, operators.shape[1]),
+                     operators).reshape(rest + (2, 2))
+
+
 def interleaved_to_matrix(tensor: np.ndarray) -> np.ndarray:
-    """The 2^n x 2^n matrix of a tensor indexed (row 1, column 1, ..., column n).
+    """The k x 2^n x 2^n matrices of a tensor indexed (sample, row 1,
+    column 1, ..., row n, column n).
 
     Site-by-site contractions leave each site's row and column index side by
     side; this gathers the row indices before the column indices.
     """
     n = tensor.ndim // 2
-    rows_then_columns = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return tensor.transpose(rows_then_columns).reshape(2 ** n, 2 ** n)
+    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    return tensor.transpose(order).reshape(len(tensor), 2 ** n, 2 ** n)
 
 
 def outer_all(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -14,7 +14,8 @@ flipping the dephasing axis from X to Y at alpha = pi/4.  The channel is
 unital, self-adjoint, trace preserving, and maps persymmetric matrices to
 persymmetric matrices.  ``apply_channel`` is a dense reference route: it
 contracts each site's Kraus superoperator into that site's row and column
-indices and assumes no structure of its input.
+indices, for one angle tuple or a batch of them at once, and assumes no
+structure of its input.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bell import ANGLE_SLACK, SQRT2, BellProtocol, check_angle, ghz_phase
-from .linalg import interleaved_to_matrix, is_persymmetric, pauli
+from .bell import (ANGLE_SLACK, SQRT2, BellProtocol, check_angle, check_angles,
+                   ghz_phase)
+from .linalg import contract_site, interleaved_to_matrix, is_persymmetric
 
 
 def g_values(alpha: np.ndarray) -> np.ndarray:
@@ -43,56 +45,90 @@ def g_param(alpha: float) -> float:
     return float(g_values(check_angle(alpha)))
 
 
+def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
+    """Kraus pairs (K0, K1) at each angle, shape alpha.shape + (2, 2, 2).
+
+    K0 = sqrt((1 + g)/2) I and K1 = sqrt((1 - g)/2) Gamma, with Gamma = X up
+    to pi/4 and Y beyond; the angles are not checked.
+    """
+    g = g_values(alpha)
+    k0 = np.sqrt((1.0 + g) / 2.0)
+    k1 = np.sqrt(np.maximum((1.0 - g) / 2.0, 0.0))
+    x_axis = alpha <= math.pi / 4 + ANGLE_SLACK
+    kraus = np.zeros(np.shape(alpha) + (2, 2, 2), dtype=complex)
+    kraus.real[..., 0, 0, 0] = kraus.real[..., 0, 1, 1] = k0
+    kraus.real[..., 1, 0, 1] = kraus.real[..., 1, 1, 0] = np.where(
+        x_axis, k1, 0.0)
+    kraus.imag[..., 1, 0, 1] = np.where(x_axis, 0.0, -k1)
+    kraus.imag[..., 1, 1, 0] = np.where(x_axis, 0.0, k1)
+    return kraus
+
+
 def kraus_pair(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Single-site Kraus pair (K0, K1) of the dephasing channel at alpha."""
-    g = g_param(alpha)
-    k0 = math.sqrt((1.0 + g) / 2.0) * pauli("I")
-    gamma = pauli("X") if alpha <= math.pi / 4 + ANGLE_SLACK else pauli("Y")
-    k1 = math.sqrt(max((1.0 - g) / 2.0, 0.0)) * gamma
+    k0, k1 = _kraus_stack(check_angle(alpha))
     return k0, k1
 
 
 @dataclass(frozen=True)
 class DephasingChannel:
-    """Product dephasing channel with one angle per site."""
+    """Product dephasing channel with one angle per site.
 
-    angles: Tuple[float, ...]
+    ``angles`` holds one tuple of n angles, or a batch of k such tuples
+    (stored as a tuple of tuples), for k channels applied at once.
+    """
+
+    angles: Tuple
 
     def __post_init__(self) -> None:
-        if not self.angles:
+        shape = np.shape(self.angles)
+        if not shape or shape[-1] == 0:
             raise ValueError("channel needs at least one site")
-        object.__setattr__(self, "angles",
-                           tuple(check_angle(a) for a in self.angles))
+        a = check_angles(self.angles, shape[-1])
+        values = a.tolist()
+        object.__setattr__(self, "angles", tuple(map(tuple, values))
+                           if a.ndim == 2 else tuple(values))
 
     @property
     def n(self) -> int:
-        return len(self.angles)
+        return np.shape(self.angles)[-1]
 
     def kraus_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Kraus pair of each site of a one-tuple channel."""
         return [kraus_pair(a) for a in self.angles]
 
 
 def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
     """Apply the product channel to any matrix of matching dimension.
 
-    The matrix is reshaped to one row and one column index per site, and
-    each site's superoperator sum_k K_k (.) K_k^dagger is contracted into its
-    two indices in turn: O(n 4^n) work and no 2^n x 2^n Kraus operator.
+    A channel of one angle tuple gives one 2^n x 2^n matrix; a batch of k
+    tuples gives the k images of ``mat``, shape (k, 2^n, 2^n).  The matrix
+    is reshaped to one row and one column index per site, behind a batch
+    axis, and each site's superoperator sum_k K_k (.) K_k^dagger is
+    contracted into its two indices in turn: one batched matmul per site of
+    the tensor, laid out (k, rest, row column), against the k superoperators
+    of that site, (k, 4, 4).  O(k n 4^n) work and no 2^n x 2^n Kraus
+    operator.
     """
     mat = np.asarray(mat, dtype=complex)
+    angles = np.asarray(channel.angles)
     n = channel.n
     dim = 2 ** n
     if mat.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
-    tensor = mat.reshape((2,) * (2 * n))
-    for j, pair in enumerate(channel.kraus_pairs()):
-        kraus = np.stack(pair)
-        # Indexed (row in, column in, row out, column out).
-        superoperator = np.einsum("kab,kcd->bdac", kraus, kraus.conj())
+    batch = angles.reshape(-1, n)
+    kraus = _kraus_stack(batch)
+    # Indexed (sample, site, row in column in, row out column out).
+    superoperators = np.einsum("...kab,...kcd->...bdac", kraus,
+                               kraus.conj()).reshape(len(batch), n, 4, 4)
+    tensor = np.broadcast_to(mat, (len(batch), dim, dim)).reshape(
+        (len(batch),) + (2,) * (2 * n))
+    for j in range(n):
         # Site j's row and column indices lead the row and column halves of
         # what is left; its output pair is appended at the end.
-        tensor = np.tensordot(tensor, superoperator, axes=([0, n - j], [0, 1]))
-    return interleaved_to_matrix(tensor)
+        tensor = contract_site(tensor, (1, 1 + n - j), superoperators[:, j])
+    out = interleaved_to_matrix(tensor)
+    return out if angles.ndim == 2 else out[0]
 
 
 def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel) -> bool:

@@ -32,7 +32,7 @@ Independent routes cross-check the reduction:
   certificates, with ``sv4_determinant`` and ``projector_lambda`` covering
   the determinant and parity-sector routes.
 * ``closed_form_crosscheck`` samples random angle tuples and confirms all of
-  the above against the matrix route.
+  the above against the matrix route, assembled in batches of tuples.
 """
 from __future__ import annotations
 
@@ -59,8 +59,14 @@ REFINEMENT_DEPTH = 6
 # (canonical points times pairs).  A scan peaks at about 82 bytes per
 # evaluation, so the largest accepted one stays under about 650 MB.
 MAX_BLOCK_EVALUATIONS = 8_000_000
-# Most samples closed_form_crosscheck draws, at about 0.36 ms each (n = 4).
+# Most samples closed_form_crosscheck draws, at about 0.07 ms each (n = 4)
+# and 0.1 ms (n = 3).
 MAX_CROSSCHECK_SAMPLES = 100_000
+# Most matrix entries, k 4^n over a chunk of k samples, that
+# closed_form_crosscheck assembles in one batched build_T call: 32 samples
+# at n = 4 and 128 at n = 3, so its memory does not grow with the sample
+# count.
+CROSSCHECK_CHUNK_ENTRIES = 2 ** 13
 
 
 class StructureViolation(Exception):
@@ -148,15 +154,17 @@ def catalog_constants(protocol: BellProtocol) -> CertificateConstants:
                                 beta_T=float(beta_t))
 
 
-def build_T(protocol: BellProtocol, angles: Sequence[float], s: float,
-            mu: float) -> np.ndarray:
-    """Assemble the certificate matrix Lambda(rho) - s W - mu I."""
-    rho = ghz_state(protocol)
-    channel = DephasingChannel(tuple(angles))
-    if channel.n != protocol.n:
-        raise ValueError(f"expected {protocol.n} angles, got {channel.n}")
+def build_T(protocol: BellProtocol, angles: Sequence[float] | np.ndarray,
+            s: float, mu: float) -> np.ndarray:
+    """Assemble the certificate matrix Lambda(rho) - s W - mu I.
+
+    ``angles`` is one tuple, shape (n,), giving a 2^n x 2^n matrix, or a
+    batch of k tuples, shape (k, n), giving k matrices from one batched
+    ``build_operator`` and one batched ``apply_channel`` call.
+    """
     w = build_operator(protocol, angles)
-    return apply_channel(rho, channel) - s * w - mu * np.eye(protocol.dim)
+    lam = apply_channel(ghz_state(protocol), DephasingChannel(angles))
+    return lam - s * w - mu * np.eye(protocol.dim)
 
 
 def block_unitary(n: int) -> np.ndarray:
@@ -195,27 +203,32 @@ def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return on_block, off_block
 
 
-def block_decompose(t: np.ndarray, n: int) -> List[np.ndarray]:
-    """Split a diagonal-plus-antidiagonal matrix into its 2 x 2 blocks.
+def block_decompose(t: np.ndarray, n: int) -> list:
+    """Split diagonal-plus-antidiagonal matrices into their 2 x 2 blocks.
 
     Block i is t restricted to the index pair (i, 2^n - 1 - i), the block
-    that conjugation by ``block_unitary`` brings to the diagonal.  Raises
-    ValueError on non-finite input and StructureViolation if any entry off
+    that conjugation by ``block_unitary`` brings to the diagonal.  One
+    matrix, shape (2^n, 2^n), gives its list of blocks; a batch of k,
+    shape (k, 2^n, 2^n), gives k such lists.  Raises ValueError on
+    non-finite input and StructureViolation if any entry of any matrix off
     the diagonal and antidiagonal exceeds ``_BLOCK_RESIDUE_TOL`` (1e-12).
     """
     t = np.asarray(t, dtype=complex)
     dim = 2 ** n
-    if t.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got {t.shape}")
-    flat = t.ravel()
+    if t.ndim not in (2, 3) or t.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected {dim} x {dim} matrices, got {t.shape}")
+    flat = t.reshape(-1, dim * dim)
     if not np.isfinite(flat).all():
         raise ValueError("matrix has non-finite entries")
     on_block, off_block = _block_layout(n)
-    worst = float(np.max(np.abs(flat[off_block]), initial=0.0))
-    if worst > _BLOCK_RESIDUE_TOL:
+    worst = np.max(np.abs(flat[:, off_block]), axis=1, initial=0.0)
+    if not (worst <= _BLOCK_RESIDUE_TOL).all():
+        index = int(np.argmax(worst))
         raise StructureViolation(
-            f"off-block weight {worst} exceeds tolerance {_BLOCK_RESIDUE_TOL}")
-    return list(flat[on_block])
+            f"off-block weight {worst[index]} of matrix {index} exceeds "
+            f"tolerance {_BLOCK_RESIDUE_TOL}")
+    blocks = [list(matrix) for matrix in flat[:, on_block]]
+    return blocks if t.ndim == 3 else blocks[0]
 
 
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
@@ -466,7 +479,10 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     and the Sylvester positivity test, and for n = 3 the parity-sector
     invariant) against the assembled certificate matrix.  Only the three- and
     four-party Svetlichny scenarios have closed forms.  ``samples`` must
-    lie in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.
+    lie in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
+    matrices are assembled in chunks of at most ``CROSSCHECK_CHUNK_ENTRIES``
+    entries, one batched ``build_T`` call per chunk, and each failure names
+    its sample's index in the whole run.
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
@@ -482,38 +498,50 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
                    for x1 in (0, 1) for x2 in (0, 1)}
     else:
         checks = ["block_entries", "determinant_expansion", "sylvester_test"]
-    for index in range(samples):
-        angles = tuple(rng.uniform(0.0, math.pi / 4, size=protocol.n))
-        t = build_T(protocol, angles, constants.s, constants.mu)
-        blocks = block_decompose(t, protocol.n)
+    chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
+    for start in range(0, samples, chunk):
+        # One (k, n) draw is the same stream as k draws of n.
+        batch = rng.uniform(0.0, math.pi / 4,
+                            size=(min(chunk, samples - start), protocol.n))
+        ts = build_T(protocol, batch, constants.s, constants.mu)
         if protocol.n == 3:
-            f = sv3_block_functions(angles, constants.s)
-            for i, block in enumerate(blocks):
-                if (abs(block[0, 0].real - f[2 * i]) > 1e-10
-                        or abs(block[0, 1] - f[2 * i + 1]) > 1e-10):
-                    failures.append(f"sample {index}: block {i} mismatch")
-            for (x1, x2), p in sectors.items():
-                m = p @ t @ p
-                direct = np.trace(m).real ** 2 - np.trace(m @ m).real
-                got = projector_lambda(angles, constants.s, x1, x2)
-                if abs(got - direct) > 1e-10:
+            traces = {}
+            for sector, p in sectors.items():
+                m = p @ ts @ p
+                traces[sector] = (np.trace(m, axis1=1, axis2=2),
+                                  np.trace(m @ m, axis1=1, axis2=2))
+        for offset, blocks in enumerate(block_decompose(ts, protocol.n)):
+            index = start + offset
+            angles = tuple(batch[offset])
+            if protocol.n == 3:
+                f = sv3_block_functions(angles, constants.s)
+                for i, block in enumerate(blocks):
+                    if (abs(block[0, 0].real - f[2 * i]) > 1e-10
+                            or abs(block[0, 1] - f[2 * i + 1]) > 1e-10):
+                        failures.append(f"sample {index}: block {i} mismatch")
+                for (x1, x2), (trace, square) in traces.items():
+                    direct = trace[offset].real ** 2 - square[offset].real
+                    got = projector_lambda(angles, constants.s, x1, x2)
+                    if abs(got - direct) > 1e-10:
+                        failures.append(
+                            f"sample {index}: sector ({x1},{x2}) mismatch")
+            else:
+                f1, f2 = sv4_block_functions(angles, constants.s)
+                block = blocks[0]
+                if (abs(block[0, 0].real - f1) > 1e-10
+                        or abs(block[1, 0] - f2) > 1e-10):
+                    failures.append(f"sample {index}: outer block mismatch")
+                deter = sv4_determinant(angles, constants.s)
+                if abs(deter - (f1 ** 2 - abs(f2) ** 2)) > 1e-9:
+                    failures.append(f"sample {index}: determinant mismatch")
+                sylvester_pd = f1 > 1e-9 and deter > 1e-9
+                lower = f1 - abs(f2)
+                if sylvester_pd and lower < -1e-9:
                     failures.append(
-                        f"sample {index}: sector ({x1},{x2}) mismatch")
-        else:
-            f1, f2 = sv4_block_functions(angles, constants.s)
-            block = blocks[0]
-            if (abs(block[0, 0].real - f1) > 1e-10
-                    or abs(block[1, 0] - f2) > 1e-10):
-                failures.append(f"sample {index}: outer block mismatch")
-            deter = sv4_determinant(angles, constants.s)
-            if abs(deter - (f1 ** 2 - abs(f2) ** 2)) > 1e-9:
-                failures.append(f"sample {index}: determinant mismatch")
-            sylvester_pd = f1 > 1e-9 and deter > 1e-9
-            lower = f1 - abs(f2)
-            if sylvester_pd and lower < -1e-9:
-                failures.append(f"sample {index}: sylvester false positive")
-            if lower > 1e-9 and (f1 < -1e-9 or deter < -1e-9):
-                failures.append(f"sample {index}: sylvester false negative")
+                        f"sample {index}: sylvester false positive")
+                if lower > 1e-9 and (f1 < -1e-9 or deter < -1e-9):
+                    failures.append(
+                        f"sample {index}: sylvester false negative")
     return {
         "family": protocol.family,
         "n": protocol.n,

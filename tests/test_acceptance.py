@@ -178,16 +178,25 @@ def test_criterion_5_tradeoff_curve_thresholds():
     assert crossing <= 1e-12
 
 
+def certificates(protocol, angles, constants, size=100):
+    """(angle tuple, T) per row of ``angles``, from batched ``build_T`` calls
+    of at most ``size`` rows."""
+    for start in range(0, len(angles), size):
+        rows = angles[start:start + size]
+        yield from zip(rows, build_T(protocol, rows, constants.s,
+                                     constants.mu))
+
+
 def test_criterion_6_closed_form_oracle_equivalence():
+    # One (1000, n) draw is the same stream as 1000 draws of n.
     rng = np.random.default_rng(20260823)
     sv3 = BellProtocol(SVETLICHNY, 3)
     c3 = catalog_constants(sv3)
     block_dev = 0.0
-    for _ in range(1000):
-        angles = tuple(rng.uniform(0.0, math.pi / 4, size=3))
-        f = sv3_block_functions(angles, c3.s)
-        blocks = block_decompose(build_T(sv3, angles, c3.s, c3.mu), 3)
-        for i, block in enumerate(blocks):
+    for row, t in certificates(sv3, rng.uniform(0.0, math.pi / 4,
+                                                 size=(1000, 3)), c3):
+        f = sv3_block_functions(tuple(row), c3.s)
+        for i, block in enumerate(block_decompose(t, 3)):
             block_dev = max(block_dev,
                             abs(block[0, 0].real - f[2 * i]),
                             abs(block[1, 1].real - f[2 * i]),
@@ -195,29 +204,27 @@ def test_criterion_6_closed_form_oracle_equivalence():
     sv4 = BellProtocol(SVETLICHNY, 4)
     c4 = catalog_constants(sv4)
     deter_dev = 0.0
-    for _ in range(1000):
-        angles = tuple(rng.uniform(0.0, math.pi / 4, size=4))
+    for row in rng.uniform(0.0, math.pi / 4, size=(1000, 4)):
+        angles = tuple(row)
         f1, f2 = sv4_block_functions(angles, c4.s)
         deter_dev = max(deter_dev, abs(sv4_determinant(angles, c4.s)
                                        - (f1 ** 2 - abs(f2) ** 2)))
     lambda_dev = 0.0
-    for _ in range(1000):
-        angles = tuple(rng.uniform(0.0, math.pi / 4, size=3))
-        t = build_T(sv3, angles, c3.s, c3.mu)
+    for row, t in certificates(sv3, rng.uniform(0.0, math.pi / 4,
+                                                 size=(1000, 3)), c3):
         for x1 in (0, 1):
             for x2 in (0, 1):
                 p = parity_projector(x1, x2)
                 m = p @ t @ p
                 direct = np.trace(m).real ** 2 - np.trace(m @ m).real
                 lambda_dev = max(lambda_dev,
-                                 abs(projector_lambda(angles, c3.s, x1, x2)
-                                     - direct))
+                                 abs(projector_lambda(tuple(row), c3.s, x1,
+                                                      x2) - direct))
     multiset_dev = 0.0
     for protocol in ALL_PROTOCOLS:
         constants = catalog_constants(protocol)
-        for _ in range(1000):
-            angles = tuple(rng.uniform(0.0, math.pi / 2, size=protocol.n))
-            t = build_T(protocol, angles, constants.s, constants.mu)
+        for _, t in certificates(protocol, rng.uniform(
+                0.0, math.pi / 2, size=(1000, protocol.n)), constants):
             pairs = []
             for block in block_decompose(t, protocol.n):
                 pairs.extend(eig2x2_hermitian(block[0, 0].real, block[0, 1]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from ghzcert.linalg import hermitian_eigenvalues, is_persymmetric
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.verifier
-from ghzcert.verifier import (MAX_CROSSCHECK_SAMPLES, CertificateConstants,
+from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
+                              CertificateConstants,
                               GridSpec, StructureViolation,
                               _min_block_over_axes,
                               block_decompose, block_unitary, build_T,
@@ -557,11 +559,67 @@ def test_closed_form_crosscheck_rejects_empty_sample():
 
 
 def test_closed_form_crosscheck_sample_limit(monkeypatch):
-    # The largest run takes about half a minute; stopping at the first
-    # certificate shows the limit itself is accepted.
+    # The largest run takes about seven seconds; stopping at the first
+    # chunk of certificates shows the limit itself is accepted.
     protocol = BellProtocol(SVETLICHNY, 4)
     monkeypatch.setattr(ghzcert.verifier, "build_T", stop_past_validation)
     with pytest.raises(PastValidation):
         closed_form_crosscheck(protocol, samples=MAX_CROSSCHECK_SAMPLES)
     with pytest.raises(ValueError, match="at most 100000, got 100001"):
         closed_form_crosscheck(protocol, samples=MAX_CROSSCHECK_SAMPLES + 1)
+
+
+def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
+        monkeypatch):
+    # One (k, n) draw per chunk is the same stream as one draw of n per
+    # sample, and every drawn tuple reaches the closed forms once, in order.
+    for n, name in ((3, "sv3_block_functions"), (4, "sv4_block_functions")):
+        chunk = CROSSCHECK_CHUNK_ENTRIES // 4 ** n
+        original = getattr(ghzcert.verifier, name)
+        for samples in (chunk - 1, chunk, chunk + 1):
+            seen = []
+
+            def recording(angles, s):
+                seen.append(angles)
+                return original(angles, s)
+
+            monkeypatch.setattr(ghzcert.verifier, name, recording)
+            report = closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
+                                            samples=samples, seed=11)
+            assert report["passed"] and report["samples"] == samples
+            rng = np.random.default_rng(11)
+            assert seen == [tuple(rng.uniform(0.0, math.pi / 4, size=n))
+                            for _ in range(samples)]
+
+
+def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
+    protocol = BellProtocol(SVETLICHNY, 4)
+    chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
+    target = chunk + 3
+    original = ghzcert.verifier.sv4_block_functions
+    calls = []
+
+    def perturbed(angles, s):
+        # -f2 keeps |f2|, so only the block entry check sees the change.
+        f1, f2 = original(angles, s)
+        calls.append(angles)
+        return (f1, -f2) if len(calls) == target + 1 else (f1, f2)
+
+    monkeypatch.setattr(ghzcert.verifier, "sv4_block_functions", perturbed)
+    report = closed_form_crosscheck(protocol, samples=3 * chunk, seed=5)
+    assert len(calls) == 3 * chunk
+    assert report["failures"] == [f"sample {target}: outer block mismatch"]
+    assert not report["passed"]
+
+
+def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
+    protocol = BellProtocol(SVETLICHNY, 4)
+    closed_form_crosscheck(protocol, samples=1)
+    tracemalloc.start()
+    try:
+        report = closed_form_crosscheck(protocol, samples=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak < 2_000_000
