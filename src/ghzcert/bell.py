@@ -119,19 +119,18 @@ def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
     return float(alpha)
 
 
-def check_angles(angles: Sequence[float] | np.ndarray, n: int,
-                 upper: float = math.pi / 2) -> np.ndarray:
+def check_angles(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
     """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
 
     ValueError for any other shape and for any angle, NaN and +-inf
-    included, outside [0, upper] (pi/2 or pi/4).
+    included, outside [0, pi/2].
     """
     a = np.asarray(angles, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
         raise ValueError(f"expected {n} angles per tuple, got shape {a.shape}")
-    inside = (-ANGLE_SLACK <= a) & (a <= upper + ANGLE_SLACK)
+    inside = (-ANGLE_SLACK <= a) & (a <= math.pi / 2 + ANGLE_SLACK)
     if not inside.all():
-        check_angle(a[~inside][0], upper)  # raises, naming the first one
+        check_angle(a[~inside][0])  # raises, naming the first one
     return a
 
 

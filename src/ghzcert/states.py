@@ -82,8 +82,9 @@ class DephasingChannel:
 
     def __post_init__(self) -> None:
         shape = np.shape(self.angles)
-        if not shape or shape[-1] == 0:
-            raise ValueError("channel needs at least one site")
+        if not shape or 0 in shape:
+            raise ValueError(f"channel needs at least one site and one angle "
+                             f"tuple, got shape {shape}")
         a = check_angles(self.angles, shape[-1])
         values = a.tolist()
         object.__setattr__(self, "angles", tuple(map(tuple, values))
@@ -93,9 +94,16 @@ class DephasingChannel:
     def n(self) -> int:
         return np.shape(self.angles)[-1]
 
+    def _single(self) -> "DephasingChannel":
+        """The channel itself; ValueError if it holds a batch of tuples."""
+        if np.ndim(self.angles) == 2:
+            raise ValueError(f"expected a channel of one angle tuple, got a "
+                             f"batch of {len(self.angles)}")
+        return self
+
     def kraus_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Kraus pair of each site of a one-tuple channel."""
-        return [kraus_pair(a) for a in self.angles]
+        """Kraus pair of each site; ValueError on a batch of tuples."""
+        return [kraus_pair(a) for a in self._single().angles]
 
 
 def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
@@ -132,8 +140,12 @@ def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
 
 
 def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel) -> bool:
-    """Check that both the input and its channel image are persymmetric."""
-    return is_persymmetric(rho) and is_persymmetric(apply_channel(rho, channel))
+    """Check that both the input and its channel image are persymmetric.
+
+    ``channel`` must hold one angle tuple; ValueError for a batch.
+    """
+    return is_persymmetric(rho) and is_persymmetric(
+        apply_channel(rho, channel._single()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -70,7 +70,15 @@ CROSSCHECK_CHUNK_ENTRIES = 2 ** 13
 
 
 class StructureViolation(Exception):
-    """Raised when a matrix lacks the diagonal-plus-antidiagonal structure."""
+    """Raised when a matrix lacks the diagonal-plus-antidiagonal structure.
+
+    ``index`` is the offending matrix's place in its batch, 0 for a single
+    matrix.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -226,7 +234,7 @@ def block_decompose(t: np.ndarray, n: int) -> list:
         index = int(np.argmax(worst))
         raise StructureViolation(
             f"off-block weight {worst[index]} of matrix {index} exceeds "
-            f"tolerance {_BLOCK_RESIDUE_TOL}")
+            f"tolerance {_BLOCK_RESIDUE_TOL}", index)
     blocks = [list(matrix) for matrix in flat[:, on_block]]
     return blocks if t.ndim == 3 else blocks[0]
 
@@ -510,7 +518,14 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
                 m = p @ ts @ p
                 traces[sector] = (np.trace(m, axis1=1, axis2=2),
                                   np.trace(m @ m, axis1=1, axis2=2))
-        for offset, blocks in enumerate(block_decompose(ts, protocol.n)):
+        try:
+            decomposed = block_decompose(ts, protocol.n)
+        except StructureViolation as exc:
+            index = start + exc.index
+            raise StructureViolation(
+                f"sample {index}: certificate matrix has off-block weight "
+                f"above tolerance {_BLOCK_RESIDUE_TOL}", index) from exc
+        for offset, blocks in enumerate(decomposed):
             index = start + offset
             angles = tuple(batch[offset])
             if protocol.n == 3:

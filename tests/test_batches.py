@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator
-from ghzcert.states import DephasingChannel, apply_channel, ghz_state
+from ghzcert.states import (DephasingChannel, apply_channel, ghz_state,
+                            persymmetry_preserved)
 from ghzcert.verifier import (StructureViolation, block_decompose, build_T,
                               catalog_constants)
 
@@ -102,9 +103,14 @@ def test_wrong_angle_shape_is_refused(route):
 
 
 def test_channel_refuses_empty_and_ragged_angles():
-    for angles in ((), ((),), ((0.1, 0.2), (0.3,))):
+    for angles in ((), ((),), ((0.1, 0.2), (0.3,)), np.empty((0, 3))):
         with pytest.raises(ValueError):
             DephasingChannel(angles)
+    batched = DephasingChannel(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+    with pytest.raises(ValueError, match="batch of 2"):
+        batched.kraus_pairs()
+    with pytest.raises(ValueError, match="batch of 2"):
+        persymmetry_preserved(ghz_state(BellProtocol(SVETLICHNY, 3)), batched)
 
 
 def test_batched_block_decompose_equals_single_calls():

@@ -612,6 +612,30 @@ def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
     assert not report["passed"]
 
 
+def test_closed_form_crosscheck_structure_violation_names_its_global_sample(
+        monkeypatch):
+    protocol = BellProtocol(SVETLICHNY, 3)
+    chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
+    target = chunk + 3
+    original = ghzcert.verifier.build_T
+    assembled = [0]
+
+    def unstructured(protocol, angles, s, mu):
+        # Adds off-block weight to the target sample's certificate only.
+        ts = original(protocol, angles, s, mu)
+        offset = target - assembled[0]
+        if 0 <= offset < len(ts):
+            ts[offset, 0, 1] = 1e-9
+        assembled[0] += len(ts)
+        return ts
+
+    monkeypatch.setattr(ghzcert.verifier, "build_T", unstructured)
+    with pytest.raises(StructureViolation,
+                       match=f"^sample {target}: ") as caught:
+        closed_form_crosscheck(protocol, samples=3 * chunk)
+    assert caught.value.index == target
+
+
 def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
     protocol = BellProtocol(SVETLICHNY, 4)
     closed_form_crosscheck(protocol, samples=1)
