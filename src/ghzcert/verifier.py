@@ -17,10 +17,13 @@ way on every site, so permuting the parties maps block b at angles alpha to
 block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant
 on each permutation orbit of a grid, and the scan evaluates one sorted angle
 tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
-2^(n-1) pairs at once, each block entry read off a ``sign_products`` table.
-Refinement stencils shrink the same way along axes that coincide.  A grid
-pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before
-anything is allocated.
+2^(n-1) pairs at once, each block entry read off one of two
+``sign_products`` tables (the channel corner shares the diagonal's).  The
+points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
+evaluations, so the tables do not grow with the grid.  Refinement stencils
+shrink the same way along axes that coincide.  A grid pass above
+``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before anything is
+allocated.
 
 Independent routes cross-check the reduction:
 
@@ -56,9 +59,14 @@ _BLOCK_RESIDUE_TOL = 1e-12
 # Rounds of local refinement around a grid minimum near zero.
 REFINEMENT_DEPTH = 6
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
-# (canonical points times pairs).  A scan peaks at about 82 bytes per
-# evaluation, so the largest accepted one stays under about 650 MB.
+# (canonical points times pairs).  The largest accepted pass, n = 3 on grid
+# 227, peaks at about 165 MB resident, most of it the canonical index
+# tuples; the scan's tables are bounded by the chunk size below.
 MAX_BLOCK_EVALUATIONS = 8_000_000
+# Block evaluations per chunk of the scan kernel, about 0.5 MB per table:
+# 4096 canonical points at n = 4.  The fastest of 2^13 to 2^17 at n = 4 on
+# grid 31.
+SCAN_CHUNK_EVALUATIONS = 2 ** 15
 # Most samples closed_form_crosscheck draws, at about 0.07 ms each (n = 4)
 # and 0.1 ms (n = 3).
 MAX_CROSSCHECK_SAMPLES = 100_000
@@ -239,6 +247,15 @@ def block_decompose(t: np.ndarray, n: int) -> list:
     return blocks if t.ndim == 3 else blocks[0]
 
 
+def _factor_rows(records: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The two site factors of ``records`` at the points of ``cols``.
+
+    ``records`` holds one pair of factors per axis value and ``cols`` one
+    row of value indices per site; the result has shape (2, sites, points).
+    """
+    return np.moveaxis(np.take(records, cols, axis=0, mode="clip"), -1, 0)
+
+
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                          axes: Sequence[np.ndarray]):
     """Minimum block lower-eigenvalue over a product grid of angles.
@@ -247,40 +264,70 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     the closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
     block, where D and K_c are the diagonal and corner entries of the channel
     output and W_c the corner entry of the Bell operator.  Each sums the
-    per-site products of pair b and its complement, rows of one
-    ``sign_products`` table dropped once reduced.  Permuting parties
-    maps block b at a point to block pi(b) at the permuted point, so the
-    minimum over all pairs is the same on every point of a permutation orbit
-    and only one tuple per orbit (``canonical_indices``) is evaluated.
-    Returns the minimum, its angles, the binding pair and the number of
-    block evaluations.
+    per-site products of pair b and its complement, rows of a
+    ``sign_products`` table.  Permuting parties maps block b at a point to
+    block pi(b) at the permuted point, so the minimum over all pairs is the
+    same on every point of a permutation orbit and only one tuple per orbit
+    (``canonical_indices``) is evaluated.
+
+    The canonical points are walked in chunks of about
+    ``SCAN_CHUNK_EVALUATIONS`` block evaluations, so the working set does
+    not grow with the grid.  Each chunk builds two tables, the diagonal's
+    and the Bell corner's.  The channel corner's site factors
+    (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
+    dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1, so its
+    table is the diagonal table with, at each point, the rows that take the
+    minus factor of a site beyond pi/4 negated.  Ties go to the first pair,
+    then the first canonical point, as one ``argmin`` over the whole grid
+    would choose.  Returns the minimum, its angles, the binding pair and the
+    number of block evaluations.
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
     idx = canonical_indices(axes)
-    quarter = [a <= math.pi / 4 + ANGLE_SLACK for a in axes]
-    g_axes = [g_values(a) for a in axes]
-
-    def at_points(per_axis):
-        return np.array([values[i] for values, i in zip(per_axis, idx)])
-
-    gs = at_points(g_axes)
-    table = sign_products(1.0 + gs, 1.0 - gs)
-    low = scale * (table[:half] + table[::-1][:half]) - mu
-    del gs, table
-    dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
-    dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
-    corner = conjugate_pair_sum(sign_products(dx + dy, dx - dy),
-                                scale * ghz_phase(protocol))
-    del dx, dy
-    w = corner_entries(protocol, at_points([np.cos(a) for a in axes]),
-                       at_points([np.sin(a) for a in axes]))
-    corner.real -= s * w.real
-    corner.imag -= s * w.imag
-    low -= np.abs(corner)
-    pair, k = divmod(int(np.argmin(low)), low.shape[1])
+    # The site factors at every axis value, all axes end to end: 1 + g and
+    # 1 - g of the diagonal, cos and sin of the Bell corner, one record of
+    # two per value.  Offsetting each axis's indices by its start reads a
+    # chunk's factors at every site with one ``np.take``; mode="clip" is
+    # the faster mode and clips nothing, every index being in range.
+    g = np.concatenate([g_values(a) for a in axes])
+    diagonal = np.stack([1.0 + g, 1.0 - g], axis=1)
+    trig = np.stack([np.concatenate([np.cos(a) for a in axes]),
+                     np.concatenate([np.sin(a) for a in axes])], axis=1)
+    beyond = ~(np.concatenate(axes) <= math.pi / 4 + ANGLE_SLACK)
+    flips = bool(beyond.any())
+    offsets = np.cumsum([0] + [len(a) for a in axes[:-1]])[:, None]
+    channel_z = scale * ghz_phase(protocol)
+    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
+    best = None
+    for start in range(0, idx.shape[1], step):
+        cols = idx[:, start:start + step] + offsets
+        table = sign_products(*_factor_rows(diagonal, cols))
+        low = table[:half] + table[::-1][:half]
+        low *= scale
+        low -= mu
+        if flips:
+            for j, flip in enumerate(np.take(beyond, cols, mode="clip")):
+                minus_rows = table.reshape(2 ** j, 2, -1, flip.size)[:, 1]
+                np.negative(minus_rows, out=minus_rows, where=flip)
+        # Each table is dropped once combined into its corner.
+        corner = conjugate_pair_sum(table, channel_z)
+        del table
+        w = corner_entries(protocol, *_factor_rows(trig, cols))
+        w.real *= s
+        w.imag *= s
+        corner -= w
+        del w
+        low -= np.abs(corner)
+        pair, k = divmod(int(np.argmin(low)), low.shape[1])
+        value = float(low[pair, k])
+        # An earlier chunk holds earlier points, so it keeps a tie unless
+        # the later one binds at a smaller pair.
+        if best is None or (value, pair) < best[:2]:
+            best = value, pair, start + k
+    value, pair, k = best
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
-    return float(low[pair, k]), point, pair, low.size
+    return value, point, pair, half * idx.shape[1]
 
 
 def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,

@@ -11,7 +11,8 @@ oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
 orbit reduction of the package kernels can be checked against them.
 ``complex_corner_entries`` and ``complex_min_block_over_axes`` are the
-per-pair route to the corner closed form and the orbit-reduced scan: one
+per-pair route to the corner closed form and the orbit-reduced scan, with
+``channel_corner_factors`` the channel corner's site factors: one
 ``signed_site_product`` per pair table and sign, corner algebra in complex
 arrays; the package's sign tables and real arithmetic must match them bit
 for bit.  The small helpers after the Pauli algebra (``kron``,
@@ -354,6 +355,18 @@ def complex_corner_entries(protocol, cs: np.ndarray,
             + np.conj(zc) * signed_site_product(cs, sn, sig))
 
 
+def channel_corner_factors(alpha: np.ndarray) -> tuple:
+    """Per-site factors (dx, dy) of the channel's corner products.
+
+    The dephasing axis is X up to pi/4 (+ ``ANGLE_SLACK``), where
+    (dx, dy) = (1, g), and Y beyond, where (dx, dy) = (g, 1); the corner
+    products take dx + dy and dx - dy at each site.
+    """
+    g = g_values(alpha)
+    quarter = alpha <= math.pi / 4 + ANGLE_SLACK
+    return np.where(quarter, 1.0, g), np.where(quarter, g, 1.0)
+
+
 def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     """Orbit-reduced scan minimum in complex arithmetic.
 
@@ -363,17 +376,16 @@ def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     n = protocol.n
     psi = ghz_phase(protocol)
     idx = canonical_indices(axes)
-    quarter = [a <= math.pi / 4 + ANGLE_SLACK for a in axes]
-    g_axes = [g_values(a) for a in axes]
 
     def at_points(per_axis):
         return np.array([values[i] for values, i in zip(per_axis, idx)])
 
     cs = at_points([np.cos(a) for a in axes])
     sn = at_points([np.sin(a) for a in axes])
-    dx = at_points([np.where(q, 1.0, g) for q, g in zip(quarter, g_axes)])
-    dy = at_points([np.where(q, g, 1.0) for q, g in zip(quarter, g_axes)])
-    gs = at_points(g_axes)
+    factors = [channel_corner_factors(a) for a in axes]
+    dx = at_points([f[0] for f in factors])
+    dy = at_points([f[1] for f in factors])
+    gs = at_points([g_values(a) for a in axes])
     ones = np.ones_like(gs)
     sig = pair_sign_matrix(n)
     scale = 1.0 / 2 ** (n + 1)

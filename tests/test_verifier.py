@@ -379,6 +379,61 @@ def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
                                                axes))
 
 
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
+                         ids=lambda p: f"{p.family}-{p.n}")
+def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
+                                                     points):
+    # Chunks of one and of three canonical points put chunk boundaries
+    # between neighbouring points all over the grid.
+    n = protocol.n
+    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
+                        points * 2 ** (n - 1))
+    constants = catalog_constants(protocol)
+    cases = [([np.linspace(0.0, math.pi / 4, 11 if n == 5 else 21)] * n,
+              constants.s),
+             ([np.linspace(0.0, math.pi / 2, 7)] * n, constants.s),
+             ([np.linspace(0.0, math.pi / 2, 7)] * n, 1.1 * constants.s)]
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        # Every axis of the stencil straddles pi/4; three points per axis
+        # keep the n = 5 stencils at 3^5 points.
+        h = rng.uniform(1e-4, 0.2)
+        centres = rng.uniform(math.pi / 4 - h, math.pi / 4 + h, size=n)
+        cases.append(([np.linspace(c - h, c + h, 3) for c in centres],
+                      constants.s * rng.uniform(0.5, 1.5)))
+    for axes, s in cases:
+        assert (_min_block_over_axes(protocol, s, constants.mu, axes)
+                == complex_min_block_over_axes(protocol, s, constants.mu,
+                                               axes))
+
+
+@pytest.mark.parametrize("x, s, pairs, binding", [
+    # The later point binds at the smaller pair and wins.
+    (0.29, 0.117, (2, 1), (0.0, 0.29, 0.29)),
+    # Both bind at pair 0, so the earlier point wins.
+    (1.28, -1.108, (0, 0), (1.28, 1.28, 0.0)),
+])
+def test_scan_chunks_keep_first_pair_then_first_point(monkeypatch, x, s,
+                                                      pairs, binding):
+    # The grid {x, 0} x {x} x {0, x} holds (x, x, 0) first and (0, x, x)
+    # last.  Every factor at angle 0 is exactly 1, so the two points form
+    # the same products of the same factors and tie bit for bit; with one
+    # point (four pairs) per chunk the tie lies across chunk boundaries.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    mu = catalog_constants(protocol).mu
+    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS", 4)
+    ends = [_min_block_over_axes(protocol, s, mu,
+                                 [np.array([a]) for a in point])
+            for point in ((x, x, 0.0), (0.0, x, x))]
+    assert ends[0][0] == ends[1][0]
+    assert (ends[0][2], ends[1][2]) == pairs
+    axes = [np.array([x, 0.0]), np.array([x]), np.array([0.0, x])]
+    result = _min_block_over_axes(protocol, s, mu, axes)
+    assert result == (ends[0][0], binding, min(pairs), 4 * 4)
+    assert result == complex_min_block_over_axes(protocol, s, mu, axes)
+
+
 def test_min_eig_over_grid_reports_scan_size():
     protocol = BellProtocol(SVETLICHNY, 4)
     constants = catalog_constants(protocol)
@@ -647,3 +702,20 @@ def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
         tracemalloc.stop()
     assert report["passed"]
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("n, grid, bound", [(4, 31, 8_000_000),
+                                            (5, 33, 100_000_000)])
+def test_min_eig_over_grid_memory_is_bounded(n, grid, bound):
+    # The chunked kernel keeps a few tables of about 2^15 block evaluations
+    # each; the canonical index array is what still grows with the grid.
+    constants = catalog_constants(BellProtocol(SVETLICHNY, n))
+    min_eig_over_grid(constants, GridSpec(points_per_axis=3))
+    tracemalloc.start()
+    try:
+        report = min_eig_over_grid(constants, GridSpec(points_per_axis=grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < bound
