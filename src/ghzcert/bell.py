@@ -43,9 +43,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (HERMITICITY_TOL, canonical_indices, conjugate_pair_sum,
-                     contract_site, interleaved_to_matrix,
-                     least_block_eigenvalue, sign_products, x_blocks)
+from .linalg import (HERMITICITY_TOL, SCAN_CHUNK_EVALUATIONS,
+                     canonical_indices, conjugate_pair_sum, contract_site,
+                     interleaved_to_matrix, least_block_eigenvalue,
+                     sign_products, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -119,18 +120,19 @@ def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
     return float(alpha)
 
 
-def check_angles(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+def check_angles(angles: Sequence[float] | np.ndarray, n: int,
+                 upper: float = math.pi / 2) -> np.ndarray:
     """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
 
     ValueError for any other shape and for any angle, NaN and +-inf
-    included, outside [0, pi/2].
+    included, outside [0, upper] (pi/2 or pi/4).
     """
     a = np.asarray(angles, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
         raise ValueError(f"expected {n} angles per tuple, got shape {a.shape}")
-    inside = (-ANGLE_SLACK <= a) & (a <= math.pi / 2 + ANGLE_SLACK)
+    inside = (-ANGLE_SLACK <= a) & (a <= upper + ANGLE_SLACK)
     if not inside.all():
-        check_angle(a[~inside][0])  # raises, naming the first one
+        check_angle(a[~inside][0], upper)  # raises, naming the first one
     return a
 
 
@@ -245,11 +247,16 @@ def corner_entries(protocol: BellProtocol, cs: np.ndarray,
                               corner_coefficient(protocol))
 
 
+@functools.lru_cache(maxsize=None)
 def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:
-    """Functional coefficients c(x) as an array indexed by the setting bits."""
+    """Functional coefficients c(x) as an array indexed by the setting bits.
+
+    Built once per scenario and shared read-only by every caller.
+    """
     c = np.zeros((2,) * protocol.n)
     for x, value in functional_coefficients(protocol).items():
         c[x] = value
+    c.setflags(write=False)
     return c
 
 
@@ -324,11 +331,20 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
 
     The magnitudes of all pairs at a point are permuted along with the
     parties, so only one sorted angle tuple per permutation orbit is
-    evaluated (``canonical_indices``), all 2^(n-1) pairs at once.
+    evaluated (``canonical_indices``), all 2^(n-1) pairs at once.  The
+    points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
+    evaluations, as the certificate scan walks them, so the tables do not
+    grow with the grid.
     """
     idx = canonical_indices([grid] * protocol.n)
-    entries = corner_entries(protocol, np.cos(grid)[idx], np.sin(grid)[idx])
-    return float(np.max(np.abs(entries)))
+    cs, sn = np.cos(grid), np.sin(grid)
+    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (protocol.n - 1))
+    best = 0.0
+    for start in range(0, idx.shape[1], step):
+        cols = idx[:, start:start + step]
+        entries = corner_entries(protocol, cs[cols], sn[cols])
+        best = max(best, float(np.max(np.abs(entries))))
+    return best
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:

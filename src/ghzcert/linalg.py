@@ -14,6 +14,7 @@ tests.
 """
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 # |m - J m^T J| entry a persymmetric one may have.
 HERMITICITY_TOL = 1e-10
 _PERSYMMETRY_TOL = 1e-10
+# Block evaluations (points times pairs) per chunk of a walk over canonical
+# grid points, about 0.5 MB per table: 4096 points at n = 4.  The fastest
+# of 2^13 to 2^17 for the certificate scan at n = 4 on grid 31; the
+# quantum-bound grid check walks its points in chunks of the same size.
+SCAN_CHUNK_EVALUATIONS = 2 ** 15
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -58,10 +64,16 @@ def contract_site(tensor: np.ndarray, axes: Tuple[int, ...],
     ``operators`` of shape (k, d, 4) in one batched matmul.  The site's
     output row and column indices are appended at the end.
     """
-    lhs = np.moveaxis(tensor, axes, tuple(range(-len(axes), 0)))
+    lhs = tensor.transpose(_axes_last(tensor.ndim, axes))
     rest = lhs.shape[:-len(axes)]
     return np.matmul(lhs.reshape(len(tensor), -1, operators.shape[1]),
                      operators).reshape(rest + (2, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _axes_last(ndim: int, axes: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The axis order that moves ``axes``, in their order, behind the rest."""
+    return tuple(i for i in range(ndim) if i not in axes) + axes
 
 
 def interleaved_to_matrix(tensor: np.ndarray) -> np.ndarray:
@@ -89,20 +101,24 @@ def outer_all(factors: Sequence[np.ndarray]) -> np.ndarray:
 def sorted_index_tuples(size: int, length: int) -> np.ndarray:
     """All nondecreasing index tuples over range(size), in lexicographic order.
 
-    Returns an integer array of shape (C(size + length - 1, length), length)
-    holding one representative of every orbit of range(size)^length under
-    permutations of the coordinates.  Each step appends a coordinate that
-    runs from the previous row's last entry up to size - 1.
+    Returns an array of shape (C(size + length - 1, length), length) holding
+    one representative of every orbit of range(size)^length under
+    permutations of the coordinates, in the smallest unsigned dtype that
+    holds size - 1 (uint8 for every grid the certificate scan admits).  Each
+    step appends a coordinate that runs from the previous row's last entry
+    up to size - 1.
     """
     if size < 1 or length < 1:
         raise ValueError("need a positive size and length")
-    tuples = np.arange(size).reshape(-1, 1)
+    dtype = np.min_scalar_type(size - 1)
+    tuples = np.arange(size, dtype=dtype).reshape(-1, 1)
     for _ in range(length - 1):
-        last = tuples[:, -1]
+        last = tuples[:, -1].astype(np.intp)
         counts = size - last
         starts = np.repeat(np.cumsum(counts) - counts - last, counts)
+        column = np.arange(len(starts)) - starts
         tuples = np.column_stack([np.repeat(tuples, counts, axis=0),
-                                  np.arange(int(counts.sum())) - starts])
+                                  column.astype(dtype)])
     return tuples
 
 
@@ -113,7 +129,8 @@ def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
     indices are nondecreasing within every group.  Groups are combined as a
     Cartesian product, the first group varying slowest.  Returns an integer
     array of shape (len(axes), number of canonical tuples) whose row j
-    indexes ``axes[j]``.
+    indexes ``axes[j]``.  Each group's tuples are built in the small dtype
+    of ``sorted_index_tuples``; the result is numpy's index type, intp.
     """
     if not axes:
         raise ValueError("canonical_indices requires at least one axis")

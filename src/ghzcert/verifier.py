@@ -30,12 +30,15 @@ Independent routes cross-check the reduction:
 * ``block_decompose`` reads each 2 x 2 block of the assembled matrix off its
   index pair and fails loudly if any off-block weight remains;
   ``block_unitary``, the pairing permutation, is its reference.
-* ``sv3_block_functions`` / ``sv4_block_functions`` are hand-expanded scalar
+* ``sv3_block_functions`` / ``sv4_block_functions`` are hand-expanded
   formulas for the block entries of the three- and four-party Svetlichny
   certificates, with ``sv4_determinant`` and ``projector_lambda`` covering
-  the determinant and parity-sector routes.
+  the determinant and parity-sector routes.  Each takes one angle tuple or
+  a batch of them and runs the same numpy expressions on both.
 * ``closed_form_crosscheck`` samples random angle tuples and confirms all of
-  the above against the matrix route, assembled in batches of tuples.
+  the above against the matrix route in batches of tuples: one ``build_T``
+  call and one call of each closed form per batch, each check one boolean
+  mask over the batch.
 """
 from __future__ import annotations
 
@@ -48,9 +51,9 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angle, corner_entries, ghz_phase)
-from .linalg import (canonical_indices, conjugate_pair_sum, outer_all,
-                     sign_products)
+                   build_operator, check_angles, corner_entries, ghz_phase)
+from .linalg import (SCAN_CHUNK_EVALUATIONS, canonical_indices,
+                     conjugate_pair_sum, outer_all, sign_products)
 from .root2 import Root2
 from .states import DephasingChannel, apply_channel, g_values, ghz_state
 
@@ -60,15 +63,11 @@ _BLOCK_RESIDUE_TOL = 1e-12
 REFINEMENT_DEPTH = 6
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
 # (canonical points times pairs).  The largest accepted pass, n = 3 on grid
-# 227, peaks at about 165 MB resident, most of it the canonical index
-# tuples; the scan's tables are bounded by the chunk size below.
+# 227, peaks at about 90 MB resident, most of it the canonical index
+# tuples; the scan's tables are bounded by SCAN_CHUNK_EVALUATIONS.
 MAX_BLOCK_EVALUATIONS = 8_000_000
-# Block evaluations per chunk of the scan kernel, about 0.5 MB per table:
-# 4096 canonical points at n = 4.  The fastest of 2^13 to 2^17 at n = 4 on
-# grid 31.
-SCAN_CHUNK_EVALUATIONS = 2 ** 15
-# Most samples closed_form_crosscheck draws, at about 0.07 ms each (n = 4)
-# and 0.1 ms (n = 3).
+# Most samples closed_form_crosscheck draws, at about 0.03 ms each (n = 3)
+# and 0.04 ms (n = 4), nearly all of it the batched matrix route.
 MAX_CROSSCHECK_SAMPLES = 100_000
 # Most matrix entries, k 4^n over a chunk of k samples, that
 # closed_form_crosscheck assembles in one batched build_T call: 32 samples
@@ -230,6 +229,16 @@ def block_decompose(t: np.ndarray, n: int) -> list:
     the diagonal and antidiagonal exceeds ``_BLOCK_RESIDUE_TOL`` (1e-12).
     """
     t = np.asarray(t, dtype=complex)
+    blocks = [list(matrix) for matrix in _block_array(t, n)]
+    return blocks if t.ndim == 3 else blocks[0]
+
+
+def _block_array(t: np.ndarray, n: int) -> np.ndarray:
+    """The blocks of ``block_decompose`` as one array, with the same checks.
+
+    One matrix or a batch of k gives shape (k, 2^(n-1), 2, 2), k = 1 for one
+    matrix; ``t`` must already be a complex array.
+    """
     dim = 2 ** n
     if t.ndim not in (2, 3) or t.shape[-2:] != (dim, dim):
         raise ValueError(f"expected {dim} x {dim} matrices, got {t.shape}")
@@ -243,8 +252,7 @@ def block_decompose(t: np.ndarray, n: int) -> list:
         raise StructureViolation(
             f"off-block weight {worst[index]} of matrix {index} exceeds "
             f"tolerance {_BLOCK_RESIDUE_TOL}", index)
-    blocks = [list(matrix) for matrix in flat[:, on_block]]
-    return blocks if t.ndim == 3 else blocks[0]
+    return flat[:, on_block]
 
 
 def _factor_rows(records: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -400,24 +408,30 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
                                block_evaluations=evaluations)
 
 
-def _closed_form_g(angles: Sequence[float]) -> List[float]:
-    """g of each angle, after checking that all lie in [0, pi/4]."""
-    return g_values(np.array([check_angle(a, math.pi / 4)
-                              for a in angles])).tolist()
+def _site_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Angles and g values of checked tuples, one contiguous row per site.
+
+    ``a`` is one tuple, shape (n,), or a batch of k, shape (k, n); a single
+    tuple is the batch of one, so both have shape (n, k).
+    """
+    rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+    return rows, g_values(rows)
 
 
-def sv3_block_functions(angles: Sequence[float], s: float) -> List[float]:
+def sv3_block_functions(angles: Sequence[float] | np.ndarray,
+                        s: float) -> List[float] | np.ndarray:
     """Hand-expanded block entries of the three-party Svetlichny certificate.
 
     Returns [f1, ..., f8]; block i over pair (i, 7 - i) has diagonal f_{2i+1}
     and corner f_{2i+2} (1-based), valid on [0, pi/4]^3 with mu tied to s by
-    the kernel condition mu = 1 - 4 sqrt(2) s.
+    the kernel condition mu = 1 - 4 sqrt(2) s.  ``angles`` is one tuple,
+    shape (3,), giving a list of floats, or a batch of k, shape (k, 3),
+    giving an array of shape (k, 8) whose rows equal the one-tuple calls.
+    Any angle outside [0, pi/4], NaN included, raises ValueError.
     """
-    if len(angles) != 3:
-        raise ValueError(f"expected 3 angles, got {len(angles)}")
-    g1, g2, g3 = _closed_form_g(angles)
-    a1, a2, a3 = angles
-    cos, sin = math.cos, math.sin
+    a = check_angles(angles, 3, math.pi / 4)
+    (a1, a2, a3), (g1, g2, g3) = _site_rows(a)
+    cos, sin = np.cos, np.sin
     f1 = (-7 + g2 * g3 + g1 * (g2 + g3)) / 8 + 4 * SQRT2 * s
     f2 = (-1 - g2 * g3 - g1 * (g2 + g3)) / 8 \
         + 4 * s * cos(a1 - a2) * cos(a3) + 4 * s * sin(a1 + a2) * sin(a3)
@@ -430,52 +444,62 @@ def sv3_block_functions(angles: Sequence[float], s: float) -> List[float]:
     f7 = (-7 + g2 * g3 - g1 * (g2 + g3)) / 8 + 4 * SQRT2 * s
     f8 = (-1 - g2 * g3 + g1 * (g2 + g3)) / 8 \
         + 4 * s * cos(a1 + a2) * cos(a3) - 4 * s * sin(a1 - a2) * sin(a3)
-    return [float(f1), float(f2), float(f3), float(f4),
-            float(f5), float(f6), float(f7), float(f8)]
+    f = np.stack([f1, f2, f3, f4, f5, f6, f7, f8], axis=1)
+    return f if a.ndim == 2 else f[0].tolist()
 
 
-def _sv4_terms(angles: Sequence[float]) -> Tuple[float, float, float, float]:
-    """Even and odd g sums and the two angle terms of the four-party block."""
-    if len(angles) != 4:
-        raise ValueError(f"expected 4 angles, got {len(angles)}")
-    g0, g1, g2, g3 = _closed_form_g(angles)
-    a0, a1, a2, a3 = angles
+def _sv4_terms(a: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Even and odd g sums and the two angle terms of the four-party block.
+
+    Each has shape (k,) over the checked tuples ``a`` (see ``_site_rows``).
+    """
+    (a0, a1, a2, a3), (g0, g1, g2, g3) = _site_rows(a)
     ge = (g0 * g1 + g0 * g2 + g1 * g2 + g0 * g3 + g1 * g3 + g2 * g3
           + g0 * g1 * g2 * g3)
     go = (g0 + g1 + g2 + g3
           + g0 * g1 * g2 + g0 * g1 * g3 + g0 * g2 * g3 + g1 * g2 * g3)
-    t1 = (math.cos(a0 - a3) * math.cos(a1 - a2)
-          + math.sin(a1 + a2) * math.sin(a0 + a3))
-    t2 = (-math.cos(a0 - a3) * math.sin(a1 + a2)
-          - math.cos(a1 - a2) * math.sin(a0 + a3))
+    t1 = (np.cos(a0 - a3) * np.cos(a1 - a2)
+          + np.sin(a1 + a2) * np.sin(a0 + a3))
+    t2 = (-np.cos(a0 - a3) * np.sin(a1 + a2)
+          - np.cos(a1 - a2) * np.sin(a0 + a3))
     return ge, go, t1, t2
 
 
-def sv4_block_functions(angles: Sequence[float],
-                        s: float) -> Tuple[float, complex]:
+def sv4_block_functions(angles: Sequence[float] | np.ndarray, s: float
+                        ) -> Tuple[float, complex] | Tuple[np.ndarray, ...]:
     """Diagonal f1 and corner f2 of the four-party outer certificate block.
 
     Valid on [0, pi/4]^4 with mu = 1 - 8 sqrt(2) s; the corner entry f2 is
-    the (lower-left) block entry T[15, 0].
+    the (lower-left) block entry T[15, 0].  ``angles`` is one tuple, shape
+    (4,), giving a float and a complex, or a batch of k, shape (k, 4),
+    giving a real and a complex array of shape (k,) whose entries equal the
+    one-tuple calls.  Any angle outside [0, pi/4], NaN included, raises
+    ValueError.
     """
-    ge, go, t1, t2 = _sv4_terms(angles)
+    a = check_angles(angles, 4, math.pi / 4)
+    ge, go, t1, t2 = _sv4_terms(a)
     f1 = (-15 + ge) / 16 + 8 * SQRT2 * s
     f2 = (-(1 + ge) / (16 * SQRT2) + 4 * t1 * s
           + 1j * (go / (16 * SQRT2) + 4 * t2 * s))
-    return float(f1), complex(f2)
+    return (f1, f2) if a.ndim == 2 else (float(f1[0]), complex(f2[0]))
 
 
-def sv4_determinant(angles: Sequence[float], s: float) -> float:
+def sv4_determinant(angles: Sequence[float] | np.ndarray,
+                    s: float) -> float | np.ndarray:
     """Determinant of the four-party outer block, expanded directly in s.
 
     Independent of ``sv4_block_functions``: the quadratic-in-s expansion is
-    written out term by term rather than formed as f1^2 - |f2|^2.
+    written out term by term rather than formed as f1^2 - |f2|^2.  Takes
+    one tuple or a batch of k, and returns a float or an array of shape
+    (k,), as ``sv4_block_functions`` does.
     """
-    ge, go, t1, t2 = _sv4_terms(angles)
-    return ((128 - 16 * (t1 ** 2 + t2 ** 2)) * s ** 2
-            + (-15 * SQRT2 + ge * SQRT2 + (1 + ge) / (2 * SQRT2) * t1
-               - go / (2 * SQRT2) * t2) * s
-            + ((ge + go) * (ge - go) / 2 - 31 * ge + 449 / 2) / 256)
+    a = check_angles(angles, 4, math.pi / 4)
+    ge, go, t1, t2 = _sv4_terms(a)
+    det = ((128 - 16 * (t1 ** 2 + t2 ** 2)) * s ** 2
+           + (-15 * SQRT2 + ge * SQRT2 + (1 + ge) / (2 * SQRT2) * t1
+              - go / (2 * SQRT2) * t2) * s
+           + ((ge + go) * (ge - go) / 2 - 31 * ge + 449 / 2) / 256)
+    return det if a.ndim == 2 else float(det[0])
 
 
 def parity_projector(x1: int, x2: int) -> np.ndarray:
@@ -491,24 +515,24 @@ def parity_projector(x1: int, x2: int) -> np.ndarray:
             + (-1) ** (x1 + x2) * izz) / 4
 
 
-def projector_lambda(angles: Sequence[float], s: float, x1: int,
-                     x2: int) -> float:
+def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
+                     x1: int, x2: int) -> float | np.ndarray:
     """Closed-form pair invariant of the projected certificate matrix.
 
     For M the certificate matrix compressed to the parity sector (x1, x2),
     returns (Tr M)^2 - Tr(M^2), which is twice the product of the two
     nonzero eigenvalues of M and hence nonnegative wherever the certificate
-    holds.  Valid on [0, pi/4]^3 with mu = 1 - 4 sqrt(2) s.
+    holds.  Valid on [0, pi/4]^3 with mu = 1 - 4 sqrt(2) s.  Takes one
+    tuple or a batch of k, and returns a float or an array of shape (k,),
+    as ``sv4_determinant`` does.
     """
-    if len(angles) != 3:
-        raise ValueError(f"expected 3 angles, got {len(angles)}")
     if x1 not in (0, 1) or x2 not in (0, 1):
         raise ValueError("parity labels must be 0 or 1")
-    g1, g2, g3 = _closed_form_g(angles)
-    a1, a2, a3 = angles
+    a = check_angles(angles, 3, math.pi / 4)
+    rows, (g1, g2, g3) = _site_rows(a)
     mu = 1 - 4 * SQRT2 * s
-    c1, c2, c3 = (math.cos(a) for a in angles)
-    s1, s2, s3 = (math.sin(a) for a in angles)
+    c1, c2, c3 = np.cos(rows)
+    s1, s2, s3 = np.sin(rows)
     t1 = -1 / 8 + 4 * s * c1 * c2 * c3
     t2 = g2 * g3 / 8 - 4 * s * c1 * s2 * s3
     t3 = g1 * g3 / 8 - 4 * s * s1 * c2 * s3
@@ -522,7 +546,7 @@ def projector_lambda(angles: Sequence[float], s: float, x1: int,
                            - 4 * (t2 * t4 - t1 * t3))
            + (-1) ** (x1 + x2) * ((q + g1 ** 2 / 8) * g2 * g3 / 2
                                   - 4 * (t3 * t4 - t1 * t2)))
-    return float(lam)
+    return lam if a.ndim == 2 else float(lam[0])
 
 
 def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
@@ -536,8 +560,10 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     four-party Svetlichny scenarios have closed forms.  ``samples`` must
     lie in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
     matrices are assembled in chunks of at most ``CROSSCHECK_CHUNK_ENTRIES``
-    entries, one batched ``build_T`` call per chunk, and each failure names
-    its sample's index in the whole run.
+    entries, one batched ``build_T`` call per chunk, and each closed form
+    is evaluated once per chunk on the chunk's tuples.  Each failure names
+    its sample's index in the whole run; failures are listed by sample,
+    then by check.
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
@@ -551,59 +577,33 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
         checks = ["block_entries", "parity_sector_invariant"]
         sectors = {(x1, x2): parity_projector(x1, x2)
                    for x1 in (0, 1) for x2 in (0, 1)}
+        # One message per column of a chunk's failure mask.
+        messages = ([f"block {i} mismatch" for i in range(4)]
+                    + [f"sector ({x1},{x2}) mismatch" for x1, x2 in sectors])
     else:
         checks = ["block_entries", "determinant_expansion", "sylvester_test"]
+        messages = ["outer block mismatch", "determinant mismatch",
+                    "sylvester false positive", "sylvester false negative"]
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
     for start in range(0, samples, chunk):
         # One (k, n) draw is the same stream as k draws of n.
         batch = rng.uniform(0.0, math.pi / 4,
                             size=(min(chunk, samples - start), protocol.n))
         ts = build_T(protocol, batch, constants.s, constants.mu)
-        if protocol.n == 3:
-            traces = {}
-            for sector, p in sectors.items():
-                m = p @ ts @ p
-                traces[sector] = (np.trace(m, axis1=1, axis2=2),
-                                  np.trace(m @ m, axis1=1, axis2=2))
         try:
-            decomposed = block_decompose(ts, protocol.n)
+            blocks = _block_array(ts, protocol.n)
         except StructureViolation as exc:
             index = start + exc.index
             raise StructureViolation(
                 f"sample {index}: certificate matrix has off-block weight "
                 f"above tolerance {_BLOCK_RESIDUE_TOL}", index) from exc
-        for offset, blocks in enumerate(decomposed):
-            index = start + offset
-            angles = tuple(batch[offset])
-            if protocol.n == 3:
-                f = sv3_block_functions(angles, constants.s)
-                for i, block in enumerate(blocks):
-                    if (abs(block[0, 0].real - f[2 * i]) > 1e-10
-                            or abs(block[0, 1] - f[2 * i + 1]) > 1e-10):
-                        failures.append(f"sample {index}: block {i} mismatch")
-                for (x1, x2), (trace, square) in traces.items():
-                    direct = trace[offset].real ** 2 - square[offset].real
-                    got = projector_lambda(angles, constants.s, x1, x2)
-                    if abs(got - direct) > 1e-10:
-                        failures.append(
-                            f"sample {index}: sector ({x1},{x2}) mismatch")
-            else:
-                f1, f2 = sv4_block_functions(angles, constants.s)
-                block = blocks[0]
-                if (abs(block[0, 0].real - f1) > 1e-10
-                        or abs(block[1, 0] - f2) > 1e-10):
-                    failures.append(f"sample {index}: outer block mismatch")
-                deter = sv4_determinant(angles, constants.s)
-                if abs(deter - (f1 ** 2 - abs(f2) ** 2)) > 1e-9:
-                    failures.append(f"sample {index}: determinant mismatch")
-                sylvester_pd = f1 > 1e-9 and deter > 1e-9
-                lower = f1 - abs(f2)
-                if sylvester_pd and lower < -1e-9:
-                    failures.append(
-                        f"sample {index}: sylvester false positive")
-                if lower > 1e-9 and (f1 < -1e-9 or deter < -1e-9):
-                    failures.append(
-                        f"sample {index}: sylvester false negative")
+        if protocol.n == 3:
+            mask = _sv3_failures(batch, ts, blocks, sectors, constants.s)
+        else:
+            mask = _sv4_failures(batch, blocks, constants.s)
+        # Sample first, then check, as the masks' rows and columns run.
+        for offset, column in zip(*np.nonzero(mask)):
+            failures.append(f"sample {start + offset}: {messages[column]}")
     return {
         "family": protocol.family,
         "n": protocol.n,
@@ -612,3 +612,49 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _sv3_failures(batch: np.ndarray, ts: np.ndarray, blocks: np.ndarray,
+                  sectors: Dict[Tuple[int, int], np.ndarray],
+                  s: float) -> np.ndarray:
+    """Failure mask of a chunk of three-party samples, shape (k, 8).
+
+    Columns 0-3 flag blocks whose entries differ from
+    ``sv3_block_functions``; columns 4-7 flag parity sectors, in the order
+    of ``sectors`` (label pair to projector), whose ``projector_lambda``
+    differs from (Tr M)^2 - Tr(M^2) of the projected matrices M.
+    """
+    f = sv3_block_functions(batch, s)
+    columns = [(np.abs(blocks[:, :, 0, 0].real - f[:, 0::2]) > 1e-10)
+               | (np.abs(blocks[:, :, 0, 1] - f[:, 1::2]) > 1e-10)]
+    for (x1, x2), p in sectors.items():
+        m = p @ ts @ p
+        direct = (np.trace(m, axis1=1, axis2=2).real ** 2
+                  - np.trace(m @ m, axis1=1, axis2=2).real)
+        got = projector_lambda(batch, s, x1, x2)
+        columns.append((np.abs(got - direct) > 1e-10)[:, None])
+    return np.concatenate(columns, axis=1)
+
+
+def _sv4_failures(batch: np.ndarray, blocks: np.ndarray,
+                  s: float) -> np.ndarray:
+    """Failure mask of a chunk of four-party samples, shape (k, 4).
+
+    Columns flag, in order: an outer block that differs from
+    ``sv4_block_functions``, a ``sv4_determinant`` that differs from
+    f1^2 - |f2|^2, and a Sylvester test (f1 > 0 and det > 0) that calls
+    the block positive when its lower eigenvalue f1 - |f2| is negative, or
+    not when it is positive, each beyond 1e-9.
+    """
+    f1, f2 = sv4_block_functions(batch, s)
+    outer = blocks[:, 0]
+    deter = sv4_determinant(batch, s)
+    modulus = np.abs(f2)
+    lower = f1 - modulus
+    return np.stack([
+        (np.abs(outer[:, 0, 0].real - f1) > 1e-10)
+        | (np.abs(outer[:, 1, 0] - f2) > 1e-10),
+        np.abs(deter - (f1 ** 2 - modulus ** 2)) > 1e-9,
+        (f1 > 1e-9) & (deter > 1e-9) & (lower < -1e-9),
+        (lower > 1e-9) & ((f1 < -1e-9) | (deter < -1e-9)),
+    ], axis=1)

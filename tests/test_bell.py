@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _corner_magnitude_max,
-                          build_operator, check_angle, corner_entries,
-                          evaluate, hybrid_bound, local_bound, observable,
-                          quantum_bound, validate_state)
+import ghzcert.bell
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
+                          _corner_magnitude_max, build_operator, check_angle,
+                          corner_entries, evaluate, hybrid_bound, local_bound,
+                          observable, quantum_bound, validate_state)
 from ghzcert.linalg import canonical_indices, hermitian_eigenvalues
 from oracles import (coefficient_table, complex_corner_entries,
                      full_grid_corner_max, kron_chain,
@@ -378,6 +379,29 @@ def test_corner_magnitude_max_matches_full_grid_oracle():
             reduced = _corner_magnitude_max(protocol, grid)
             assert abs(reduced - full_grid_corner_max(protocol, grid)) <= 1e-15
             assert abs(reduced - protocol.beta_Q) <= 1e-8
+
+
+@pytest.mark.parametrize("points", [1, 7])
+def test_corner_magnitude_max_chunks_match_full_grid_oracle(monkeypatch,
+                                                           points):
+    # Chunks of one and of seven canonical points put chunk boundaries
+    # everywhere; the maximum over the chunks is the full grid's, bit for bit.
+    grid = np.linspace(0.0, math.pi / 2, 9)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            monkeypatch.setattr(ghzcert.bell, "SCAN_CHUNK_EVALUATIONS",
+                                points * 2 ** (n - 1))
+            assert (_corner_magnitude_max(protocol, grid)
+                    == full_grid_corner_max(protocol, grid))
+
+
+def test_coefficient_tensor_is_built_once_and_read_only():
+    tensor = _coefficient_tensor(SV3)
+    assert _coefficient_tensor(BellProtocol(SVETLICHNY, 3)) is tensor
+    assert not tensor.flags.writeable
+    with pytest.raises(ValueError):
+        tensor[0, 0, 0] = 2.0
 
 
 def test_pair_sign_matrix_rows():

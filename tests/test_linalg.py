@@ -170,6 +170,19 @@ def test_canonical_indices_groups_identical_axes():
         canonical_indices([])
 
 
+def test_sorted_index_tuples_take_the_smallest_unsigned_dtype():
+    # uint8 holds every index of every grid the scan admits (at most 227
+    # points per axis); the dtype widens only past 256 values.
+    for size, dtype in ((1, np.uint8), (227, np.uint8), (256, np.uint8),
+                        (257, np.uint16)):
+        tuples = sorted_index_tuples(size, 2)
+        assert tuples.dtype == dtype
+        assert tuples[-1].tolist() == [size - 1, size - 1]
+        idx = canonical_indices([np.arange(size), np.arange(3.0)])
+        assert idx.dtype == np.intp
+        assert idx[0].max() == size - 1
+
+
 def test_signed_site_product_matches_outer_products():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(3, 6))

@@ -594,6 +594,66 @@ def test_projector_lambda_validates_domain():
             closed_form((0.1, 0.1, 0.1, 0.9), s)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_closed_forms_equal_their_one_tuple_calls(n):
+    s = catalog_constants(BellProtocol(SVETLICHNY, n)).s
+    rng = np.random.default_rng(40 + n)
+    batch = rng.uniform(0.0, math.pi / 4, size=(120, n))
+    # Rows on both boundary faces, and the two extreme corners.
+    batch[::6, 0] = 0.0
+    batch[1::6, -1] = math.pi / 4
+    batch[2::6, 1:] = math.pi / 4
+    batch[3::6, :-1] = 0.0
+    batch[4] = 0.0
+    batch[5] = math.pi / 4
+
+    def bits(values) -> bytes:
+        return np.asarray(values).tobytes()
+
+    if n == 3:
+        f = sv3_block_functions(batch, s)
+        assert f.shape == (len(batch), 8)
+        for row, angles in zip(f, batch):
+            assert bits(row) == bits(sv3_block_functions(angles, s))
+        for x1 in (0, 1):
+            for x2 in (0, 1):
+                lam = projector_lambda(batch, s, x1, x2)
+                for value, angles in zip(lam, batch):
+                    assert bits(value) == bits(
+                        projector_lambda(angles, s, x1, x2))
+    else:
+        f1, f2 = sv4_block_functions(batch, s)
+        deter = sv4_determinant(batch, s)
+        for a, b, d, angles in zip(f1, f2, deter, batch):
+            one_a, one_b = sv4_block_functions(angles, s)
+            assert type(one_a) is float and type(one_b) is complex
+            assert bits([a, b]) == bits([one_a, one_b])
+            assert bits(d) == bits(sv4_determinant(angles, s))
+
+
+def test_batched_closed_forms_refuse_any_bad_angle():
+    forms = {3: (sv3_block_functions,
+                 lambda angles, s: projector_lambda(angles, s, 1, 0)),
+             4: (sv4_block_functions, sv4_determinant)}
+    for n, pair in forms.items():
+        s = catalog_constants(BellProtocol(SVETLICHNY, n)).s
+        for form in pair:
+            for bad in (math.nan, math.inf, -0.1, math.pi / 4 + 1e-9):
+                for row, col in ((0, 0), (3, 1), (5, n - 1)):
+                    batch = np.full((6, n), 0.3)
+                    batch[row, col] = bad
+                    with pytest.raises(ValueError, match="pi/4"):
+                        form(batch, s)
+            # The first bad angle, in row order, is the one named.
+            batch = np.full((6, n), 0.3)
+            batch[2, 1], batch[4, 0] = -0.25, 0.9
+            with pytest.raises(ValueError, match=r"^angle -0\.25 outside"):
+                form(batch, s)
+            for shape in ((6, n - 1), (6, n + 1), (n + 1,), (2, 3, n)):
+                with pytest.raises(ValueError, match="angles per tuple"):
+                    form(np.full(shape, 0.3), s)
+
+
 def test_closed_form_crosscheck():
     for n in (3, 4):
         report = closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
@@ -627,24 +687,35 @@ def test_closed_form_crosscheck_sample_limit(monkeypatch):
 def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
         monkeypatch):
     # One (k, n) draw per chunk is the same stream as one draw of n per
-    # sample, and every drawn tuple reaches the closed forms once, in order.
-    for n, name in ((3, "sv3_block_functions"), (4, "sv4_block_functions")):
+    # sample, and each closed form (each parity sector's projector_lambda
+    # apart) is called once per chunk; together its batches hold every
+    # drawn tuple once, in draw order.
+    forms = {3: ("sv3_block_functions", "projector_lambda"),
+             4: ("sv4_block_functions", "sv4_determinant")}
+    originals = {name: getattr(ghzcert.verifier, name)
+                 for names in forms.values() for name in names}
+    for n, names in forms.items():
         chunk = CROSSCHECK_CHUNK_ENTRIES // 4 ** n
-        original = getattr(ghzcert.verifier, name)
         for samples in (chunk - 1, chunk, chunk + 1):
-            seen = []
+            seen = {}
+            for name in names:
 
-            def recording(angles, s):
-                seen.append(angles)
-                return original(angles, s)
+                def recording(angles, s, *labels, name=name):
+                    seen.setdefault((name,) + labels, []).append(
+                        np.array(angles))
+                    return originals[name](angles, s, *labels)
 
-            monkeypatch.setattr(ghzcert.verifier, name, recording)
+                monkeypatch.setattr(ghzcert.verifier, name, recording)
             report = closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
                                             samples=samples, seed=11)
             assert report["passed"] and report["samples"] == samples
             rng = np.random.default_rng(11)
-            assert seen == [tuple(rng.uniform(0.0, math.pi / 4, size=n))
-                            for _ in range(samples)]
+            draws = np.array([rng.uniform(0.0, math.pi / 4, size=n)
+                              for _ in range(samples)])
+            assert len(seen) == (5 if n == 3 else 2)
+            for batches in seen.values():
+                assert len(batches) == -(-samples // chunk)
+                assert np.array_equal(np.concatenate(batches), draws)
 
 
 def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
@@ -652,17 +723,21 @@ def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
     target = chunk + 3
     original = ghzcert.verifier.sv4_block_functions
-    calls = []
+    drawn = [0]
 
     def perturbed(angles, s):
         # -f2 keeps |f2|, so only the block entry check sees the change.
         f1, f2 = original(angles, s)
-        calls.append(angles)
-        return (f1, -f2) if len(calls) == target + 1 else (f1, f2)
+        offset = target - drawn[0]
+        drawn[0] += len(f2)
+        if 0 <= offset < len(f2):
+            f2 = f2.copy()
+            f2[offset] = -f2[offset]
+        return f1, f2
 
     monkeypatch.setattr(ghzcert.verifier, "sv4_block_functions", perturbed)
     report = closed_form_crosscheck(protocol, samples=3 * chunk, seed=5)
-    assert len(calls) == 3 * chunk
+    assert drawn[0] == 3 * chunk
     assert report["failures"] == [f"sample {target}: outer block mismatch"]
     assert not report["passed"]
 
@@ -705,10 +780,13 @@ def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
 
 
 @pytest.mark.parametrize("n, grid, bound", [(4, 31, 8_000_000),
-                                            (5, 33, 100_000_000)])
+                                            (5, 33, 100_000_000),
+                                            (3, 227, 80_000_000)])
 def test_min_eig_over_grid_memory_is_bounded(n, grid, bound):
     # The chunked kernel keeps a few tables of about 2^15 block evaluations
-    # each; the canonical index array is what still grows with the grid.
+    # each; the canonical index array is what still grows with the grid,
+    # its sorted tuples built in one-byte integers.  Grid 227 is the largest
+    # pass admitted at n = 3.
     constants = catalog_constants(BellProtocol(SVETLICHNY, n))
     min_eig_over_grid(constants, GridSpec(points_per_axis=3))
     tracemalloc.start()
