@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from ghzcert import (MABK, SVETLICHNY, BellProtocol, catalog_constants,
-                     curve_to_csv, emit_curve, threshold, tightness_check)
+                     curve_to_csv, emit_curve, tightness_check)
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
             path = out_dir / f"curve_{family}{n}.csv"
             path.write_text(curve_to_csv(curve))
             first = curve.points[0]
-            beta_t = threshold(catalog_constants(protocol))
+            beta_t = catalog_constants(protocol).beta_T
             tight = tightness_check(protocol)
             print(f"[curve] {family}{n}: beta_T={beta_t:.6f} "
                   f"relative threshold={first.relative_violation:.6f} "

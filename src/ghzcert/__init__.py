@@ -7,24 +7,22 @@ bounds, and simulates finite-statistics experiments.
 """
 from __future__ import annotations
 
-from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator, evaluate,
+from .bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
                    hybrid_bound, local_bound, observable, quantum_bound)
-from .linalg import hermitian_eigenvalues, is_persymmetric, kron_all, pauli
+from .linalg import hermitian_eigenvalues, kron_all
 from .root2 import SQRT2, Root2
 from .simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                        born_probabilities, certify, estimate_violation,
                        noisy_state, outcome_products, records_to_csv,
                        sample_outcomes)
-from .states import (DephasingChannel, apply_channel, g_param, ghz_state,
-                     kraus_pair, persymmetry_preserved)
+from .states import apply_channel, ghz_state
 from .tradeoff import (CurvePoint, TradeoffCurve, curve_to_csv, curve_to_json,
                        emit_curve, fidelity_lower_bound, format_float,
-                       is_trivial_bound, relative_violation, threshold,
-                       tightness_check, tradeoff_upper_bound,
+                       is_trivial_bound, relative_violation, tightness_check,
                        upper_bound_reference)
 from .verifier import (CertificateConstants, CertificationReport, GridSpec,
-                       StructureViolation, block_decompose, block_unitary,
-                       build_T, catalog_constants, closed_form_crosscheck,
+                       StructureViolation, block_decompose, build_T,
+                       catalog_constants, closed_form_crosscheck,
                        min_eig_over_grid, parity_projector, projector_lambda,
                        sv3_block_functions, sv4_block_functions,
                        sv4_determinant)
@@ -33,20 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellProtocol", "CertificateConstants", "CertificationReport",
-    "CurvePoint", "DephasingChannel", "ExperimentRecord", "GridSpec",
-    "MABK", "NoiseModel", "RNG_ALGORITHM", "Root2", "SQRT2", "SVETLICHNY",
-    "StructureViolation", "TradeoffCurve", "apply_channel",
-    "block_decompose", "block_unitary", "born_probabilities", "build_T",
-    "build_operator", "catalog_constants", "certify",
-    "closed_form_crosscheck", "curve_to_csv", "curve_to_json",
-    "emit_curve", "estimate_violation", "evaluate", "fidelity_lower_bound",
-    "format_float", "g_param", "ghz_state", "hermitian_eigenvalues",
-    "hybrid_bound", "is_persymmetric", "is_trivial_bound", "kron_all",
-    "kraus_pair", "local_bound", "min_eig_over_grid", "noisy_state",
-    "observable", "outcome_products", "parity_projector", "pauli",
-    "persymmetry_preserved", "projector_lambda", "quantum_bound",
-    "records_to_csv", "relative_violation", "sample_outcomes",
-    "sv3_block_functions", "sv4_block_functions", "sv4_determinant",
-    "threshold", "tightness_check", "tradeoff_upper_bound",
+    "CurvePoint", "ExperimentRecord", "GridSpec", "MABK", "NoiseModel",
+    "RNG_ALGORITHM", "Root2", "SQRT2", "SVETLICHNY", "StructureViolation",
+    "TradeoffCurve", "apply_channel", "block_decompose",
+    "born_probabilities", "build_T", "build_operator", "catalog_constants",
+    "certify", "closed_form_crosscheck", "curve_to_csv", "curve_to_json",
+    "emit_curve", "estimate_violation", "fidelity_lower_bound",
+    "format_float", "ghz_state", "hermitian_eigenvalues", "hybrid_bound",
+    "is_trivial_bound", "kron_all", "local_bound", "min_eig_over_grid",
+    "noisy_state", "observable", "outcome_products", "parity_projector",
+    "projector_lambda", "quantum_bound", "records_to_csv",
+    "relative_violation", "sample_outcomes", "sv3_block_functions",
+    "sv4_block_functions", "sv4_determinant", "tightness_check",
     "upper_bound_reference", "__version__",
 ]

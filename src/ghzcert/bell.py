@@ -1,8 +1,8 @@
-"""Construction and evaluation of multipartite Bell operators.
+"""Construction of multipartite Bell operators and their bounds.
 
 This module builds the n-party Svetlichny and MABK Bell operators from
 single-qubit equatorial observables, exposes their classical and quantum
-bounds, and evaluates Bell values on density matrices.
+bounds, and validates the density matrices Bell values are read from.
 
 Two classical bounds are enumerated.  ``local_bound`` maximises over fully
 local deterministic strategies; ``hybrid_bound`` over Svetlichny's hybrid
@@ -124,12 +124,15 @@ def check_angles(angles: Sequence[float] | np.ndarray, n: int,
                  upper: float = math.pi / 2) -> np.ndarray:
     """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
 
-    ValueError for any other shape and for any angle, NaN and +-inf
-    included, outside [0, upper] (pi/2 or pi/4).
+    ValueError for any other shape, for an empty tuple or batch, and for any
+    angle, NaN and +-inf included, outside [0, upper] (pi/2 or pi/4).
     """
     a = np.asarray(angles, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
         raise ValueError(f"expected {n} angles per tuple, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a nonempty angle tuple or batch, got "
+                         f"shape {a.shape}")
     inside = (-ANGLE_SLACK <= a) & (a <= upper + ANGLE_SLACK)
     if not inside.all():
         check_angle(a[~inside][0], upper)  # raises, naming the first one
@@ -372,13 +375,3 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"state has negative eigenvalue {least}")
     return rho
 
-
-def evaluate(protocol: BellProtocol, rho: np.ndarray,
-             angles: Sequence[float]) -> float:
-    """Bell value Tr[rho W] of a density matrix at the given angles."""
-    rho = validate_state(rho, protocol.n)
-    w = build_operator(protocol, angles)
-    value = complex(np.trace(rho @ w))
-    if abs(value.imag) > 1e-10:
-        raise ArithmeticError(f"Bell value has imaginary part {value.imag}")
-    return value.real

@@ -1,16 +1,14 @@
 """Dense Hermitian linear algebra helpers.
 
-Provides the Pauli matrices, the Kronecker product ``kron_all``, one
-batched step of a site-by-site contraction (``contract_site``) and the
-matrices it leaves (``interleaved_to_matrix``), the
-canonical index tuples of a product grid (one per permutation orbit), the
-per-site products over every sign choice (``sign_products``) and their
-conjugate-pair combination (``conjugate_pair_sum``), the 2 x 2 blocks of
-a diagonal-plus-antidiagonal matrix (``x_blocks``) and their least
-eigenvalue, a persymmetry test, and a checked Hermitian spectrum.
-Certification and state validation read their spectra from closed-form
-2 x 2 blocks; the full spectrum serves states of no such structure and the
-tests.
+Provides the Kronecker product ``kron_all``, one batched step of a
+site-by-site contraction (``contract_site``) and the matrices it leaves
+(``interleaved_to_matrix``), the canonical index tuples of a product grid
+(one per permutation orbit), the per-site products over every sign choice
+(``sign_products``) and their conjugate-pair combination
+(``conjugate_pair_sum``), the 2 x 2 blocks of a diagonal-plus-antidiagonal
+matrix (``x_blocks``) and their least eigenvalue, and a checked Hermitian
+spectrum.  Certification and state validation read their spectra from
+closed-form 2 x 2 blocks; the full spectrum serves the tests.
 """
 from __future__ import annotations
 
@@ -19,31 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Largest |m - m^dagger| entry a Hermitian matrix may have, and largest
-# |m - J m^T J| entry a persymmetric one may have.
+# Largest |m - m^dagger| entry a Hermitian matrix may have.
 HERMITICITY_TOL = 1e-10
-_PERSYMMETRY_TOL = 1e-10
 # Block evaluations (points times pairs) per chunk of a walk over canonical
 # grid points, about 0.5 MB per table: 4096 points at n = 4.  The fastest
 # of 2^13 to 2^17 for the certificate scan at n = 4 on grid 31; the
 # quantum-bound grid check walks its points in chunks of the same size.
 SCAN_CHUNK_EVALUATIONS = 2 ** 15
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def pauli(label: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix named by ``label`` in {I, X, Y, Z}."""
-    try:
-        return _PAULI[label].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli label {label!r}") from None
-
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty sequence of matrices, left to right."""
@@ -215,15 +195,6 @@ def least_block_eigenvalue(
     a, c, z = blocks
     return float(np.min((a.real + c.real) / 2
                         - np.hypot((a.real - c.real) / 2, np.abs(z))))
-
-
-def is_persymmetric(m: np.ndarray) -> bool:
-    """Check whether ``m`` is symmetric about its antidiagonal: m = J m.T J."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("persymmetry is defined for square matrices")
-    flipped = m[::-1, ::-1].T
-    return bool(np.max(np.abs(m - flipped)) <= _PERSYMMETRY_TOL)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ the returned matrix is read-only so no caller can alter what the others
 read.  The tests check it against printed Pauli expansions and against the
 maximal eigenvector of the dense operator (``tests/oracles.py``).
 
-The extraction channel applies, at each site, the Kraus pair built from the
-attenuation parameter g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1),
+The extraction channel is Kaniewski's dephasing map: at each site it
+applies the Kraus pair built from the attenuation parameter
+g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1) (``g_values``),
 flipping the dephasing axis from X to Y at alpha = pi/4.  The channel is
 unital, self-adjoint, trace preserving, and maps persymmetric matrices to
 persymmetric matrices.  ``apply_channel`` is a dense reference route: it
@@ -21,14 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .bell import (ANGLE_SLACK, SQRT2, BellProtocol, check_angle, check_angles,
-                   ghz_phase)
-from .linalg import contract_site, interleaved_to_matrix, is_persymmetric
+from .bell import ANGLE_SLACK, SQRT2, BellProtocol, check_angles, ghz_phase
+from .linalg import contract_site, interleaved_to_matrix
 
 
 def g_values(alpha: np.ndarray) -> np.ndarray:
@@ -38,11 +37,6 @@ def g_values(alpha: np.ndarray) -> np.ndarray:
     """
     value = (1 + SQRT2) * (np.sin(alpha) + np.cos(alpha) - 1.0)
     return np.minimum(np.maximum(value, 0.0), 1.0)
-
-
-def g_param(alpha: float) -> float:
-    """Attenuation parameter g(alpha) of one angle in [0, pi/2]."""
-    return float(g_values(check_angle(alpha)))
 
 
 def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
@@ -64,67 +58,29 @@ def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
     return kraus
 
 
-def kraus_pair(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-site Kraus pair (K0, K1) of the dephasing channel at alpha."""
-    k0, k1 = _kraus_stack(check_angle(alpha))
-    return k0, k1
+def apply_channel(mat: np.ndarray,
+                  angles: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Apply the product channel, one angle per site, to a 2^n x 2^n matrix.
 
-
-@dataclass(frozen=True)
-class DephasingChannel:
-    """Product dephasing channel with one angle per site.
-
-    ``angles`` holds one tuple of n angles, or a batch of k such tuples
-    (stored as a tuple of tuples), for k channels applied at once.
-    """
-
-    angles: Tuple
-
-    def __post_init__(self) -> None:
-        shape = np.shape(self.angles)
-        if not shape or 0 in shape:
-            raise ValueError(f"channel needs at least one site and one angle "
-                             f"tuple, got shape {shape}")
-        a = check_angles(self.angles, shape[-1])
-        values = a.tolist()
-        object.__setattr__(self, "angles", tuple(map(tuple, values))
-                           if a.ndim == 2 else tuple(values))
-
-    @property
-    def n(self) -> int:
-        return np.shape(self.angles)[-1]
-
-    def _single(self) -> "DephasingChannel":
-        """The channel itself; ValueError if it holds a batch of tuples."""
-        if np.ndim(self.angles) == 2:
-            raise ValueError(f"expected a channel of one angle tuple, got a "
-                             f"batch of {len(self.angles)}")
-        return self
-
-    def kraus_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Kraus pair of each site; ValueError on a batch of tuples."""
-        return [kraus_pair(a) for a in self._single().angles]
-
-
-def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
-    """Apply the product channel to any matrix of matching dimension.
-
-    A channel of one angle tuple gives one 2^n x 2^n matrix; a batch of k
-    tuples gives the k images of ``mat``, shape (k, 2^n, 2^n).  The matrix
-    is reshaped to one row and one column index per site, behind a batch
-    axis, and each site's superoperator sum_k K_k (.) K_k^dagger is
+    ``angles`` is one tuple of n angles in [0, pi/2], shape (n,), giving one
+    2^n x 2^n matrix, or a batch of k tuples, shape (k, n), giving the k
+    images of ``mat``, shape (k, 2^n, 2^n); ``check_angles`` refuses any
+    other shape, an empty tuple or batch, and any angle outside the domain.
+    The matrix is reshaped to one row and one column index per site, behind
+    a batch axis, and each site's superoperator sum_k K_k (.) K_k^dagger is
     contracted into its two indices in turn: one batched matmul per site of
     the tensor, laid out (k, rest, row column), against the k superoperators
     of that site, (k, 4, 4).  O(k n 4^n) work and no 2^n x 2^n Kraus
     operator.
     """
+    a = np.asarray(angles, dtype=float)
+    n = a.shape[-1] if a.ndim else 0
+    a = check_angles(a, n)
     mat = np.asarray(mat, dtype=complex)
-    angles = np.asarray(channel.angles)
-    n = channel.n
     dim = 2 ** n
     if mat.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
-    batch = angles.reshape(-1, n)
+    batch = a.reshape(-1, n)
     kraus = _kraus_stack(batch)
     # Indexed (sample, site, row in column in, row out column out).
     superoperators = np.einsum("...kab,...kcd->...bdac", kraus,
@@ -136,16 +92,7 @@ def apply_channel(mat: np.ndarray, channel: DephasingChannel) -> np.ndarray:
         # what is left; its output pair is appended at the end.
         tensor = contract_site(tensor, (1, 1 + n - j), superoperators[:, j])
     out = interleaved_to_matrix(tensor)
-    return out if angles.ndim == 2 else out[0]
-
-
-def persymmetry_preserved(rho: np.ndarray, channel: DephasingChannel) -> bool:
-    """Check that both the input and its channel image are persymmetric.
-
-    ``channel`` must hold one angle tuple; ValueError for a batch.
-    """
-    return is_persymmetric(rho) and is_persymmetric(
-        apply_channel(rho, channel._single()))
+    return out if a.ndim == 2 else out[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Conversion of Bell values into certified GHZ fidelity statements.
 
 The certified lower bound is the affine map F(beta) = s beta + mu from the
-scan constants.  This module also provides the matching model-level upper
-bound, the violation threshold beta_T where the lower bound reaches 1/2,
-relative violation rescaling, tightness checks, and serialized tradeoff
-curves sampled between beta_T and the quantum bound.
+scan constants.  This module also provides the reference value of the
+matching model-level upper bound, relative violation rescaling, tightness
+checks, and serialized tradeoff curves sampled between the violation
+threshold beta_T (``catalog_constants``), where the lower bound reaches
+1/2, and the quantum bound.
 """
 from __future__ import annotations
 
@@ -43,13 +44,6 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def threshold(constants: CertificateConstants) -> float:
-    """Observed value beta_T at which the certified bound reaches 1/2."""
-    if constants.s <= 0.0:
-        raise ValueError("threshold requires a positive slope s")
-    return (0.5 - constants.mu) / constants.s
-
-
 def fidelity_lower_bound(constants: CertificateConstants,
                          beta_O: float) -> float:
     """Certified GHZ fidelity lower bound s beta_O + mu."""
@@ -76,18 +70,6 @@ def upper_bound_reference(protocol: BellProtocol) -> float:
     if protocol.family == SVETLICHNY:
         return protocol.beta_L
     return 2 ** (protocol.n - 2) * SQRT2
-
-
-def tradeoff_upper_bound(protocol: BellProtocol, beta_O: float,
-                         reference: float) -> float:
-    """Model upper bound 1/2 + (beta_O - ref) / (2 (beta_Q - ref))."""
-    if beta_O < reference - _BETA_SLACK:
-        raise ValueError(
-            f"observed value {beta_O} below reference {reference}")
-    if beta_O > protocol.beta_Q + _BETA_SLACK:
-        raise ValueError(
-            f"observed value {beta_O} above quantum bound {protocol.beta_Q}")
-    return 0.5 + 0.5 * (beta_O - reference) / (protocol.beta_Q - reference)
 
 
 def tightness_check(protocol: BellProtocol) -> bool:

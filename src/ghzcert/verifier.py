@@ -28,8 +28,8 @@ allocated.
 Independent routes cross-check the reduction:
 
 * ``block_decompose`` reads each 2 x 2 block of the assembled matrix off its
-  index pair and fails loudly if any off-block weight remains;
-  ``block_unitary``, the pairing permutation, is its reference.
+  index pair and fails loudly if any off-block weight remains; the tests
+  compare it with conjugation by the pairing permutation.
 * ``sv3_block_functions`` / ``sv4_block_functions`` are hand-expanded
   formulas for the block entries of the three- and four-party Svetlichny
   certificates, with ``sv4_determinant`` and ``projector_lambda`` covering
@@ -55,7 +55,7 @@ from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
 from .linalg import (SCAN_CHUNK_EVALUATIONS, canonical_indices,
                      conjugate_pair_sum, outer_all, sign_products)
 from .root2 import Root2
-from .states import DephasingChannel, apply_channel, g_values, ghz_state
+from .states import apply_channel, g_values, ghz_state
 
 PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
@@ -178,25 +178,8 @@ def build_T(protocol: BellProtocol, angles: Sequence[float] | np.ndarray,
     ``build_operator`` and one batched ``apply_channel`` call.
     """
     w = build_operator(protocol, angles)
-    lam = apply_channel(ghz_state(protocol), DephasingChannel(angles))
+    lam = apply_channel(ghz_state(protocol), angles)
     return lam - s * w - mu * np.eye(protocol.dim)
-
-
-def block_unitary(n: int) -> np.ndarray:
-    """Permutation matrix pairing each index b with its complement.
-
-    Column k holds a single 1 at row 2k for k < 2^(n-1) and at row
-    2(2^n - 1 - k) + 1 otherwise, so conjugation by this matrix brings a
-    diagonal-plus-antidiagonal matrix into 2 x 2 block-diagonal form.
-    """
-    if n < 1:
-        raise ValueError("need at least one party")
-    dim = 2 ** n
-    u = np.zeros((dim, dim))
-    for k in range(dim):
-        row = 2 * k if k < dim // 2 else 2 * (dim - 1 - k) + 1
-        u[row, k] = 1.0
-    return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,8 +204,9 @@ def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray]:
 def block_decompose(t: np.ndarray, n: int) -> list:
     """Split diagonal-plus-antidiagonal matrices into their 2 x 2 blocks.
 
-    Block i is t restricted to the index pair (i, 2^n - 1 - i), the block
-    that conjugation by ``block_unitary`` brings to the diagonal.  One
+    Block i is t restricted to the index pair (i, 2^n - 1 - i), the i-th
+    diagonal block after the permutation that pairs each index with its
+    complement.  One
     matrix, shape (2^n, 2^n), gives its list of blocks; a batch of k,
     shape (k, 2^n, 2^n), gives k such lists.  Raises ValueError on
     non-finite input and StructureViolation if any entry of any matrix off

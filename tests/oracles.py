@@ -3,10 +3,14 @@
 Most of this is built from raw numpy Pauli algebra so that package outputs
 can be checked against a second, separately written route.  The Kronecker
 routes build one 2^n x 2^n matrix per term: ``kron_sum_operator`` (the Bell
-operator as a sum over setting strings), ``kraus_loop_channel`` (the channel
-as a sum over product Kraus operators), ``dense_spectral_ghz_rho`` (the
-target state read off the Kronecker-sum operator) and
-``dense_born_probabilities`` (one projector per outcome).  The scan
+operator as a sum over setting strings) and ``evaluate`` (its Bell value on
+a state), ``kraus_loop_channel`` (the channel as a sum over product Kraus
+operators, each site's ``kraus_pair`` written out from the Pauli matrices
+and the formula for g), ``dense_spectral_ghz_rho`` (the target state read
+off the Kronecker-sum operator) and ``dense_born_probabilities`` (one
+projector per outcome).  ``is_persymmetric`` and ``block_unitary`` (the
+permutation that pairs each index with its complement) are the references
+for the channel's persymmetry and for ``block_decompose``.  The scan
 oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
 orbit reduction of the package kernels can be checked against them.
@@ -32,11 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ghzcert.bell import (ANGLE_SLACK, corner_coefficient,
-                          functional_coefficients, ghz_phase)
+                          functional_coefficients, ghz_phase, validate_state)
 from ghzcert.linalg import canonical_indices, outer_all
 from ghzcert.states import g_values
 
 SQ2 = np.sqrt(2.0)
+# Largest |m - J m^T J| entry a persymmetric matrix may have.
+PERSYMMETRY_TOL = 1e-10
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -201,14 +207,62 @@ def kron_sum_operator(protocol, angles) -> np.ndarray:
     return total
 
 
-def kraus_loop_channel(mat: np.ndarray, channel) -> np.ndarray:
+def kraus_pair(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair (K0, K1) of the dephasing channel at one angle.
+
+    K0 = sqrt((1 + g)/2) I and K1 = sqrt((1 - g)/2) Gamma, where
+    g = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1), clamped into [0, 1], and
+    Gamma is X up to pi/4 and Y beyond.
+    """
+    g = (1 + SQ2) * (math.sin(alpha) + math.cos(alpha) - 1)
+    g = min(max(g, 0.0), 1.0)
+    gamma = PAULI["X"] if alpha <= math.pi / 4 else PAULI["Y"]
+    return (math.sqrt((1 + g) / 2) * PAULI["I"],
+            math.sqrt((1 - g) / 2) * gamma)
+
+
+def kraus_loop_channel(mat: np.ndarray, angles) -> np.ndarray:
     """Channel output as the sum over product Kraus operators K M K^dagger."""
-    pairs = channel.kraus_pairs()
-    out = np.zeros((2 ** channel.n,) * 2, dtype=complex)
-    for bits in itertools.product((0, 1), repeat=channel.n):
+    pairs = [kraus_pair(alpha) for alpha in angles]
+    out = np.zeros((2 ** len(pairs),) * 2, dtype=complex)
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
         k = kron_chain([pairs[j][b] for j, b in enumerate(bits)])
         out += k @ mat @ k.conj().T
     return out
+
+
+def evaluate(protocol, rho: np.ndarray, angles) -> float:
+    """Bell value Tr[rho W], W the Kronecker-sum operator at ``angles``.
+
+    ``rho`` passes ``bell.validate_state`` first; ArithmeticError if the
+    trace has an imaginary part above 1e-10.
+    """
+    rho = validate_state(rho, protocol.n)
+    value = complex(np.trace(rho @ kron_sum_operator(protocol, angles)))
+    if abs(value.imag) > 1e-10:
+        raise ArithmeticError(f"Bell value has imaginary part {value.imag}")
+    return value.real
+
+
+def is_persymmetric(m: np.ndarray) -> bool:
+    """Whether m = J m^T J within ``PERSYMMETRY_TOL``, J the exchange matrix."""
+    j = exchange_matrix(len(m))
+    return bool(np.max(np.abs(m - j @ m.T @ j)) <= PERSYMMETRY_TOL)
+
+
+def block_unitary(n: int) -> np.ndarray:
+    """Permutation matrix pairing each index b with its complement.
+
+    Column k holds a single 1 at row 2k for k < 2^(n-1) and at row
+    2(2^n - 1 - k) + 1 otherwise, so conjugation by this matrix brings a
+    diagonal-plus-antidiagonal matrix into 2 x 2 block-diagonal form.
+    """
+    dim = 2 ** n
+    u = np.zeros((dim, dim))
+    for k in range(dim):
+        row = 2 * k if k < dim // 2 else 2 * (dim - 1 - k) + 1
+        u[row, k] = 1.0
+    return u
 
 
 def dense_spectral_ghz_rho(protocol) -> np.ndarray:

@@ -15,19 +15,19 @@ from typing import Tuple
 
 import numpy as np
 
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, evaluate,
-                          hybrid_bound, local_bound, quantum_bound)
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, hybrid_bound,
+                          local_bound, quantum_bound)
 from ghzcert.linalg import hermitian_eigenvalues
 from ghzcert.simulate import NoiseModel, certify
-from ghzcert.states import DephasingChannel, apply_channel, ghz_state, \
-    persymmetry_preserved
+from ghzcert.states import apply_channel, ghz_state
 from ghzcert.tradeoff import emit_curve
 from ghzcert.verifier import (CertificateConstants, GridSpec, block_decompose,
                               build_T, catalog_constants, min_eig_over_grid,
                               parity_projector, projector_lambda,
                               sv3_block_functions, sv4_block_functions,
                               sv4_determinant)
-from oracles import eig2x2_hermitian, exchange_matrix, random_hermitian
+from oracles import (eig2x2_hermitian, evaluate, exchange_matrix,
+                     is_persymmetric, random_hermitian)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK)
@@ -251,8 +251,7 @@ def test_criterion_7_channel_and_state_properties():
     for i in range(200):
         protocol = ALL_PROTOCOLS[i % len(ALL_PROTOCOLS)]
         dim = protocol.dim
-        channel = DephasingChannel(
-            tuple(rng.uniform(0.0, math.pi / 2, size=protocol.n)))
+        channel = tuple(rng.uniform(0.0, math.pi / 2, size=protocol.n))
         a = random_hermitian(rng, dim)
         b = random_hermitian(rng, dim)
         out = apply_channel(a, channel)
@@ -265,7 +264,8 @@ def test_criterion_7_channel_and_state_properties():
                               - np.trace(apply_channel(a, channel) @ b)))
         j = exchange_matrix(dim)
         persymmetric = (a + j @ a.T @ j) / 2
-        persym_ok = persym_ok and persymmetry_preserved(persymmetric, channel)
+        persym_ok = (persym_ok and is_persymmetric(persymmetric)
+                     and is_persymmetric(apply_channel(persymmetric, channel)))
     state_dev = 0.0
     for protocol in ALL_PROTOCOLS:
         rho = ghz_state(protocol)

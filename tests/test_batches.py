@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator
-from ghzcert.states import (DephasingChannel, apply_channel, ghz_state,
-                            persymmetry_preserved)
+from ghzcert.states import apply_channel, ghz_state
 from ghzcert.verifier import (StructureViolation, block_decompose, build_T,
                               catalog_constants)
 
@@ -40,7 +39,7 @@ def certificate(protocol: BellProtocol, angles) -> np.ndarray:
 
 
 def channel_image(protocol: BellProtocol, angles) -> np.ndarray:
-    return apply_channel(ghz_state(protocol), DephasingChannel(angles))
+    return apply_channel(ghz_state(protocol), angles)
 
 
 DENSE_ROUTES = (build_operator, channel_image, certificate)
@@ -66,21 +65,10 @@ def test_batched_channel_on_a_general_matrix():
         dim = 2 ** n
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for batch in angle_batches(rng, n):
-            out = apply_channel(mat, DephasingChannel(batch))
+            out = apply_channel(mat, batch)
             assert out.shape == (len(batch), dim, dim)
             assert np.array_equal(out, np.stack([
-                apply_channel(mat, DephasingChannel(tuple(row)))
-                for row in batch]))
-
-
-def test_batched_channel_stores_hashable_tuples():
-    batch = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    channel = DephasingChannel(batch)
-    assert channel.angles == ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
-    assert channel.n == 3
-    assert channel == DephasingChannel(tuple(map(tuple, batch)))
-    assert hash(channel) == hash(DephasingChannel(channel.angles))
-    assert DephasingChannel(batch[0]).angles == (0.1, 0.2, 0.3)
+                apply_channel(mat, tuple(row)) for row in batch]))
 
 
 @pytest.mark.parametrize("route", DENSE_ROUTES)
@@ -100,17 +88,17 @@ def test_wrong_angle_shape_is_refused(route):
     for shape in ((3,), (5,), (2, 3), (2, 5), (2, 2, 4), ()):
         with pytest.raises(ValueError):
             route(protocol, np.full(shape, 0.3))
+    with pytest.raises(ValueError, match=r"nonempty .* shape \(0, 4\)"):
+        route(protocol, np.empty((0, 4)))
 
 
 def test_channel_refuses_empty_and_ragged_angles():
-    for angles in ((), ((),), ((0.1, 0.2), (0.3,)), np.empty((0, 3))):
-        with pytest.raises(ValueError):
-            DephasingChannel(angles)
-    batched = DephasingChannel(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
-    with pytest.raises(ValueError, match="batch of 2"):
-        batched.kraus_pairs()
-    with pytest.raises(ValueError, match="batch of 2"):
-        persymmetry_preserved(ghz_state(BellProtocol(SVETLICHNY, 3)), batched)
+    mat = np.eye(8, dtype=complex)
+    for angles in ((), ((),), np.empty((0, 3))):
+        with pytest.raises(ValueError, match="nonempty"):
+            apply_channel(mat, angles)
+    with pytest.raises(ValueError):
+        apply_channel(mat, ((0.1, 0.2), (0.3,)))
 
 
 def test_batched_block_decompose_equals_single_calls():

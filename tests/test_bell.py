@@ -10,10 +10,10 @@ import pytest
 import ghzcert.bell
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
                           _corner_magnitude_max, build_operator, check_angle,
-                          corner_entries, evaluate, hybrid_bound, local_bound,
+                          corner_entries, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
 from ghzcert.linalg import canonical_indices, hermitian_eigenvalues
-from oracles import (coefficient_table, complex_corner_entries,
+from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, kron_chain,
                      kron_sum_operator, pair_sign_matrix, pair_signs,
                      pauli_coefficient, pauli_string, reference_svetlichny_3,

@@ -1,4 +1,8 @@
-"""Dense complex linear algebra: Pauli matrices, kron, eigenvalues, predicates."""
+"""Dense complex linear algebra: kron, eigenvalues, sign tables, blocks.
+
+The Pauli matrices, the exchange matrix and the persymmetry test are the
+oracle's (``tests/oracles.py``); the tests here check them too.
+"""
 from __future__ import annotations
 
 import itertools
@@ -8,54 +12,50 @@ import numpy as np
 import pytest
 
 from ghzcert.linalg import (canonical_indices, conjugate_pair_sum,
-                            hermitian_eigenvalues, is_persymmetric, kron_all,
-                            least_block_eigenvalue, pauli, sign_products,
+                            hermitian_eigenvalues, kron_all,
+                            least_block_eigenvalue, sign_products,
                             sorted_index_tuples, x_blocks)
-from oracles import (eig2x2_hermitian, exchange_matrix, kron, pair_signs,
-                     random_hermitian, random_x_matrix, signed_site_product)
+from oracles import (PAULI, eig2x2_hermitian, exchange_matrix,
+                     is_persymmetric, kron, pair_signs, random_hermitian,
+                     random_x_matrix, signed_site_product)
 
 SQ2 = np.sqrt(2.0)
 
 
 def test_pauli_matrices():
-    assert np.array_equal(pauli("I"), np.eye(2))
-    assert np.array_equal(pauli("X"), [[0, 1], [1, 0]])
-    assert np.array_equal(pauli("Y"), [[0, -1j], [1j, 0]])
-    assert np.array_equal(pauli("Z"), [[1, 0], [0, -1]])
-    assert np.array_equal(pauli("Y") @ pauli("Y"), np.eye(2))
-
-
-def test_pauli_rejects_bad_label():
-    with pytest.raises(ValueError):
-        pauli("Q")
+    assert np.array_equal(PAULI["I"], np.eye(2))
+    assert np.array_equal(PAULI["X"], [[0, 1], [1, 0]])
+    assert np.array_equal(PAULI["Y"], [[0, -1j], [1j, 0]])
+    assert np.array_equal(PAULI["Z"], [[1, 0], [0, -1]])
+    assert np.array_equal(PAULI["Y"] @ PAULI["Y"], np.eye(2))
 
 
 def test_pauli_structure():
     for label in "IXYZ":
-        p = pauli(label)
+        p = PAULI[label]
         assert np.array_equal(p, p.conj().T)
         assert np.allclose(p @ p.conj().T, np.eye(2))
     for label in "XYZ":
-        assert np.trace(pauli(label)) == 0
+        assert np.trace(PAULI[label]) == 0
 
 
 def test_kron_examples():
-    x, z = pauli("X"), pauli("Z")
-    assert np.array_equal(kron(pauli("I"), x),
+    x, z = PAULI["X"], PAULI["Z"]
+    assert np.array_equal(kron(PAULI["I"], x),
                           np.block([[x, np.zeros((2, 2))], [np.zeros((2, 2)), x]]))
     assert np.array_equal(kron(x, x), np.eye(4)[::-1])
     assert np.array_equal(kron(z, z), np.diag([1, -1, -1, 1]))
 
 
 def test_kron_associative_on_integer_inputs():
-    a, b, c = pauli("X"), pauli("Z"), pauli("I")
+    a, b, c = PAULI["X"], PAULI["Z"], PAULI["I"]
     assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
     assert np.array_equal(kron_all([a, b, c]), kron(a, kron(b, c)))
 
 
 def test_hermitian_eigenvalues_examples():
-    assert np.allclose(hermitian_eigenvalues(pauli("Z")), [-1, 1], atol=1e-12)
-    m = kron(pauli("X"), pauli("X")) + kron(pauli("Z"), pauli("Z"))
+    assert np.allclose(hermitian_eigenvalues(PAULI["Z"]), [-1, 1], atol=1e-12)
+    m = kron(PAULI["X"], PAULI["X"]) + kron(PAULI["Z"], PAULI["Z"])
     assert np.allclose(hermitian_eigenvalues(m), [-2, 0, 0, 2], atol=1e-10)
 
 
@@ -114,10 +114,10 @@ def test_eig2x2_matches_full_solver():
 
 
 def test_exchange_matrix():
-    assert np.array_equal(exchange_matrix(2), pauli("X"))
-    assert np.array_equal(exchange_matrix(4), kron(pauli("X"), pauli("X")))
+    assert np.array_equal(exchange_matrix(2), PAULI["X"])
+    assert np.array_equal(exchange_matrix(4), kron(PAULI["X"], PAULI["X"]))
     assert np.array_equal(exchange_matrix(8),
-                          kron_all([pauli("X")] * 3))
+                          kron_all([PAULI["X"]] * 3))
     for dim in (1, 2, 5, 8):
         j = exchange_matrix(dim)
         assert np.array_equal(j @ j, np.eye(dim))

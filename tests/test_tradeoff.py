@@ -10,9 +10,8 @@ import ghzcert.tradeoff
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
                               emit_curve, fidelity_lower_bound, format_float,
-                              is_trivial_bound, relative_violation, threshold,
-                              tightness_check, tradeoff_upper_bound,
-                              upper_bound_reference)
+                              is_trivial_bound, relative_violation,
+                              tightness_check, upper_bound_reference)
 from ghzcert.verifier import catalog_constants
 from oracles import PastValidation, stop_past_validation
 
@@ -33,18 +32,10 @@ def constants_for(family: str, n: int):
 
 
 def test_threshold_examples():
-    assert abs(threshold(constants_for(SVETLICHNY, 3))
+    assert abs(constants_for(SVETLICHNY, 3).beta_T
                - 4 * (2 + SQ2) / 3) <= 1e-12
-    assert abs(threshold(constants_for(MABK, 5)) - 8 * SQ2) <= 1e-12
-    assert abs(threshold(constants_for(MABK, 3)) - 2 * SQ2) <= 1e-12
-
-
-def test_threshold_rejects_nonpositive_slope():
-    constants = constants_for(SVETLICHNY, 3)
-    bad = type(constants)(protocol=constants.protocol, s=0.0,
-                          mu=constants.mu, beta_T=constants.beta_T)
-    with pytest.raises(ValueError):
-        threshold(bad)
+    assert abs(constants_for(MABK, 5).beta_T - 8 * SQ2) <= 1e-12
+    assert abs(constants_for(MABK, 3).beta_T - 2 * SQ2) <= 1e-12
 
 
 def test_fidelity_lower_bound_examples():
@@ -87,17 +78,6 @@ def test_upper_bound_reference_values():
     }
     for (family, n), value in expected.items():
         assert abs(upper_bound_reference(BellProtocol(family, n)) - value) <= 1e-12
-
-
-def test_tradeoff_upper_bound_examples():
-    sv5 = BellProtocol(SVETLICHNY, 5)
-    assert abs(tradeoff_upper_bound(sv5, 16.0, 16.0) - 0.5) <= 1e-12
-    m4 = BellProtocol(MABK, 4)
-    assert abs(tradeoff_upper_bound(m4, 8.0, 4 * SQ2) - 1.0) <= 1e-12
-    sv3 = BellProtocol(SVETLICHNY, 3)
-    assert abs(tradeoff_upper_bound(sv3, 4 * SQ2, 4.0) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        tradeoff_upper_bound(m4, 2.0, 4 * SQ2)
 
 
 def test_tightness_catalog():

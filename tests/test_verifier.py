@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
-from ghzcert.linalg import hermitian_eigenvalues, is_persymmetric
+from ghzcert.linalg import hermitian_eigenvalues
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.verifier
@@ -19,13 +19,14 @@ from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
                               CertificateConstants,
                               GridSpec, StructureViolation,
                               _min_block_over_axes,
-                              block_decompose, block_unitary, build_T,
+                              block_decompose, build_T,
                               catalog_constants, closed_form_crosscheck,
                               min_eig_over_grid, parity_projector,
                               projector_lambda, sv3_block_functions,
                               sv4_block_functions, sv4_determinant)
-from oracles import (PastValidation, complex_min_block_over_axes,
-                     eig2x2_hermitian, full_grid_min_block, pauli_string,
+from oracles import (PastValidation, block_unitary,
+                     complex_min_block_over_axes, eig2x2_hermitian,
+                     full_grid_min_block, is_persymmetric, pauli_string,
                      stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
@@ -574,13 +575,13 @@ def test_projector_lambda_matches_direct_computation():
 def test_projector_lambda_nonnegative_on_grid():
     s = catalog_constants(BellProtocol(SVETLICHNY, 3)).s
     axis = np.linspace(0.0, math.pi / 4, 21)
-    for a1 in axis:
-        for a2 in axis:
-            for a3 in axis:
-                for x1 in (0, 1):
-                    for x2 in (0, 1):
-                        assert projector_lambda(
-                            (a1, a2, a3), s, x1, x2) >= -1e-9
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    for x1 in (0, 1):
+        for x2 in (0, 1):
+            values = projector_lambda(grid, s, x1, x2)
+            assert values.shape == (21 ** 3,)
+            assert np.all(values >= -1e-9)
 
 
 def test_projector_lambda_validates_domain():
@@ -652,6 +653,9 @@ def test_batched_closed_forms_refuse_any_bad_angle():
             for shape in ((6, n - 1), (6, n + 1), (n + 1,), (2, 3, n)):
                 with pytest.raises(ValueError, match="angles per tuple"):
                     form(np.full(shape, 0.3), s)
+            with pytest.raises(ValueError,
+                               match=rf"nonempty .* shape \(0, {n}\)"):
+                form(np.empty((0, n)), s)
 
 
 def test_closed_form_crosscheck():
