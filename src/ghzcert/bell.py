@@ -25,9 +25,10 @@ Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
 entries, batched over angle tuples and read off one ``sign_products`` table;
-the quantum bound and the certificate scan read it.  Its pair (0, 2^n - 1)
-is the largest, and ``ghz_phase``, the phase of that pair's eigenvector,
-defines the target state the scan and ``states.ghz_state`` share.
+the quantum bound and the certificate scan evaluate the same two calls in
+their chunk buffers.  Its pair (0, 2^n - 1) is the largest, and
+``ghz_phase``, the phase of that pair's eigenvector, defines the target
+state the scan and ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn, for one angle tuple or a batch of them at once, and
@@ -44,9 +45,9 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .linalg import (HERMITICITY_TOL, SCAN_CHUNK_EVALUATIONS,
-                     canonical_indices, conjugate_pair_sum, contract_site,
-                     interleaved_to_matrix, least_block_eigenvalue,
-                     sign_products, x_blocks)
+                     canonical_indices, chunk_workspace, conjugate_pair_sum,
+                     contract_site, interleaved_to_matrix,
+                     least_block_eigenvalue, sign_products, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -317,9 +318,9 @@ def quantum_bound(protocol: BellProtocol) -> float:
     """Maximal quantum value, computed as the norm at the optimal angles.
 
     W is antidiagonal, so its spectral norm is its largest antidiagonal
-    magnitude; that is read off ``corner_entries`` at the all-pi/4 point and
-    cross-checked against the same magnitudes on a coarse grid over the full
-    angle domain.
+    magnitude; that is read off the ``corner_entries`` closed form at the
+    all-pi/4 point and cross-checked against the same magnitudes on a coarse
+    grid over the full angle domain.
     """
     value = _corner_magnitude_max(protocol, np.array([math.pi / 4]))
     grid_max = _corner_magnitude_max(protocol, np.linspace(0.0, math.pi / 2, 9))
@@ -336,17 +337,30 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
     parties, so only one sorted angle tuple per permutation orbit is
     evaluated (``canonical_indices``), all 2^(n-1) pairs at once.  The
     points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
-    evaluations, as the certificate scan walks them, so the tables do not
-    grow with the grid.
+    evaluations in this thread's ``chunk_workspace``, as the certificate
+    scan walks them, so the tables neither grow with the grid nor are
+    allocated per chunk.  Each chunk's entries are ``corner_entries``, bit
+    for bit, with cos + sin and cos - sin formed once per grid value.
     """
-    idx = canonical_indices([grid] * protocol.n)
+    n = protocol.n
+    half = 2 ** (n - 1)
+    idx = canonical_indices([grid] * n)
     cs, sn = np.cos(grid), np.sin(grid)
-    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (protocol.n - 1))
+    trig = np.stack([cs + sn, cs - sn])
+    z = corner_coefficient(protocol)
+    total = idx.shape[1]
+    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
+    workspace = chunk_workspace(step * half)
     best = 0.0
-    for start in range(0, idx.shape[1], step):
-        cols = idx[:, start:start + step]
-        entries = corner_entries(protocol, cs[cols], sn[cols])
-        best = max(best, float(np.max(np.abs(entries))))
+    for start in range(0, total, step):
+        buffers = workspace.views(n, min(step, total - start))
+        scratch = buffers["scratch"]
+        sign_products(*np.take(trig, idx[:, start:start + step], axis=1,
+                               out=buffers["factors"], mode="clip"),
+                      buffers["table"], scratch[0])
+        entries = conjugate_pair_sum(buffers["table"], z, buffers["bell"],
+                                     scratch)
+        best = max(best, float(np.abs(entries, out=scratch[0]).max()))
     return best
 
 

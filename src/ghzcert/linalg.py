@@ -9,11 +9,23 @@ site-by-site contraction (``contract_site``) and the matrices it leaves
 matrix (``x_blocks``) and their least eigenvalue, and a checked Hermitian
 spectrum.  Certification and state validation read their spectra from
 closed-form 2 x 2 blocks; the full spectrum serves the tests.
+
+The canonical index layout depends only on the axis lengths and on which
+axes are equal, so it is built once per such structure and cached:
+read-only, in one-byte indices up to 256 points per axis, at most
+``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
+(the largest pass the certificate scan admits), is 3 one-byte indices per
+point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.  ``sign_products``
+and ``conjugate_pair_sum`` write into caller-owned buffers when given them,
+and ``chunk_workspace`` holds one set of such buffers per thread, so the
+certificate scan and the quantum bound's grid check run their chunks
+without allocating.
 """
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple
+import threading
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +36,9 @@ HERMITICITY_TOL = 1e-10
 # of 2^13 to 2^17 for the certificate scan at n = 4 on grid 31; the
 # quantum-bound grid check walks its points in chunks of the same size.
 SCAN_CHUNK_EVALUATIONS = 2 ** 15
+# Canonical layouts kept by ``canonical_indices``, least recently used
+# first out; a cycle of the scan benchmark's verify ops uses 8.
+CANONICAL_LAYOUT_CACHE = 12
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty sequence of matrices, left to right."""
@@ -109,60 +124,151 @@ def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
     indices are nondecreasing within every group.  Groups are combined as a
     Cartesian product, the first group varying slowest.  Returns an integer
     array of shape (len(axes), number of canonical tuples) whose row j
-    indexes ``axes[j]``.  Each group's tuples are built in the small dtype
-    of ``sorted_index_tuples``; the result is numpy's index type, intp.
+    indexes ``axes[j]``.  The layout depends only on the axis lengths and on
+    which axes are equal, so it is built once per such structure
+    (``_canonical_layout``) and shared: read-only, in the smallest unsigned
+    dtype that holds every index (uint8 up to 256 points per axis).
     """
     if not axes:
         raise ValueError("canonical_indices requires at least one axis")
-    groups: List[List[int]] = []
+    labels: List[int] = []
+    firsts: List[int] = []
     for j, axis in enumerate(axes):
-        for group in groups:
-            if np.array_equal(axes[group[0]], axis):
-                group.append(j)
+        for label, first in enumerate(firsts):
+            if np.array_equal(axes[first], axis):
+                labels.append(label)
                 break
         else:
-            groups.append([j])
-    out = np.empty((len(axes), 1), dtype=np.intp)
-    for group in groups:
-        block = sorted_index_tuples(len(axes[group[0]]), len(group)).T
+            labels.append(len(firsts))
+            firsts.append(j)
+    return _canonical_layout(tuple(len(axis) for axis in axes), tuple(labels))
+
+
+@functools.lru_cache(maxsize=CANONICAL_LAYOUT_CACHE)
+def _canonical_layout(lengths: Tuple[int, ...],
+                      labels: Tuple[int, ...]) -> np.ndarray:
+    """The ``canonical_indices`` layout of axes of these lengths whose equal
+    axes share a label, labels numbered in order of first appearance."""
+    dtype = np.min_scalar_type(max(lengths) - 1)
+    out = np.empty((len(lengths), 1), dtype=dtype)
+    for label in range(max(labels) + 1):
+        group = [j for j, other in enumerate(labels) if other == label]
+        block = sorted_index_tuples(lengths[group[0]], len(group)).T
         reps = block.shape[1]
         out = np.repeat(out, reps, axis=1)
         out[group] = np.tile(block, out.shape[1] // reps)
+    out.setflags(write=False)
     return out
 
 
-def sign_products(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+def sign_products(plus: np.ndarray, minus: np.ndarray,
+                  out: Optional[np.ndarray] = None,
+                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-site products prod_j (plus[j] or minus[j]) over every sign choice.
 
     ``plus`` and ``minus`` hold one row per site.  Row r of the 2^n-row
     result takes plus[j] where bit j of r (most significant first) is 0 and
     minus[j] where it is 1, multiplied left to right; rows r and 2^n - 1 - r
     choose oppositely at every site.  Each site doubles the table, about
-    2^(n+1) row products in all.
+    2^(n+1) row products in all.  The doublings alternate between ``out``,
+    shape (2^n,) + plus.shape[1:], and ``scratch``, with at least 2^(n-1)
+    such rows, and end in ``out``; either is allocated when not given.
+    Each doubling reads a contiguous table and writes every other row of
+    the next, whichever buffers are passed: numpy's complex multiply can
+    round differently on other memory layouts.
     """
-    table = np.stack([plus[0], minus[0]])
-    for p, q in zip(plus[1:], minus[1:]):
-        out = np.empty((2 * len(table),) + table.shape[1:], table.dtype)
-        np.multiply(table, p, out=out[0::2])
-        np.multiply(table, q, out=out[1::2])
-        table = out
-    return table
+    n = len(plus)
+    shape, dtype = plus.shape[1:], np.result_type(plus, minus)
+    if out is None:
+        out = np.empty((2 ** n,) + shape, dtype)
+    if scratch is None:
+        scratch = np.empty((2 ** (n - 1),) + shape, dtype)
+    buffers = (out, scratch)
+    table = buffers[(n - 1) % 2][:2]
+    table[0], table[1] = plus[0], minus[0]
+    for left, (p, q) in enumerate(zip(plus[1:], minus[1:]), start=2):
+        doubled = buffers[(n - left) % 2][:2 * len(table)]
+        np.multiply(table, p, out=doubled[0::2])
+        np.multiply(table, q, out=doubled[1::2])
+        table = doubled
+    return out
 
 
-def conjugate_pair_sum(table: np.ndarray, z: complex) -> np.ndarray:
+def conjugate_pair_sum(table: np.ndarray, z: complex,
+                       out: Optional[np.ndarray] = None,
+                       scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """z table[2^n - 1 - b] + conj(z) table[b] for every row b < 2^(n-1).
 
     ``table`` is a real ``sign_products`` table; the real and imaginary parts
-    are formed in real arithmetic, each complement row first.
+    are formed in real arithmetic, each complement row first.  The result
+    goes to ``out``, a complex array of the half table's shape, when given;
+    the two products of each part are formed in ``scratch``, a real array of
+    shape (2,) + that shape, when given.  Either is allocated otherwise.
     """
     half = len(table) // 2
     low, high = table[:half], table[::-1][:half]
-    out = np.empty(low.shape, dtype=complex)
-    np.multiply(z.real, high, out=out.real)
-    out.real += z.real * low
-    np.multiply(z.imag, high, out=out.imag)
-    out.imag += (-z.imag) * low
+    if out is None:
+        out = np.empty(low.shape, dtype=complex)
+    if scratch is None:
+        scratch = np.empty((2,) + low.shape)
+    first, second = scratch
+    np.multiply(z.real, high, out=first)
+    np.multiply(z.real, low, out=second)
+    np.add(first, second, out=out.real)
+    np.multiply(z.imag, high, out=first)
+    np.multiply(-z.imag, low, out=second)
+    np.add(first, second, out=out.imag)
     return out
+
+
+class ChunkWorkspace:
+    """The buffers of one chunk of a walk over canonical grid points.
+
+    Sized in block evaluations (points times pairs) of a full chunk, so one
+    workspace serves every number of parties: a chunk of m points at n
+    parties needs 2^n m table entries and n m <= 2^(n-1) m point indices.
+    About 3.1 MB at ``SCAN_CHUNK_EVALUATIONS`` = 2^15.  The certificate
+    scan uses every buffer; the quantum bound's grid check uses the table,
+    the scratch, the factors and one corner.
+    """
+
+    def __init__(self, evaluations: int):
+        self.evaluations = evaluations
+        self.table = np.empty(2 * evaluations)
+        self.low = np.empty(evaluations)
+        self.scratch = np.empty(2 * evaluations)
+        self.channel = np.empty(evaluations, dtype=complex)
+        self.bell = np.empty(evaluations, dtype=complex)
+        self.cols = np.empty(evaluations, dtype=np.intp)
+        self.factors = np.empty(2 * evaluations)
+        self.flags = np.empty(evaluations, dtype=bool)
+
+    def views(self, n: int, points: int) -> Dict[str, np.ndarray]:
+        """The buffers shaped for a chunk of ``points`` points at n parties."""
+        pairs = 2 ** (n - 1) * points
+        return {
+            "table": self.table[:2 * pairs].reshape(-1, points),
+            "low": self.low[:pairs].reshape(-1, points),
+            "scratch": self.scratch[:2 * pairs].reshape(2, -1, points),
+            "channel": self.channel[:pairs].reshape(-1, points),
+            "bell": self.bell[:pairs].reshape(-1, points),
+            "cols": self.cols[:n * points].reshape(n, points),
+            "factors": self.factors[:2 * n * points].reshape(2, n, points),
+            "flags": self.flags[:n * points].reshape(n, points),
+        }
+
+
+# One chunk workspace per thread, so concurrent walks never share buffers.
+_WORKSPACES = threading.local()
+
+
+def chunk_workspace(evaluations: int) -> ChunkWorkspace:
+    """This thread's workspace for chunks of ``evaluations`` block
+    evaluations, replaced when the chunk size changes."""
+    workspace = getattr(_WORKSPACES, "current", None)
+    if workspace is None or workspace.evaluations != evaluations:
+        workspace = _WORKSPACES.current = ChunkWorkspace(evaluations)
+    return workspace
 
 
 def x_blocks(m: np.ndarray

@@ -20,8 +20,11 @@ tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
 2^(n-1) pairs at once, each block entry read off one of two
 ``sign_products`` tables (the channel corner shares the diagonal's).  The
 points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
-evaluations, so the tables do not grow with the grid.  Refinement stencils
-shrink the same way along axes that coincide.  A grid pass above
+evaluations, every chunk in one workspace of buffers kept per thread, so
+the tables neither grow with the grid nor are allocated per chunk, and
+the canonical points of a grid are a layout cached by its shape
+(``canonical_indices``).  Refinement stencils, built in one call over every
+axis, shrink the same way along axes that coincide.  A grid pass above
 ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before anything is
 allocated.
 
@@ -51,9 +54,11 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, corner_entries, ghz_phase)
+                   build_operator, check_angles, corner_coefficient,
+                   ghz_phase)
 from .linalg import (SCAN_CHUNK_EVALUATIONS, canonical_indices,
-                     conjugate_pair_sum, outer_all, sign_products)
+                     chunk_workspace, conjugate_pair_sum, outer_all,
+                     sign_products)
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
 
@@ -63,8 +68,8 @@ _BLOCK_RESIDUE_TOL = 1e-12
 REFINEMENT_DEPTH = 6
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
 # (canonical points times pairs).  The largest accepted pass, n = 3 on grid
-# 227, peaks at about 90 MB resident, most of it the canonical index
-# tuples; the scan's tables are bounded by SCAN_CHUNK_EVALUATIONS.
+# 227, peaks at about 73 MB resident, most of it building the one-byte
+# canonical layout; the scan's tables are bounded by SCAN_CHUNK_EVALUATIONS.
 MAX_BLOCK_EVALUATIONS = 8_000_000
 # Most samples closed_form_crosscheck draws, at about 0.03 ms each (n = 3)
 # and 0.04 ms (n = 4), nearly all of it the batched matrix route.
@@ -239,15 +244,6 @@ def _block_array(t: np.ndarray, n: int) -> np.ndarray:
     return flat[:, on_block]
 
 
-def _factor_rows(records: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The two site factors of ``records`` at the points of ``cols``.
-
-    ``records`` holds one pair of factors per axis value and ``cols`` one
-    row of value indices per site; the result has shape (2, sites, points).
-    """
-    return np.moveaxis(np.take(records, cols, axis=0, mode="clip"), -1, 0)
-
-
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                          axes: Sequence[np.ndarray]):
     """Minimum block lower-eigenvalue over a product grid of angles.
@@ -263,55 +259,68 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     (``canonical_indices``) is evaluated.
 
     The canonical points are walked in chunks of about
-    ``SCAN_CHUNK_EVALUATIONS`` block evaluations, so the working set does
-    not grow with the grid.  Each chunk builds two tables, the diagonal's
-    and the Bell corner's.  The channel corner's site factors
-    (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
-    dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1, so its
-    table is the diagonal table with, at each point, the rows that take the
-    minus factor of a site beyond pi/4 negated.  Ties go to the first pair,
-    then the first canonical point, as one ``argmin`` over the whole grid
-    would choose.  Returns the minimum, its angles, the binding pair and the
-    number of block evaluations.
+    ``SCAN_CHUNK_EVALUATIONS`` block evaluations, every chunk in the same
+    per-thread buffers (``chunk_workspace``), so the working set neither
+    grows with the grid nor is allocated per chunk.  Each chunk builds two
+    tables in turn, the diagonal's and the Bell corner's.  The channel
+    corner's site factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4,
+    where dx = 1 and dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and
+    dy = 1, so its table is the diagonal table with, at each point, the rows
+    that take the minus factor of a site beyond pi/4 negated.  Ties go to
+    the first pair, then the first canonical point, as one ``argmin`` over
+    the whole grid would choose.  Returns the minimum, its angles, the
+    binding pair and the number of block evaluations.
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
     idx = canonical_indices(axes)
     # The site factors at every axis value, all axes end to end: 1 + g and
-    # 1 - g of the diagonal, cos and sin of the Bell corner, one record of
-    # two per value.  Offsetting each axis's indices by its start reads a
-    # chunk's factors at every site with one ``np.take``; mode="clip" is
-    # the faster mode and clips nothing, every index being in range.
-    g = np.concatenate([g_values(a) for a in axes])
-    diagonal = np.stack([1.0 + g, 1.0 - g], axis=1)
-    trig = np.stack([np.concatenate([np.cos(a) for a in axes]),
-                     np.concatenate([np.sin(a) for a in axes])], axis=1)
-    beyond = ~(np.concatenate(axes) <= math.pi / 4 + ANGLE_SLACK)
+    # 1 - g of the diagonal, cos + sin and cos - sin of the Bell corner, one
+    # row of each pair.  Offsetting each axis's indices by its start reads a
+    # chunk's factors at every site with one ``np.take``; mode="clip" is the
+    # faster mode and clips nothing, every index being in range.
+    values = np.concatenate(axes)
+    g = g_values(values)
+    diagonal = np.stack([1.0 + g, 1.0 - g])
+    cs, sn = np.cos(values), np.sin(values)
+    trig = np.stack([cs + sn, cs - sn])
+    beyond = ~(values <= math.pi / 4 + ANGLE_SLACK)
     flips = bool(beyond.any())
     offsets = np.cumsum([0] + [len(a) for a in axes[:-1]])[:, None]
     channel_z = scale * ghz_phase(protocol)
+    bell_z = corner_coefficient(protocol)
+    total = idx.shape[1]
     step = max(1, SCAN_CHUNK_EVALUATIONS // half)
+    workspace = chunk_workspace(step * half)
+    buffers = workspace.views(n, min(step, total))
     best = None
-    for start in range(0, idx.shape[1], step):
-        cols = idx[:, start:start + step] + offsets
-        table = sign_products(*_factor_rows(diagonal, cols))
-        low = table[:half] + table[::-1][:half]
+    for start in range(0, total, step):
+        if total - start < step:
+            buffers = workspace.views(n, total - start)
+        cols, low, table = buffers["cols"], buffers["low"], buffers["table"]
+        factors, scratch = buffers["factors"], buffers["scratch"]
+        np.add(idx[:, start:start + step], offsets, out=cols)
+        sign_products(*np.take(diagonal, cols, axis=1, out=factors,
+                               mode="clip"), table, scratch[0])
+        np.add(table[:half], table[::-1][:half], out=low)
         low *= scale
         low -= mu
         if flips:
-            for j, flip in enumerate(np.take(beyond, cols, mode="clip")):
+            flags = np.take(beyond, cols, out=buffers["flags"], mode="clip")
+            for j, flip in enumerate(flags):
                 minus_rows = table.reshape(2 ** j, 2, -1, flip.size)[:, 1]
                 np.negative(minus_rows, out=minus_rows, where=flip)
-        # Each table is dropped once combined into its corner.
-        corner = conjugate_pair_sum(table, channel_z)
-        del table
-        w = corner_entries(protocol, *_factor_rows(trig, cols))
+        corner = conjugate_pair_sum(table, channel_z, buffers["channel"],
+                                    scratch)
+        # The Bell table takes the diagonal table's place.
+        sign_products(*np.take(trig, cols, axis=1, out=factors, mode="clip"),
+                      table, scratch[0])
+        w = conjugate_pair_sum(table, bell_z, buffers["bell"], scratch)
         w.real *= s
         w.imag *= s
         corner -= w
-        del w
-        low -= np.abs(corner)
-        pair, k = divmod(int(np.argmin(low)), low.shape[1])
+        low -= np.abs(corner, out=scratch[0])
+        pair, k = divmod(int(low.argmin()), low.shape[1])
         value = float(low[pair, k])
         # An earlier chunk holds earlier points, so it keeps a tie unless
         # the later one binds at a smaller pair.
@@ -319,7 +328,22 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
             best = value, pair, start + k
     value, pair, k = best
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
-    return value, point, pair, half * idx.shape[1]
+    return value, point, pair, half * total
+
+
+def _stencil(p: np.ndarray, h: float, lo: float,
+             hi: float) -> List[np.ndarray]:
+    """The refinement stencil around ``p``: 5 points per axis, step h/2.
+
+    Built in one ``linspace`` over every axis and clipped to [lo, hi];
+    clipping at the domain edge repeats the edge point, and each axis keeps
+    each point once, in ascending order.
+    """
+    points = np.clip(np.linspace(p - h, p + h, 5, axis=1), lo, hi)
+    keep = np.empty(points.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(points[:, 1:], points[:, :-1], out=keep[:, 1:])
+    return [row[mask] for row, mask in zip(points, keep)]
 
 
 def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
@@ -365,13 +389,9 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
                 h = (hi - lo) / (grid.points_per_axis - 1)
                 p = np.array(point)
                 for _ in range(REFINEMENT_DEPTH):
-                    # Clipping at the domain edge repeats the edge point;
-                    # keep each stencil point once.
-                    sub = [np.unique(np.clip(
-                               np.linspace(p[j] - h, p[j] + h, 5), lo, hi))
-                           for j in range(n)]
                     value, sub_point, sub_pair, count = _min_block_over_axes(
-                        protocol, constants.s, constants.mu, sub)
+                        protocol, constants.s, constants.mu,
+                        _stencil(p, h, lo, hi))
                     evaluations += count
                     if value < best:
                         best, point, pair = value, sub_point, sub_pair

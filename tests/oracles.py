@@ -19,8 +19,10 @@ per-pair route to the corner closed form and the orbit-reduced scan, with
 ``channel_corner_factors`` the channel corner's site factors: one
 ``signed_site_product`` per pair table and sign, corner algebra in complex
 arrays; the package's sign tables and real arithmetic must match them bit
-for bit.  The small helpers after the Pauli algebra (``kron``,
-``exchange_matrix``, ``eig2x2_hermitian``, ``coefficient_table``) are
+for bit.  ``per_axis_stencil`` builds a refinement stencil one axis at a
+time, the reference for the scan's one-call stencil.  The small helpers
+after the Pauli algebra (``kron``, ``exchange_matrix``,
+``eig2x2_hermitian``, ``coefficient_table``) are
 reference tools the tests use and the package does not;
 ``stop_past_validation`` stands in for the first step after an input
 check, so a test can show that a large input is accepted without running
@@ -452,6 +454,17 @@ def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     pair, k = divmod(int(np.argmin(low)), low.shape[1])
     point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
     return float(low[pair, k]), point, pair, low.size
+
+
+def per_axis_stencil(p: np.ndarray, h: float, lo: float,
+                     hi: float) -> list[np.ndarray]:
+    """Refinement stencil around ``p``, one ``linspace`` per axis.
+
+    Five points from p[j] - h to p[j] + h on each axis, clipped to [lo, hi],
+    each point kept once (``np.unique``).
+    """
+    return [np.unique(np.clip(np.linspace(c - h, c + h, 5), lo, hi))
+            for c in p]
 
 
 def random_x_matrix(rng: np.random.Generator, n: int,

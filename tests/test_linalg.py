@@ -172,15 +172,18 @@ def test_canonical_indices_groups_identical_axes():
 
 def test_sorted_index_tuples_take_the_smallest_unsigned_dtype():
     # uint8 holds every index of every grid the scan admits (at most 227
-    # points per axis); the dtype widens only past 256 values.
+    # points per axis); the dtype widens only past 256 values.  The
+    # canonical layout is shared between calls, so it is read-only.
     for size, dtype in ((1, np.uint8), (227, np.uint8), (256, np.uint8),
                         (257, np.uint16)):
         tuples = sorted_index_tuples(size, 2)
         assert tuples.dtype == dtype
         assert tuples[-1].tolist() == [size - 1, size - 1]
         idx = canonical_indices([np.arange(size), np.arange(3.0)])
-        assert idx.dtype == np.intp
+        assert idx.dtype == dtype
         assert idx[0].max() == size - 1
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
 
 
 def test_signed_site_product_matches_outer_products():
@@ -208,6 +211,15 @@ def test_sign_products_match_signed_site_products():
             assert table.shape == (2 ** n, 13)
             assert np.array_equal(table,
                                   signed_site_product(base, other, signs))
+            # Caller-owned buffers, stale contents and all, give the same
+            # bits, for complex factors too.
+            for plus, minus in ((base + other, base - other),
+                                (base + 1j * other, base - 1j * other)):
+                out = np.full((2 ** n, 13), np.nan, dtype=plus.dtype)
+                scratch = np.full((2 ** (n - 1), 13), np.nan, plus.dtype)
+                got = sign_products(plus, minus, out, scratch)
+                assert got is out
+                assert got.tobytes() == sign_products(plus, minus).tobytes()
 
 
 def test_conjugate_pair_sum_matches_complex_formula():
@@ -222,6 +234,10 @@ def test_conjugate_pair_sum_matches_complex_formula():
         got = conjugate_pair_sum(table, z)
         assert got.shape == (half, 9)
         assert np.array_equal(got.view(float), expected.view(float))
+        out = np.full((half, 9), np.nan, dtype=complex)
+        scratch = np.full((2, half, 9), np.nan)
+        assert conjugate_pair_sum(table, z, out, scratch) is out
+        assert np.array_equal(out.view(float), expected.view(float))
 
 
 def test_x_blocks_reads_pairs_and_rejects_other_entries():

@@ -5,7 +5,8 @@ rests on one identity per site: the corner factors (dx + dy, dx - dy) equal
 the diagonal factors (1 + g, 1 - g) bit for bit up to pi/4 (+
 ``ANGLE_SLACK``) and (1 + g, -(1 - g)) beyond.  ``min_eig_over_grid`` must
 answer every finite slope on either domain with a finite minimum, raise
-nothing and emit no warning.
+nothing and emit no warning.  Its refinement stencils, built in one call
+over every axis, must equal the per-axis construction bit for bit.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
 from ghzcert.states import g_values
-from ghzcert.verifier import (PSD_TOLERANCE, GridSpec, catalog_constants,
-                              min_eig_over_grid)
-from oracles import channel_corner_factors
+from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
+                              _stencil, catalog_constants, min_eig_over_grid)
+from oracles import channel_corner_factors, per_axis_stencil
 
 
 def bits(x: float) -> bytes:
@@ -69,3 +70,31 @@ def test_min_eig_over_grid_answers_every_finite_slope(family, n, s, grid,
     assert report.passed is (report.min_eigenvalue >= -PSD_TOLERANCE)
     assert all(0.0 <= angle <= hi for angle in report.argmin_angles)
     assert 0 <= report.binding_pair < 2 ** (n - 1)
+
+
+@st.composite
+def stencil_cases(draw):
+    """A domain, a grid step h0 / 2^k and centres at or near lo, pi/4, hi."""
+    hi = draw(st.sampled_from([math.pi / 4, math.pi / 2]))
+    points = draw(st.integers(2, 227))
+    h = hi / (points - 1) / 2 ** draw(st.integers(0, REFINEMENT_DEPTH))
+    anchors = st.sampled_from([0.0, math.pi / 4, hi])
+    near = st.floats(min_value=-3.0, max_value=3.0)
+    centres = draw(st.lists(st.tuples(anchors, near, st.booleans()),
+                            min_size=1, max_size=5))
+    # A centre sits exactly on its anchor or within 3 h of it, inside the
+    # domain, as every scan minimiser does.
+    p = np.array([min(max(a + t * h, 0.0), hi) if off else a
+                  for a, t, off in centres])
+    return p, h, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stencil_cases())
+def test_one_call_stencil_matches_per_axis_stencil(case):
+    p, h, hi = case
+    got = _stencil(p, h, 0.0, hi)
+    want = per_axis_stencil(p, h, 0.0, hi)
+    assert len(got) == len(want)
+    for axis, expected in zip(got, want):
+        assert axis.tobytes() == expected.tobytes()

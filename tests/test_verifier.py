@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
-from ghzcert.linalg import hermitian_eigenvalues
+from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
+                            hermitian_eigenvalues)
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.verifier
@@ -787,10 +790,10 @@ def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
                                             (5, 33, 100_000_000),
                                             (3, 227, 80_000_000)])
 def test_min_eig_over_grid_memory_is_bounded(n, grid, bound):
-    # The chunked kernel keeps a few tables of about 2^15 block evaluations
-    # each; the canonical index array is what still grows with the grid,
-    # its sorted tuples built in one-byte integers.  Grid 227 is the largest
-    # pass admitted at n = 3.
+    # The chunked kernel works in one workspace of a few tables of about
+    # 2^15 block evaluations each; the canonical layout is what still grows
+    # with the grid, n one-byte indices per point, and building it is the
+    # peak.  Grid 227 is the largest pass admitted at n = 3.
     constants = catalog_constants(BellProtocol(SVETLICHNY, n))
     min_eig_over_grid(constants, GridSpec(points_per_axis=3))
     tracemalloc.start()
@@ -801,3 +804,87 @@ def test_min_eig_over_grid_memory_is_bounded(n, grid, bound):
         tracemalloc.stop()
     assert report.passed
     assert peak < bound
+
+
+@pytest.mark.parametrize("family, n, grid", [(SVETLICHNY, 4, 31),
+                                             (MABK, 5, 11),
+                                             (SVETLICHNY, 3, 21)])
+def test_repeated_scan_allocates_no_chunk_buffers(family, n, grid):
+    # After one warm call the workspace and the canonical layouts of the
+    # grid and of every refinement stencil exist; a repeated call allocates
+    # only its per-call setup, well below one table of 2^15 evaluations.
+    constants = catalog_constants(BellProtocol(family, n))
+    spec = GridSpec(points_per_axis=grid)
+    warm = min_eig_over_grid(constants, spec)
+    tracemalloc.start()
+    try:
+        report = min_eig_over_grid(constants, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == warm and report.refined
+    assert peak < 256_000
+
+
+def test_canonical_layout_cache_stays_bounded():
+    # More distinct n = 3 grids than the cache holds, the largest first:
+    # an unbounded cache would keep more than the cap's worth of the
+    # largest layout (3 one-byte indices per point, under 6 MB).
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    grids = range(227, 227 - CANONICAL_LAYOUT_CACHE - 1, -1)
+    sizes = [3 * math.comb(points + 2, 3) for points in grids]
+    largest = sizes[0]
+    assert largest <= 6_000_000
+    assert sum(sizes) > CANONICAL_LAYOUT_CACHE * largest
+    tracemalloc.start()
+    try:
+        for points in grids:
+            report = min_eig_over_grid(constants,
+                                       GridSpec(points_per_axis=points))
+            assert report.passed
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _canonical_layout.cache_info().currsize == CANONICAL_LAYOUT_CACHE
+    assert current <= CANONICAL_LAYOUT_CACHE * largest
+
+
+def test_concurrent_scans_match_sequential_reports():
+    # Four threads scan their own scenarios at once, each in its own
+    # workspace, switching often; the reports equal the sequential ones
+    # exactly.
+    cases = []
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        for s in (constants.s, 1.1 * constants.s):
+            for hi in (math.pi / 4, math.pi / 2):
+                cases.append((CertificateConstants(
+                    protocol=protocol, s=s, mu=constants.mu,
+                    beta_T=constants.beta_T),
+                    GridSpec(points_per_axis=11 if protocol.n == 5 else 15,
+                             domain=(0.0, hi))))
+    expected = [min_eig_over_grid(*case) for case in cases]
+    shares = [cases[i::4] for i in range(4)]
+    results = [[] for _ in shares]
+    start = threading.Barrier(len(shares))
+
+    def scan(share, out):
+        start.wait()
+        for _ in range(3):
+            out.append([min_eig_over_grid(*case) for case in share])
+
+    threads = [threading.Thread(target=scan, args=pair)
+               for pair in zip(shares, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, rounds in enumerate(results):
+        assert rounds == [expected[i::4]] * 3
