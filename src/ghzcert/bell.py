@@ -25,10 +25,11 @@ Every such W is exactly antidiagonal in the computational basis, Hermitian,
 and persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
 entries, batched over angle tuples and read off one ``sign_products`` table;
-the quantum bound and the certificate scan evaluate the same two calls in
-their chunk buffers.  Its pair (0, 2^n - 1) is the largest, and
-``ghz_phase``, the phase of that pair's eigenvector, defines the target
-state the scan and ``states.ghz_state`` share.
+the quantum bound and the certificate scan read it chunk by chunk of
+``linalg.walk_canonical`` through one helper, ``chunk_corner_entries``.
+Its pair (0, 2^n - 1) is the largest, and ``ghz_phase``, the phase of that
+pair's eigenvector, defines the target state the scan and
+``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn, for one angle tuple or a batch of them at once, and
@@ -44,10 +45,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (HERMITICITY_TOL, SCAN_CHUNK_EVALUATIONS,
-                     canonical_indices, chunk_workspace, conjugate_pair_sum,
-                     contract_site, interleaved_to_matrix,
-                     least_block_eigenvalue, sign_products, x_blocks)
+from .linalg import (HERMITICITY_TOL, chunk_sign_products,
+                     conjugate_pair_sum, contract_site, interleaved_to_matrix,
+                     least_block_eigenvalue, sign_products, walk_canonical,
+                     x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -335,33 +336,32 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
 
     The magnitudes of all pairs at a point are permuted along with the
     parties, so only one sorted angle tuple per permutation orbit is
-    evaluated (``canonical_indices``), all 2^(n-1) pairs at once.  The
-    points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
-    evaluations in this thread's ``chunk_workspace``, as the certificate
-    scan walks them, so the tables neither grow with the grid nor are
-    allocated per chunk.  Each chunk's entries are ``corner_entries``, bit
-    for bit, with cos + sin and cos - sin formed once per grid value.
+    evaluated, all 2^(n-1) pairs at once.  The loop body runs once per
+    chunk of ``walk_canonical``, in its per-thread buffers, as the
+    certificate scan's does, and reads the chunk's entries with
+    ``chunk_corner_entries``: ``corner_entries``, bit for bit.
     """
-    n = protocol.n
-    half = 2 ** (n - 1)
-    idx = canonical_indices([grid] * n)
-    cs, sn = np.cos(grid), np.sin(grid)
+    axes = [grid] * protocol.n
+    values = np.concatenate(axes)
+    cs, sn = np.cos(values), np.sin(values)
     trig = np.stack([cs + sn, cs - sn])
     z = corner_coefficient(protocol)
-    total = idx.shape[1]
-    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
-    workspace = chunk_workspace(step * half)
     best = 0.0
-    for start in range(0, total, step):
-        buffers = workspace.views(n, min(step, total - start))
-        scratch = buffers["scratch"]
-        sign_products(*np.take(trig, idx[:, start:start + step], axis=1,
-                               out=buffers["factors"], mode="clip"),
-                      buffers["table"], scratch[0])
-        entries = conjugate_pair_sum(buffers["table"], z, buffers["bell"],
-                                     scratch)
-        best = max(best, float(np.abs(entries, out=scratch[0]).max()))
+    for _, buffers in walk_canonical(axes):
+        entries = chunk_corner_entries(trig, z, buffers)
+        best = max(best, float(np.abs(entries,
+                                      out=buffers["scratch"][0]).max()))
     return best
+
+
+def chunk_corner_entries(trig: np.ndarray, z: complex,
+                         buffers: Dict[str, np.ndarray]) -> np.ndarray:
+    """``corner_entries`` of one ``walk_canonical`` chunk, bit for bit, in
+    its ``bell`` buffer; ``trig`` holds cos + sin and cos - sin of every
+    value of the walk's concatenated axes, ``z`` the ``corner_coefficient``.
+    """
+    return conjugate_pair_sum(chunk_sign_products(trig, buffers), z,
+                              buffers["bell"], buffers["scratch"])
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
@@ -369,7 +369,8 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
 
     Hermiticity, unit trace and positivity are each checked once, and each
     comparison fails on NaN; a non-finite entry fails the Hermiticity check,
-    since its own difference is NaN or infinite.  When ``rho`` is diagonal
+    since its own difference is NaN or infinite, and finite entries that
+    overflow a check fail it without a warning.  When ``rho`` is diagonal
     plus antidiagonal (``x_blocks``), its least eigenvalue is the least over
     its 2^(n-1) 2 x 2 blocks (``least_block_eigenvalue``); any other state
     takes numpy's full ``eigvalsh`` spectrum.
@@ -378,13 +379,14 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
     dim = 2 ** n
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} state, got {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
-        raise ValueError("state is not Hermitian within tolerance")
-    if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
-        raise ValueError("state trace differs from 1")
-    blocks = x_blocks(rho)
-    least = (np.linalg.eigvalsh(rho)[0] if blocks is None
-             else least_block_eigenvalue(blocks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+            raise ValueError("state is not Hermitian within tolerance")
+        if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
+            raise ValueError("state trace differs from 1")
+        blocks = x_blocks(rho)
+        least = (np.linalg.eigvalsh(rho)[0] if blocks is None
+                 else least_block_eigenvalue(blocks))
     if not least >= -_STATE_PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {least}")
     return rho

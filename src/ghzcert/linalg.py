@@ -3,7 +3,8 @@
 Provides the Kronecker product ``kron_all``, one batched step of a
 site-by-site contraction (``contract_site``) and the matrices it leaves
 (``interleaved_to_matrix``), the canonical index tuples of a product grid
-(one per permutation orbit), the per-site products over every sign choice
+(one per permutation orbit) and the one chunked walk over them
+(``walk_canonical``), the per-site products over every sign choice
 (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the 2 x 2 blocks of a diagonal-plus-antidiagonal
 matrix (``x_blocks``) and their least eigenvalue, and a checked Hermitian
@@ -16,16 +17,16 @@ read-only, in one-byte indices up to 256 points per axis, at most
 ``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
 (the largest pass the certificate scan admits), is 3 one-byte indices per
 point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.  ``sign_products``
-and ``conjugate_pair_sum`` write into caller-owned buffers when given them,
-and ``chunk_workspace`` holds one set of such buffers per thread, so the
-certificate scan and the quantum bound's grid check run their chunks
-without allocating.
+and ``conjugate_pair_sum`` write into caller-owned buffers when given them;
+``walk_canonical`` yields each chunk with one set of buffers per thread, so
+the certificate scan and the quantum bound's grid check, two loop bodies
+over it, run their chunks without allocating.
 """
 from __future__ import annotations
 
 import functools
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,54 +222,68 @@ def conjugate_pair_sum(table: np.ndarray, z: complex,
     return out
 
 
-class ChunkWorkspace:
-    """The buffers of one chunk of a walk over canonical grid points.
+# The flat chunk buffers of this thread's walk, replaced when the chunk size
+# changes, so concurrent walks never share them.
+_CHUNK_BUFFERS = threading.local()
 
-    Sized in block evaluations (points times pairs) of a full chunk, so one
-    workspace serves every number of parties: a chunk of m points at n
-    parties needs 2^n m table entries and n m <= 2^(n-1) m point indices.
-    About 3.1 MB at ``SCAN_CHUNK_EVALUATIONS`` = 2^15.  The certificate
-    scan uses every buffer; the quantum bound's grid check uses the table,
-    the scratch, the factors and one corner.
+
+def walk_canonical(axes: Sequence[np.ndarray]
+                   ) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
+    """Walk the canonical points of a product grid in chunks.
+
+    Yields ``(start, buffers)`` for each chunk of about
+    ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
+    pairs) of ``canonical_indices(axes)``: the index of its first point and
+    its buffers, shaped (..., m) for its m points at n = len(axes).
+    ``cols`` (n, m) holds each site's column into ``np.concatenate(axes)``;
+    the others are the caller's.  The buffers, about 3.1 MB at 2^15
+    evaluations, are allocated once per thread and chunk size and reused by
+    every chunk, so two walks must not be interleaved on one thread (no
+    caller does).
     """
+    idx = canonical_indices(axes)
+    n, total = idx.shape
+    half = 2 ** (n - 1)
+    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
+    # Sized in block evaluations, so one set serves every n: m points at n
+    # parties take 2^n m table entries and n m <= 2^(n-1) m columns.
+    flat = getattr(_CHUNK_BUFFERS, "current", None)
+    if flat is None or len(flat["low"]) != step * half:
+        flat = _CHUNK_BUFFERS.current = {
+            name: np.empty(size * step * half, dtype) for name, size, dtype in
+            (("table", 2, float), ("low", 1, float), ("scratch", 2, float),
+             ("channel", 1, complex), ("bell", 1, complex),
+             ("cols", 1, np.intp), ("factors", 2, float))}
+    offsets = np.array([0] + [len(a) for a in axes[:-1]]).cumsum()[:, None]
+    buffers: Dict[str, np.ndarray] = {}
+    for start in range(0, total, step):
+        m = min(step, total - start)
+        if not buffers or m < step:
+            pairs = half * m
+            buffers = {
+                "table": flat["table"][:2 * pairs].reshape(-1, m),
+                "low": flat["low"][:pairs].reshape(-1, m),
+                "scratch": flat["scratch"][:2 * pairs].reshape(2, -1, m),
+                "channel": flat["channel"][:pairs].reshape(-1, m),
+                "bell": flat["bell"][:pairs].reshape(-1, m),
+                "cols": flat["cols"][:n * m].reshape(n, m),
+                "factors": flat["factors"][:2 * n * m].reshape(2, n, m)}
+        np.add(idx[:, start:start + step], offsets, out=buffers["cols"])
+        yield start, buffers
 
-    def __init__(self, evaluations: int):
-        self.evaluations = evaluations
-        self.table = np.empty(2 * evaluations)
-        self.low = np.empty(evaluations)
-        self.scratch = np.empty(2 * evaluations)
-        self.channel = np.empty(evaluations, dtype=complex)
-        self.bell = np.empty(evaluations, dtype=complex)
-        self.cols = np.empty(evaluations, dtype=np.intp)
-        self.factors = np.empty(2 * evaluations)
-        self.flags = np.empty(evaluations, dtype=bool)
 
-    def views(self, n: int, points: int) -> Dict[str, np.ndarray]:
-        """The buffers shaped for a chunk of ``points`` points at n parties."""
-        pairs = 2 ** (n - 1) * points
-        return {
-            "table": self.table[:2 * pairs].reshape(-1, points),
-            "low": self.low[:pairs].reshape(-1, points),
-            "scratch": self.scratch[:2 * pairs].reshape(2, -1, points),
-            "channel": self.channel[:pairs].reshape(-1, points),
-            "bell": self.bell[:pairs].reshape(-1, points),
-            "cols": self.cols[:n * points].reshape(n, points),
-            "factors": self.factors[:2 * n * points].reshape(2, n, points),
-            "flags": self.flags[:n * points].reshape(n, points),
-        }
+def chunk_sign_products(rows: np.ndarray,
+                        buffers: Dict[str, np.ndarray]) -> np.ndarray:
+    """``sign_products`` of a chunk's factors, into its ``table``.
 
-
-# One chunk workspace per thread, so concurrent walks never share buffers.
-_WORKSPACES = threading.local()
-
-
-def chunk_workspace(evaluations: int) -> ChunkWorkspace:
-    """This thread's workspace for chunks of ``evaluations`` block
-    evaluations, replaced when the chunk size changes."""
-    workspace = getattr(_WORKSPACES, "current", None)
-    if workspace is None or workspace.evaluations != evaluations:
-        workspace = _WORKSPACES.current = ChunkWorkspace(evaluations)
-    return workspace
+    ``rows`` holds the plus and the minus factor of every value of the
+    walk's concatenated axes; one ``np.take`` reads them at the chunk's
+    ``cols`` (mode="clip" is faster and clips nothing).
+    """
+    plus, minus = np.take(rows, buffers["cols"], axis=1,
+                          out=buffers["factors"], mode="clip")
+    return sign_products(plus, minus, buffers["table"],
+                         buffers["scratch"][0])
 
 
 def x_blocks(m: np.ndarray

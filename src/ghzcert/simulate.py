@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bell import (BellProtocol, check_angle, functional_coefficients,
+from .bell import (BellProtocol, check_angles, functional_coefficients,
                    observable, validate_state)
 from .linalg import sign_products, x_blocks
 from .states import ghz_state
@@ -119,7 +119,7 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
         raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
     if not np.all((settings == 0) | (settings == 1)):
         raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
-    alphas = np.array([check_angle(alpha) for alpha in angles])
+    alphas = check_angles(angles, n)
     blocks = x_blocks(state)
     if blocks is None:
         dist = np.stack([_contracted_distribution(state, row, alphas)

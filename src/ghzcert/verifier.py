@@ -17,16 +17,15 @@ way on every site, so permuting the parties maps block b at angles alpha to
 block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant
 on each permutation orbit of a grid, and the scan evaluates one sorted angle
 tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
-2^(n-1) pairs at once, each block entry read off one of two
-``sign_products`` tables (the channel corner shares the diagonal's).  The
-points are walked in chunks of about ``SCAN_CHUNK_EVALUATIONS`` block
-evaluations, every chunk in one workspace of buffers kept per thread, so
-the tables neither grow with the grid nor are allocated per chunk, and
-the canonical points of a grid are a layout cached by its shape
-(``canonical_indices``).  Refinement stencils, built in one call over every
-axis, shrink the same way along axes that coincide.  A grid pass above
-``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before anything is
-allocated.
+2^(n-1) pairs at once, each block entry read off a ``sign_products`` table
+(the channel corner shares the diagonal's up to pi/4).  The points are
+walked by ``linalg.walk_canonical``, in chunks of about
+``SCAN_CHUNK_EVALUATIONS`` block evaluations in buffers kept per thread, so
+the tables neither grow with the grid nor are allocated per chunk, and the
+canonical points of a grid are a layout cached by its shape.  Refinement
+stencils, built in one call over every axis, shrink the same way along axes
+that coincide.  A grid pass above ``MAX_BLOCK_EVALUATIONS`` block
+evaluations is refused before anything is allocated.
 
 Independent routes cross-check the reduction:
 
@@ -54,11 +53,10 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, corner_coefficient,
-                   ghz_phase)
-from .linalg import (SCAN_CHUNK_EVALUATIONS, canonical_indices,
-                     chunk_workspace, conjugate_pair_sum, outer_all,
-                     sign_products)
+                   build_operator, check_angles, chunk_corner_entries,
+                   corner_coefficient, ghz_phase)
+from .linalg import (chunk_sign_products, conjugate_pair_sum, outer_all,
+                     walk_canonical)
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
 
@@ -256,66 +254,48 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     ``sign_products`` table.  Permuting parties maps block b at a point to
     block pi(b) at the permuted point, so the minimum over all pairs is the
     same on every point of a permutation orbit and only one tuple per orbit
-    (``canonical_indices``) is evaluated.
+    is evaluated.
 
-    The canonical points are walked in chunks of about
-    ``SCAN_CHUNK_EVALUATIONS`` block evaluations, every chunk in the same
-    per-thread buffers (``chunk_workspace``), so the working set neither
-    grows with the grid nor is allocated per chunk.  Each chunk builds two
-    tables in turn, the diagonal's and the Bell corner's.  The channel
-    corner's site factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4,
-    where dx = 1 and dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and
-    dy = 1, so its table is the diagonal table with, at each point, the rows
-    that take the minus factor of a site beyond pi/4 negated.  Ties go to
-    the first pair, then the first canonical point, as one ``argmin`` over
-    the whole grid would choose.  Returns the minimum, its angles, the
+    The loop body runs once per chunk of ``walk_canonical``, in its
+    per-thread buffers.  Each chunk builds the diagonal's table, the
+    channel corner's and the Bell corner's (``chunk_corner_entries``) in
+    turn, in one buffer.  The channel corner's site factors (dx + dy,
+    dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and dy = g, and
+    (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its table is the
+    diagonal's, rebuilt from the negated minus factors only when some axis
+    passes pi/4; a negated factor negates the product bit for bit.  Ties go
+    to the first pair, then the first canonical point, as one ``argmin``
+    over the whole grid would choose.  Returns the minimum, its angles, the
     binding pair and the number of block evaluations.
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
-    idx = canonical_indices(axes)
-    # The site factors at every axis value, all axes end to end: 1 + g and
-    # 1 - g of the diagonal, cos + sin and cos - sin of the Bell corner, one
-    # row of each pair.  Offsetting each axis's indices by its start reads a
-    # chunk's factors at every site with one ``np.take``; mode="clip" is the
-    # faster mode and clips nothing, every index being in range.
+    # The site factors at every axis value, all axes end to end, one row of
+    # each pair: 1 + g and 1 - g of the diagonal, 1 + g and +-(1 - g) of the
+    # channel corner, cos + sin and cos - sin of the Bell corner.
     values = np.concatenate(axes)
     g = g_values(values)
     diagonal = np.stack([1.0 + g, 1.0 - g])
-    cs, sn = np.cos(values), np.sin(values)
-    trig = np.stack([cs + sn, cs - sn])
     beyond = ~(values <= math.pi / 4 + ANGLE_SLACK)
     flips = bool(beyond.any())
-    offsets = np.cumsum([0] + [len(a) for a in axes[:-1]])[:, None]
+    channel = np.stack([diagonal[0],
+                        np.where(beyond, -diagonal[1], diagonal[1])])
+    cs, sn = np.cos(values), np.sin(values)
+    trig = np.stack([cs + sn, cs - sn])
     channel_z = scale * ghz_phase(protocol)
     bell_z = corner_coefficient(protocol)
-    total = idx.shape[1]
-    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
-    workspace = chunk_workspace(step * half)
-    buffers = workspace.views(n, min(step, total))
-    best = None
-    for start in range(0, total, step):
-        if total - start < step:
-            buffers = workspace.views(n, total - start)
-        cols, low, table = buffers["cols"], buffers["low"], buffers["table"]
-        factors, scratch = buffers["factors"], buffers["scratch"]
-        np.add(idx[:, start:start + step], offsets, out=cols)
-        sign_products(*np.take(diagonal, cols, axis=1, out=factors,
-                               mode="clip"), table, scratch[0])
+    best, evaluations = None, 0
+    for _, buffers in walk_canonical(axes):
+        low, scratch = buffers["low"], buffers["scratch"]
+        table = chunk_sign_products(diagonal, buffers)
         np.add(table[:half], table[::-1][:half], out=low)
         low *= scale
         low -= mu
         if flips:
-            flags = np.take(beyond, cols, out=buffers["flags"], mode="clip")
-            for j, flip in enumerate(flags):
-                minus_rows = table.reshape(2 ** j, 2, -1, flip.size)[:, 1]
-                np.negative(minus_rows, out=minus_rows, where=flip)
+            chunk_sign_products(channel, buffers)
         corner = conjugate_pair_sum(table, channel_z, buffers["channel"],
                                     scratch)
-        # The Bell table takes the diagonal table's place.
-        sign_products(*np.take(trig, cols, axis=1, out=factors, mode="clip"),
-                      table, scratch[0])
-        w = conjugate_pair_sum(table, bell_z, buffers["bell"], scratch)
+        w = chunk_corner_entries(trig, bell_z, buffers)
         w.real *= s
         w.imag *= s
         corner -= w
@@ -325,10 +305,10 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
         # An earlier chunk holds earlier points, so it keeps a tie unless
         # the later one binds at a smaller pair.
         if best is None or (value, pair) < best[:2]:
-            best = value, pair, start + k
-    value, pair, k = best
-    point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
-    return value, point, pair, half * total
+            best = value, pair, values[buffers["cols"][:, k]]
+        evaluations += low.size
+    value, pair, point = best
+    return value, tuple(float(v) for v in point), pair, evaluations
 
 
 def _stencil(p: np.ndarray, h: float, lo: float,

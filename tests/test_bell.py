@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-import ghzcert.bell
+import ghzcert.linalg
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
                           _corner_magnitude_max, build_operator, check_angle,
                           corner_entries, hybrid_bound, local_bound,
@@ -390,7 +390,7 @@ def test_corner_magnitude_max_chunks_match_full_grid_oracle(monkeypatch,
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            monkeypatch.setattr(ghzcert.bell, "SCAN_CHUNK_EVALUATIONS",
+            monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                                 points * 2 ** (n - 1))
             assert (_corner_magnitude_max(protocol, grid)
                     == full_grid_corner_max(protocol, grid))

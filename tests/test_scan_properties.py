@@ -1,5 +1,9 @@
 """Property tests over the certificate scan's library entry point.
 
+``linalg.walk_canonical``, the one chunked walk the scan and the quantum
+bound's grid check run over, must visit every canonical point once, in
+order, for any axes that coincide and any chunk size.
+
 The scan kernel reads the channel corner off the diagonal sign table, which
 rests on one identity per site: the corner factors (dx + dy, dx - dy) equal
 the diagonal factors (1 + g, 1 - g) bit for bit up to pi/4 (+
@@ -13,12 +17,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghzcert.linalg
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
+from ghzcert.linalg import canonical_indices, walk_canonical
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
                               _stencil, catalog_constants, min_eig_over_grid)
@@ -98,3 +105,45 @@ def test_one_call_stencil_matches_per_axis_stencil(case):
     assert len(got) == len(want)
     for axis, expected in zip(got, want):
         assert axis.tobytes() == expected.tobytes()
+
+
+@st.composite
+def walk_cases(draw):
+    """1 to 5 axes of 1 to 9 points, some equal to others as refinement
+    stencils make them, and a chunk size from one point to more than the
+    whole grid, in block evaluations."""
+    distinct = draw(st.lists(
+        st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=9,
+                 unique=True).map(sorted), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=5))
+    axes = [np.array(distinct[i]) for i in picks]
+    half = 2 ** (len(axes) - 1)
+    total = canonical_indices(axes).shape[1]
+    evaluations = draw(st.integers(1, (total + 2) * half))
+    return axes, evaluations
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases())
+def test_walk_canonical_visits_every_canonical_point_in_order(case):
+    axes, evaluations = case
+    n, half = len(axes), 2 ** (len(axes) - 1)
+    offsets = np.cumsum([0] + [len(a) for a in axes[:-1]])[:, None]
+    step = max(1, evaluations // half)
+    starts, cols = [], []
+    with mock.patch.object(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+                           evaluations):
+        for start, buffers in walk_canonical(axes):
+            m = buffers["cols"].shape[1]
+            assert {name: b.shape for name, b in buffers.items()} == {
+                "table": (2 * half, m), "low": (half, m),
+                "scratch": (2, half, m), "channel": (half, m),
+                "bell": (half, m), "cols": (n, m), "factors": (2, n, m)}
+            starts.append(start)
+            cols.append(buffers["cols"].copy())
+    counts = [c.shape[1] for c in cols]
+    assert starts == list(np.cumsum([0] + counts[:-1]))
+    assert all(m == step for m in counts[:-1]) and 1 <= counts[-1] <= step
+    want = canonical_indices(axes).astype(np.intp) + offsets
+    assert np.array_equal(np.concatenate(cols, axis=1), want)

@@ -17,6 +17,7 @@ from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
                             hermitian_eigenvalues)
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
+import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
                               CertificateConstants,
@@ -391,7 +392,7 @@ def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
     # Chunks of one and of three canonical points put chunk boundaries
     # between neighbouring points all over the grid.
     n = protocol.n
-    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
+    monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                         points * 2 ** (n - 1))
     constants = catalog_constants(protocol)
     cases = [([np.linspace(0.0, math.pi / 4, 11 if n == 5 else 21)] * n,
@@ -426,7 +427,7 @@ def test_scan_chunks_keep_first_pair_then_first_point(monkeypatch, x, s,
     # point (four pairs) per chunk the tie lies across chunk boundaries.
     protocol = BellProtocol(SVETLICHNY, 3)
     mu = catalog_constants(protocol).mu
-    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS", 4)
+    monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS", 4)
     ends = [_min_block_over_axes(protocol, s, mu,
                                  [np.array([a]) for a in point])
             for point in ((x, x, 0.0), (0.0, x, x))]
