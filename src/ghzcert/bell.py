@@ -20,13 +20,14 @@ is a signed sum over all 2^n setting strings x:
 
     W = sum_x c(|x|) A^{x_1} otimes ... otimes A^{x_n}
 
-where the coefficient depends only on the Hamming weight |x| and the family.
-Every such W is exactly antidiagonal in the computational basis, Hermitian,
-and persymmetric; its spectral norm equals the largest antidiagonal entry
-magnitude.  ``corner_entries`` is the one closed form for those antidiagonal
-entries, batched over angle tuples and read off one ``sign_products`` table;
-the quantum bound and the certificate scan read it chunk by chunk of
-``linalg.walk_canonical`` through one helper, ``chunk_corner_entries``.
+where c depends only on the Hamming weight |x| and the family; its one
+definition is ``_coefficient_tensor``.  Every such W is exactly
+antidiagonal in the computational basis, Hermitian, and persymmetric; its
+spectral norm equals the largest antidiagonal entry magnitude.  Those
+entries have a closed form (``corner_coefficient``), read off one
+``sign_products`` table in real arithmetic; the quantum bound and the
+certificate scan read it chunk by chunk of ``linalg.walk_canonical``
+through one helper, ``chunk_corner_entries``.
 Its pair (0, 2^n - 1) is the largest, and ``ghz_phase``, the phase of that
 pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share.
@@ -41,14 +42,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .linalg import (HERMITICITY_TOL, chunk_sign_products,
                      conjugate_pair_sum, contract_site, interleaved_to_matrix,
-                     least_block_eigenvalue, sign_products, walk_canonical,
-                     x_blocks)
+                     least_block_eigenvalue, walk_canonical, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -162,30 +162,6 @@ def observable(r: int, alpha: float) -> np.ndarray:
     return _observable_pairs(check_angle(alpha))[r]
 
 
-def _svetlichny_sign(n: int, w: int) -> int:
-    if n % 2 == 1:
-        return (-1) ** (w * (w + 1) // 2)
-    return (-1) ** (w * (w - 1) // 2)
-
-
-def _mabk_coefficient(n: int, w: int) -> float:
-    if n % 2 == 1:
-        return (1.0, 0.0, -1.0, 0.0)[w % 4]
-    return (1.0, 1.0, -1.0, -1.0)[w % 4] / SQRT2
-
-
-def functional_coefficients(protocol: BellProtocol) -> Dict[Tuple[int, ...], float]:
-    """Coefficient c(x) of each correlator E(x) in the Bell functional."""
-    out: Dict[Tuple[int, ...], float] = {}
-    for x in itertools.product((0, 1), repeat=protocol.n):
-        w = sum(x)
-        if protocol.family == SVETLICHNY:
-            out[x] = float(_svetlichny_sign(protocol.n, w))
-        else:
-            out[x] = _mabk_coefficient(protocol.n, w)
-    return out
-
-
 def build_operator(protocol: BellProtocol,
                    angles: Sequence[float] | np.ndarray) -> np.ndarray:
     """Dense operator sum_x c(x) A^{x_1} ... A^{x_n} at the given angles.
@@ -238,29 +214,22 @@ def ghz_phase(protocol: BellProtocol) -> complex:
     return zc / abs(zc)
 
 
-def corner_entries(protocol: BellProtocol, cs: np.ndarray,
-                   sn: np.ndarray) -> np.ndarray:
-    """Antidiagonal entries W[b, b~] of every pair b < 2^(n-1).
-
-    ``cs`` and ``sn`` hold the cosines and sines of the angles, one row per
-    party and one column per angle tuple; the result has one row per pair
-    and one column per tuple (see ``corner_coefficient``).  Both products
-    of pair b are rows of one ``sign_products`` table, b and 2^n - 1 - b,
-    combined by ``conjugate_pair_sum``.
-    """
-    return conjugate_pair_sum(sign_products(cs + sn, cs - sn),
-                              corner_coefficient(protocol))
-
-
 @functools.lru_cache(maxsize=None)
 def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:
-    """Functional coefficients c(x) as an array indexed by the setting bits.
+    """Functional coefficients c(x), indexed by the setting bits, read off
+    their values by Hamming weight |x| mod 4.
 
     Built once per scenario and shared read-only by every caller.
     """
-    c = np.zeros((2,) * protocol.n)
-    for x, value in functional_coefficients(protocol).items():
-        c[x] = value
+    n = protocol.n
+    if protocol.family == SVETLICHNY:
+        by_weight = np.array([1.0, -1.0, -1.0, 1.0] if n % 2
+                             else [1.0, 1.0, -1.0, -1.0])
+    elif n % 2:
+        by_weight = np.array([1.0, 0.0, -1.0, 0.0])
+    else:
+        by_weight = np.array([1.0, 1.0, -1.0, -1.0]) / SQRT2
+    c = by_weight[np.indices((2,) * n).sum(axis=0) % 4]
     c.setflags(write=False)
     return c
 
@@ -319,7 +288,7 @@ def quantum_bound(protocol: BellProtocol) -> float:
     """Maximal quantum value, computed as the norm at the optimal angles.
 
     W is antidiagonal, so its spectral norm is its largest antidiagonal
-    magnitude; that is read off the ``corner_entries`` closed form at the
+    magnitude; that is read off the antidiagonal closed form at the
     all-pi/4 point and cross-checked against the same magnitudes on a coarse
     grid over the full angle domain.
     """
@@ -339,7 +308,7 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
     evaluated, all 2^(n-1) pairs at once.  The loop body runs once per
     chunk of ``walk_canonical``, in its per-thread buffers, as the
     certificate scan's does, and reads the chunk's entries with
-    ``chunk_corner_entries``: ``corner_entries``, bit for bit.
+    ``chunk_corner_entries``.
     """
     axes = [grid] * protocol.n
     values = np.concatenate(axes)
@@ -356,9 +325,10 @@ def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
 
 def chunk_corner_entries(trig: np.ndarray, z: complex,
                          buffers: Dict[str, np.ndarray]) -> np.ndarray:
-    """``corner_entries`` of one ``walk_canonical`` chunk, bit for bit, in
-    its ``bell`` buffer; ``trig`` holds cos + sin and cos - sin of every
-    value of the walk's concatenated axes, ``z`` the ``corner_coefficient``.
+    """Antidiagonal entries W[b, b~], b < 2^(n-1), at one ``walk_canonical``
+    chunk's points, in its ``bell`` buffer; ``trig`` holds cos + sin and
+    cos - sin of every value of the walk's concatenated axes, ``z`` the
+    ``corner_coefficient``.
     """
     return conjugate_pair_sum(chunk_sign_products(trig, buffers), z,
                               buffers["bell"], buffers["scratch"])

@@ -16,11 +16,12 @@ axes are equal, so it is built once per such structure and cached:
 read-only, in one-byte indices up to 256 points per axis, at most
 ``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
 (the largest pass the certificate scan admits), is 3 one-byte indices per
-point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.  ``sign_products``
-and ``conjugate_pair_sum`` write into caller-owned buffers when given them;
-``walk_canonical`` yields each chunk with one set of buffers per thread, so
-the certificate scan and the quantum bound's grid check, two loop bodies
-over it, run their chunks without allocating.
+point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.
+``sign_products`` writes into caller-owned buffers when given them and
+``conjugate_pair_sum`` always does; ``walk_canonical`` yields each chunk with
+one set of buffers per thread, so the certificate scan and the quantum
+bound's grid check, two loop bodies over it, run their chunks without
+allocating.
 """
 from __future__ import annotations
 
@@ -84,16 +85,6 @@ def interleaved_to_matrix(tensor: np.ndarray) -> np.ndarray:
     return tensor.transpose(order).reshape(len(tensor), 2 ** n, 2 ** n)
 
 
-def outer_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Chained elementwise outer product of 1-D arrays, left to right."""
-    if not factors:
-        raise ValueError("outer_all requires at least one factor")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.multiply.outer(out, f)
-    return out
-
-
 def sorted_index_tuples(size: int, length: int) -> np.ndarray:
     """All nondecreasing index tuples over range(size), in lexicographic order.
 
@@ -136,7 +127,7 @@ def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
     firsts: List[int] = []
     for j, axis in enumerate(axes):
         for label, first in enumerate(firsts):
-            if np.array_equal(axes[first], axis):
+            if axes[first] is axis or np.array_equal(axes[first], axis):
                 labels.append(label)
                 break
         else:
@@ -195,23 +186,18 @@ def sign_products(plus: np.ndarray, minus: np.ndarray,
     return out
 
 
-def conjugate_pair_sum(table: np.ndarray, z: complex,
-                       out: Optional[np.ndarray] = None,
-                       scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def conjugate_pair_sum(table: np.ndarray, z: complex, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
     """z table[2^n - 1 - b] + conj(z) table[b] for every row b < 2^(n-1).
 
     ``table`` is a real ``sign_products`` table; the real and imaginary parts
     are formed in real arithmetic, each complement row first.  The result
-    goes to ``out``, a complex array of the half table's shape, when given;
-    the two products of each part are formed in ``scratch``, a real array of
-    shape (2,) + that shape, when given.  Either is allocated otherwise.
+    goes to ``out``, a complex array of the half table's shape; the two
+    products of each part are formed in ``scratch``, a real array of shape
+    (2,) + that shape.
     """
     half = len(table) // 2
     low, high = table[:half], table[::-1][:half]
-    if out is None:
-        out = np.empty(low.shape, dtype=complex)
-    if scratch is None:
-        scratch = np.empty((2,) + low.shape)
     first, second = scratch
     np.multiply(z.real, high, out=first)
     np.multiply(z.real, low, out=second)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bell import (BellProtocol, check_angles, functional_coefficients,
+from .bell import (BellProtocol, _coefficient_tensor, check_angles,
                    observable, validate_state)
 from .linalg import sign_products, x_blocks
 from .states import ghz_state
@@ -186,18 +186,17 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     setting's stream does not depend on which others are skipped.  Returns
     the estimate and its propagated standard error.
     """
-    state = validate_state(state, protocol.n)
-    coefficients = functional_coefficients(protocol)
-    children = np.random.SeedSequence(seed).spawn(2 ** protocol.n)
-    products = outcome_products(protocol.n)
-    settings = sorted(coefficients)
-    sampled = [index for index, x in enumerate(settings)
-               if coefficients[x] != 0.0]
-    table = _born_table(state, np.array(settings)[sampled], angles)
-    beta_hat = 0.0
-    variance = 0.0
-    for index, dist in zip(sampled, table):
-        c = coefficients[settings[index]]
+    n = protocol.n
+    state = validate_state(state, n)
+    coefficients = _coefficient_tensor(protocol).ravel()
+    children = np.random.SeedSequence(seed).spawn(2 ** n)
+    products = outcome_products(n)
+    sampled = np.flatnonzero(coefficients)
+    # The setting bits of each sampled index, most significant (party 0) first.
+    settings = (sampled[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    table = _born_table(state, settings, angles)
+    beta_hat = variance = 0.0
+    for index, c, dist in zip(sampled, coefficients[sampled].tolist(), table):
         rng = np.random.Generator(np.random.PCG64(children[index]))
         counts = sample_outcomes(dist, shots_per_setting, rng)
         correlator = float(counts @ products) / shots_per_setting

@@ -10,6 +10,7 @@ threshold beta_T (``catalog_constants``), where the lower bound reaches
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -46,14 +47,19 @@ def format_float(x: float) -> str:
 
 def fidelity_lower_bound(constants: CertificateConstants,
                          beta_O: float) -> float:
-    """Certified GHZ fidelity lower bound s beta_O + mu."""
+    """Certified GHZ fidelity bound s beta_O + mu; ValueError unless finite."""
     protocol = constants.protocol
     if not (protocol.beta_L - _BETA_SLACK
             <= beta_O <= protocol.beta_Q + _BETA_SLACK):
         raise ValueError(
             f"observed value {beta_O} outside [{protocol.beta_L}, "
             f"{protocol.beta_Q}]")
-    return constants.s * beta_O + constants.mu
+    bound = constants.s * beta_O + constants.mu
+    # beta_O is finite and positive, so a non-finite s or mu makes it so too.
+    if not math.isfinite(bound):
+        raise ValueError(f"non-finite fidelity bound {bound} from "
+                         f"s={constants.s}, mu={constants.mu}")
+    return bound
 
 
 def is_trivial_bound(value: float) -> bool:

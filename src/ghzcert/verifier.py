@@ -55,8 +55,7 @@ import numpy as np
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angles, chunk_corner_entries,
                    corner_coefficient, ghz_phase)
-from .linalg import (chunk_sign_products, conjugate_pair_sum, outer_all,
-                     walk_canonical)
+from .linalg import chunk_sign_products, conjugate_pair_sum, walk_canonical
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
 
@@ -491,10 +490,9 @@ def parity_projector(x1: int, x2: int) -> np.ndarray:
     if x1 not in (0, 1) or x2 not in (0, 1):
         raise ValueError("parity labels must be 0 or 1")
     iii = np.eye(8, dtype=complex)
-    z = np.array([1.0, -1.0])
-    zzi = np.diag(outer_all([z, z, np.ones(2)]).ravel()).astype(complex)
-    ziz = np.diag(outer_all([z, np.ones(2), z]).ravel()).astype(complex)
-    izz = np.diag(outer_all([np.ones(2), z, z]).ravel()).astype(complex)
+    z, one = np.array([1.0, -1.0]), np.ones(2)
+    zzi, ziz, izz = (np.diag(np.kron(np.kron(a, b), c)).astype(complex)
+                     for a, b, c in ((z, z, one), (z, one, z), (one, z, z)))
     return (iii + (-1) ** x1 * zzi + (-1) ** x2 * ziz
             + (-1) ** (x1 + x2) * izz) / 4
 

@@ -24,6 +24,9 @@ time, the reference for the scan's one-call stencil.  The small helpers
 after the Pauli algebra (``kron``, ``exchange_matrix``,
 ``eig2x2_hermitian``, ``coefficient_table``) are
 reference tools the tests use and the package does not;
+``functional_coefficients`` writes c(x) out per Hamming weight, apart from
+the package's coefficient tensor, for ``kron_sum_operator`` and the
+sampling tests, and ``outer_all`` is the full-grid oracles' outer product;
 ``stop_past_validation`` stands in for the first step after an input
 check, so a test can show that a large input is accepted without running
 it.  ``random_x_matrix`` builds random diagonal-plus-antidiagonal inputs
@@ -37,9 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ghzcert.bell import (ANGLE_SLACK, corner_coefficient,
-                          functional_coefficients, ghz_phase, validate_state)
-from ghzcert.linalg import canonical_indices, outer_all
+from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, corner_coefficient,
+                          ghz_phase, validate_state)
+from ghzcert.linalg import canonical_indices
 from ghzcert.states import g_values
 
 SQ2 = np.sqrt(2.0)
@@ -199,6 +202,27 @@ def equatorial(r: int, alpha: float) -> np.ndarray:
     return math.cos(alpha) * PAULI["X"] + (-1) ** r * math.sin(alpha) * PAULI["Y"]
 
 
+def functional_coefficients(protocol) -> dict[tuple[int, ...], float]:
+    """Coefficient c(x) of each setting string x, from its Hamming weight w.
+
+    Svetlichny: (-1)^(w(w+1)/2) for odd n, (-1)^(w(w-1)/2) for even n.
+    MABK: (1, 0, -1, 0)[w mod 4] for odd n, (1, 1, -1, -1)[w mod 4]/sqrt(2)
+    for even n.
+    """
+    n = protocol.n
+    out = {}
+    for x in itertools.product((0, 1), repeat=n):
+        w = sum(x)
+        if protocol.family == SVETLICHNY:
+            shift = 1 if n % 2 == 1 else -1
+            out[x] = float((-1) ** (w * (w + shift) // 2))
+        elif n % 2 == 1:
+            out[x] = (1.0, 0.0, -1.0, 0.0)[w % 4]
+        else:
+            out[x] = (1.0, 1.0, -1.0, -1.0)[w % 4] / SQ2
+    return out
+
+
 def kron_sum_operator(protocol, angles) -> np.ndarray:
     """Bell operator as the sum over settings x of c(x) A^{x_1} ... A^{x_n}."""
     obs = [(equatorial(0, a), equatorial(1, a)) for a in angles]
@@ -321,6 +345,14 @@ def dense_born_from_projectors(state: np.ndarray,
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (b + b.conj().T) / 2
+
+
+def outer_all(factors) -> np.ndarray:
+    """Chained elementwise outer product of 1-D arrays, left to right."""
+    out = np.asarray(factors[0])
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out
 
 
 def full_grid_min_block(protocol, s: float, mu: float, axes) -> tuple:

@@ -10,11 +10,12 @@ import pytest
 import ghzcert.linalg
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
                           _corner_magnitude_max, build_operator, check_angle,
-                          corner_entries, hybrid_bound, local_bound,
-                          observable, quantum_bound, validate_state)
-from ghzcert.linalg import canonical_indices, hermitian_eigenvalues
+                          chunk_corner_entries, corner_coefficient,
+                          hybrid_bound, local_bound, observable,
+                          quantum_bound, validate_state)
+from ghzcert.linalg import hermitian_eigenvalues, walk_canonical
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
-                     full_grid_corner_max, kron_chain,
+                     full_grid_corner_max, functional_coefficients,
                      kron_sum_operator, pair_sign_matrix, pair_signs,
                      pauli_coefficient, pauli_string, reference_svetlichny_3,
                      reference_svetlichny_4)
@@ -241,8 +242,8 @@ def test_norm_via_antidiagonal_entries():
                 assert abs(spectral_norm(w)
                            - np.max(np.abs(corners))) <= 1e-10
                 column = np.array(angles).reshape(n, 1)
-                closed = corner_entries(protocol, np.cos(column),
-                                        np.sin(column))
+                closed = complex_corner_entries(protocol, np.cos(column),
+                                                np.sin(column))
                 assert closed.shape == (dim // 2, 1)
                 assert np.max(np.abs(closed[:, 0]
                                      - corners[:dim // 2])) <= 1e-12
@@ -412,17 +413,45 @@ def test_pair_sign_matrix_rows():
             assert tuple(row) == pair_signs(n, b)
 
 
-def test_corner_entries_match_complex_route_bit_for_bit():
+def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
+    # Over chunks of one point, of seven and of the default size, every
+    # chunk's entries are the complex route's at its points, bit for bit,
+    # and their largest magnitude is the quantum bound's grid maximum.
     grid = np.linspace(0.0, math.pi / 2, 9)
+    default = ghzcert.linalg.SCAN_CHUNK_EVALUATIONS
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            idx = canonical_indices([grid] * n)
-            cs, sn = np.cos(grid)[idx], np.sin(grid)[idx]
-            got = corner_entries(protocol, cs, sn)
-            want = complex_corner_entries(protocol, cs, sn)
-            assert got.shape == want.shape == (2 ** (n - 1), idx.shape[1])
-            assert got.tobytes() == want.tobytes()
+            axes = [grid] * n
+            values = np.concatenate(axes)
+            cs, sn = np.cos(values), np.sin(values)
+            trig = np.stack([cs + sn, cs - sn])
+            z = corner_coefficient(protocol)
+            for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
+                monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+                                    chunk)
+                best = 0.0
+                for _, buffers in walk_canonical(axes):
+                    got = chunk_corner_entries(trig, z, buffers)
+                    cols = buffers["cols"]
+                    want = complex_corner_entries(protocol, cs[cols],
+                                                  sn[cols])
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    best = max(best, float(np.abs(want).max()))
+                assert _corner_magnitude_max(protocol, grid) == best
+
+
+def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():
+    for family in (SVETLICHNY, MABK):
+        for n in range(3, 8):
+            protocol = BellProtocol(family, n)
+            coefficients = functional_coefficients(protocol)
+            want = np.array([coefficients[x] for x in sorted(coefficients)])
+            tensor = _coefficient_tensor(protocol)
+            assert tensor.shape == (2,) * n
+            assert tensor.dtype == np.float64
+            assert tensor.tobytes() == want.tobytes()
 
 
 def top_eigen_projector(m: np.ndarray) -> np.ndarray:

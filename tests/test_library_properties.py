@@ -1,10 +1,14 @@
-"""Property tests over ``validate_state`` and ``closed_form_crosscheck``.
+"""Property tests over ``validate_state``, ``closed_form_crosscheck``,
+``certify`` and ``emit_curve``.
 
 ``validate_state`` must answer every finite input by returning the state or
 raising ValueError, with no other exception and no warning, and must never
 accept an X state whose least 2 x 2-block eigenvalue is below the
 positivity tolerance.  ``closed_form_crosscheck`` must pass on every seed
-and sample count, since every closed form is exact.
+and sample count, since every closed form is exact.  ``certify`` must return
+a record or raise ValueError for any constants, and never record a
+non-finite fidelity bound as a certification; ``emit_curve`` must return
+only finite points ending at fidelity 1, or raise ValueError.
 """
 from __future__ import annotations
 
@@ -16,8 +20,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ghzcert.bell import SVETLICHNY, BellProtocol, validate_state
-from ghzcert.verifier import closed_form_crosscheck
+from ghzcert.bell import FAMILIES, SVETLICHNY, BellProtocol, validate_state
+from ghzcert.simulate import NoiseModel, certify
+from ghzcert.tradeoff import MAX_CURVE_POINTS, emit_curve
+from ghzcert.verifier import (CertificateConstants, catalog_constants,
+                              closed_form_crosscheck)
 
 FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
 UNIT = st.floats(min_value=0.0, max_value=1.0)
@@ -113,3 +120,58 @@ def test_closed_form_crosscheck_passes_on_every_seed(n, samples, seed):
     assert result["failures"] == []
     assert result["passed"] is True
     assert result["samples"] == samples
+
+
+@st.composite
+def certify_inputs(draw):
+    """Catalog or arbitrary (NaN and infinities included) constants for a
+    catalog scenario, a noise model and a small run."""
+    protocol = BellProtocol(draw(st.sampled_from(FAMILIES)),
+                            draw(st.integers(3, 5)))
+    constants = catalog_constants(protocol)
+    if draw(st.booleans()):
+        constants = CertificateConstants(protocol, draw(st.floats()),
+                                         draw(st.floats()), constants.beta_T)
+    if draw(st.booleans()):
+        noise = NoiseModel("visibility", draw(UNIT))
+    else:
+        sigma = np.eye(protocol.dim, dtype=complex) / protocol.dim
+        noise = NoiseModel("separable_mixture", draw(UNIT), sigma)
+    return constants, noise
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(CertificateConstants(BellProtocol(SVETLICHNY, 3), math.nan,
+                                    0.0, 0.0),
+               NoiseModel("visibility", 1.0)), shots=100, seed=0)
+@example(case=(CertificateConstants(BellProtocol(SVETLICHNY, 3), 1e308,
+                                    0.0, 0.0),
+               NoiseModel("visibility", 1.0)), shots=100, seed=0)
+@given(case=certify_inputs(), shots=st.integers(0, 2000),
+       seed=st.integers(min_value=0, max_value=2 ** 64))
+def test_certify_returns_or_raises_value_error(case, shots, seed):
+    constants, noise = case
+    try:
+        record = certify(constants, noise, shots, seed)
+    except ValueError:
+        return
+    assert math.isfinite(record.fidelity_bound) or record.trivial
+    assert record.trivial == (record.fidelity_bound < 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@example(family=SVETLICHNY, n=3, resolution=MAX_CURVE_POINTS)
+@example(family=SVETLICHNY, n=3, resolution=MAX_CURVE_POINTS + 1)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(3, 5),
+       resolution=st.integers(-3, 3000))
+def test_emit_curve_points_are_finite_and_end_at_one(family, n, resolution):
+    try:
+        curve = emit_curve(BellProtocol(family, n), resolution)
+    except ValueError:
+        assert not 2 <= resolution <= MAX_CURVE_POINTS
+        return
+    assert len(curve.points) == resolution
+    assert all(math.isfinite(value) for point in curve.points
+               for value in (point.beta_O, point.relative_violation,
+                             point.fidelity_bound))
+    assert abs(curve.points[-1].fidelity_bound - 1.0) <= 1e-12

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from ghzcert import simulate
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol,
-                          functional_coefficients)
+from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.linalg import x_blocks
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               _born_table, _contracted_distribution,
@@ -20,7 +19,8 @@ from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
 from ghzcert.states import ghz_state
 from ghzcert.verifier import catalog_constants
 from oracles import (dense_born_from_projectors, dense_born_probabilities,
-                     dense_outcome_projectors, evaluate, random_hermitian,
+                     dense_outcome_projectors, evaluate,
+                     functional_coefficients, random_hermitian,
                      random_x_matrix)
 
 SQ2 = math.sqrt(2.0)

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, corner_entries,
-                          ghz_phase)
+from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, ghz_phase
 from ghzcert.states import apply_channel, g_values, ghz_state
-from oracles import (dense_spectral_ghz_rho, evaluate, is_persymmetric,
-                     kraus_loop_channel, kraus_pair, pauli_string,
-                     random_hermitian, reference_channel_output_3,
-                     reference_state_3, reference_state_4)
+from oracles import (complex_corner_entries, dense_spectral_ghz_rho,
+                     evaluate, is_persymmetric, kraus_loop_channel,
+                     kraus_pair, pauli_string, random_hermitian,
+                     reference_channel_output_3, reference_state_3,
+                     reference_state_4)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -140,9 +140,9 @@ def test_ghz_phase_pair_is_the_unique_maximal_corner():
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6, 7):
             quarter = np.full((n, 1), math.pi / 4)
-            magnitudes = np.abs(corner_entries(BellProtocol(family, n),
-                                               np.cos(quarter),
-                                               np.sin(quarter))[:, 0])
+            magnitudes = np.abs(complex_corner_entries(
+                BellProtocol(family, n), np.cos(quarter),
+                np.sin(quarter))[:, 0])
             assert np.all(magnitudes[0] - magnitudes[1:] > 1e-6)
 
 

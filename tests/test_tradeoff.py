@@ -12,7 +12,8 @@ from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
                               emit_curve, fidelity_lower_bound, format_float,
                               is_trivial_bound, relative_violation,
                               tightness_check, upper_bound_reference)
-from ghzcert.verifier import catalog_constants
+from ghzcert.simulate import NoiseModel, certify
+from ghzcert.verifier import CertificateConstants, catalog_constants
 from oracles import PastValidation, stop_past_validation
 
 SQ2 = math.sqrt(2.0)
@@ -57,6 +58,20 @@ def test_fidelity_lower_bound_domain():
     with pytest.raises(ValueError):
         fidelity_lower_bound(sv4, protocol.beta_Q + 0.1)
     assert fidelity_lower_bound(sv4, protocol.beta_Q + 5e-13) <= 1.0 + 1e-9
+
+
+def test_fidelity_lower_bound_rejects_non_finite_constants():
+    # A NaN or infinite s or mu, or an s * beta that overflows, has no
+    # certification content; certify records none of them.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    noise = NoiseModel("visibility", 0.9)
+    for s, mu in ((math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0),
+                  (0.1, -math.inf), (1e308, 0.0), (-1e308, 0.0)):
+        constants = CertificateConstants(protocol, s, mu, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity_lower_bound(constants, protocol.beta_Q)
+        with pytest.raises(ValueError, match="non-finite"):
+            certify(constants, noise, shots_per_setting=10, seed=1)
 
 
 def test_trivial_regime_flagging():
