@@ -41,8 +41,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -69,7 +70,12 @@ _OUTCOME_PAIRS = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
 
 @dataclass(frozen=True)
 class BellProtocol:
-    """A Bell scenario: operator family and number of parties."""
+    """A Bell scenario: operator family and number of parties.
+
+    ``n`` may be any integer, numpy's included, and is stored as an int, so
+    equal scenarios are the same key of every cache; anything else, such as
+    3.0 or "3", raises ValueError.
+    """
 
     family: str
     n: int
@@ -77,6 +83,11 @@ class BellProtocol:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"number of parties must be an integer, got "
+                             f"{self.n!r}") from None
         if self.n < _MIN_PARTIES:
             raise ValueError(f"need at least {_MIN_PARTIES} parties, got {self.n}")
 
@@ -290,10 +301,16 @@ def quantum_bound(protocol: BellProtocol) -> float:
     W is antidiagonal, so its spectral norm is its largest antidiagonal
     magnitude; that is read off the antidiagonal closed form at the
     all-pi/4 point and cross-checked against the same magnitudes on a coarse
-    grid over the full angle domain.
+    grid over the full angle domain, both in one walk.
     """
-    value = _corner_magnitude_max(protocol, np.array([math.pi / 4]))
-    grid_max = _corner_magnitude_max(protocol, np.linspace(0.0, math.pi / 2, 9))
+    n = protocol.n
+    # The all-pi/4 point is a grid of one value per axis, padded to the
+    # coarse grid's 9 by repeating it.
+    rows = np.empty((2, n, 9))
+    rows[0] = math.pi / 4
+    rows[1] = np.linspace(0.0, math.pi / 2, 9)
+    value, grid_max = _corner_magnitude_maxima(
+        protocol, rows, np.array([[1] * n, [9] * n]))
     if grid_max > value + 1e-8:
         raise ArithmeticError(
             f"grid norm {grid_max} exceeds optimal-point norm {value}")
@@ -301,25 +318,38 @@ def quantum_bound(protocol: BellProtocol) -> float:
 
 
 def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
-    """Largest antidiagonal magnitude over a product grid of angles.
+    """``_corner_magnitude_maxima`` of one product grid of n equal axes."""
+    n = protocol.n
+    return _corner_magnitude_maxima(protocol,
+                                    np.repeat(grid[None, None], n, axis=1),
+                                    np.full((1, n), len(grid)))[0]
 
-    The magnitudes of all pairs at a point are permuted along with the
+
+def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,
+                             lengths: np.ndarray) -> List[float]:
+    """Largest antidiagonal magnitude over each of several product grids.
+
+    ``rows`` and ``lengths`` hold the grids' padded axes as
+    ``walk_canonical`` takes them, and one walk reads them all.  The
+    magnitudes of all pairs at a point are permuted along with the
     parties, so only one sorted angle tuple per permutation orbit is
     evaluated, all 2^(n-1) pairs at once.  The loop body runs once per
     chunk of ``walk_canonical``, in its per-thread buffers, as the
     certificate scan's does, and reads the chunk's entries with
-    ``chunk_corner_entries``.
+    ``chunk_corner_entries``; each is a function of its own point alone,
+    so each grid's maximum is that of a walk over it by itself.
     """
-    axes = [grid] * protocol.n
-    values = np.concatenate(axes)
+    values = rows.ravel()
     cs, sn = np.cos(values), np.sin(values)
     trig = np.stack([cs + sn, cs - sn])
     z = corner_coefficient(protocol)
-    best = 0.0
-    for _, buffers in walk_canonical(axes):
-        entries = chunk_corner_entries(trig, z, buffers)
-        best = max(best, float(np.abs(entries,
-                                      out=buffers["scratch"][0]).max()))
+    best = [0.0] * len(rows)
+    for pieces, buffers in walk_canonical(rows, lengths):
+        magnitudes = np.abs(chunk_corner_entries(trig, z, buffers),
+                            out=buffers["scratch"][0])
+        for grid, begin, end in pieces:
+            best[grid] = max(best[grid],
+                             float(magnitudes[:, begin:end].max()))
     return best
 
 

@@ -3,7 +3,8 @@
 Provides the Kronecker product ``kron_all``, one batched step of a
 site-by-site contraction (``contract_site``) and the matrices it leaves
 (``interleaved_to_matrix``), the canonical index tuples of a product grid
-(one per permutation orbit) and the one chunked walk over them
+(one per permutation orbit, for a list of axes or a batch of grids of
+padded rows) and the one chunked walk over one or more grids
 (``walk_canonical``), the per-site products over every sign choice
 (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the 2 x 2 blocks of a diagonal-plus-antidiagonal
@@ -136,6 +137,27 @@ def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
     return _canonical_layout(tuple(len(axis) for axis in axes), tuple(labels))
 
 
+def canonical_layouts(rows: np.ndarray, lengths: np.ndarray
+                      ) -> List[np.ndarray]:
+    """``canonical_indices`` of r grids of n axes each, given as padded rows.
+
+    Axis j of grid k is ``rows[k, j, :lengths[k, j]]``; ``rows`` has shape
+    (r, n, w) and ``lengths`` (r, n), and each row is padded past its axis
+    by repeating the axis's last value.  The axes of a grid are grouped as
+    ``canonical_indices`` groups them, by equal values, and each grid's
+    layout is read off the same cache.
+    """
+    layouts = []
+    for axes, sizes in zip(rows.tolist(), lengths.tolist()):
+        # Each axis takes the label of the first axis equal to it, labels
+        # numbered in order of first appearance.
+        labels: Dict[tuple, int] = {}
+        layouts.append(_canonical_layout(tuple(sizes), tuple(
+            labels.setdefault((size, *axis), len(labels))
+            for axis, size in zip(axes, sizes))))
+    return layouts
+
+
 @functools.lru_cache(maxsize=CANONICAL_LAYOUT_CACHE)
 def _canonical_layout(lengths: Tuple[int, ...],
                       labels: Tuple[int, ...]) -> np.ndarray:
@@ -213,22 +235,27 @@ def conjugate_pair_sum(table: np.ndarray, z: complex, out: np.ndarray,
 _CHUNK_BUFFERS = threading.local()
 
 
-def walk_canonical(axes: Sequence[np.ndarray]
-                   ) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
-    """Walk the canonical points of a product grid in chunks.
+def walk_canonical(rows: np.ndarray, lengths: np.ndarray
+                   ) -> Iterator[Tuple[List[Tuple[int, int, int]],
+                                       Dict[str, np.ndarray]]]:
+    """Walk the canonical points of one or more product grids in chunks.
 
-    Yields ``(start, buffers)`` for each chunk of about
+    ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
+    as ``canonical_layouts`` takes them, and the walk groups each grid's
+    equal axes through it.  The grids' canonical points are walked end to
+    end, grid after grid, so one chunk may end one grid and start the next.
+    Yields ``(pieces, buffers)`` for each chunk of about
     ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
-    pairs) of ``canonical_indices(axes)``: the index of its first point and
-    its buffers, shaped (..., m) for its m points at n = len(axes).
-    ``cols`` (n, m) holds each site's column into ``np.concatenate(axes)``;
-    the others are the caller's.  The buffers, about 3.1 MB at 2^15
-    evaluations, are allocated once per thread and chunk size and reused by
-    every chunk, so two walks must not be interleaved on one thread (no
-    caller does).
+    pairs): ``(grid, begin, end)`` for each grid with points in the chunk,
+    in order, whose points are the chunk's columns begin to end, and the
+    buffers, shaped (..., m) for its m points.  ``cols`` (n, m) holds each
+    site's column into ``rows.ravel()``, which never points into the
+    padding past an axis; the others are the caller's.  The buffers, about
+    3.1 MB at 2^15 evaluations, are allocated once per thread and chunk
+    size and reused by every chunk, so two walks must not be interleaved
+    on one thread (no caller does).
     """
-    idx = canonical_indices(axes)
-    n, total = idx.shape
+    r, n, width = rows.shape
     half = 2 ** (n - 1)
     step = max(1, SCAN_CHUNK_EVALUATIONS // half)
     # Sized in block evaluations, so one set serves every n: m points at n
@@ -240,8 +267,11 @@ def walk_canonical(axes: Sequence[np.ndarray]
             (("table", 2, float), ("low", 1, float), ("scratch", 2, float),
              ("channel", 1, complex), ("bell", 1, complex),
              ("cols", 1, np.intp), ("factors", 2, float))}
-    offsets = np.array([0] + [len(a) for a in axes[:-1]]).cumsum()[:, None]
+    layouts = canonical_layouts(rows, lengths)
+    offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
+    total = sum(layout.shape[1] for layout in layouts)
     buffers: Dict[str, np.ndarray] = {}
+    grid, local = 0, 0    # the next point's grid and index in it
     for start in range(0, total, step):
         m = min(step, total - start)
         if not buffers or m < step:
@@ -254,8 +284,19 @@ def walk_canonical(axes: Sequence[np.ndarray]
                 "bell": flat["bell"][:pairs].reshape(-1, m),
                 "cols": flat["cols"][:n * m].reshape(n, m),
                 "factors": flat["factors"][:2 * n * m].reshape(2, n, m)}
-        np.add(idx[:, start:start + step], offsets, out=buffers["cols"])
-        yield start, buffers
+        pieces = []
+        begin = 0
+        while begin < m:
+            layout = layouts[grid]
+            end = begin + min(m - begin, layout.shape[1] - local)
+            np.add(layout[:, local:local + end - begin], offsets[grid],
+                   out=buffers["cols"][:, begin:end])
+            pieces.append((grid, begin, end))
+            local += end - begin
+            if local == layout.shape[1]:
+                grid, local = grid + 1, 0
+            begin = end
+        yield pieces, buffers
 
 
 def chunk_sign_products(rows: np.ndarray,

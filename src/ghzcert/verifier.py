@@ -23,9 +23,11 @@ walked by ``linalg.walk_canonical``, in chunks of about
 ``SCAN_CHUNK_EVALUATIONS`` block evaluations in buffers kept per thread, so
 the tables neither grow with the grid nor are allocated per chunk, and the
 canonical points of a grid are a layout cached by its shape.  Refinement
-stencils, built in one call over every axis, shrink the same way along axes
-that coincide.  A grid pass above ``MAX_BLOCK_EVALUATIONS`` block
-evaluations is refused before anything is allocated.
+stencils shrink the same way along axes that coincide; the stencils of
+every remaining round are built, grouped and walked at once, and a round
+that moves the centre sends only the rounds after it to another walk.  A
+grid pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused
+before anything is allocated.
 
 Independent routes cross-check the reduction:
 
@@ -126,7 +128,8 @@ class CertificationReport:
 
     ``binding_pair`` is the block pair b (of 2^(n-1)) holding the minimum and
     ``block_evaluations`` counts the 2 x 2 blocks evaluated by the grid pass
-    and every refinement round.
+    and every refinement round, each round once (see
+    ``min_eig_over_grid``).
     """
 
     constants: CertificateConstants
@@ -243,13 +246,33 @@ def _block_array(t: np.ndarray, n: int) -> np.ndarray:
 
 def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
                          axes: Sequence[np.ndarray]):
-    """Minimum block lower-eigenvalue over a product grid of angles.
+    """``_min_block_over_products`` of one product grid of angles."""
+    lengths = [len(axis) for axis in axes]
+    width = max(lengths)
+    # Each axis padded to the longest by repeating its last value; the
+    # grid pass's axes all have one length.
+    rows = np.concatenate([axis if len(axis) == width
+                           else np.pad(axis, (0, width - len(axis)), "edge")
+                           for axis in axes])
+    return _min_block_over_products(protocol, s, mu,
+                                    rows.reshape(1, len(axes), width),
+                                    np.array([lengths]))[0]
 
-    Evaluates, for every antidiagonal pair b and every canonical grid point,
-    the closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
-    block, where D and K_c are the diagonal and corner entries of the channel
-    output and W_c the corner entry of the Bell operator.  Each sums the
-    per-site products of pair b and its complement, rows of a
+
+def _min_block_over_products(
+        protocol: BellProtocol, s: float, mu: float, rows: np.ndarray,
+        lengths: np.ndarray
+) -> List[Tuple[float, Tuple[float, ...], int, int]]:
+    """Minimum block lower-eigenvalue over each of several product grids.
+
+    ``rows`` and ``lengths`` hold the grids' padded axes as
+    ``walk_canonical`` takes them, and one walk evaluates them all, end to
+    end.  For every
+    antidiagonal pair b and every canonical grid point it evaluates the
+    closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
+    block, where D and K_c are the diagonal and corner entries of the
+    channel output and W_c the corner entry of the Bell operator.  Each
+    sums the per-site products of pair b and its complement, rows of a
     ``sign_products`` table.  Permuting parties maps block b at a point to
     block pi(b) at the permuted point, so the minimum over all pairs is the
     same on every point of a permutation orbit and only one tuple per orbit
@@ -262,17 +285,19 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and dy = g, and
     (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its table is the
     diagonal's, rebuilt from the negated minus factors only when some axis
-    passes pi/4; a negated factor negates the product bit for bit.  Ties go
-    to the first pair, then the first canonical point, as one ``argmin``
-    over the whole grid would choose.  Returns the minimum, its angles, the
-    binding pair and the number of block evaluations.
+    passes pi/4; a negated factor negates the product bit for bit.  Every
+    block value depends on its own point alone, so each grid's values are
+    those of a walk over that grid by itself.  Ties go to the first pair,
+    then the first canonical point of the grid, as one ``argmin`` over the
+    whole grid would choose.  Returns, per grid, the minimum, its angles,
+    the binding pair and the number of block evaluations.
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
     # The site factors at every axis value, all axes end to end, one row of
     # each pair: 1 + g and 1 - g of the diagonal, 1 + g and +-(1 - g) of the
     # channel corner, cos + sin and cos - sin of the Bell corner.
-    values = np.concatenate(axes)
+    values = rows.ravel()
     g = g_values(values)
     diagonal = np.stack([1.0 + g, 1.0 - g])
     beyond = ~(values <= math.pi / 4 + ANGLE_SLACK)
@@ -283,8 +308,9 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
     trig = np.stack([cs + sn, cs - sn])
     channel_z = scale * ghz_phase(protocol)
     bell_z = corner_coefficient(protocol)
-    best, evaluations = None, 0
-    for _, buffers in walk_canonical(axes):
+    best: list = [None] * len(rows)
+    evaluations = [0] * len(rows)
+    for pieces, buffers in walk_canonical(rows, lengths):
         low, scratch = buffers["low"], buffers["scratch"]
         table = chunk_sign_products(diagonal, buffers)
         np.add(table[:half], table[::-1][:half], out=low)
@@ -299,30 +325,42 @@ def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
         w.imag *= s
         corner -= w
         low -= np.abs(corner, out=scratch[0])
-        pair, k = divmod(int(low.argmin()), low.shape[1])
-        value = float(low[pair, k])
-        # An earlier chunk holds earlier points, so it keeps a tie unless
-        # the later one binds at a smaller pair.
-        if best is None or (value, pair) < best[:2]:
-            best = value, pair, values[buffers["cols"][:, k]]
-        evaluations += low.size
-    value, pair, point = best
-    return value, tuple(float(v) for v in point), pair, evaluations
+        for grid, begin, end in pieces:
+            part = low[:, begin:end]
+            pair, k = divmod(int(part.argmin()), end - begin)
+            value = float(part[pair, k])
+            # An earlier chunk holds earlier points, so it keeps a tie
+            # unless the later one binds at a smaller pair.
+            if best[grid] is None or (value, pair) < best[grid][:2]:
+                best[grid] = (value, pair,
+                              values[buffers["cols"][:, begin + k]])
+            evaluations[grid] += part.size
+    return [(value, tuple(float(v) for v in point), pair, count)
+            for (value, pair, point), count in zip(best, evaluations)]
 
 
-def _stencil(p: np.ndarray, h: float, lo: float,
-             hi: float) -> List[np.ndarray]:
-    """The refinement stencil around ``p``: 5 points per axis, step h/2.
+def _stencils(p: np.ndarray, steps: np.ndarray, lo: float,
+              hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The refinement stencils around ``p``, one grid per step h.
 
-    Built in one ``linspace`` over every axis and clipped to [lo, hi];
+    Each has 5 points per axis, from p - h to p + h, clipped to [lo, hi];
     clipping at the domain edge repeats the edge point, and each axis keeps
-    each point once, in ascending order.
+    each point once, in ascending order.  Built in one ``linspace`` over
+    every step and axis, one clip and one pass that drops the repeats.
+    Returns ``rows`` and ``lengths`` as ``walk_canonical`` takes them: row
+    j of stencil k, ``rows[k, j]``, holds its ``lengths[k, j]`` points of
+    axis j, padded to 5 by repeating the last one.
     """
-    points = np.clip(np.linspace(p - h, p + h, 5, axis=1), lo, hi)
-    keep = np.empty(points.shape, dtype=bool)
-    keep[:, 0] = True
-    np.not_equal(points[:, 1:], points[:, :-1], out=keep[:, 1:])
-    return [row[mask] for row, mask in zip(points, keep)]
+    points = np.clip(np.linspace(p - steps[:, None], p + steps[:, None], 5,
+                                 axis=2), lo, hi)
+    # Each point's place among its axis's distinct points; a repeat takes
+    # the place of the point it repeats, and writes the same value there.
+    place = np.zeros(points.shape, dtype=np.intp)
+    np.not_equal(points[..., 1:], points[..., :-1], out=place[..., 1:])
+    np.cumsum(place, axis=2, out=place)
+    rows = np.repeat(points[..., -1:], 5, axis=2)
+    np.put_along_axis(rows, place, points, axis=2)
+    return rows, place[..., -1] + 1
 
 
 def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
@@ -337,9 +375,14 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
     minimizer, shrinking a 5-point stencil (clipped to the domain, with
     repeated edge points dropped) for ``REFINEMENT_DEPTH`` rounds,
     so the reported value reflects the continuum minimum rather than grid
-    placement.  Non-finite constants or tolerance, and constants large
-    enough to overflow the scan, raise ValueError; a non-finite minimum
-    never passes.
+    placement.  Every remaining round is scanned around the current centre
+    in one walk of the kernel and the rounds are accepted in order; the
+    first with a smaller minimum moves the centre, and the rounds after it
+    are walked again around the new one.  The report equals that of one
+    walk per round bit for bit: ``block_evaluations`` counts each accepted
+    round once and never a round scanned around a centre then left.
+    Non-finite constants or tolerance, and constants large enough to
+    overflow the scan, raise ValueError; a non-finite minimum never passes.
     """
     for name, value in (("s", constants.s), ("mu", constants.mu),
                         ("PSD tolerance", psd_tol)):
@@ -366,16 +409,25 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
             if abs(best) <= 10 * psd_tol:
                 refined = True
                 h = (hi - lo) / (grid.points_per_axis - 1)
-                p = np.array(point)
-                for _ in range(REFINEMENT_DEPTH):
-                    value, sub_point, sub_pair, count = _min_block_over_axes(
+                rounds = REFINEMENT_DEPTH
+                while rounds:
+                    # Every remaining round around the current centre, in
+                    # one walk; halving a float is exact, so each step
+                    # equals the one the rounds reach by halving in turn.
+                    steps = h / 2.0 ** np.arange(rounds)
+                    batch = _min_block_over_products(
                         protocol, constants.s, constants.mu,
-                        _stencil(p, h, lo, hi))
-                    evaluations += count
-                    if value < best:
-                        best, point, pair = value, sub_point, sub_pair
-                        p = np.array(sub_point)
-                    h /= 2.0
+                        *_stencils(np.array(point), steps, lo, hi))
+                    for step, (value, sub_point, sub_pair, count) in zip(
+                            steps, batch):
+                        evaluations += count
+                        rounds -= 1
+                        h = step / 2.0
+                        # A new minimum moves the centre, so the rounds
+                        # after it are scanned again around it.
+                        if value < best:
+                            best, point, pair = value, sub_point, sub_pair
+                            break
     except FloatingPointError as exc:
         raise ValueError(
             f"s={constants.s} and mu={constants.mu} overflow the "
@@ -497,6 +549,16 @@ def parity_projector(x1: int, x2: int) -> np.ndarray:
             + (-1) ** (x1 + x2) * izz) / 4
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_sectors() -> Dict[Tuple[int, int], np.ndarray]:
+    """Every ``parity_projector`` by its label pair, built once, read-only."""
+    sectors = {(x1, x2): parity_projector(x1, x2)
+               for x1 in (0, 1) for x2 in (0, 1)}
+    for projector in sectors.values():
+        projector.setflags(write=False)
+    return sectors
+
+
 def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
                      x1: int, x2: int) -> float | np.ndarray:
     """Closed-form pair invariant of the projected certificate matrix.
@@ -557,8 +619,7 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     failures: List[str] = []
     if protocol.n == 3:
         checks = ["block_entries", "parity_sector_invariant"]
-        sectors = {(x1, x2): parity_projector(x1, x2)
-                   for x1 in (0, 1) for x2 in (0, 1)}
+        sectors = _parity_sectors()
         # One message per column of a chunk's failure mask.
         messages = ([f"block {i} mismatch" for i in range(4)]
                     + [f"sector ({x1},{x2}) mismatch" for x1, x2 in sectors])

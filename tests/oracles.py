@@ -20,7 +20,9 @@ per-pair route to the corner closed form and the orbit-reduced scan, with
 ``signed_site_product`` per pair table and sign, corner algebra in complex
 arrays; the package's sign tables and real arithmetic must match them bit
 for bit.  ``per_axis_stencil`` builds a refinement stencil one axis at a
-time, the reference for the scan's one-call stencil.  The small helpers
+time, the reference for the scan's one-call stencils, and
+``sequential_refinement`` refines one round per kernel call, the reference
+for the scan's batched rounds.  The small helpers
 after the Pauli algebra (``kron``, ``exchange_matrix``,
 ``eig2x2_hermitian``, ``coefficient_table``) are
 reference tools the tests use and the package does not;
@@ -44,6 +46,8 @@ from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, corner_coefficient,
                           ghz_phase, validate_state)
 from ghzcert.linalg import canonical_indices
 from ghzcert.states import g_values
+from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH,
+                              CertificationReport, _min_block_over_axes)
 
 SQ2 = np.sqrt(2.0)
 # Largest |m - J m^T J| entry a persymmetric matrix may have.
@@ -497,6 +501,45 @@ def per_axis_stencil(p: np.ndarray, h: float, lo: float,
     """
     return [np.unique(np.clip(np.linspace(c - h, c + h, 5), lo, hi))
             for c in p]
+
+
+def sequential_refinement(constants, grid) -> tuple:
+    """``min_eig_over_grid`` refining one round per kernel call.
+
+    The grid pass, then ``REFINEMENT_DEPTH`` rounds, each one
+    ``_min_block_over_axes`` call on ``per_axis_stencil`` around the
+    current minimiser, as the scan refined before it batched its rounds;
+    a round whose minimum is smaller moves the centre.  Returns the report,
+    built as the package builds it at the default tolerance, and the
+    0-based rounds that moved the centre.
+    """
+    protocol = constants.protocol
+    lo, hi = grid.domain
+    n = protocol.n
+    axis = np.linspace(lo, hi, grid.points_per_axis)
+    best, point, pair, evaluations = _min_block_over_axes(
+        protocol, constants.s, constants.mu, [axis] * n)
+    refined, moves = False, []
+    if abs(best) <= 10 * PSD_TOLERANCE:
+        refined = True
+        h = (hi - lo) / (grid.points_per_axis - 1)
+        p = np.array(point)
+        for round_ in range(REFINEMENT_DEPTH):
+            value, sub_point, sub_pair, count = _min_block_over_axes(
+                protocol, constants.s, constants.mu,
+                per_axis_stencil(p, h, lo, hi))
+            evaluations += count
+            if value < best:
+                best, point, pair = value, sub_point, sub_pair
+                p = np.array(sub_point)
+                moves.append(round_)
+            h /= 2.0
+    report = CertificationReport(
+        constants=constants, grid_points_per_axis=grid.points_per_axis,
+        min_eigenvalue=best, argmin_angles=tuple(point), refined=refined,
+        passed=bool(math.isfinite(best) and best >= -PSD_TOLERANCE),
+        binding_pair=pair, block_evaluations=evaluations)
+    return report, moves
 
 
 def random_x_matrix(rng: np.random.Generator, n: int,

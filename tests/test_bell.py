@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import ghzcert.bell
 import ghzcert.linalg
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
-                          _corner_magnitude_max, build_operator, check_angle,
+                          _corner_magnitude_max, _corner_magnitude_maxima,
+                          build_operator, check_angle,
                           chunk_corner_entries, corner_coefficient,
                           hybrid_bound, local_bound, observable,
                           quantum_bound, validate_state)
@@ -129,6 +131,18 @@ def test_protocol_rejects_bad_inputs():
         BellProtocol("chsh", 3)
     with pytest.raises(ValueError):
         BellProtocol(SVETLICHNY, 2)
+
+
+def test_protocol_stores_the_party_count_as_an_int():
+    # Any integer is accepted and stored as an int, so equal scenarios are
+    # one cache key; a float or a string is refused by name.
+    for n in (3, np.int64(3), np.uint8(3)):
+        protocol = BellProtocol(SVETLICHNY, n)
+        assert type(protocol.n) is int and protocol == SV3
+        assert hash(protocol) == hash(SV3)
+    for bad in (3.0, 3.5, "3", None):
+        with pytest.raises(ValueError, match=repr(bad)):
+            BellProtocol(SVETLICHNY, bad)
 
 
 def test_build_svetlichny_matches_reference_expansion():
@@ -372,6 +386,39 @@ def test_quantum_bound_matches_catalog():
             assert abs(value - jacobi) <= 1e-12
 
 
+
+def test_quantum_bound_walks_its_point_and_grid_at_once(monkeypatch):
+    # The all-pi/4 point and the coarse check grid are two grids of one
+    # walk.  Under chunks that split the walk anywhere, each grid's maximum
+    # is that of a walk over it alone, bit for bit.
+    walks = []
+    walk = ghzcert.bell.walk_canonical
+
+    def counting(rows, lengths):
+        walks.append(len(rows))
+        return walk(rows, lengths)
+
+    monkeypatch.setattr(ghzcert.bell, "walk_canonical", counting)
+    default = ghzcert.linalg.SCAN_CHUNK_EVALUATIONS
+    point, grid = np.array([math.pi / 4]), np.linspace(0.0, math.pi / 2, 9)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            rows = np.stack([np.full((n, 9), math.pi / 4),
+                             np.stack([grid] * n)])
+            lengths = np.array([[1] * n, [9] * n])
+            for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
+                monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+                                    chunk)
+                alone = [_corner_magnitude_max(protocol, point),
+                         _corner_magnitude_max(protocol, grid)]
+                assert _corner_magnitude_maxima(protocol, rows,
+                                                lengths) == alone
+                walks.clear()
+                assert quantum_bound(protocol) == alone[0]
+                assert walks == [2]
+
+
 def test_corner_magnitude_max_matches_full_grid_oracle():
     grid = np.linspace(0.0, math.pi / 2, 9)
     for family in (SVETLICHNY, MABK):
@@ -422,8 +469,8 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            axes = [grid] * n
-            values = np.concatenate(axes)
+            rows = np.stack([grid] * n)[None]
+            values = rows.ravel()
             cs, sn = np.cos(values), np.sin(values)
             trig = np.stack([cs + sn, cs - sn])
             z = corner_coefficient(protocol)
@@ -431,7 +478,8 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                 monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                                     chunk)
                 best = 0.0
-                for _, buffers in walk_canonical(axes):
+                for _, buffers in walk_canonical(rows,
+                                                 np.full((1, n), len(grid))):
                     got = chunk_corner_entries(trig, z, buffers)
                     cols = buffers["cols"]
                     want = complex_corner_entries(protocol, cs[cols],

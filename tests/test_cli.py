@@ -12,6 +12,7 @@ import pytest
 import ghzcert.cli
 import ghzcert.tradeoff
 import ghzcert.verifier
+from ghzcert.bell import SVETLICHNY, BellProtocol
 from ghzcert.cli import main
 from ghzcert.tradeoff import MAX_CURVE_POINTS
 from ghzcert.verifier import MAX_CROSSCHECK_SAMPLES, StructureViolation
@@ -45,6 +46,15 @@ def test_verify_pass(capsys):
     assert main(["verify", "--family", "svetlichny", "-n", "3"]) == 0
     out = capsys.readouterr().out
     assert "passed" in out
+
+
+def test_float_party_count_cannot_poison_the_catalog_cache():
+    # BellProtocol(svetlichny, 3.0) once equalled the n = 3 scenario as a
+    # cache key, so catalog_constants kept its float n and the next verify
+    # -n 3 in the process raised TypeError out of main.
+    with pytest.raises(ValueError, match="3.0"):
+        ghzcert.verifier.catalog_constants(BellProtocol(SVETLICHNY, 3.0))
+    assert main(["verify", "-n", "3", "--grid", "5"]) == 0
 
 
 def test_verify_fails_with_broken_slope():

@@ -2,15 +2,17 @@
 
 ``linalg.walk_canonical``, the one chunked walk the scan and the quantum
 bound's grid check run over, must visit every canonical point once, in
-order, for any axes that coincide and any chunk size.
+order, for any axes that coincide, any number of grids walked end to
+end and any chunk size.
 
 The scan kernel reads the channel corner off the diagonal sign table, which
 rests on one identity per site: the corner factors (dx + dy, dx - dy) equal
 the diagonal factors (1 + g, 1 - g) bit for bit up to pi/4 (+
 ``ANGLE_SLACK``) and (1 + g, -(1 - g)) beyond.  ``min_eig_over_grid`` must
 answer every finite slope on either domain with a finite minimum, raise
-nothing and emit no warning.  Its refinement stencils, built in one call
-over every axis, must equal the per-axis construction bit for bit.
+nothing and emit no warning.  Its refinement stencils, every remaining
+round's built in one call over every axis, must equal the per-axis
+construction bit for bit and take the layout ``canonical_indices`` gives.
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ from hypothesis import strategies as st
 
 import ghzcert.linalg
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
-from ghzcert.linalg import canonical_indices, walk_canonical
+from ghzcert.linalg import (canonical_indices, canonical_layouts,
+                            walk_canonical)
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
-                              _stencil, catalog_constants, min_eig_over_grid)
+                              _stencils, catalog_constants, min_eig_over_grid)
 from oracles import channel_corner_factors, per_axis_stencil
 
 
@@ -99,51 +102,79 @@ def stencil_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=stencil_cases())
 def test_one_call_stencil_matches_per_axis_stencil(case):
+    # One call builds every remaining round's stencil; round k, at step
+    # h / 2^k, holds the per-axis stencil, each row padded with its last
+    # point, and the layout canonical_indices gives those axes.
     p, h, hi = case
-    got = _stencil(p, h, 0.0, hi)
-    want = per_axis_stencil(p, h, 0.0, hi)
-    assert len(got) == len(want)
-    for axis, expected in zip(got, want):
-        assert axis.tobytes() == expected.tobytes()
+    steps = h / 2.0 ** np.arange(REFINEMENT_DEPTH)
+    rows, lengths = _stencils(p, steps, 0.0, hi)
+    assert rows.shape == (REFINEMENT_DEPTH, len(p), 5)
+    layouts = canonical_layouts(rows, lengths)
+    for step, stencil, sizes, layout in zip(steps, rows, lengths, layouts):
+        want = per_axis_stencil(p, step, 0.0, hi)
+        assert sizes.tolist() == [len(axis) for axis in want]
+        for row, expected in zip(stencil, want):
+            assert row[:len(expected)].tobytes() == expected.tobytes()
+            assert (row[len(expected):] == expected[-1]).all()
+        assert layout is canonical_indices(want)
 
 
 @st.composite
 def walk_cases(draw):
-    """1 to 5 axes of 1 to 9 points, some equal to others as refinement
-    stencils make them, and a chunk size from one point to more than the
-    whole grid, in block evaluations."""
-    distinct = draw(st.lists(
-        st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=9,
-                 unique=True).map(sorted), min_size=1, max_size=5))
-    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
-                          max_size=5))
-    axes = [np.array(distinct[i]) for i in picks]
-    half = 2 ** (len(axes) - 1)
-    total = canonical_indices(axes).shape[1]
-    evaluations = draw(st.integers(1, (total + 2) * half))
-    return axes, evaluations
+    """1 to 3 grids of the same 1 to 5 axes of 1 to 9 points, some equal to
+    others as refinement stencils make them, and a chunk size from one
+    point to more than all the grids, in block evaluations."""
+    n = draw(st.integers(1, 5))
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        distinct = draw(st.lists(
+            st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=9,
+                     unique=True).map(sorted), min_size=1, max_size=n))
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1),
+                              min_size=n, max_size=n))
+        grids.append([np.array(distinct[i]) for i in picks])
+    total = sum(canonical_indices(axes).shape[1] for axes in grids)
+    evaluations = draw(st.integers(1, (total + 2) * 2 ** (n - 1)))
+    return grids, evaluations
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=walk_cases())
 def test_walk_canonical_visits_every_canonical_point_in_order(case):
-    axes, evaluations = case
-    n, half = len(axes), 2 ** (len(axes) - 1)
-    offsets = np.cumsum([0] + [len(a) for a in axes[:-1]])[:, None]
+    # The grids are walked end to end: a chunk may end one and start the
+    # next, its pieces name which columns hold which grid, and each site's
+    # columns index the padded rows of every grid, raveled in order.  The
+    # walk groups each grid's axes as canonical_indices does.
+    grids, evaluations = case
+    n, width = len(grids[0]), 9
+    half = 2 ** (n - 1)
+    lengths = np.array([[len(axis) for axis in axes] for axes in grids])
+    rows = np.array([[np.concatenate([axis, [axis[-1]] * (width - len(axis))])
+                      for axis in axes] for axes in grids])
     step = max(1, evaluations // half)
-    starts, cols = [], []
+    cols, visits = [], []
     with mock.patch.object(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                            evaluations):
-        for start, buffers in walk_canonical(axes):
+        for pieces, buffers in walk_canonical(rows, lengths):
             m = buffers["cols"].shape[1]
             assert {name: b.shape for name, b in buffers.items()} == {
                 "table": (2 * half, m), "low": (half, m),
                 "scratch": (2, half, m), "channel": (half, m),
                 "bell": (half, m), "cols": (n, m), "factors": (2, n, m)}
-            starts.append(start)
+            assert [piece[1:] for piece in pieces] == list(zip(
+                [0] + [end for _, _, end in pieces[:-1]],
+                [end for _, _, end in pieces]))
+            assert pieces[-1][2] == m
+            visits += [grid for grid, begin, end in pieces
+                       for _ in range(begin, end)]
             cols.append(buffers["cols"].copy())
     counts = [c.shape[1] for c in cols]
-    assert starts == list(np.cumsum([0] + counts[:-1]))
     assert all(m == step for m in counts[:-1]) and 1 <= counts[-1] <= step
-    want = canonical_indices(axes).astype(np.intp) + offsets
+    layouts = [canonical_indices(axes) for axes in grids]
+    assert visits == [k for k, layout in enumerate(layouts)
+                      for _ in range(layout.shape[1])]
+    offsets = width * np.arange(len(grids) * n).reshape(len(grids), n, 1)
+    want = np.concatenate([layout.astype(np.intp) + offset
+                           for layout, offset in zip(layouts, offsets)],
+                          axis=1)
     assert np.array_equal(np.concatenate(cols, axis=1), want)

@@ -534,6 +534,19 @@ def test_grid_spec_validation():
         GridSpec(points_per_axis=1)
 
 
+def test_crosscheck_parity_sectors_are_built_once_read_only():
+    sectors = ghzcert.verifier._parity_sectors()
+    assert sectors is ghzcert.verifier._parity_sectors()
+    assert list(sectors) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (x1, x2), projector in sectors.items():
+        fresh = parity_projector(x1, x2)
+        assert projector.dtype == fresh.dtype
+        assert projector.tobytes() == fresh.tobytes()
+        assert not projector.flags.writeable
+        with pytest.raises(ValueError):
+            projector[0, 0] = 0.0
+
+
 def test_parity_projector():
     for x1 in (0, 1):
         for x2 in (0, 1):
