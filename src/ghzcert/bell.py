@@ -83,11 +83,8 @@ class BellProtocol:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"number of parties must be an integer, got "
-                             f"{self.n!r}") from None
+        object.__setattr__(self, "n",
+                           check_integer(self.n, "number of parties"))
         if self.n < _MIN_PARTIES:
             raise ValueError(f"need at least {_MIN_PARTIES} parties, got {self.n}")
 
@@ -123,6 +120,15 @@ class BellProtocol:
     @functools.cached_property
     def beta_Q(self) -> float:
         return float(self.beta_Q_exact)
+
+
+def check_integer(value: int, name: str) -> int:
+    """``value`` as an int through ``operator.index``, so numpy's integers
+    pass; anything else, such as 5.0 or "5", raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
@@ -315,14 +321,6 @@ def quantum_bound(protocol: BellProtocol) -> float:
         raise ArithmeticError(
             f"grid norm {grid_max} exceeds optimal-point norm {value}")
     return value
-
-
-def _corner_magnitude_max(protocol: BellProtocol, grid: np.ndarray) -> float:
-    """``_corner_magnitude_maxima`` of one product grid of n equal axes."""
-    n = protocol.n
-    return _corner_magnitude_maxima(protocol,
-                                    np.repeat(grid[None, None], n, axis=1),
-                                    np.full((1, n), len(grid)))[0]
 
 
 def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,

@@ -2,9 +2,9 @@
 
 Provides the Kronecker product ``kron_all``, one batched step of a
 site-by-site contraction (``contract_site``) and the matrices it leaves
-(``interleaved_to_matrix``), the canonical index tuples of a product grid
-(one per permutation orbit, for a list of axes or a batch of grids of
-padded rows) and the one chunked walk over one or more grids
+(``interleaved_to_matrix``), the canonical index tuples of product grids
+given as padded rows (``canonical_layouts``, one tuple per permutation
+orbit) and the one chunked walk over one or more such grids
 (``walk_canonical``), the per-site products over every sign choice
 (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the 2 x 2 blocks of a diagonal-plus-antidiagonal
@@ -39,7 +39,7 @@ HERMITICITY_TOL = 1e-10
 # of 2^13 to 2^17 for the certificate scan at n = 4 on grid 31; the
 # quantum-bound grid check walks its points in chunks of the same size.
 SCAN_CHUNK_EVALUATIONS = 2 ** 15
-# Canonical layouts kept by ``canonical_indices``, least recently used
+# Canonical layouts kept by ``_canonical_layout``, least recently used
 # first out; a cycle of the scan benchmark's verify ops uses 8.
 CANONICAL_LAYOUT_CACHE = 12
 
@@ -110,42 +110,17 @@ def sorted_index_tuples(size: int, length: int) -> np.ndarray:
     return tuples
 
 
-def canonical_indices(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Index tuples of a product grid, one per orbit of permuting equal axes.
-
-    Axes with identical values form a group; a tuple is canonical when its
-    indices are nondecreasing within every group.  Groups are combined as a
-    Cartesian product, the first group varying slowest.  Returns an integer
-    array of shape (len(axes), number of canonical tuples) whose row j
-    indexes ``axes[j]``.  The layout depends only on the axis lengths and on
-    which axes are equal, so it is built once per such structure
-    (``_canonical_layout``) and shared: read-only, in the smallest unsigned
-    dtype that holds every index (uint8 up to 256 points per axis).
-    """
-    if not axes:
-        raise ValueError("canonical_indices requires at least one axis")
-    labels: List[int] = []
-    firsts: List[int] = []
-    for j, axis in enumerate(axes):
-        for label, first in enumerate(firsts):
-            if axes[first] is axis or np.array_equal(axes[first], axis):
-                labels.append(label)
-                break
-        else:
-            labels.append(len(firsts))
-            firsts.append(j)
-    return _canonical_layout(tuple(len(axis) for axis in axes), tuple(labels))
-
-
 def canonical_layouts(rows: np.ndarray, lengths: np.ndarray
                       ) -> List[np.ndarray]:
-    """``canonical_indices`` of r grids of n axes each, given as padded rows.
+    """Index tuples of r product grids, one per orbit of permuting equal axes.
 
     Axis j of grid k is ``rows[k, j, :lengths[k, j]]``; ``rows`` has shape
     (r, n, w) and ``lengths`` (r, n), and each row is padded past its axis
-    by repeating the axis's last value.  The axes of a grid are grouped as
-    ``canonical_indices`` groups them, by equal values, and each grid's
-    layout is read off the same cache.
+    by repeating the axis's last value.  Axes of a grid with equal values
+    form a group; a tuple is canonical when its indices are nondecreasing
+    within every group.  Returns one integer array per grid, of shape
+    (n, number of canonical tuples), whose row j indexes axis j, read off
+    ``_canonical_layout``.
     """
     layouts = []
     for axes, sizes in zip(rows.tolist(), lengths.tolist()):
@@ -161,8 +136,14 @@ def canonical_layouts(rows: np.ndarray, lengths: np.ndarray
 @functools.lru_cache(maxsize=CANONICAL_LAYOUT_CACHE)
 def _canonical_layout(lengths: Tuple[int, ...],
                       labels: Tuple[int, ...]) -> np.ndarray:
-    """The ``canonical_indices`` layout of axes of these lengths whose equal
-    axes share a label, labels numbered in order of first appearance."""
+    """The canonical tuples of axes of these lengths whose equal axes share
+    a label, labels numbered in order of first appearance.
+
+    Groups are combined as a Cartesian product, the first group varying
+    slowest, each group's tuples in lexicographic order.  The layout is
+    shared between calls, so it is read-only, in the smallest unsigned
+    dtype that holds every index (uint8 up to 256 points per axis).
+    """
     dtype = np.min_scalar_type(max(lengths) - 1)
     out = np.empty((len(lengths), 1), dtype=dtype)
     for label in range(max(labels) + 1):

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bell import (BellProtocol, _coefficient_tensor, check_angles,
-                   observable, validate_state)
+                   check_integer, observable, validate_state)
 from .linalg import sign_products, x_blocks
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
@@ -165,7 +165,11 @@ def _contracted_distribution(state: np.ndarray, settings: np.ndarray,
 
 def sample_outcomes(dist: np.ndarray, shots: int,
                     seed_or_rng: Union[int, np.random.Generator]) -> np.ndarray:
-    """Multinomial outcome counts for ``shots`` draws from ``dist``."""
+    """Multinomial outcome counts for ``shots`` draws from ``dist``.
+
+    ``shots`` must be an integer in [1, ``MAX_SHOTS``]; ValueError otherwise.
+    """
+    shots = check_integer(shots, "shot count")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shot count must be in [1, {MAX_SHOTS}], got {shots}")
     if isinstance(seed_or_rng, np.random.Generator):
@@ -188,6 +192,9 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     """
     n = protocol.n
     state = validate_state(state, n)
+    # The count divides every correlator, so a fractional one is refused
+    # here, not only where the shots are drawn.
+    shots_per_setting = check_integer(shots_per_setting, "shot count")
     coefficients = _coefficient_tensor(protocol).ravel()
     children = np.random.SeedSequence(seed).spawn(2 ** n)
     products = outcome_products(n)
@@ -244,6 +251,7 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
     trivial instead of extrapolated.
     """
     protocol = constants.protocol
+    shots_per_setting = check_integer(shots_per_setting, "shot count")
     state = noisy_state(protocol, noise)
     beta_hat, std_error = estimate_violation(
         protocol, state, (math.pi / 4,) * protocol.n, shots_per_setting, seed)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .bell import SQRT2, SVETLICHNY, BellProtocol
+from .bell import SQRT2, SVETLICHNY, BellProtocol, check_integer
 from .verifier import CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
@@ -92,7 +92,11 @@ def relative_violation(protocol: BellProtocol, beta_O: float) -> float:
 
 
 def emit_curve(protocol: BellProtocol, resolution: int = 50) -> TradeoffCurve:
-    """Sample the curve on 2..``MAX_CURVE_POINTS`` points in [beta_T, beta_Q]."""
+    """Sample the curve on 2..``MAX_CURVE_POINTS`` points in [beta_T, beta_Q].
+
+    ``resolution`` must be an integer in that range; ValueError otherwise.
+    """
+    resolution = check_integer(resolution, "curve resolution")
     if not 2 <= resolution <= MAX_CURVE_POINTS:
         raise ValueError(f"curve resolution must be at least 2 and at most "
                          f"{MAX_CURVE_POINTS}, got {resolution}")

@@ -55,8 +55,8 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, chunk_corner_entries,
-                   corner_coefficient, ghz_phase)
+                   build_operator, check_angles, check_integer,
+                   chunk_corner_entries, corner_coefficient, ghz_phase)
 from .linalg import chunk_sign_products, conjugate_pair_sum, walk_canonical
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
@@ -106,6 +106,8 @@ class CertificateConstants:
 class GridSpec:
     """Product grid description for the certificate scan.
 
+    ``points_per_axis`` may be any integer, numpy's included, and is stored
+    as an int; anything else, such as 5.0, raises ValueError.
     ``refinement_depth`` is ``REFINEMENT_DEPTH`` as a class attribute, not
     a field: the benchmark worker reads it from an instance.
     """
@@ -115,6 +117,8 @@ class GridSpec:
     refinement_depth: ClassVar[int] = REFINEMENT_DEPTH
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points_per_axis", check_integer(
+            self.points_per_axis, "grid points per axis"))
         if self.points_per_axis < 2:
             raise ValueError("grid needs at least 2 points per axis")
         lo, hi = self.domain
@@ -242,21 +246,6 @@ def _block_array(t: np.ndarray, n: int) -> np.ndarray:
             f"off-block weight {worst[index]} of matrix {index} exceeds "
             f"tolerance {_BLOCK_RESIDUE_TOL}", index)
     return flat[:, on_block]
-
-
-def _min_block_over_axes(protocol: BellProtocol, s: float, mu: float,
-                         axes: Sequence[np.ndarray]):
-    """``_min_block_over_products`` of one product grid of angles."""
-    lengths = [len(axis) for axis in axes]
-    width = max(lengths)
-    # Each axis padded to the longest by repeating its last value; the
-    # grid pass's axes all have one length.
-    rows = np.concatenate([axis if len(axis) == width
-                           else np.pad(axis, (0, width - len(axis)), "edge")
-                           for axis in axes])
-    return _min_block_over_products(protocol, s, mu,
-                                    rows.reshape(1, len(axes), width),
-                                    np.array([lengths]))[0]
 
 
 def _min_block_over_products(
@@ -402,9 +391,12 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
             f"limit {MAX_BLOCK_EVALUATIONS}")
     try:
         with np.errstate(over="raise", invalid="raise"):
+            # The grid pass is one grid of n equal axes.
             axis = np.linspace(lo, hi, grid.points_per_axis)
-            best, point, pair, evaluations = _min_block_over_axes(
-                protocol, constants.s, constants.mu, [axis] * n)
+            (best, point, pair, evaluations), = _min_block_over_products(
+                protocol, constants.s, constants.mu,
+                np.broadcast_to(axis, (1, n, len(axis))),
+                np.full((1, n), len(axis)))
             refined = False
             if abs(best) <= 10 * psd_tol:
                 refined = True
@@ -601,8 +593,8 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     hand-expanded block entries (plus, for n = 4, the determinant expansion
     and the Sylvester positivity test, and for n = 3 the parity-sector
     invariant) against the assembled certificate matrix.  Only the three- and
-    four-party Svetlichny scenarios have closed forms.  ``samples`` must
-    lie in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
+    four-party Svetlichny scenarios have closed forms.  ``samples`` must be
+    an integer in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
     matrices are assembled in chunks of at most ``CROSSCHECK_CHUNK_ENTRIES``
     entries, one batched ``build_T`` call per chunk, and each closed form
     is evaluated once per chunk on the chunk's tuples.  Each failure names
@@ -611,6 +603,7 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
+    samples = check_integer(samples, "sample count")
     if not 1 <= samples <= MAX_CROSSCHECK_SAMPLES:
         raise ValueError(f"need at least one sample and at most "
                          f"{MAX_CROSSCHECK_SAMPLES}, got {samples}")

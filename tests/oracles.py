@@ -19,7 +19,12 @@ per-pair route to the corner closed form and the orbit-reduced scan, with
 ``channel_corner_factors`` the channel corner's site factors: one
 ``signed_site_product`` per pair table and sign, corner algebra in complex
 arrays; the package's sign tables and real arithmetic must match them bit
-for bit.  ``per_axis_stencil`` builds a refinement stencil one axis at a
+for bit.  ``canonical_tuples`` picks the canonical points of a grid by
+brute force over the full product, apart from the package's layout
+cache, for ``complex_min_block_over_axes`` and the walk's tests.  The
+package's kernels take grids only as padded rows and lengths;
+``padded_grid`` turns a list of axes, ragged or not, into that form.
+``per_axis_stencil`` builds a refinement stencil one axis at a
 time, the reference for the scan's one-call stencils, and
 ``sequential_refinement`` refines one round per kernel call, the reference
 for the scan's batched rounds.  The small helpers
@@ -44,10 +49,9 @@ import numpy as np
 
 from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, corner_coefficient,
                           ghz_phase, validate_state)
-from ghzcert.linalg import canonical_indices
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH,
-                              CertificationReport, _min_block_over_axes)
+                              CertificationReport, _min_block_over_products)
 
 SQ2 = np.sqrt(2.0)
 # Largest |m - J m^T J| entry a persymmetric matrix may have.
@@ -459,15 +463,59 @@ def channel_corner_factors(alpha: np.ndarray) -> tuple:
     return np.where(quarter, 1.0, g), np.where(quarter, g, 1.0)
 
 
+def padded_grid(axes) -> tuple:
+    """One product grid of ``axes`` as the package's kernels take it.
+
+    Returns ``rows`` of shape (1, n, w), each axis padded to the longest by
+    repeating its last value, and ``lengths`` of shape (1, n).
+    """
+    width = max(len(axis) for axis in axes)
+    rows = [np.pad(axis, (0, width - len(axis)), "edge") for axis in axes]
+    return np.array(rows)[None], np.array([[len(axis) for axis in axes]])
+
+
+def canonical_tuples(axes) -> np.ndarray:
+    """The canonical index tuples of a product grid, by brute force.
+
+    Axes with equal values form a group, groups numbered in order of first
+    appearance.  Of every index tuple of the full product
+    (``itertools.product``), those nondecreasing within every group are
+    kept, ordered group by group, the first group varying slowest and each
+    group's indices lexicographically.  Returns an array of shape
+    (len(axes), number of tuples) whose row j indexes ``axes[j]``.
+    """
+    groups: list[list[int]] = []
+    for j, axis in enumerate(axes):
+        for group in groups:
+            if np.array_equal(axes[group[0]], axis):
+                group.append(j)
+                break
+        else:
+            groups.append([j])
+    full = np.fromiter(itertools.chain.from_iterable(itertools.product(
+        *(range(len(axis)) for axis in axes))), dtype=np.intp).reshape(
+            -1, len(axes))
+    keep = np.ones(len(full), dtype=bool)
+    for group in groups:
+        for a, b in zip(group, group[1:]):
+            keep &= full[:, a] <= full[:, b]
+    kept = full[keep]
+    # np.lexsort sorts by its last key first.
+    order = np.lexsort([kept[:, j] for group in groups for j in group][::-1])
+    return kept[order].T
+
+
 def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     """Orbit-reduced scan minimum in complex arithmetic.
 
-    Same contract and return tuple as ``verifier._min_block_over_axes``:
-    the minimum, its angles, the binding pair and the evaluation count.
+    Same contract and return tuple as ``verifier._min_block_over_products``
+    gives for the one grid ``padded_grid(axes)``: the minimum, its angles,
+    the binding pair and the evaluation count.  The points are
+    ``canonical_tuples(axes)``.
     """
     n = protocol.n
     psi = ghz_phase(protocol)
-    idx = canonical_indices(axes)
+    idx = canonical_tuples(axes)
 
     def at_points(per_axis):
         return np.array([values[i] for values, i in zip(per_axis, idx)])
@@ -507,9 +555,10 @@ def sequential_refinement(constants, grid) -> tuple:
     """``min_eig_over_grid`` refining one round per kernel call.
 
     The grid pass, then ``REFINEMENT_DEPTH`` rounds, each one
-    ``_min_block_over_axes`` call on ``per_axis_stencil`` around the
-    current minimiser, as the scan refined before it batched its rounds;
-    a round whose minimum is smaller moves the centre.  Returns the report,
+    ``_min_block_over_products`` call on the ``padded_grid`` of
+    ``per_axis_stencil`` around the current minimiser, as the scan refined
+    before it batched its rounds; a round whose minimum is smaller moves
+    the centre.  Returns the report,
     built as the package builds it at the default tolerance, and the
     0-based rounds that moved the centre.
     """
@@ -517,17 +566,17 @@ def sequential_refinement(constants, grid) -> tuple:
     lo, hi = grid.domain
     n = protocol.n
     axis = np.linspace(lo, hi, grid.points_per_axis)
-    best, point, pair, evaluations = _min_block_over_axes(
-        protocol, constants.s, constants.mu, [axis] * n)
+    (best, point, pair, evaluations), = _min_block_over_products(
+        protocol, constants.s, constants.mu, *padded_grid([axis] * n))
     refined, moves = False, []
     if abs(best) <= 10 * PSD_TOLERANCE:
         refined = True
         h = (hi - lo) / (grid.points_per_axis - 1)
         p = np.array(point)
         for round_ in range(REFINEMENT_DEPTH):
-            value, sub_point, sub_pair, count = _min_block_over_axes(
+            (value, sub_point, sub_pair, count), = _min_block_over_products(
                 protocol, constants.s, constants.mu,
-                per_axis_stencil(p, h, lo, hi))
+                *padded_grid(per_axis_stencil(p, h, lo, hi)))
             evaluations += count
             if value < best:
                 best, point, pair = value, sub_point, sub_pair

@@ -10,17 +10,16 @@ import pytest
 import ghzcert.bell
 import ghzcert.linalg
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
-                          _corner_magnitude_max, _corner_magnitude_maxima,
-                          build_operator, check_angle,
-                          chunk_corner_entries, corner_coefficient,
-                          hybrid_bound, local_bound, observable,
-                          quantum_bound, validate_state)
+                          _corner_magnitude_maxima, build_operator,
+                          check_angle, chunk_corner_entries,
+                          corner_coefficient, hybrid_bound, local_bound,
+                          observable, quantum_bound, validate_state)
 from ghzcert.linalg import hermitian_eigenvalues, walk_canonical
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
-                     kron_sum_operator, pair_sign_matrix, pair_signs,
-                     pauli_coefficient, pauli_string, reference_svetlichny_3,
-                     reference_svetlichny_4)
+                     kron_sum_operator, padded_grid, pair_sign_matrix,
+                     pair_signs, pauli_coefficient, pauli_string,
+                     reference_svetlichny_3, reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
 SV3 = BellProtocol(SVETLICHNY, 3)
@@ -410,8 +409,9 @@ def test_quantum_bound_walks_its_point_and_grid_at_once(monkeypatch):
             for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
                 monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                                     chunk)
-                alone = [_corner_magnitude_max(protocol, point),
-                         _corner_magnitude_max(protocol, grid)]
+                alone = [_corner_magnitude_maxima(
+                    protocol, *padded_grid([axis] * n))[0]
+                    for axis in (point, grid)]
                 assert _corner_magnitude_maxima(protocol, rows,
                                                 lengths) == alone
                 walks.clear()
@@ -424,7 +424,8 @@ def test_corner_magnitude_max_matches_full_grid_oracle():
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            reduced = _corner_magnitude_max(protocol, grid)
+            reduced, = _corner_magnitude_maxima(protocol,
+                                                *padded_grid([grid] * n))
             assert abs(reduced - full_grid_corner_max(protocol, grid)) <= 1e-15
             assert abs(reduced - protocol.beta_Q) <= 1e-8
 
@@ -440,8 +441,9 @@ def test_corner_magnitude_max_chunks_match_full_grid_oracle(monkeypatch,
             protocol = BellProtocol(family, n)
             monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                                 points * 2 ** (n - 1))
-            assert (_corner_magnitude_max(protocol, grid)
-                    == full_grid_corner_max(protocol, grid))
+            assert (_corner_magnitude_maxima(protocol,
+                                             *padded_grid([grid] * n))
+                    == [full_grid_corner_max(protocol, grid)])
 
 
 def test_coefficient_tensor_is_built_once_and_read_only():
@@ -487,7 +489,8 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     best = max(best, float(np.abs(want).max()))
-                assert _corner_magnitude_max(protocol, grid) == best
+                assert _corner_magnitude_maxima(
+                    protocol, *padded_grid([grid] * n)) == [best]
 
 
 def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():

@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.linalg import (canonical_indices, conjugate_pair_sum,
+from ghzcert.linalg import (canonical_layouts, conjugate_pair_sum,
                             hermitian_eigenvalues, kron_all,
                             least_block_eigenvalue, sign_products,
                             sorted_index_tuples, x_blocks)
-from oracles import (PAULI, eig2x2_hermitian, exchange_matrix,
-                     is_persymmetric, kron, pair_signs, random_hermitian,
-                     random_x_matrix, signed_site_product)
+from oracles import (PAULI, canonical_tuples, eig2x2_hermitian,
+                     exchange_matrix, is_persymmetric, kron, padded_grid,
+                     pair_signs, random_hermitian, random_x_matrix,
+                     signed_site_product)
 
 SQ2 = np.sqrt(2.0)
 
@@ -150,11 +151,13 @@ def test_sorted_index_tuples_one_per_orbit():
         sorted_index_tuples(3, 0)
 
 
-def test_canonical_indices_groups_identical_axes():
+def test_canonical_layouts_group_identical_axes():
+    # Equal axes group by value, whether or not they are one object, and
+    # the layout is the brute-force oracle's, first group slowest.
     a = np.linspace(0.0, 1.0, 4)
     b = np.linspace(0.0, 2.0, 3)
     axes = [a, b, a.copy(), b, a]
-    idx = canonical_indices(axes)
+    idx, = canonical_layouts(*padded_grid(axes))
     assert idx.shape == (5, math.comb(4 + 2, 3) * math.comb(3 + 1, 2))
     got = {tuple(col) for col in idx.T.tolist()}
     assert len(got) == idx.shape[1]
@@ -164,32 +167,9 @@ def test_canonical_indices_groups_identical_axes():
         second = sorted(t[j] for j in (1, 3))
         want.add((first[0], second[0], first[1], second[1], first[2]))
     assert got == want
-    distinct = canonical_indices([a, b])
+    assert np.array_equal(idx, canonical_tuples(axes))
+    distinct, = canonical_layouts(*padded_grid([a, b]))
     assert distinct.shape == (2, 12)
-    with pytest.raises(ValueError):
-        canonical_indices([])
-
-
-def test_canonical_indices_compares_only_distinct_axis_objects(monkeypatch):
-    # The grid pass and the quantum-bound walks pass one axis object n
-    # times; only distinct objects, such as a stencil's equal-valued axes,
-    # are compared by value, and those still form one group.
-    calls = []
-    array_equal = np.array_equal
-
-    def counting(a, b):
-        calls.append(1)
-        return array_equal(a, b)
-
-    monkeypatch.setattr(np, "array_equal", counting)
-    axis = np.linspace(0.0, 1.0, 5)
-    shared = canonical_indices([axis] * 6)
-    assert calls == []
-    copies = canonical_indices([axis.copy() for _ in range(6)])
-    assert len(calls) == 5
-    assert copies is shared
-    mixed = canonical_indices([axis, np.linspace(0.0, 2.0, 5), axis.copy()])
-    assert mixed.shape == (3, math.comb(5 + 1, 2) * 5)
 
 
 def test_sorted_index_tuples_take_the_smallest_unsigned_dtype():
@@ -201,7 +181,8 @@ def test_sorted_index_tuples_take_the_smallest_unsigned_dtype():
         tuples = sorted_index_tuples(size, 2)
         assert tuples.dtype == dtype
         assert tuples[-1].tolist() == [size - 1, size - 1]
-        idx = canonical_indices([np.arange(size), np.arange(3.0)])
+        idx, = canonical_layouts(*padded_grid([np.arange(size),
+                                               np.arange(3.0)]))
         assert idx.dtype == dtype
         assert idx[0].max() == size - 1
         with pytest.raises(ValueError):

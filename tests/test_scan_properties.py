@@ -12,7 +12,8 @@ the diagonal factors (1 + g, 1 - g) bit for bit up to pi/4 (+
 answer every finite slope on either domain with a finite minimum, raise
 nothing and emit no warning.  Its refinement stencils, every remaining
 round's built in one call over every axis, must equal the per-axis
-construction bit for bit and take the layout ``canonical_indices`` gives.
+construction bit for bit, and the walk and the stencils' layouts must
+take the points and order of the brute-force ``canonical_tuples``.
 """
 from __future__ import annotations
 
@@ -27,12 +28,11 @@ from hypothesis import strategies as st
 
 import ghzcert.linalg
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
-from ghzcert.linalg import (canonical_indices, canonical_layouts,
-                            walk_canonical)
+from ghzcert.linalg import canonical_layouts, walk_canonical
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
                               _stencils, catalog_constants, min_eig_over_grid)
-from oracles import channel_corner_factors, per_axis_stencil
+from oracles import canonical_tuples, channel_corner_factors, per_axis_stencil
 
 
 def bits(x: float) -> bytes:
@@ -104,7 +104,7 @@ def stencil_cases(draw):
 def test_one_call_stencil_matches_per_axis_stencil(case):
     # One call builds every remaining round's stencil; round k, at step
     # h / 2^k, holds the per-axis stencil, each row padded with its last
-    # point, and the layout canonical_indices gives those axes.
+    # point, and the layout canonical_tuples gives those axes.
     p, h, hi = case
     steps = h / 2.0 ** np.arange(REFINEMENT_DEPTH)
     rows, lengths = _stencils(p, steps, 0.0, hi)
@@ -116,7 +116,7 @@ def test_one_call_stencil_matches_per_axis_stencil(case):
         for row, expected in zip(stencil, want):
             assert row[:len(expected)].tobytes() == expected.tobytes()
             assert (row[len(expected):] == expected[-1]).all()
-        assert layout is canonical_indices(want)
+        assert np.array_equal(layout, canonical_tuples(want))
 
 
 @st.composite
@@ -133,7 +133,7 @@ def walk_cases(draw):
         picks = draw(st.lists(st.integers(0, len(distinct) - 1),
                               min_size=n, max_size=n))
         grids.append([np.array(distinct[i]) for i in picks])
-    total = sum(canonical_indices(axes).shape[1] for axes in grids)
+    total = sum(canonical_tuples(axes).shape[1] for axes in grids)
     evaluations = draw(st.integers(1, (total + 2) * 2 ** (n - 1)))
     return grids, evaluations
 
@@ -144,7 +144,7 @@ def test_walk_canonical_visits_every_canonical_point_in_order(case):
     # The grids are walked end to end: a chunk may end one and start the
     # next, its pieces name which columns hold which grid, and each site's
     # columns index the padded rows of every grid, raveled in order.  The
-    # walk groups each grid's axes as canonical_indices does.
+    # walk groups each grid's axes as canonical_tuples does.
     grids, evaluations = case
     n, width = len(grids[0]), 9
     half = 2 ** (n - 1)
@@ -170,11 +170,11 @@ def test_walk_canonical_visits_every_canonical_point_in_order(case):
             cols.append(buffers["cols"].copy())
     counts = [c.shape[1] for c in cols]
     assert all(m == step for m in counts[:-1]) and 1 <= counts[-1] <= step
-    layouts = [canonical_indices(axes) for axes in grids]
+    layouts = [canonical_tuples(axes) for axes in grids]
     assert visits == [k for k, layout in enumerate(layouts)
                       for _ in range(layout.shape[1])]
     offsets = width * np.arange(len(grids) * n).reshape(len(grids), n, 1)
-    want = np.concatenate([layout.astype(np.intp) + offset
+    want = np.concatenate([layout + offset
                            for layout, offset in zip(layouts, offsets)],
                           axis=1)
     assert np.array_equal(np.concatenate(cols, axis=1), want)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,31 @@ def test_certify_rejects_shot_counts_outside_multinomial_range(tmp_path):
         with pytest.raises(ValueError, match="shot count"):
             sample_outcomes(np.array([0.5, 0.5]), shots, 0)
     assert not log.exists()
+
+
+def test_shot_counts_must_be_integers():
+    # A fractional count was once drawn as its floor but divided as given:
+    # 100.5 shots gave beta_hat = 5.9303 where the 100 drawn give 5.96.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    noise = NoiseModel("visibility", 1.0)
+    for shots in (100.5, 100.0, "100"):
+        message = re.escape(f"shot count must be an integer, got {shots!r}")
+        with pytest.raises(ValueError, match=message):
+            certify(constants, noise, shots_per_setting=shots, seed=1)
+        with pytest.raises(ValueError, match=message):
+            estimate_violation(protocol, ghz_state(protocol), QUARTER3,
+                               shots, 1)
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(np.array([0.5, 0.5]), shots, 0)
+    # numpy's integers are counts like any other, and the record holds an
+    # int that serialises.
+    record = certify(constants, noise, shots_per_setting=np.int64(100),
+                     seed=1)
+    assert type(record.shots_per_setting) is int
+    plain = certify(constants, noise, shots_per_setting=100, seed=1)
+    assert record.estimated_beta == plain.estimated_beta == 5.96
+    assert json.loads(record.to_json_line())["shots_per_setting"] == 100
 
 
 def test_certify_accepts_the_largest_shot_count(tmp_path):

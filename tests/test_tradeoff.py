@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 import ghzcert.tradeoff
@@ -146,8 +148,15 @@ def test_emit_curve_endpoints_and_intercepts():
 
 
 def test_emit_curve_validates_resolution():
+    protocol = BellProtocol(SVETLICHNY, 3)
     with pytest.raises(ValueError):
-        emit_curve(BellProtocol(SVETLICHNY, 3), resolution=1)
+        emit_curve(protocol, resolution=1)
+    for resolution in (5.0, 2.5, "5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"curve resolution must be an integer, got {resolution!r}")):
+            emit_curve(protocol, resolution=resolution)
+    assert (emit_curve(protocol, resolution=np.int64(5))
+            == emit_curve(protocol, resolution=5))
 
 
 def test_emit_curve_resolution_limit(monkeypatch):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 import sys
 import threading
@@ -22,7 +23,7 @@ import ghzcert.verifier
 from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
                               CertificateConstants,
                               GridSpec, StructureViolation,
-                              _min_block_over_axes,
+                              _min_block_over_products,
                               block_decompose, build_T,
                               catalog_constants, closed_form_crosscheck,
                               min_eig_over_grid, parity_projector,
@@ -30,8 +31,8 @@ from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
                               sv4_block_functions, sv4_determinant)
 from oracles import (PastValidation, block_unitary,
                      complex_min_block_over_axes, eig2x2_hermitian,
-                     full_grid_min_block, is_persymmetric, pauli_string,
-                     stop_past_validation)
+                     full_grid_min_block, is_persymmetric, padded_grid,
+                     pauli_string, stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -318,8 +319,8 @@ def test_min_eig_over_grid_full_domain():
 
 
 def _assert_matches_oracle(protocol, s, mu, axes):
-    value, point, pair, evaluations = _min_block_over_axes(protocol, s, mu,
-                                                           axes)
+    (value, point, pair, evaluations), = _min_block_over_products(
+        protocol, s, mu, *padded_grid(axes))
     assert abs(value - full_grid_min_block(protocol, s, mu, axes)[0]) <= 1e-15
     # The reported tuple and pair attain the minimum on their own.
     at_point = full_grid_min_block(protocol, s, mu,
@@ -369,9 +370,10 @@ def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
     for s in (constants.s, 1.1 * constants.s, 0.7 * constants.s):
         for axis in grids:
             axes = [axis] * n
-            assert (_min_block_over_axes(protocol, s, constants.mu, axes)
-                    == complex_min_block_over_axes(protocol, s,
-                                                   constants.mu, axes))
+            assert (_min_block_over_products(protocol, s, constants.mu,
+                                             *padded_grid(axes))
+                    == [complex_min_block_over_axes(protocol, s,
+                                                    constants.mu, axes)])
     rng = np.random.default_rng(n)
     for _ in range(20):
         hi = rng.choice([math.pi / 4, math.pi / 2])
@@ -379,9 +381,10 @@ def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
         axes = [np.unique(np.clip(np.linspace(c - h, c + h, 5), 0.0, hi))
                 for c in rng.uniform(0.0, hi, size=n)]
         s = constants.s * rng.uniform(0.5, 1.5)
-        assert (_min_block_over_axes(protocol, s, constants.mu, axes)
-                == complex_min_block_over_axes(protocol, s, constants.mu,
-                                               axes))
+        assert (_min_block_over_products(protocol, s, constants.mu,
+                                         *padded_grid(axes))
+                == [complex_min_block_over_axes(protocol, s, constants.mu,
+                                                axes)])
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -408,9 +411,10 @@ def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
         cases.append(([np.linspace(c - h, c + h, 3) for c in centres],
                       constants.s * rng.uniform(0.5, 1.5)))
     for axes, s in cases:
-        assert (_min_block_over_axes(protocol, s, constants.mu, axes)
-                == complex_min_block_over_axes(protocol, s, constants.mu,
-                                               axes))
+        assert (_min_block_over_products(protocol, s, constants.mu,
+                                         *padded_grid(axes))
+                == [complex_min_block_over_axes(protocol, s, constants.mu,
+                                                axes)])
 
 
 @pytest.mark.parametrize("x, s, pairs, binding", [
@@ -428,13 +432,14 @@ def test_scan_chunks_keep_first_pair_then_first_point(monkeypatch, x, s,
     protocol = BellProtocol(SVETLICHNY, 3)
     mu = catalog_constants(protocol).mu
     monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS", 4)
-    ends = [_min_block_over_axes(protocol, s, mu,
-                                 [np.array([a]) for a in point])
-            for point in ((x, x, 0.0), (0.0, x, x))]
+    ends = []
+    for point in ((x, x, 0.0), (0.0, x, x)):
+        axes = [np.array([a]) for a in point]
+        ends += _min_block_over_products(protocol, s, mu, *padded_grid(axes))
     assert ends[0][0] == ends[1][0]
     assert (ends[0][2], ends[1][2]) == pairs
     axes = [np.array([x, 0.0]), np.array([x]), np.array([0.0, x])]
-    result = _min_block_over_axes(protocol, s, mu, axes)
+    result, = _min_block_over_products(protocol, s, mu, *padded_grid(axes))
     assert result == (ends[0][0], binding, min(pairs), 4 * 4)
     assert result == complex_min_block_over_axes(protocol, s, mu, axes)
 
@@ -513,8 +518,8 @@ def test_min_eig_over_grid_never_passes_a_non_finite_minimum(monkeypatch):
     constants = catalog_constants(protocol)
     for value in (math.nan, math.inf):
         monkeypatch.setattr(
-            ghzcert.verifier, "_min_block_over_axes",
-            lambda *args, value=value: (value, (0.0, 0.0, 0.0), 0, 1))
+            ghzcert.verifier, "_min_block_over_products",
+            lambda *args, value=value: [(value, (0.0, 0.0, 0.0), 0, 1)])
         report = min_eig_over_grid(constants, GridSpec(points_per_axis=5))
         assert not report.passed
 
@@ -532,6 +537,18 @@ def test_min_eig_over_grid_size_limit(monkeypatch):
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(points_per_axis=1)
+    # numpy's integers are stored as int, so the report holds a plain int;
+    # anything else is refused by name, where 5.0 once reached math.comb
+    # and raised TypeError there.
+    spec = GridSpec(points_per_axis=np.int64(5))
+    assert type(spec.points_per_axis) is int and spec == GridSpec(5)
+    report = min_eig_over_grid(
+        catalog_constants(BellProtocol(SVETLICHNY, 3)), spec)
+    assert type(report.grid_points_per_axis) is int
+    for bad in (5.0, 5.5, "5", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid points per axis must be an integer, got {bad!r}")):
+            GridSpec(points_per_axis=bad)
 
 
 def test_crosscheck_parity_sectors_are_built_once_read_only():
@@ -684,6 +701,17 @@ def test_closed_form_crosscheck():
         assert report["failures"] == []
     with pytest.raises(ValueError):
         closed_form_crosscheck(BellProtocol(MABK, 3), samples=10, seed=7)
+
+
+def test_closed_form_crosscheck_takes_only_integer_sample_counts():
+    protocol = BellProtocol(SVETLICHNY, 3)
+    for samples in (5.0, 2.5, "5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample count must be an integer, got {samples!r}")):
+            closed_form_crosscheck(protocol, samples=samples)
+    report = closed_form_crosscheck(protocol, samples=np.int64(5))
+    assert type(report["samples"]) is int
+    assert report == closed_form_crosscheck(protocol, samples=5)
 
 
 def test_closed_form_crosscheck_rejects_empty_sample():
