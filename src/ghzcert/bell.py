@@ -18,15 +18,19 @@ Each party j measures A^r(alpha_j) = cos(alpha_j) X + (-1)^r sin(alpha_j) Y
 for setting r in {0, 1}, with alpha_j restricted to [0, pi/2].  An operator
 is a signed sum over all 2^n setting strings x:
 
-    W = sum_x c(|x|) A^{x_1} otimes ... otimes A^{x_n}
+    W = sum_x c(|x|) A^{x_1} otimes ... otimes A^{x_n},
+    c(x) = A Re(e^{i k pi/4} i^{|x|}) = A cos((k + 2|x|) pi/4),
 
-where c depends only on the Hamming weight |x| and the family; its one
-definition is ``_coefficient_tensor``.  Every such W is exactly
-antidiagonal in the computational basis, Hermitian, and persymmetric; its
-spectral norm equals the largest antidiagonal entry magnitude.  Those
-entries have a closed form (``corner_coefficient``), read off one
-``sign_products`` table in real arithmetic; the quantum bound and the
-certificate scan read it chunk by chunk of ``linalg.walk_canonical``
+where ``_FAMILY_TABLE`` holds each family's amplitude A and phase octant
+k (Svetlichny: A = sqrt(2), k = +1 at odd n, -1 at even n; MABK: A = 1,
+k = 0, -1), so W_svetlichny = sqrt(2) W_mabk at even n.  The table also
+gives c(x) (``_coefficient_tensor``), beta_Q = 2^(n-1) A and the corner
+constant (A/2) e^{i k pi/4} (1 + i)^n (``corner_coefficient``).  Every
+such W is exactly antidiagonal in the computational basis, Hermitian, and
+persymmetric; its spectral norm equals the largest antidiagonal entry
+magnitude.  Those entries have a closed form (``corner_coefficient``),
+read off one ``sign_products`` table in real arithmetic; the quantum bound
+and the certificate scan read it chunk by chunk of ``linalg.walk_canonical``
 through one helper, ``chunk_corner_entries``.
 Its pair (0, 2^n - 1) is the largest, and ``ghz_phase``, the phase of that
 pair's eigenvector, defines the target state the scan and
@@ -54,12 +58,17 @@ from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
 MABK = "mabk"
-FAMILIES = (SVETLICHNY, MABK)
+SQRT2 = math.sqrt(2.0)
+# family: ((a, b) of A = a + b sqrt(2), (k at even n, k at odd n))
+_FAMILY_TABLE = {SVETLICHNY: ((0, 1), (-1, 1)), MABK: ((1, 0), (-1, 0))}
+FAMILIES = tuple(_FAMILY_TABLE)
+# cos(k pi/4), k = 0..7, with 1 / SQRT2 so that SQRT2 times it is 1.0 exactly.
+_OCTANT_COSINES = np.array([1.0, 1 / SQRT2, 0.0, -1 / SQRT2,
+                            -1.0, -1 / SQRT2, 0.0, 1 / SQRT2])
 
 ANGLE_SLACK = 1e-12
 _MIN_PARTIES = 3
 _MAX_PARTIES = 6
-SQRT2 = math.sqrt(2.0)
 # A density matrix's trace may differ from 1, and its least eigenvalue fall
 # below 0, by at most these.
 _TRACE_TOL = 1e-10
@@ -107,10 +116,9 @@ class BellProtocol:
 
     @property
     def beta_Q_exact(self) -> Root2:
-        """Maximal quantum value, exact in Q[sqrt(2)]."""
-        if self.family == SVETLICHNY:
-            return Root2(0, 2 ** (self.n - 1))
-        return Root2(2 ** (self.n - 1))
+        """Maximal quantum value 2^(n-1) A, exact in Q[sqrt(2)]."""
+        (a, b), _ = _FAMILY_TABLE[self.family]
+        return Root2(a << (self.n - 1), b << (self.n - 1))
 
     # Cached in the instance: the tradeoff curve reads both once per point.
     @functools.cached_property
@@ -202,8 +210,9 @@ def build_operator(protocol: BellProtocol,
     return w if a.ndim == 2 else w[0]
 
 
+@functools.lru_cache(maxsize=None)
 def corner_coefficient(protocol: BellProtocol) -> complex:
-    """Complex constant z_c in the antidiagonal closed form.
+    """Complex constant z_c in the antidiagonal closed form, once per scenario.
 
     The antidiagonal entries of the built operator factor as
 
@@ -213,12 +222,10 @@ def corner_coefficient(protocol: BellProtocol) -> complex:
     where b~ is the bitwise complement of b and sigma_j = +1 when bit j of b
     (most significant bit first) is 0, else -1.
     """
+    (a, b), octants = _FAMILY_TABLE[protocol.family]
     n = protocol.n
-    if protocol.family == SVETLICHNY:
-        theta = (-1) ** (n + 1) * math.pi / 4
-        return (SQRT2 / 2) * np.exp(1j * theta) * (1 + 1j) ** n
-    k = (n - 1) % 2
-    return 0.5 * np.exp(-1j * math.pi / 4 * k) * (1 + 1j) ** n
+    return ((a + b * SQRT2) / 2 * np.exp(1j * (octants[n % 2] * math.pi / 4))
+            * (1 + 1j) ** n)
 
 
 def ghz_phase(protocol: BellProtocol) -> complex:
@@ -233,20 +240,15 @@ def ghz_phase(protocol: BellProtocol) -> complex:
 
 @functools.lru_cache(maxsize=None)
 def _coefficient_tensor(protocol: BellProtocol) -> np.ndarray:
-    """Functional coefficients c(x), indexed by the setting bits, read off
-    their values by Hamming weight |x| mod 4.
+    """Functional coefficients c(x) = A cos((k + 2|x|) pi/4), indexed by the
+    setting bits.
 
     Built once per scenario and shared read-only by every caller.
     """
+    (a, b), octants = _FAMILY_TABLE[protocol.family]
     n = protocol.n
-    if protocol.family == SVETLICHNY:
-        by_weight = np.array([1.0, -1.0, -1.0, 1.0] if n % 2
-                             else [1.0, 1.0, -1.0, -1.0])
-    elif n % 2:
-        by_weight = np.array([1.0, 0.0, -1.0, 0.0])
-    else:
-        by_weight = np.array([1.0, 1.0, -1.0, -1.0]) / SQRT2
-    c = by_weight[np.indices((2,) * n).sum(axis=0) % 4]
+    weights = np.indices((2,) * n).sum(axis=0)
+    c = (a + b * SQRT2) * _OCTANT_COSINES[(octants[n % 2] + 2 * weights) % 8]
     c.setflags(write=False)
     return c
 
@@ -310,6 +312,8 @@ def quantum_bound(protocol: BellProtocol) -> float:
     grid over the full angle domain, both in one walk.
     """
     n = protocol.n
+    if n > _MAX_PARTIES:
+        raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
     # The all-pi/4 point is a grid of one value per axis, padded to the
     # coarse grid's 9 by repeating it.
     rows = np.empty((2, n, 9))

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .bell import SQRT2, SVETLICHNY, BellProtocol, check_integer
+from .bell import BellProtocol, check_integer
+from .root2 import SQRT2
 from .verifier import CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
@@ -68,14 +69,9 @@ def is_trivial_bound(value: float) -> bool:
 
 
 def upper_bound_reference(protocol: BellProtocol) -> float:
-    """Largest Bell value compatible with fidelity exactly 1/2.
-
-    For the Svetlichny family this is the deterministic threshold constant;
-    for MABK it is 2^(n-2) sqrt(2).
-    """
-    if protocol.family == SVETLICHNY:
-        return protocol.beta_L
-    return 2 ** (protocol.n - 2) * SQRT2
+    """Largest Bell value compatible with fidelity exactly 1/2, beta_Q/sqrt(2)
+    exactly: 2^(n-1) for Svetlichny, 2^(n-2) sqrt(2) for MABK."""
+    return float(protocol.beta_Q_exact / SQRT2)
 
 
 def tightness_check(protocol: BellProtocol) -> bool:

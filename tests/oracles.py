@@ -34,6 +34,10 @@ reference tools the tests use and the package does not;
 ``functional_coefficients`` writes c(x) out per Hamming weight, apart from
 the package's coefficient tensor, for ``kron_sum_operator`` and the
 sampling tests, and ``outer_all`` is the full-grid oracles' outer product;
+``per_family_corner_coefficient``, ``per_family_beta_Q_exact`` and
+``per_family_upper_bound_reference`` write the family constants out per
+family and parity, apart from the package's family table; the scan oracles
+take the corner constant, and the target phase z_c/|z_c|, from the first.
 ``stop_past_validation`` stands in for the first step after an input
 check, so a test can show that a large input is accepted without running
 it.  ``random_x_matrix`` builds random diagonal-plus-antidiagonal inputs
@@ -47,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, corner_coefficient,
-                          ghz_phase, validate_state)
+from ghzcert.bell import ANGLE_SLACK, SVETLICHNY, validate_state
+from ghzcert.root2 import Root2
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH,
                               CertificationReport, _min_block_over_products)
@@ -231,6 +235,37 @@ def functional_coefficients(protocol) -> dict[tuple[int, ...], float]:
     return out
 
 
+def per_family_corner_coefficient(protocol) -> complex:
+    """Corner constant z_c written out per family and parity.
+
+    Svetlichny: (sqrt(2)/2) e^(i theta) (1 + i)^n, theta = pi/4 for odd n
+    and -pi/4 for even n.  MABK: (1/2) e^(-i k pi/4) (1 + i)^n, k = 0 for
+    odd n and 1 for even n.
+    """
+    n = protocol.n
+    if protocol.family == SVETLICHNY:
+        theta = (-1) ** (n + 1) * math.pi / 4
+        return (SQ2 / 2) * np.exp(1j * theta) * (1 + 1j) ** n
+    k = (n - 1) % 2
+    return 0.5 * np.exp(-1j * math.pi / 4 * k) * (1 + 1j) ** n
+
+
+def per_family_beta_Q_exact(protocol) -> Root2:
+    """Maximal quantum value per family: 2^(n-1) sqrt(2) for Svetlichny,
+    2^(n-1) for MABK."""
+    if protocol.family == SVETLICHNY:
+        return Root2(0, 2 ** (protocol.n - 1))
+    return Root2(2 ** (protocol.n - 1))
+
+
+def per_family_upper_bound_reference(protocol) -> float:
+    """Fidelity-1/2 Bell value per family: the hybrid bound 2^(n-1) for
+    Svetlichny, 2^(n-2) sqrt(2) for MABK."""
+    if protocol.family == SVETLICHNY:
+        return float(2 ** (protocol.n - 1))
+    return 2 ** (protocol.n - 2) * SQ2
+
+
 def kron_sum_operator(protocol, angles) -> np.ndarray:
     """Bell operator as the sum over settings x of c(x) A^{x_1} ... A^{x_n}."""
     obs = [(equatorial(0, a), equatorial(1, a)) for a in angles]
@@ -370,8 +405,8 @@ def full_grid_min_block(protocol, s: float, mu: float, axes) -> tuple:
     first grid point in C order win ties.
     """
     n = protocol.n
-    zc = corner_coefficient(protocol)
-    psi = ghz_phase(protocol)
+    zc = per_family_corner_coefficient(protocol)
+    psi = zc / abs(zc)
     quarter = math.pi / 4 + 1e-12
     cs = [np.cos(a) for a in axes]
     sn = [np.sin(a) for a in axes]
@@ -405,7 +440,7 @@ def full_grid_min_block(protocol, s: float, mu: float, axes) -> tuple:
 def full_grid_corner_max(protocol, grid: np.ndarray) -> float:
     """Largest antidiagonal magnitude of the Bell operator on the full grid."""
     n = protocol.n
-    zc = corner_coefficient(protocol)
+    zc = per_family_corner_coefficient(protocol)
     cs, sn = np.cos(grid), np.sin(grid)
     best = 0.0
     for b in range(2 ** (n - 1)):
@@ -445,7 +480,7 @@ def signed_site_product(base: np.ndarray, other: np.ndarray,
 def complex_corner_entries(protocol, cs: np.ndarray,
                            sn: np.ndarray) -> np.ndarray:
     """Antidiagonal entries W[b, b~], one signed product per pair and sign."""
-    zc = corner_coefficient(protocol)
+    zc = per_family_corner_coefficient(protocol)
     sig = pair_sign_matrix(protocol.n)
     return (zc * signed_site_product(cs, sn, -sig)
             + np.conj(zc) * signed_site_product(cs, sn, sig))
@@ -514,7 +549,8 @@ def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     ``canonical_tuples(axes)``.
     """
     n = protocol.n
-    psi = ghz_phase(protocol)
+    zc = per_family_corner_coefficient(protocol)
+    psi = zc / abs(zc)
     idx = canonical_tuples(axes)
 
     def at_points(per_axis):

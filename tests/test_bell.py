@@ -19,6 +19,7 @@ from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
                      kron_sum_operator, padded_grid, pair_sign_matrix,
                      pair_signs, pauli_coefficient, pauli_string,
+                     per_family_beta_Q_exact, per_family_corner_coefficient,
                      reference_svetlichny_3, reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
@@ -374,6 +375,16 @@ def test_hybrid_bound_rejects_too_many_parties():
         hybrid_bound(BellProtocol(SVETLICHNY, 7))
 
 
+def test_quantum_bound_refuses_the_parties_the_enumerations_refuse():
+    # Its 9^n check grid grows like the enumerations; past n = 6, beta_Q is
+    # exact from the family table instead.
+    for family in (SVETLICHNY, MABK):
+        protocol = BellProtocol(family, 7)
+        for bound in (local_bound, hybrid_bound, quantum_bound):
+            with pytest.raises(ValueError, match="supports n <= 6"):
+                bound(protocol)
+
+
 def test_quantum_bound_matches_catalog():
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
@@ -503,6 +514,29 @@ def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():
             assert tensor.shape == (2,) * n
             assert tensor.dtype == np.float64
             assert tensor.tobytes() == want.tobytes()
+
+
+def test_family_constants_match_per_family_oracles_bit_for_bit():
+    for family in (SVETLICHNY, MABK):
+        for n in range(3, 9):
+            protocol = BellProtocol(family, n)
+            assert (corner_coefficient(protocol).tobytes()
+                    == per_family_corner_coefficient(protocol).tobytes())
+            assert protocol.beta_Q_exact == per_family_beta_Q_exact(protocol)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_even_n_families_differ_only_in_amplitude(n):
+    # At even n both families have phase octant -1, so Svetlichny is
+    # sqrt(2) times MABK: coefficients and corner constant bit for bit.
+    sv, mabk = BellProtocol(SVETLICHNY, n), BellProtocol(MABK, n)
+    assert (_coefficient_tensor(sv).tobytes()
+            == (SQ2 * _coefficient_tensor(mabk)).tobytes())
+    assert corner_coefficient(sv) == SQ2 * corner_coefficient(mabk)
+    angles = np.random.default_rng(n).uniform(0.0, math.pi / 2, size=(8, n))
+    difference = build_operator(sv, angles) - SQ2 * build_operator(mabk,
+                                                                   angles)
+    assert np.max(np.abs(difference)) <= 1e-12
 
 
 def top_eigen_projector(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
                               tightness_check, upper_bound_reference)
 from ghzcert.simulate import NoiseModel, certify
 from ghzcert.verifier import CertificateConstants, catalog_constants
-from oracles import PastValidation, stop_past_validation
+from oracles import (PastValidation, per_family_upper_bound_reference,
+                     stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
 
@@ -95,6 +96,14 @@ def test_upper_bound_reference_values():
     }
     for (family, n), value in expected.items():
         assert abs(upper_bound_reference(BellProtocol(family, n)) - value) <= 1e-12
+
+
+def test_upper_bound_reference_matches_per_family_oracle_bit_for_bit():
+    for family in (SVETLICHNY, MABK):
+        for n in range(3, 9):
+            protocol = BellProtocol(family, n)
+            assert (upper_bound_reference(protocol).hex()
+                    == per_family_upper_bound_reference(protocol).hex())
 
 
 def test_tightness_catalog():
