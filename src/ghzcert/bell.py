@@ -151,10 +151,13 @@ def check_angles(angles: Sequence[float] | np.ndarray, n: int,
                  upper: float = math.pi / 2) -> np.ndarray:
     """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
 
-    ValueError for any other shape, for an empty tuple or batch, and for any
-    angle, NaN and +-inf included, outside [0, upper] (pi/2 or pi/4).
+    ValueError for complex input, any other shape, an empty tuple or batch,
+    and any angle, NaN and +-inf included, outside [0, upper] (pi/2 or pi/4).
     """
-    a = np.asarray(angles, dtype=float)
+    a = np.asarray(angles)
+    if a.dtype.kind == "c":
+        raise ValueError(f"angles must be real, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
         raise ValueError(f"expected {n} angles per tuple, got shape {a.shape}")
     if a.size == 0:
@@ -386,8 +389,8 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
             raise ValueError("state is not Hermitian within tolerance")
         if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
             raise ValueError("state trace differs from 1")
-        blocks = x_blocks(rho)
-        least = (np.linalg.eigvalsh(rho)[0] if blocks is None
+        blocks, off_lines = x_blocks(rho)
+        least = (np.linalg.eigvalsh(rho)[0] if off_lines != 0.0
                  else least_block_eigenvalue(blocks))
     if not least >= -_STATE_PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {least}")

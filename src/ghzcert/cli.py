@@ -30,16 +30,17 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .bell import FAMILIES, SVETLICHNY, BellProtocol, local_bound, quantum_bound
+from .bell import (_MAX_PARTIES, _MIN_PARTIES, FAMILIES, SVETLICHNY,
+                   BellProtocol, local_bound, quantum_bound)
 from .simulate import NoiseModel, certify
 from .tradeoff import curve_to_csv, curve_to_json, emit_curve, format_float
-from .verifier import (PSD_TOLERANCE, CertificateConstants, GridSpec,
-                       StructureViolation, catalog_constants,
+from .verifier import (_CATALOG, PSD_TOLERANCE, CertificateConstants,
+                       GridSpec, StructureViolation, catalog_constants,
                        closed_form_crosscheck, min_eig_over_grid)
 
 _BOUNDS_TOL = 1e-8
-_SCAN_PARTY_RANGE = (3, 4, 5)
-_BOUNDS_PARTY_RANGE = (3, 4, 5, 6)
+_SCAN_PARTY_RANGE = tuple(sorted({n for _, n in _CATALOG}))
+_BOUNDS_PARTY_RANGE = tuple(range(_MIN_PARTIES, _MAX_PARTIES + 1))
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 

@@ -7,10 +7,11 @@ given as padded rows (``canonical_layouts``, one tuple per permutation
 orbit) and the one chunked walk over one or more such grids
 (``walk_canonical``), the per-site products over every sign choice
 (``sign_products``) and their conjugate-pair combination
-(``conjugate_pair_sum``), the 2 x 2 blocks of a diagonal-plus-antidiagonal
-matrix (``x_blocks``) and their least eigenvalue, and a checked Hermitian
-spectrum.  Certification and state validation read their spectra from
-closed-form 2 x 2 blocks; the full spectrum serves the tests.
+(``conjugate_pair_sum``), the one reader of the 2 x 2 pair blocks of an
+X matrix or a batch (``x_blocks``, which the state check, the Born table and
+``verifier.block_decompose`` call) and their least eigenvalue, and a checked
+Hermitian spectrum.  Certification and state validation read their spectra
+from closed-form 2 x 2 blocks; the full spectrum serves the tests.
 
 The canonical index layout depends only on the axis lengths and on which
 axes are equal, so it is built once per such structure and cached:
@@ -294,36 +295,46 @@ def chunk_sign_products(rows: np.ndarray,
                          buffers["scratch"][0])
 
 
-def x_blocks(m: np.ndarray
-             ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The 2 x 2 blocks of a matrix that is diagonal plus antidiagonal.
+@functools.lru_cache(maxsize=None)
+def _pair_layout(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a dim x dim matrix's pair blocks, (dim/2, 2, 2), and
+    of its entries off both lines, in order; both read-only."""
+    low = np.arange(dim // 2)
+    pairs = np.stack([low, dim - 1 - low], axis=1)
+    on_lines = pairs[:, :, None] * dim + pairs[:, None, :]
+    off_lines = np.delete(np.arange(dim * dim), on_lines.ravel())
+    on_lines.setflags(write=False)
+    off_lines.setflags(write=False)
+    return on_lines, off_lines
 
-    For every pair b < 2^(n-1), with b~ = 2^n - 1 - b, returns m[b, b],
-    m[b~, b~] and the corner m[b~, b] as three arrays indexed by b.  Returns
-    None when any entry off the diagonal and antidiagonal is nonzero (NaN
-    counts as nonzero).  The order must be even, so that the two lines share
-    no entry.
+
+def x_blocks(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 2 x 2 pair blocks of one matrix or a batch, and what lies off them.
+
+    For m of shape (..., 2^n, 2^n), block b < 2^(n-1) is m on the index pair
+    (b, b~ = 2^n - 1 - b), [[m[b, b], m[b, b~]], [m[b~, b], m[b~, b~]]], all
+    of shape (..., 2^(n-1), 2, 2).  Also returns each matrix's largest
+    magnitude off the diagonal and antidiagonal, NaN if any is NaN and 0 if
+    there are none (n = 1): exactly 0 for an X matrix.  The order must be
+    even, so that the two lines share no entry.
     """
-    diagonal = np.diagonal(m)
-    corners = np.diagonal(m[::-1])
-    if np.count_nonzero(m) != (np.count_nonzero(diagonal)
-                               + np.count_nonzero(corners)):
-        return None
-    half = len(m) // 2
-    return diagonal[:half], diagonal[::-1][:half], corners[:half]
+    dim = m.shape[-1]
+    on_lines, off_lines = _pair_layout(dim)
+    flat = m.reshape(m.shape[:-2] + (dim * dim,))
+    worst = np.abs(flat.take(off_lines, axis=-1)).max(axis=-1, initial=0.0)
+    return flat.take(on_lines, axis=-1), worst
 
 
-def least_block_eigenvalue(
-        blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+def least_block_eigenvalue(blocks: np.ndarray) -> float:
     """Least eigenvalue over Hermitian 2 x 2 blocks [[a, z*], [z, c]].
 
-    ``blocks`` holds (a, c, z) as ``x_blocks`` returns them; each block's
-    lower eigenvalue is (a + c)/2 - hypot((a - c)/2, |z|), and the
+    ``blocks`` has shape (..., 2, 2), as ``x_blocks`` returns them; each
+    block's lower eigenvalue is (a + c)/2 - hypot((a - c)/2, |z|), and the
     imaginary parts of a and c are ignored.
     """
-    a, c, z = blocks
-    return float(np.min((a.real + c.real) / 2
-                        - np.hypot((a.real - c.real) / 2, np.abs(z))))
+    a, c = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    return float(np.min((a + c) / 2
+                        - np.hypot((a - c) / 2, np.abs(blocks[..., 1, 0]))))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -120,8 +120,8 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
     if not np.all((settings == 0) | (settings == 1)):
         raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
     alphas = check_angles(angles, n)
-    blocks = x_blocks(state)
-    if blocks is None:
+    blocks, off_lines = x_blocks(state)
+    if off_lines != 0.0:
         dist = np.stack([_contracted_distribution(state, row, alphas)
                          for row in settings])
     else:
@@ -129,7 +129,7 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
                    - 1j * (1 - 2 * settings) * np.sin(alphas)).T
         products = sign_products(factors, factors.conj())
         pairs = np.ascontiguousarray(products[:2 ** (n - 1)].T)
-        correlators = 2.0 * (blocks[2] * pairs).real.sum(axis=-1)
+        correlators = 2.0 * (blocks[..., 1, 0] * pairs).real.sum(axis=-1)
         dist = (np.trace(state).real
                 + correlators[:, None] * outcome_products(n)) * 2.0 ** -n
     least = np.min(dist, axis=-1)
@@ -187,14 +187,16 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     Every setting string whose functional coefficient is nonzero is sampled
     with ``shots_per_setting`` shots from its own PCG64 stream.  Streams are
     spawned from ``seed`` for all 2^n settings in lexicographic order, so a
-    setting's stream does not depend on which others are skipped.  Returns
-    the estimate and its propagated standard error.
+    setting's stream does not depend on which others are skipped; the seed
+    is checked like the shot count.  Returns the estimate and its
+    propagated standard error.
     """
     n = protocol.n
     state = validate_state(state, n)
     # The count divides every correlator, so a fractional one is refused
     # here, not only where the shots are drawn.
     shots_per_setting = check_integer(shots_per_setting, "shot count")
+    seed = check_integer(seed, "seed")
     coefficients = _coefficient_tensor(protocol).ravel()
     children = np.random.SeedSequence(seed).spawn(2 ** n)
     products = outcome_products(n)
@@ -248,10 +250,11 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
     optimal angle pi/4.  The raw estimate is stored unmodified; for the
     bound it is clamped into [beta_L, beta_Q] so statistical overshoot
     never certifies a fidelity above 1, and undershoot is flagged as
-    trivial instead of extrapolated.
+    trivial instead of extrapolated.  The record holds the seed as an int.
     """
     protocol = constants.protocol
     shots_per_setting = check_integer(shots_per_setting, "shot count")
+    seed = check_integer(seed, "seed")
     state = noisy_state(protocol, noise)
     beta_hat, std_error = estimate_violation(
         protocol, state, (math.pi / 4,) * protocol.n, shots_per_setting, seed)

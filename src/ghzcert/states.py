@@ -73,7 +73,7 @@ def apply_channel(mat: np.ndarray,
     of that site, (k, 4, 4).  O(k n 4^n) work and no 2^n x 2^n Kraus
     operator.
     """
-    a = np.asarray(angles, dtype=float)
+    a = np.asarray(angles)
     n = a.shape[-1] if a.ndim else 0
     a = check_angles(a, n)
     mat = np.asarray(mat, dtype=complex)

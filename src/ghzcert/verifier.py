@@ -31,9 +31,9 @@ before anything is allocated.
 
 Independent routes cross-check the reduction:
 
-* ``block_decompose`` reads each 2 x 2 block of the assembled matrix off its
-  index pair and fails loudly if any off-block weight remains; the tests
-  compare it with conjugation by the pairing permutation.
+* ``block_decompose`` reads the 2 x 2 blocks of the assembled matrix through
+  ``linalg.x_blocks`` and fails loudly if any off-block weight remains; the
+  tests compare it with conjugation by the pairing permutation.
 * ``sv3_block_functions`` / ``sv4_block_functions`` are hand-expanded
   formulas for the block entries of the three- and four-party Svetlichny
   certificates, with ``sv4_determinant`` and ``projector_lambda`` covering
@@ -57,7 +57,8 @@ import numpy as np
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angles, check_integer,
                    chunk_corner_entries, corner_coefficient, ghz_phase)
-from .linalg import chunk_sign_products, conjugate_pair_sum, walk_canonical
+from .linalg import (chunk_sign_products, conjugate_pair_sum, walk_canonical,
+                     x_blocks)
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
 
@@ -191,25 +192,6 @@ def build_T(protocol: BellProtocol, angles: Sequence[float] | np.ndarray,
     return lam - s * w - mu * np.eye(protocol.dim)
 
 
-@functools.lru_cache(maxsize=None)
-def _block_layout(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat indices of every 2 x 2 pair block and of every off-block entry.
-
-    Block i holds the entries of index pair (i, 2^n - 1 - i), shape
-    (2^(n-1), 2, 2); both arrays are read-only.
-    """
-    dim = 2 ** n
-    low = np.arange(dim // 2)
-    pairs = np.stack([low, dim - 1 - low], axis=1)
-    on_block = pairs[:, :, None] * dim + pairs[:, None, :]
-    off = np.ones(dim * dim, dtype=bool)
-    off[on_block.ravel()] = False
-    off_block = np.flatnonzero(off)
-    on_block.setflags(write=False)
-    off_block.setflags(write=False)
-    return on_block, off_block
-
-
 def block_decompose(t: np.ndarray, n: int) -> list:
     """Split diagonal-plus-antidiagonal matrices into their 2 x 2 blocks.
 
@@ -235,17 +217,15 @@ def _block_array(t: np.ndarray, n: int) -> np.ndarray:
     dim = 2 ** n
     if t.ndim not in (2, 3) or t.shape[-2:] != (dim, dim):
         raise ValueError(f"expected {dim} x {dim} matrices, got {t.shape}")
-    flat = t.reshape(-1, dim * dim)
-    if not np.isfinite(flat).all():
+    if not np.isfinite(t).all():
         raise ValueError("matrix has non-finite entries")
-    on_block, off_block = _block_layout(n)
-    worst = np.max(np.abs(flat[:, off_block]), axis=1, initial=0.0)
+    blocks, worst = x_blocks(t.reshape(-1, dim, dim))
     if not (worst <= _BLOCK_RESIDUE_TOL).all():
         index = int(np.argmax(worst))
         raise StructureViolation(
             f"off-block weight {worst[index]} of matrix {index} exceeds "
             f"tolerance {_BLOCK_RESIDUE_TOL}", index)
-    return flat[:, on_block]
+    return blocks
 
 
 def _min_block_over_products(

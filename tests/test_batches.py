@@ -90,6 +90,9 @@ def test_wrong_angle_shape_is_refused(route):
             route(protocol, np.full(shape, 0.3))
     with pytest.raises(ValueError, match=r"nonempty .* shape \(0, 4\)"):
         route(protocol, np.empty((0, 4)))
+    for angles in (np.full((2, 4), 0.3 + 0j), [0.3, 0.3, 0.3, 1j]):
+        with pytest.raises(ValueError, match="real, got dtype complex128"):
+            route(protocol, angles)
 
 
 def test_channel_refuses_empty_and_ragged_angles():

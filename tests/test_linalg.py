@@ -243,14 +243,42 @@ def test_conjugate_pair_sum_matches_complex_formula():
 def test_x_blocks_reads_pairs_and_rejects_other_entries():
     m = np.arange(1, 65, dtype=float).reshape(8, 8)
     x = np.where(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1], m, 0.0)
-    a, c, z = x_blocks(x)
-    assert list(a) == [m[b, b] for b in range(4)]
-    assert list(c) == [m[7 - b, 7 - b] for b in range(4)]
-    assert list(z) == [m[7 - b, b] for b in range(4)]
-    for i, j, value in ((0, 1, 1e-300), (2, 6, -1.0), (4, 1, math.nan)):
-        y = x.copy()
+    blocks, off_lines = x_blocks(x)
+    assert off_lines == 0.0 and blocks.shape == (4, 2, 2)
+    assert list(blocks[:, 0, 0]) == [m[b, b] for b in range(4)]
+    assert list(blocks[:, 1, 1]) == [m[7 - b, 7 - b] for b in range(4)]
+    assert list(blocks[:, 1, 0]) == [m[7 - b, b] for b in range(4)]
+    assert list(blocks[:, 0, 1]) == [m[b, 7 - b] for b in range(4)]
+    # The weight off the two lines is exact: -0.0 is no weight, 1e-300 is.
+    for i, j, value, weight in ((0, 1, 1e-300, 1e-300), (2, 6, -1.0, 1.0),
+                                (3, 5, -math.inf, math.inf),
+                                (6, 2, -0.0, 0.0), (1, 3, -2j, 2.0)):
+        y = x.astype(complex)
         y[i, j] = value
-        assert x_blocks(y) is None
+        assert x_blocks(y)[1] == weight
+    y[4, 1] = math.nan
+    assert math.isnan(x_blocks(y)[1])
+    # n = 1 has nothing off the two lines.
+    blocks, off_lines = x_blocks(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert off_lines == 0.0
+    assert np.array_equal(blocks, [[[1.0, 2.0], [3.0, 4.0]]])
+
+
+def test_x_blocks_of_a_batch_stacks_single_calls_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 4):
+        dim = 2 ** n
+        batch = np.stack([random_x_matrix(rng, n) for _ in range(6)]
+                         + [random_hermitian(rng, dim) for _ in range(2)])
+        blocks, off_lines = x_blocks(batch.reshape(2, 4, dim, dim))
+        assert blocks.shape == (2, 4, dim // 2, 2, 2)
+        assert off_lines.shape == (2, 4)
+        for m, got_blocks, got_off in zip(batch, blocks.reshape(8, -1),
+                                          off_lines.ravel()):
+            want_blocks, want_off = x_blocks(m)
+            assert got_blocks.tobytes() == want_blocks.tobytes()
+            assert np.float64(got_off).tobytes() == want_off.tobytes()
+        assert np.count_nonzero(off_lines) == (2 if n > 1 else 0)
 
 
 def test_least_block_eigenvalue_matches_lapack():
@@ -258,5 +286,5 @@ def test_least_block_eigenvalue_matches_lapack():
     for n in (1, 2, 3, 4, 5):
         for _ in range(50):
             m = random_x_matrix(rng, n)
-            got = least_block_eigenvalue(x_blocks(m))
+            got = least_block_eigenvalue(x_blocks(m)[0])
             assert abs(got - np.linalg.eigvalsh(m)[0]) <= 1e-14

@@ -391,6 +391,32 @@ def test_shot_counts_must_be_integers():
     assert json.loads(record.to_json_line())["shots_per_setting"] == 100
 
 
+def test_seeds_must_be_integers(tmp_path):
+    # A numpy seed was once stored as given, and the JSON line failed after
+    # the run, leaving the log created but empty.
+    protocol = BellProtocol(MABK, 3)
+    constants = catalog_constants(protocol)
+    noise = NoiseModel("visibility", 0.9)
+    log = tmp_path / "runs.jsonl"
+    record = certify(constants, noise, shots_per_setting=500,
+                     seed=np.int64(7), log_path=str(log))
+    assert type(record.seed) is int and record.persisted
+    payload = json.loads(log.read_text())
+    plain = json.loads(certify(constants, noise, shots_per_setting=500,
+                               seed=7).to_json_line())
+    payload.pop("timestamp"), plain.pop("timestamp")
+    assert payload == plain and payload["seed"] == 7
+    for seed in (2.0, "2", None):
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            certify(constants, noise, shots_per_setting=500, seed=seed,
+                    log_path=str(tmp_path / "refused.jsonl"))
+        with pytest.raises(ValueError, match=message):
+            estimate_violation(protocol, ghz_state(protocol), QUARTER3,
+                               500, seed)
+    assert not (tmp_path / "refused.jsonl").exists()
+
+
 def test_certify_accepts_the_largest_shot_count(tmp_path):
     protocol = BellProtocol(MABK, 3)
     constants = catalog_constants(protocol)
@@ -453,7 +479,7 @@ def test_closed_form_matches_dense_oracle_on_scenarios():
         states = [noisy_state(BellProtocol(family, n),
                               NoiseModel("visibility", v))
                   for family in (SVETLICHNY, MABK) for v in (1.0, 0.7, 0.0)]
-        assert all(x_blocks(state) is not None for state in states)
+        assert all(x_blocks(state)[1] == 0.0 for state in states)
         for angles in ((math.pi / 4,) * n,
                        tuple(rng.uniform(0.0, math.pi / 2, size=n))):
             for settings in all_settings(n):
@@ -473,7 +499,7 @@ def test_closed_form_matches_dense_oracle_on_random_x_states(monkeypatch):
     for n in (3, 4, 5):
         for _ in range(6):
             state = random_x_matrix(rng, n, density=True)
-            assert x_blocks(state) is not None
+            assert x_blocks(state)[1] == 0.0
             settings = tuple(int(r) for r in rng.integers(0, 2, size=n))
             angles = tuple(rng.uniform(0.0, math.pi / 2, size=n))
             got = born_probabilities(state, settings, angles)
@@ -490,25 +516,34 @@ def test_non_x_state_takes_the_contraction(monkeypatch):
 
     monkeypatch.setattr(simulate, "_contracted_distribution", spy)
     rng = np.random.default_rng(46)
-    state = product_state(rng, 3)
-    assert x_blocks(state) is None
-    angles = tuple(rng.uniform(0.0, math.pi / 2, size=3))
-    for settings in all_settings(3):
-        got = born_probabilities(state, settings, angles)
-        want = dense_born_probabilities(state, settings, angles)
-        assert np.max(np.abs(got - want)) <= ORACLE_TOL
-    assert [tuple(row) for row in contracted] == all_settings(3)
+    # One entry of 1e-300 off the two lines is enough to leave the closed
+    # form.
+    tiny = noisy_state(BellProtocol(SVETLICHNY, 3),
+                       NoiseModel("visibility", 0.7))
+    tiny[1, 2] = tiny[2, 1] = 1e-300
+    assert x_blocks(tiny)[1] == 1e-300
+    for state in (product_state(rng, 3), tiny):
+        assert x_blocks(state)[1] > 0.0
+        angles = tuple(rng.uniform(0.0, math.pi / 2, size=3))
+        contracted.clear()
+        for settings in all_settings(3):
+            got = born_probabilities(state, settings, angles)
+            want = dense_born_probabilities(state, settings, angles)
+            assert np.max(np.abs(got - want)) <= ORACLE_TOL
+        assert [tuple(row) for row in contracted] == all_settings(3)
 
 
 def test_closed_form_rejects_bad_settings_and_angles():
     state = noisy_state(BellProtocol(SVETLICHNY, 3),
                         NoiseModel("visibility", 0.7))
-    assert x_blocks(state) is not None
+    assert x_blocks(state)[1] == 0.0
     with pytest.raises(ValueError, match="0 or 1"):
         born_probabilities(state, (0, 2, 0), QUARTER3)
     for bad in (-0.1, 2.0, math.nan):
         with pytest.raises(ValueError, match="angle"):
             born_probabilities(state, (0, 1, 0), (0.3, bad, 0.2))
+    with pytest.raises(ValueError, match="real, got dtype complex128"):
+        born_probabilities(state, (0, 1, 0), (0.3, 0.1j, 0.2))
     for angles in ((math.pi / 4,), QUARTER3 + (0.1,)):
         with pytest.raises(ValueError, match="settings, got 3"):
             estimate_violation(BellProtocol(SVETLICHNY, 3), state, angles,

@@ -15,7 +15,7 @@ import pytest
 
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
-                            hermitian_eigenvalues)
+                            hermitian_eigenvalues, x_blocks)
 from ghzcert.root2 import Root2
 from ghzcert.states import ghz_state
 import ghzcert.linalg
@@ -32,7 +32,7 @@ from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
 from oracles import (PastValidation, block_unitary,
                      complex_min_block_over_axes, eig2x2_hermitian,
                      full_grid_min_block, is_persymmetric, padded_grid,
-                     pauli_string, stop_past_validation)
+                     pauli_string, random_x_matrix, stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -193,6 +193,17 @@ def test_block_decompose_matches_block_unitary_conjugation():
         for i, block in enumerate(blocks):
             assert np.array_equal(block, conjugated[2 * i:2 * i + 2,
                                                     2 * i:2 * i + 2])
+
+
+def test_block_decompose_equals_x_blocks():
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 3, 4, 5, 6):
+        ts = np.stack([random_x_matrix(rng, n) for _ in range(3)])
+        blocks, off_lines = x_blocks(ts)
+        assert np.array_equal(off_lines, np.zeros(3))
+        assert np.array(block_decompose(ts, n)).tobytes() == blocks.tobytes()
+        assert (np.array(block_decompose(ts[1], n)).tobytes()
+                == blocks[1].tobytes())
 
 
 def test_block_decompose_refuses_non_finite_input():
@@ -690,6 +701,8 @@ def test_batched_closed_forms_refuse_any_bad_angle():
             with pytest.raises(ValueError,
                                match=rf"nonempty .* shape \(0, {n}\)"):
                 form(np.empty((0, n)), s)
+            with pytest.raises(ValueError, match="real, got dtype complex"):
+                form(np.full((6, n), 0.3 + 0j), s)
 
 
 def test_closed_form_crosscheck():
