@@ -39,12 +39,16 @@ pair's eigenvector, defines the target state the scan and
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) in turn, for one angle tuple or a batch of them at once, and
 assumes no structure of W.
+Each input the library takes from a caller passes one check here, by kind:
+``check_integer`` (counts, seeds, 0/1 labels), ``check_real`` (real
+numbers) or ``check_angles``, which raise a ValueError naming the input.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -92,10 +96,8 @@ class BellProtocol:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "n",
-                           check_integer(self.n, "number of parties"))
-        if self.n < _MIN_PARTIES:
-            raise ValueError(f"need at least {_MIN_PARTIES} parties, got {self.n}")
+        object.__setattr__(self, "n", check_integer(
+            self.n, "party count", lo=_MIN_PARTIES))
 
     @property
     def dim(self) -> int:
@@ -130,32 +132,42 @@ class BellProtocol:
         return float(self.beta_Q_exact)
 
 
-def check_integer(value: int, name: str) -> int:
-    """``value`` as an int through ``operator.index``, so numpy's integers
-    pass; anything else, such as 5.0 or "5", raises ValueError naming it."""
+def check_integer(value: int, name: str, lo: int = 0,
+                  hi: float = math.inf) -> int:
+    """``value`` as an int in [lo, hi], numpy's included, through
+    ``operator.index``; 5.0, "5" or lo - 1 raise ValueError naming it."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return check_real(index, name, lo, hi)
 
 
-def check_angle(alpha: float, upper: float = math.pi / 2) -> float:
-    """``alpha`` as a float; ValueError outside [0, upper] (pi/2 or pi/4)."""
-    if not (-ANGLE_SLACK <= alpha <= upper + ANGLE_SLACK):
-        raise ValueError(
-            f"angle {alpha} outside [0, pi/{round(math.pi / upper)}]")
-    return float(alpha)
+def check_real(value: float, name: str, lo: float = -math.inf,
+               hi: float = math.inf) -> float:
+    """``value`` as given if it is a finite real number in [lo, hi], numpy's
+    included; anything else, such as 1j, "0.5", None, NaN or inf, raises
+    ValueError naming it."""
+    # float and int go first; the numbers.Real check is several times slower.
+    if not (isinstance(value, (float, int, numbers.Real))
+            and abs(value) < math.inf):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be at least {lo} and at most {hi}, "
+                         f"got {value}")
+    return value
 
 
 def check_angles(angles: Sequence[float] | np.ndarray, n: int,
                  upper: float = math.pi / 2) -> np.ndarray:
     """One angle tuple, shape (n,), or a batch of k, shape (k, n), as floats.
 
-    ValueError for complex input, any other shape, an empty tuple or batch,
-    and any angle, NaN and +-inf included, outside [0, upper] (pi/2 or pi/4).
+    ValueError for any dtype but boolean, integer or float (complex, string,
+    bytes and None included), any other shape, an empty tuple or batch, and
+    any angle, NaN and +-inf included, outside [0, upper] (pi/2 or pi/4).
     """
     a = np.asarray(angles)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"angles must be real, got dtype {a.dtype}")
     a = a.astype(float, copy=False)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
@@ -165,7 +177,8 @@ def check_angles(angles: Sequence[float] | np.ndarray, n: int,
                          f"shape {a.shape}")
     inside = (-ANGLE_SLACK <= a) & (a <= upper + ANGLE_SLACK)
     if not inside.all():
-        check_angle(a[~inside][0], upper)  # raises, naming the first one
+        raise ValueError(f"angle {a[~inside][0]} outside "
+                         f"[0, pi/{round(math.pi / upper)}]")
     return a
 
 
@@ -185,9 +198,8 @@ def _observable_pairs(alpha: np.ndarray) -> np.ndarray:
 
 def observable(r: int, alpha: float) -> np.ndarray:
     """Equatorial qubit observable cos(alpha) X + (-1)^r sin(alpha) Y."""
-    if r not in (0, 1):
-        raise ValueError(f"setting must be 0 or 1, got {r}")
-    return _observable_pairs(check_angle(alpha))[r]
+    r = check_integer(r, "setting", hi=1)
+    return _observable_pairs(check_angles((alpha,), 1)[0])[r]
 
 
 def build_operator(protocol: BellProtocol,
@@ -267,10 +279,9 @@ def local_bound(protocol: BellProtocol) -> float:
     2^floor((n+1)/2), below the catalog's hybrid ``beta_L`` for n >= 4
     (see ``hybrid_bound``).
     """
-    if protocol.n > _MAX_PARTIES:
-        raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
+    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     values = _coefficient_tensor(protocol)
-    for _ in range(protocol.n):
+    for _ in range(n):
         values = np.tensordot(values, _OUTCOME_PAIRS, axes=([0], [1]))
     return float(np.max(values))
 
@@ -289,9 +300,7 @@ def hybrid_bound(protocol: BellProtocol) -> float:
     which is exact because the best f_G~ is the sign of the inner sum.  For
     Svetlichny this is the catalog ``beta_L`` = 2^(n-1).
     """
-    n = protocol.n
-    if n > _MAX_PARTIES:
-        raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
+    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     c = _coefficient_tensor(protocol)
     best = -math.inf
     for mask in range(1, 2 ** (n - 1)):
@@ -314,9 +323,7 @@ def quantum_bound(protocol: BellProtocol) -> float:
     all-pi/4 point and cross-checked against the same magnitudes on a coarse
     grid over the full angle domain, both in one walk.
     """
-    n = protocol.n
-    if n > _MAX_PARTIES:
-        raise ValueError(f"enumeration supports n <= {_MAX_PARTIES}")
+    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     # The all-pi/4 point is a grid of one value per axis, padded to the
     # coarse grid's 9 by repeating it.
     rows = np.empty((2, n, 9))

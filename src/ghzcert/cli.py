@@ -31,7 +31,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .bell import (_MAX_PARTIES, _MIN_PARTIES, FAMILIES, SVETLICHNY,
-                   BellProtocol, local_bound, quantum_bound)
+                   BellProtocol, check_real, local_bound, quantum_bound)
 from .simulate import NoiseModel, certify
 from .tradeoff import curve_to_csv, curve_to_json, emit_curve, format_float
 from .verifier import (_CATALOG, PSD_TOLERANCE, CertificateConstants,
@@ -102,10 +102,8 @@ def _constants_for(args: argparse.Namespace,
     mu = args.mu if args.mu is not None else constants.mu
     if s <= 0.0:
         raise ValueError("slope s must be positive")
-    beta_t = (0.5 - mu) / s
-    if not math.isfinite(beta_t):
-        raise ValueError(f"s={s} and mu={mu} give the threshold "
-                         f"beta_T={beta_t}")
+    beta_t = check_real((0.5 - mu) / s,
+                        f"s={s} and mu={mu} give a threshold beta_T that")
     return CertificateConstants(protocol=protocol, s=s, mu=mu, beta_T=beta_t)
 
 

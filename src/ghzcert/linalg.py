@@ -60,13 +60,15 @@ def contract_site(tensor: np.ndarray, axes: Tuple[int, ...],
 
     ``tensor`` has a leading batch axis of k; the indices named by ``axes``
     are moved last and flattened, giving (k, rest, d), and multiplied by
-    ``operators`` of shape (k, d, 4) in one batched matmul.  The site's
-    output row and column indices are appended at the end.
+    ``operators`` of shape (k, d, 4) or (k, d, 2) in one batched matmul.
+    The site's output indices, a row and a column or one outcome, are
+    appended at the end.
     """
     lhs = tensor.transpose(_axes_last(tensor.ndim, axes))
     rest = lhs.shape[:-len(axes)]
-    return np.matmul(lhs.reshape(len(tensor), -1, operators.shape[1]),
-                     operators).reshape(rest + (2, 2))
+    d_in, d_out = operators.shape[1:]
+    return np.matmul(lhs.reshape(len(tensor), -1, d_in),
+                     operators).reshape(rest + (2,) * (d_out // 2))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ setting.  The target state and its ``visibility`` mixtures are diagonal
 plus antidiagonal, and on such a state every distribution has a closed form
 in the 2^(n-1) antidiagonal corners.  Any other state, such as a
 ``separable_mixture`` with an arbitrary background, is contracted site by
-site.  ``born_probabilities`` is the one-row call of the same kernel.
+site, every row at once.  ``born_probabilities`` is the one-row call of the
+same kernel.  Counts, seeds and the visibility pass ``bell``'s checks.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bell import (BellProtocol, _coefficient_tensor, check_angles,
-                   check_integer, observable, validate_state)
-from .linalg import sign_products, x_blocks
+from .bell import (BellProtocol, _coefficient_tensor, _observable_pairs,
+                   check_angles, check_integer, check_real, validate_state)
+from .linalg import contract_site, sign_products, x_blocks
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
@@ -50,8 +51,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError(f"visibility {self.visibility} outside [0, 1]")
+        check_real(self.visibility, "visibility", 0.0, 1.0)
         if self.kind == "separable_mixture" and self.sigma is None:
             raise ValueError("separable_mixture requires a sigma state")
 
@@ -88,11 +88,8 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
     kernel ``estimate_violation`` samples from, so both give the same bits;
     see ``_born_table`` for the two routes.
     """
-    n = len(angles)
-    if len(settings) != n:
-        raise ValueError(f"expected {n} settings, got {len(settings)}")
-    return _born_table(validate_state(state, n), np.array([settings]),
-                       angles)[0]
+    return _born_table(validate_state(state, len(angles)),
+                       np.reshape(settings, (1, -1)), angles)[0]
 
 
 def _born_table(state: np.ndarray, settings: np.ndarray,
@@ -109,8 +106,8 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
 
     with the products read off one ``sign_products`` table of the factors
     A^r[0, 1] = cos(alpha) - i (-1)^r sin(alpha) and their conjugates, one
-    column per setting string.  Any other state is contracted setting by
-    setting (``_contracted_distribution``).  The table is laid out as
+    column per setting string.  Any other state is contracted site by site,
+    every row at once (``_contracted_distribution``).  The table is laid out as
     (settings, pairs) and every reduction runs along a contiguous last axis,
     so each row's bits do not depend on the other rows.
     """
@@ -119,11 +116,11 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
         raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
     if not np.all((settings == 0) | (settings == 1)):
         raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
+    settings = settings.astype(int)
     alphas = check_angles(angles, n)
     blocks, off_lines = x_blocks(state)
     if off_lines != 0.0:
-        dist = np.stack([_contracted_distribution(state, row, alphas)
-                         for row in settings])
+        dist = _contracted_distribution(state, settings, alphas)
     else:
         factors = (np.cos(alphas)
                    - 1j * (1 - 2 * settings) * np.sin(alphas)).T
@@ -144,38 +141,42 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
 
 def _contracted_distribution(state: np.ndarray, settings: np.ndarray,
                              angles: np.ndarray) -> np.ndarray:
-    """Unnormalised Born distribution by site-by-site contraction.
+    """Unnormalised Born distribution of each settings row, by contraction.
 
-    The state is reshaped to one row and one column index per party, and
-    each party's stacked projector pair ((I + A)/2, (I - A)/2), transposed,
-    is contracted into its two indices in turn, leaving one outcome index per
-    party: O(n 4^n) work and no 2^n x 2^n operator per outcome.  It assumes
-    no structure of the state.
+    The state is reshaped to one row and one column index per party behind
+    a batch axis of k, and each party's k projector pairs ((I + A)/2,
+    (I - A)/2), transposed, are contracted into its two indices in turn
+    (``contract_site``), leaving one outcome index per party: O(k n 4^n)
+    work and no 2^n x 2^n operator per outcome.  It assumes no structure of
+    the state.
     """
-    n = len(angles)
-    tensor = state.reshape((2,) * (2 * n))
-    for j, (r, alpha) in enumerate(zip(settings, angles)):
-        a = observable(int(r), alpha)
-        pair = np.stack([(np.eye(2) + a).T / 2, (np.eye(2) - a).T / 2])
+    k, n = settings.shape
+    a = _observable_pairs(angles)[np.arange(n), settings]
+    pairs = np.stack([(np.eye(2) + a) / 2, (np.eye(2) - a) / 2], axis=-1)
+    # Transposed, each pair maps a site's (row, column) to its outcome.
+    operators = pairs.swapaxes(2, 3).reshape(k, n, 4, 2)
+    tensor = np.broadcast_to(state, (k,) + state.shape).reshape(
+        (k,) + (2,) * (2 * n))
+    for j in range(n):
         # Party j's row and column indices lead the row and column halves
         # of what is left; its outcome index is appended at the end.
-        tensor = np.tensordot(tensor, pair, axes=([0, n - j], [1, 2]))
-    return tensor.real.reshape(2 ** n)
+        tensor = contract_site(tensor, (1, 1 + n - j), operators[:, j])
+    return tensor.real.reshape(k, 2 ** n)
 
 
 def sample_outcomes(dist: np.ndarray, shots: int,
                     seed_or_rng: Union[int, np.random.Generator]) -> np.ndarray:
     """Multinomial outcome counts for ``shots`` draws from ``dist``.
 
-    ``shots`` must be an integer in [1, ``MAX_SHOTS``]; ValueError otherwise.
+    ``shots`` must be an integer in [1, ``MAX_SHOTS``] and an int seed one
+    from 0; ValueError otherwise.
     """
-    shots = check_integer(shots, "shot count")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shot count must be in [1, {MAX_SHOTS}], got {shots}")
+    shots = check_integer(shots, "shot count", 1, MAX_SHOTS)
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
     else:
-        rng = np.random.Generator(np.random.PCG64(seed_or_rng))
+        rng = np.random.Generator(np.random.PCG64(
+            check_integer(seed_or_rng, "seed")))
     return rng.multinomial(shots, dist)
 
 
@@ -195,7 +196,8 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     state = validate_state(state, n)
     # The count divides every correlator, so a fractional one is refused
     # here, not only where the shots are drawn.
-    shots_per_setting = check_integer(shots_per_setting, "shot count")
+    shots_per_setting = check_integer(shots_per_setting, "shot count", 1,
+                                      MAX_SHOTS)
     seed = check_integer(seed, "seed")
     coefficients = _coefficient_tensor(protocol).ravel()
     children = np.random.SeedSequence(seed).spawn(2 ** n)
@@ -253,7 +255,8 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
     trivial instead of extrapolated.  The record holds the seed as an int.
     """
     protocol = constants.protocol
-    shots_per_setting = check_integer(shots_per_setting, "shot count")
+    shots_per_setting = check_integer(shots_per_setting, "shot count", 1,
+                                      MAX_SHOTS)
     seed = check_integer(seed, "seed")
     state = noisy_state(protocol, noise)
     beta_hat, std_error = estimate_violation(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .bell import BellProtocol, check_integer
+from .bell import BellProtocol, check_integer, check_real
 from .root2 import SQRT2
 from .verifier import CertificateConstants, catalog_constants
 
@@ -50,11 +50,8 @@ def fidelity_lower_bound(constants: CertificateConstants,
                          beta_O: float) -> float:
     """Certified GHZ fidelity bound s beta_O + mu; ValueError unless finite."""
     protocol = constants.protocol
-    if not (protocol.beta_L - _BETA_SLACK
-            <= beta_O <= protocol.beta_Q + _BETA_SLACK):
-        raise ValueError(
-            f"observed value {beta_O} outside [{protocol.beta_L}, "
-            f"{protocol.beta_Q}]")
+    check_real(beta_O, "observed value", protocol.beta_L - _BETA_SLACK,
+               protocol.beta_Q + _BETA_SLACK)
     bound = constants.s * beta_O + constants.mu
     # beta_O is finite and positive, so a non-finite s or mu makes it so too.
     if not math.isfinite(bound):
@@ -92,10 +89,8 @@ def emit_curve(protocol: BellProtocol, resolution: int = 50) -> TradeoffCurve:
 
     ``resolution`` must be an integer in that range; ValueError otherwise.
     """
-    resolution = check_integer(resolution, "curve resolution")
-    if not 2 <= resolution <= MAX_CURVE_POINTS:
-        raise ValueError(f"curve resolution must be at least 2 and at most "
-                         f"{MAX_CURVE_POINTS}, got {resolution}")
+    resolution = check_integer(resolution, "curve resolution", 2,
+                               MAX_CURVE_POINTS)
     constants = catalog_constants(protocol)
     start = constants.beta_T
     stop = protocol.beta_Q

@@ -55,7 +55,7 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, check_integer,
+                   build_operator, check_angles, check_integer, check_real,
                    chunk_corner_entries, corner_coefficient, ghz_phase)
 from .linalg import (chunk_sign_products, conjugate_pair_sum, walk_canonical,
                      x_blocks)
@@ -107,8 +107,9 @@ class CertificateConstants:
 class GridSpec:
     """Product grid description for the certificate scan.
 
-    ``points_per_axis`` may be any integer, numpy's included, and is stored
-    as an int; anything else, such as 5.0, raises ValueError.
+    ``points_per_axis`` may be any integer from 2, numpy's included, and is
+    stored as an int; anything else, such as 5.0, raises ValueError.  The
+    ``domain`` (lo, hi), lo < hi, passes ``check_angles`` and is kept as given.
     ``refinement_depth`` is ``REFINEMENT_DEPTH`` as a class attribute, not
     a field: the benchmark worker reads it from an instance.
     """
@@ -119,11 +120,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points_per_axis", check_integer(
-            self.points_per_axis, "grid points per axis"))
-        if self.points_per_axis < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        lo, hi = self.domain
-        if not (-ANGLE_SLACK <= lo < hi <= math.pi / 2 + ANGLE_SLACK):
+            self.points_per_axis, "grid points per axis", lo=2))
+        ends = check_angles(self.domain, 2)
+        if not (ends.ndim == 1 and ends[0] < ends[1]):
             raise ValueError(f"invalid scan domain {self.domain}")
 
 
@@ -353,12 +352,9 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
     Non-finite constants or tolerance, and constants large enough to
     overflow the scan, raise ValueError; a non-finite minimum never passes.
     """
-    for name, value in (("s", constants.s), ("mu", constants.mu),
-                        ("PSD tolerance", psd_tol)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if psd_tol < 0.0:
-        raise ValueError(f"PSD tolerance must be nonnegative, got {psd_tol}")
+    check_real(constants.s, "s")
+    check_real(constants.mu, "mu")
+    check_real(psd_tol, "PSD tolerance", lo=0.0)
     protocol = constants.protocol
     lo, hi = grid.domain
     n = protocol.n
@@ -511,8 +507,8 @@ def sv4_determinant(angles: Sequence[float] | np.ndarray,
 
 def parity_projector(x1: int, x2: int) -> np.ndarray:
     """Rank-2 projector onto the three-qubit parity sector (x1, x2)."""
-    if x1 not in (0, 1) or x2 not in (0, 1):
-        raise ValueError("parity labels must be 0 or 1")
+    x1 = check_integer(x1, "parity label x1", hi=1)
+    x2 = check_integer(x2, "parity label x2", hi=1)
     iii = np.eye(8, dtype=complex)
     z, one = np.array([1.0, -1.0]), np.ones(2)
     zzi, ziz, izz = (np.diag(np.kron(np.kron(a, b), c)).astype(complex)
@@ -542,8 +538,8 @@ def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
     tuple or a batch of k, and returns a float or an array of shape (k,),
     as ``sv4_determinant`` does.
     """
-    if x1 not in (0, 1) or x2 not in (0, 1):
-        raise ValueError("parity labels must be 0 or 1")
+    x1 = check_integer(x1, "parity label x1", hi=1)
+    x2 = check_integer(x2, "parity label x2", hi=1)
     a = check_angles(angles, 3, math.pi / 4)
     rows, (g1, g2, g3) = _site_rows(a)
     mu = 1 - 4 * SQRT2 * s
@@ -583,12 +579,10 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     """
     if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
-    samples = check_integer(samples, "sample count")
-    if not 1 <= samples <= MAX_CROSSCHECK_SAMPLES:
-        raise ValueError(f"need at least one sample and at most "
-                         f"{MAX_CROSSCHECK_SAMPLES}, got {samples}")
+    samples = check_integer(samples, "sample count", 1,
+                            MAX_CROSSCHECK_SAMPLES)
     constants = catalog_constants(protocol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed"))
     failures: List[str] = []
     if protocol.n == 3:
         checks = ["block_entries", "parity_sector_invariant"]

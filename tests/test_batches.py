@@ -93,6 +93,12 @@ def test_wrong_angle_shape_is_refused(route):
     for angles in (np.full((2, 4), 0.3 + 0j), [0.3, 0.3, 0.3, 1j]):
         with pytest.raises(ValueError, match="real, got dtype complex128"):
             route(protocol, angles)
+    # numpy would parse strings and bytes, and read None as NaN.
+    for angles, dtype in ((("0.1", "0.2", "0.3", "0.4"), "<U3"),
+                          (np.full((2, 4), b"0.3"), "|S3"),
+                          ((0.1, None, 0.2, 0.3), "object")):
+        with pytest.raises(ValueError, match=f"real, got dtype {dtype}$"):
+            route(protocol, angles)
 
 
 def test_channel_refuses_empty_and_ragged_angles():

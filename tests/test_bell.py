@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import ghzcert.bell
 import ghzcert.linalg
 from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
                           _corner_magnitude_maxima, build_operator,
-                          check_angle, chunk_corner_entries,
+                          check_angles, chunk_corner_entries,
                           corner_coefficient, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
 from ghzcert.linalg import hermitian_eigenvalues, walk_canonical
@@ -79,14 +80,14 @@ def test_observable_rejects_bad_inputs():
 
 
 def test_check_angle_bounds():
-    value = check_angle(np.float64(0.3))
-    assert value == 0.3 and type(value) is float
-    assert check_angle(-1e-13) == -1e-13
+    value = check_angles((np.float64(0.3),), 1)
+    assert value[0] == 0.3 and value.dtype == float
+    assert check_angles((-1e-13,), 1)[0] == -1e-13
     for upper, label in ((math.pi / 2, "pi/2"), (math.pi / 4, "pi/4")):
-        assert check_angle(upper + 1e-13, upper) == upper + 1e-13
+        assert check_angles((upper + 1e-13,), 1, upper)[0] == upper + 1e-13
         for bad in (-0.1, upper + 1e-9, math.nan):
             with pytest.raises(ValueError, match=label):
-                check_angle(bad, upper)
+                check_angles((bad,), 1, upper)
 
 
 def test_coefficient_table_small_cases():
@@ -381,7 +382,8 @@ def test_quantum_bound_refuses_the_parties_the_enumerations_refuse():
     for family in (SVETLICHNY, MABK):
         protocol = BellProtocol(family, 7)
         for bound in (local_bound, hybrid_bound, quantum_bound):
-            with pytest.raises(ValueError, match="supports n <= 6"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "party count must be at least 3 and at most 6, got 7")):
                 bound(protocol)
 
 

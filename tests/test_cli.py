@@ -245,7 +245,8 @@ def test_crosscheck_rejects_empty_sample(capsys):
                          "--samples", samples]) == 2
             captured = capsys.readouterr()
             assert "result=" not in captured.out
-            assert "at least one sample" in captured.err
+            assert (f"sample count must be at least 1 and at most 100000, "
+                    f"got {samples}") in captured.err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -511,7 +511,7 @@ def test_non_x_state_takes_the_contraction(monkeypatch):
     contracted = []
 
     def spy(*args):
-        contracted.append(args[1])
+        contracted.append(args[1].tolist())
         return _contracted_distribution(*args)
 
     monkeypatch.setattr(simulate, "_contracted_distribution", spy)
@@ -530,7 +530,15 @@ def test_non_x_state_takes_the_contraction(monkeypatch):
             got = born_probabilities(state, settings, angles)
             want = dense_born_probabilities(state, settings, angles)
             assert np.max(np.abs(got - want)) <= ORACLE_TOL
-        assert [tuple(row) for row in contracted] == all_settings(3)
+        assert contracted == [[list(row)] for row in all_settings(3)]
+        # A table of every setting is one batched contraction, and each of
+        # its rows has the bits of that setting's own call.
+        contracted.clear()
+        table = _born_table(state, np.array(all_settings(3)), angles)
+        assert contracted == [[list(row) for row in all_settings(3)]]
+        for settings, row in zip(all_settings(3), table):
+            assert (row.tobytes()
+                    == born_probabilities(state, settings, angles).tobytes())
 
 
 def test_closed_form_rejects_bad_settings_and_angles():

@@ -730,7 +730,9 @@ def test_closed_form_crosscheck_takes_only_integer_sample_counts():
 def test_closed_form_crosscheck_rejects_empty_sample():
     for n in (3, 4):
         for samples in (0, -5):
-            with pytest.raises(ValueError, match="at least one sample"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sample count must be at least 1 and at most 100000, "
+                    f"got {samples}")):
                 closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
                                        samples=samples)
 
