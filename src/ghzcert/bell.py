@@ -37,7 +37,8 @@ pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
-(A^0, A^1) in turn, for one angle tuple or a batch of them at once, and
+(A^0, A^1) through ``linalg.contract_sites`` (``local_bound`` does so with
+its outcome pairs), for one angle tuple or a batch of them at once, and
 assumes no structure of W.
 Each input the library takes from a caller passes one check here, by kind:
 ``check_integer`` (counts, seeds, 0/1 labels), ``check_real`` (real
@@ -56,7 +57,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .linalg import (HERMITICITY_TOL, chunk_sign_products,
-                     conjugate_pair_sum, contract_site, interleaved_to_matrix,
+                     conjugate_pair_sum, contract_sites,
                      least_block_eigenvalue, walk_canonical, x_blocks)
 from .root2 import Root2
 
@@ -208,20 +209,15 @@ def build_operator(protocol: BellProtocol,
 
     ``angles`` is one tuple, shape (n,), giving a 2^n x 2^n matrix, or a
     batch of k tuples, shape (k, n), giving k such matrices; a single tuple
-    is the batch of one.  The coefficient tensor c(x), with a leading batch
-    axis, is contracted with each party's stacked pair (A^0, A^1) in turn:
-    one batched matmul per party of the tensor, laid out (k, rest, x),
-    against the k pairs laid out (k, x, row column), which replaces that
-    party's setting index by its row and column indices.
+    is the batch of one.  ``linalg.contract_sites`` contracts the
+    coefficient tensor c(x) with each party's k stacked pairs (A^0, A^1),
+    laid out (x, row column), which replaces that party's setting index by
+    its row and column indices.
     """
     a = check_angles(angles, protocol.n)
     batch = a.reshape(-1, protocol.n)
     pairs = _observable_pairs(batch).reshape(len(batch), protocol.n, 2, 4)
-    tensor = np.broadcast_to(_coefficient_tensor(protocol).astype(complex),
-                             (len(batch),) + (2,) * protocol.n)
-    for j in range(protocol.n):
-        tensor = contract_site(tensor, (1,), pairs[:, j])
-    w = interleaved_to_matrix(tensor)
+    w = contract_sites(_coefficient_tensor(protocol).astype(complex), pairs)
     return w if a.ndim == 2 else w[0]
 
 
@@ -272,17 +268,17 @@ def local_bound(protocol: BellProtocol) -> float:
     """Maximum of the Bell functional over deterministic local strategies.
 
     Enumerates all 4^n assignments of outcome pairs (a_j(0), a_j(1)) in
-    {-1, +1}^2 and returns the largest functional value: the 4 x 2 table of
-    outcome pairs is contracted into the coefficient tensor once per party,
-    leaving one value per assignment.  For MABK this is
+    {-1, +1}^2 and returns the largest functional value: the table of outcome
+    pairs, as a (setting, strategy) operator at every party, is contracted
+    into the coefficient tensor (``linalg.contract_sites``), leaving one
+    value per assignment in a 2^n x 2^n layout.  For MABK this is
     the catalog ``beta_L``; for Svetlichny it is the fully local bound
     2^floor((n+1)/2), below the catalog's hybrid ``beta_L`` for n >= 4
     (see ``hybrid_bound``).
     """
     n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
-    values = _coefficient_tensor(protocol)
-    for _ in range(n):
-        values = np.tensordot(values, _OUTCOME_PAIRS, axes=([0], [1]))
+    values = contract_sites(_coefficient_tensor(protocol), np.broadcast_to(
+        _OUTCOME_PAIRS.T, (1, n, 2, 4)))
     return float(np.max(values))
 
 
@@ -388,7 +384,7 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
     takes numpy's full ``eigvalsh`` spectrum.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** n
+    dim = 2 ** check_integer(n, "party count", lo=1)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} state, got {rho.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra helpers.
 
-Provides the Kronecker product ``kron_all``, one batched step of a
-site-by-site contraction (``contract_site``) and the matrices it leaves
-(``interleaved_to_matrix``), the canonical index tuples of product grids
-given as padded rows (``canonical_layouts``, one tuple per permutation
-orbit) and the one chunked walk over one or more such grids
+Provides the Kronecker product ``kron_all``, the one site-by-site
+contraction of a tensor or matrix with a batch of per-site operators
+(``contract_sites``, which the dense Bell operator, the extraction channel,
+the non-X Born table and the local bound call), the canonical index tuples
+of product grids given as padded rows (``canonical_layouts``, one tuple per
+permutation orbit) and the one chunked walk over one or more such grids
 (``walk_canonical``), the per-site products over every sign choice
 (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the one reader of the 2 x 2 pair blocks of an
@@ -54,39 +55,40 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def contract_site(tensor: np.ndarray, axes: Tuple[int, ...],
-                  operators: np.ndarray) -> np.ndarray:
-    """Contract one site's indices of k tensors with k operators at once.
+def contract_sites(tensor: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Contract every site's indices of k copies of ``tensor`` with k
+    operators per site.
 
-    ``tensor`` has a leading batch axis of k; the indices named by ``axes``
-    are moved last and flattened, giving (k, rest, d), and multiplied by
-    ``operators`` of shape (k, d, 4) or (k, d, 2) in one batched matmul.
-    The site's output indices, a row and a column or one outcome, are
-    appended at the end.
+    ``tensor`` is one size-2 index per site, shape (2,) * n, or a 2^n x 2^n
+    matrix; ``operators`` has shape (k, n, d, e), site j's operators
+    mapping its one index (d = 2) or its row and column (d = 4) to one
+    outcome (e = 2) or a row and column (e = 4).  Site by site, that
+    site's indices are moved last and flattened, giving (k, rest, d), and
+    multiplied by its k operators in one batched matmul, which appends its
+    output indices at the end.  Returns (k, 2^n, 2^n), rows before columns,
+    when e = 4 and (k, 2^n) when e = 2.
     """
-    lhs = tensor.transpose(_axes_last(tensor.ndim, axes))
-    rest = lhs.shape[:-len(axes)]
-    d_in, d_out = operators.shape[1:]
-    return np.matmul(lhs.reshape(len(tensor), -1, d_in),
-                     operators).reshape(rest + (2,) * (d_out // 2))
+    k, n, d, e = operators.shape
+    out = np.broadcast_to(tensor, (k,) + tensor.shape).reshape(
+        (k,) + (2,) * (n * d // 2))
+    for j in range(n):
+        # Site j's indices lead what is left of the one index half, or of
+        # the row and column halves.
+        axes = (1,) if d == 2 else (1, 1 + n - j)
+        lhs = out.transpose(_axes_last(out.ndim, axes))
+        out = np.matmul(lhs.reshape(k, -1, d), operators[:, j]).reshape(
+            lhs.shape[:-len(axes)] + (2,) * (e // 2))
+    if e == 4:
+        # Each site left its row and column side by side; rows go first.
+        out = out.transpose([0] + list(range(1, 2 * n, 2))
+                            + list(range(2, 2 * n + 1, 2)))
+    return out.reshape((k,) + (2 ** n,) * (e // 2))
 
 
 @functools.lru_cache(maxsize=None)
 def _axes_last(ndim: int, axes: Tuple[int, ...]) -> Tuple[int, ...]:
     """The axis order that moves ``axes``, in their order, behind the rest."""
     return tuple(i for i in range(ndim) if i not in axes) + axes
-
-
-def interleaved_to_matrix(tensor: np.ndarray) -> np.ndarray:
-    """The k x 2^n x 2^n matrices of a tensor indexed (sample, row 1,
-    column 1, ..., row n, column n).
-
-    Site-by-site contractions leave each site's row and column index side by
-    side; this gathers the row indices before the column indices.
-    """
-    n = tensor.ndim // 2
-    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-    return tensor.transpose(order).reshape(len(tensor), 2 ** n, 2 ** n)
 
 
 def sorted_index_tuples(size: int, length: int) -> np.ndarray:

@@ -10,8 +10,10 @@ setting.  The target state and its ``visibility`` mixtures are diagonal
 plus antidiagonal, and on such a state every distribution has a closed form
 in the 2^(n-1) antidiagonal corners.  Any other state, such as a
 ``separable_mixture`` with an arbitrary background, is contracted site by
-site, every row at once.  ``born_probabilities`` is the one-row call of the
-same kernel.  Counts, seeds and the visibility pass ``bell``'s checks.
+site, every row at once, through ``linalg.contract_sites``.
+``born_probabilities`` is the one-row call of the same kernel.  Counts,
+seeds, angles and the visibility pass ``bell``'s checks; a record stores the
+visibility as a float.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bell import (BellProtocol, _coefficient_tensor, _observable_pairs,
                    check_angles, check_integer, check_real, validate_state)
-from .linalg import contract_site, sign_products, x_blocks
+from .linalg import contract_sites, sign_products, x_blocks
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
@@ -86,10 +88,15 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
     Outcome index bit j (most significant first) is 0 for outcome +1 of
     party j and 1 for outcome -1.  This is the one-row call of the batched
     kernel ``estimate_violation`` samples from, so both give the same bits;
-    see ``_born_table`` for the two routes.
+    see ``_born_table`` for the two routes.  The angles are checked first,
+    and the settings must give one choice per angle.
     """
-    return _born_table(validate_state(state, len(angles)),
-                       np.reshape(settings, (1, -1)), angles)[0]
+    alphas = check_angles(angles, np.size(angles))
+    n = len(alphas)
+    settings = np.reshape(settings, (1, -1))
+    if settings.shape[1] != n:
+        raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
+    return _born_table(validate_state(state, n), settings, alphas)[0]
 
 
 def _born_table(state: np.ndarray, settings: np.ndarray,
@@ -109,15 +116,14 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
     column per setting string.  Any other state is contracted site by site,
     every row at once (``_contracted_distribution``).  The table is laid out as
     (settings, pairs) and every reduction runs along a contiguous last axis,
-    so each row's bits do not depend on the other rows.
+    so each row's bits do not depend on the other rows.  The settings rows
+    give n, and the angles must be n of them.
     """
-    n = len(angles)
-    if settings.shape[1] != n:
-        raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
+    n = settings.shape[1]
+    alphas = check_angles(angles, n)
     if not np.all((settings == 0) | (settings == 1)):
         raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
     settings = settings.astype(int)
-    alphas = check_angles(angles, n)
     blocks, off_lines = x_blocks(state)
     if off_lines != 0.0:
         dist = _contracted_distribution(state, settings, alphas)
@@ -143,10 +149,9 @@ def _contracted_distribution(state: np.ndarray, settings: np.ndarray,
                              angles: np.ndarray) -> np.ndarray:
     """Unnormalised Born distribution of each settings row, by contraction.
 
-    The state is reshaped to one row and one column index per party behind
-    a batch axis of k, and each party's k projector pairs ((I + A)/2,
-    (I - A)/2), transposed, are contracted into its two indices in turn
-    (``contract_site``), leaving one outcome index per party: O(k n 4^n)
+    ``linalg.contract_sites`` contracts each party's k projector pairs
+    ((I + A)/2, (I - A)/2), transposed, into that party's row and column
+    indices of the state, leaving one outcome index per party: O(k n 4^n)
     work and no 2^n x 2^n operator per outcome.  It assumes no structure of
     the state.
     """
@@ -155,13 +160,7 @@ def _contracted_distribution(state: np.ndarray, settings: np.ndarray,
     pairs = np.stack([(np.eye(2) + a) / 2, (np.eye(2) - a) / 2], axis=-1)
     # Transposed, each pair maps a site's (row, column) to its outcome.
     operators = pairs.swapaxes(2, 3).reshape(k, n, 4, 2)
-    tensor = np.broadcast_to(state, (k,) + state.shape).reshape(
-        (k,) + (2,) * (2 * n))
-    for j in range(n):
-        # Party j's row and column indices lead the row and column halves
-        # of what is left; its outcome index is appended at the end.
-        tensor = contract_site(tensor, (1, 1 + n - j), operators[:, j])
-    return tensor.real.reshape(k, 2 ** n)
+    return contract_sites(state, operators).real
 
 
 def sample_outcomes(dist: np.ndarray, shots: int,
@@ -267,7 +266,7 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
         family=protocol.family,
         n=protocol.n,
         noise_kind=noise.kind,
-        visibility=noise.visibility,
+        visibility=float(noise.visibility),
         shots_per_setting=shots_per_setting,
         seed=seed,
         estimated_beta=beta_hat,

@@ -15,8 +15,8 @@ flipping the dephasing axis from X to Y at alpha = pi/4.  The channel is
 unital, self-adjoint, trace preserving, and maps persymmetric matrices to
 persymmetric matrices.  ``apply_channel`` is a dense reference route: it
 contracts each site's Kraus superoperator into that site's row and column
-indices, for one angle tuple or a batch of them at once, and assumes no
-structure of its input.
+indices through ``linalg.contract_sites``, for one angle tuple or a batch of
+them at once, and assumes no structure of its input.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import ANGLE_SLACK, SQRT2, BellProtocol, check_angles, ghz_phase
-from .linalg import contract_site, interleaved_to_matrix
+from .linalg import contract_sites
 
 
 def g_values(alpha: np.ndarray) -> np.ndarray:
@@ -66,12 +66,10 @@ def apply_channel(mat: np.ndarray,
     2^n x 2^n matrix, or a batch of k tuples, shape (k, n), giving the k
     images of ``mat``, shape (k, 2^n, 2^n); ``check_angles`` refuses any
     other shape, an empty tuple or batch, and any angle outside the domain.
-    The matrix is reshaped to one row and one column index per site, behind
-    a batch axis, and each site's superoperator sum_k K_k (.) K_k^dagger is
-    contracted into its two indices in turn: one batched matmul per site of
-    the tensor, laid out (k, rest, row column), against the k superoperators
-    of that site, (k, 4, 4).  O(k n 4^n) work and no 2^n x 2^n Kraus
-    operator.
+    ``linalg.contract_sites`` contracts each site's k superoperators
+    sum_k K_k (.) K_k^dagger, laid out (row column in, row column out), into
+    that site's row and column indices of the matrix: O(k n 4^n) work and no
+    2^n x 2^n Kraus operator.
     """
     a = np.asarray(angles)
     n = a.shape[-1] if a.ndim else 0
@@ -85,13 +83,7 @@ def apply_channel(mat: np.ndarray,
     # Indexed (sample, site, row in column in, row out column out).
     superoperators = np.einsum("...kab,...kcd->...bdac", kraus,
                                kraus.conj()).reshape(len(batch), n, 4, 4)
-    tensor = np.broadcast_to(mat, (len(batch), dim, dim)).reshape(
-        (len(batch),) + (2,) * (2 * n))
-    for j in range(n):
-        # Site j's row and column indices lead the row and column halves of
-        # what is left; its output pair is appended at the end.
-        tensor = contract_site(tensor, (1, 1 + n - j), superoperators[:, j])
-    out = interleaved_to_matrix(tensor)
+    out = contract_sites(mat, superoperators)
     return out if a.ndim == 2 else out[0]
 
 

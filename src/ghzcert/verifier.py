@@ -213,7 +213,7 @@ def _block_array(t: np.ndarray, n: int) -> np.ndarray:
     One matrix or a batch of k gives shape (k, 2^(n-1), 2, 2), k = 1 for one
     matrix; ``t`` must already be a complex array.
     """
-    dim = 2 ** n
+    dim = 2 ** check_integer(n, "party count", lo=1)
     if t.ndim not in (2, 3) or t.shape[-2:] != (dim, dim):
         raise ValueError(f"expected {dim} x {dim} matrices, got {t.shape}")
     if not np.isfinite(t).all():

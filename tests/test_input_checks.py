@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
@@ -18,12 +19,13 @@ import pytest
 
 from ghzcert import cli
 from ghzcert.bell import (SVETLICHNY, BellProtocol, build_operator,
-                          check_integer, check_real, local_bound, observable)
+                          check_integer, check_real, local_bound, observable,
+                          validate_state)
 from ghzcert.simulate import (NoiseModel, born_probabilities, certify,
                               estimate_violation, sample_outcomes)
 from ghzcert.states import apply_channel, ghz_state
 from ghzcert.tradeoff import emit_curve, fidelity_lower_bound
-from ghzcert.verifier import (GridSpec, catalog_constants,
+from ghzcert.verifier import (GridSpec, block_decompose, catalog_constants,
                               closed_form_crosscheck, min_eig_over_grid,
                               parity_projector, projector_lambda,
                               sv3_block_functions)
@@ -200,6 +202,27 @@ MALFORMED = {
     "closed form string angles *": (
         lambda: sv3_block_functions(("0.1", "0.2", "0.3"), C3.s),
         "angles must be real, got dtype <U3"),
+    "state check of None parties *": (
+        lambda: validate_state(ghz_state(SV3), None),
+        "party count must be an integer, got None"),
+    "state check of 3.0 parties *": (
+        lambda: validate_state(ghz_state(SV3), 3.0),
+        "party count must be an integer, got 3.0"),
+    "state check of -1 parties": (
+        lambda: validate_state(ghz_state(SV3), -1),
+        "party count must be at least 1 and at most inf, got -1"),
+    "block decomposition of '3' parties *": (
+        lambda: block_decompose(ghz_state(SV3), "3"),
+        "party count must be an integer, got '3'"),
+    "Born scalar angle *": (
+        lambda: born_probabilities(ghz_state(SV3), (0, 1, 0), 0.3),
+        r"expected 1 angles per tuple, got shape \(\)"),
+    "estimate scalar angle *": (
+        lambda: estimate_violation(SV3, ghz_state(SV3), 0.3, 10, 1),
+        r"expected 3 angles per tuple, got shape \(\)"),
+    "estimate with two angles": (
+        lambda: estimate_violation(SV3, ghz_state(SV3), QUARTER3[:2], 10, 1),
+        r"expected 3 angles per tuple, got shape \(2,\)"),
 }
 
 
@@ -207,3 +230,13 @@ MALFORMED = {
 def test_malformed_input_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("visibility", [np.float32(0.5), Fraction(1, 2)])
+def test_record_with_a_non_float_visibility_persists(tmp_path, visibility):
+    log = tmp_path / "runs.jsonl"
+    record = certify(C3, NoiseModel("visibility", visibility), 100, 1,
+                     log_path=str(log))
+    assert record.persisted
+    assert json.loads(log.read_text())["visibility"] == 0.5
+    assert '"visibility": 0.5,' in log.read_text()

@@ -553,7 +553,7 @@ def test_closed_form_rejects_bad_settings_and_angles():
     with pytest.raises(ValueError, match="real, got dtype complex128"):
         born_probabilities(state, (0, 1, 0), (0.3, 0.1j, 0.2))
     for angles in ((math.pi / 4,), QUARTER3 + (0.1,)):
-        with pytest.raises(ValueError, match="settings, got 3"):
+        with pytest.raises(ValueError, match="expected 3 angles per tuple"):
             estimate_violation(BellProtocol(SVETLICHNY, 3), state, angles,
                                shots_per_setting=10, seed=0)
 
