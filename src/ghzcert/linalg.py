@@ -56,8 +56,7 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def contract_sites(tensor: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """Contract every site's indices of k copies of ``tensor`` with k
-    operators per site.
+    """Contract each site of k copies of ``tensor`` with its k operators.
 
     ``tensor`` is one size-2 index per site, shape (2,) * n, or a 2^n x 2^n
     matrix; ``operators`` has shape (k, n, d, e), site j's operators

@@ -11,9 +11,8 @@ plus antidiagonal, and on such a state every distribution has a closed form
 in the 2^(n-1) antidiagonal corners.  Any other state, such as a
 ``separable_mixture`` with an arbitrary background, is contracted site by
 site, every row at once, through ``linalg.contract_sites``.
-``born_probabilities`` is the one-row call of the same kernel.  Counts,
-seeds, angles and the visibility pass ``bell``'s checks; a record stores the
-visibility as a float.
+``born_probabilities`` is the one-row call of the same kernel.  Counts, seeds,
+angles and the visibility, a float in records, pass ``bell``'s checks.
 """
 from __future__ import annotations
 
@@ -88,15 +87,16 @@ def born_probabilities(state: np.ndarray, settings: Sequence[int],
     Outcome index bit j (most significant first) is 0 for outcome +1 of
     party j and 1 for outcome -1.  This is the one-row call of the batched
     kernel ``estimate_violation`` samples from, so both give the same bits;
-    see ``_born_table`` for the two routes.  The angles are checked first,
-    and the settings must give one choice per angle.
+    see ``_born_table`` for the two routes.  One setting per angle.
     """
-    alphas = check_angles(angles, np.size(angles))
-    n = len(alphas)
+    shape = np.shape(angles)
+    if len(shape) != 1:
+        raise ValueError(f"angles must be one tuple, got shape {shape}")
+    n = shape[0]
     settings = np.reshape(settings, (1, -1))
     if settings.shape[1] != n:
         raise ValueError(f"expected {n} settings, got {settings.shape[1]}")
-    return _born_table(validate_state(state, n), settings, alphas)[0]
+    return _born_table(validate_state(state, n), settings, angles)[0]
 
 
 def _born_table(state: np.ndarray, settings: np.ndarray,
@@ -117,10 +117,12 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
     every row at once (``_contracted_distribution``).  The table is laid out as
     (settings, pairs) and every reduction runs along a contiguous last axis,
     so each row's bits do not depend on the other rows.  The settings rows
-    give n, and the angles must be n of them.
+    give n, and the angles must be one tuple of n.
     """
     n = settings.shape[1]
     alphas = check_angles(angles, n)
+    if alphas.ndim != 1:
+        raise ValueError(f"angles must be one tuple, got shape {alphas.shape}")
     if not np.all((settings == 0) | (settings == 1)):
         raise ValueError(f"settings must be 0 or 1, got {settings.tolist()}")
     settings = settings.astype(int)

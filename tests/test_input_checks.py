@@ -216,13 +216,25 @@ MALFORMED = {
         "party count must be an integer, got '3'"),
     "Born scalar angle *": (
         lambda: born_probabilities(ghz_state(SV3), (0, 1, 0), 0.3),
-        r"expected 1 angles per tuple, got shape \(\)"),
+        r"angles must be one tuple, got shape \(\)"),
     "estimate scalar angle *": (
         lambda: estimate_violation(SV3, ghz_state(SV3), 0.3, 10, 1),
         r"expected 3 angles per tuple, got shape \(\)"),
     "estimate with two angles": (
         lambda: estimate_violation(SV3, ghz_state(SV3), QUARTER3[:2], 10, 1),
         r"expected 3 angles per tuple, got shape \(2,\)"),
+    "Born angle batch of one": (
+        lambda: born_probabilities(ghz_state(SV3), (0, 1, 0),
+                                   np.full((1, 3), math.pi / 4)),
+        r"angles must be one tuple, got shape \(1, 3\)"),
+    "estimate angle batch of one": (
+        lambda: estimate_violation(SV3, ghz_state(SV3),
+                                   np.full((1, 3), math.pi / 4), 10, 1),
+        r"angles must be one tuple, got shape \(1, 3\)"),
+    "estimate angle batch of one tuple per setting": (
+        lambda: estimate_violation(SV3, ghz_state(SV3),
+                                   np.full((8, 3), math.pi / 4), 10, 1),
+        r"angles must be one tuple, got shape \(8, 3\)"),
 }
 
 
