@@ -40,9 +40,9 @@ it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) through ``linalg.contract_sites`` (``local_bound`` does so with
 its outcome pairs), for one angle tuple or a batch of them at once, and
 assumes no structure of W.
-Each input the library takes from a caller passes one check here, by kind:
-``check_integer`` (counts, seeds, 0/1 labels), ``check_real`` (real
-numbers) or ``check_angles``, which raise a ValueError naming the input.
+Each input from a caller passes one check here, by kind: ``check_integer``
+(counts, seeds, 0/1 labels), ``check_real``, ``check_angles`` or
+``check_matrix`` (2^n x 2^n, n <= 6), each raising a ValueError naming it.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .linalg import (HERMITICITY_TOL, chunk_sign_products,
+from .linalg import (check_hermitian, chunk_sign_products,
                      conjugate_pair_sum, contract_sites,
                      least_block_eigenvalue, walk_canonical, x_blocks)
 from .root2 import Root2
@@ -181,6 +181,18 @@ def check_angles(angles: Sequence[float] | np.ndarray, n: int,
         raise ValueError(f"angle {a[~inside][0]} outside "
                          f"[0, pi/{round(math.pi / upper)}]")
     return a
+
+
+def check_matrix(m: np.ndarray, n: int, what: str,
+                 batch: bool = False) -> np.ndarray:
+    """``m`` as a complex 2^n x 2^n matrix, or with ``batch`` also a batch
+    (k, 2^n, 2^n), for a party count n in [1, 6]; ValueError names the
+    party count, or the ``what`` of any other shape."""
+    dim = 2 ** check_integer(n, "party count", 1, _MAX_PARTIES)
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (dim, dim) or m.ndim not in ((2, 3) if batch else (2,)):
+        raise ValueError(f"expected {dim} x {dim} {what}, got {m.shape}")
+    return m
 
 
 def _observable_pairs(alpha: np.ndarray) -> np.ndarray:
@@ -375,21 +387,15 @@ def chunk_corner_entries(trig: np.ndarray, z: complex,
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
     """Check that ``rho`` is an n-qubit density matrix and return it.
 
-    Hermiticity, unit trace and positivity are each checked once, and each
-    comparison fails on NaN; a non-finite entry fails the Hermiticity check,
-    since its own difference is NaN or infinite, and finite entries that
-    overflow a check fail it without a warning.  When ``rho`` is diagonal
-    plus antidiagonal (``x_blocks``), its least eigenvalue is the least over
-    its 2^(n-1) 2 x 2 blocks (``least_block_eigenvalue``); any other state
-    takes numpy's full ``eigvalsh`` spectrum.
+    Shape (``check_matrix``), Hermiticity (``check_hermitian``, which any
+    non-finite entry fails), unit trace and positivity are each checked
+    once, each comparison failing on NaN and, unwarned, on overflow.  When
+    ``rho`` is diagonal plus antidiagonal (``x_blocks``), its least
+    eigenvalue is the least over its 2^(n-1) 2 x 2 blocks
+    (``least_block_eigenvalue``); any other state takes numpy's ``eigvalsh``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** check_integer(n, "party count", lo=1)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} state, got {rho.shape}")
+    rho = check_hermitian(check_matrix(rho, n, "state"), "state")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError("state is not Hermitian within tolerance")
         if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
             raise ValueError("state trace differs from 1")
         blocks, off_lines = x_blocks(rho)

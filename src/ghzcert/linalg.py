@@ -10,9 +10,9 @@ permutation orbit) and the one chunked walk over one or more such grids
 (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the one reader of the 2 x 2 pair blocks of an
 X matrix or a batch (``x_blocks``, which the state check, the Born table and
-``verifier.block_decompose`` call) and their least eigenvalue, and a checked
-Hermitian spectrum.  Certification and state validation read their spectra
-from closed-form 2 x 2 blocks; the full spectrum serves the tests.
+``verifier.block_decompose`` call) and their least eigenvalue, which
+certification and state validation read, and the one Hermiticity check
+(``check_hermitian``) of states and of the full spectrum the tests read.
 
 The canonical index layout depends only on the axis lengths and on which
 axes are equal, so it is built once per such structure and cached:
@@ -340,16 +340,22 @@ def least_block_eigenvalue(blocks: np.ndarray) -> float:
                         - np.hypot((a - c) / 2, np.abs(blocks[..., 1, 0]))))
 
 
+def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """Return square ``m`` if Hermitian within ``HERMITICITY_TOL``, else raise
+    ValueError naming ``what`` (also, unwarned, on a non-finite difference)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
+            raise ValueError(f"{what} is not Hermitian within tolerance")
+    return m
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, sorted ascending.
 
-    Raises ValueError for non-square or non-Hermitian input, which includes
-    any non-finite entry; the spectrum is numpy's ``eigvalsh``.
+    Raises ValueError for non-square or non-Hermitian input
+    (``check_hermitian``); the spectrum is numpy's ``eigvalsh``.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    # A non-finite entry makes its own difference NaN or infinite.
-    if not np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(a)
+    return np.linalg.eigvalsh(check_hermitian(a, "matrix"))

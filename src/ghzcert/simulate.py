@@ -25,8 +25,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bell import (BellProtocol, _coefficient_tensor, _observable_pairs,
-                   check_angles, check_integer, check_real, validate_state)
+from .bell import (_MAX_PARTIES, BellProtocol, _coefficient_tensor,
+                   _observable_pairs, check_angles, check_integer, check_real,
+                   validate_state)
 from .linalg import contract_sites, sign_products, x_blocks
 from .states import ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
@@ -64,8 +65,7 @@ def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
     if noise.kind == "visibility":
         background = np.eye(protocol.dim, dtype=complex) / protocol.dim
     else:
-        background = validate_state(np.asarray(noise.sigma, dtype=complex),
-                                    protocol.n)
+        background = validate_state(noise.sigma, protocol.n)
     return v * rho + (1.0 - v) * background
 
 
@@ -73,8 +73,9 @@ def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
 def outcome_products(n: int) -> np.ndarray:
     """Product of the n outcome signs for each outcome index.
 
-    Cached per n; the returned array is read-only.
+    Cached per n, a party count in [1, 6]; the returned array is read-only.
     """
+    n = check_integer(n, "party count", 1, _MAX_PARTIES)
     products = sign_products(np.ones((n, 1)), -np.ones((n, 1)))[:, 0]
     products.setflags(write=False)
     return products

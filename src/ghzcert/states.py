@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import ANGLE_SLACK, SQRT2, BellProtocol, check_angles, ghz_phase
+from .bell import (ANGLE_SLACK, SQRT2, BellProtocol, check_angles,
+                   check_matrix, ghz_phase)
 from .linalg import contract_sites
 
 
@@ -64,8 +65,8 @@ def apply_channel(mat: np.ndarray,
 
     ``angles`` is one tuple of n angles in [0, pi/2], shape (n,), giving one
     2^n x 2^n matrix, or a batch of k tuples, shape (k, n), giving the k
-    images of ``mat``, shape (k, 2^n, 2^n); ``check_angles`` refuses any
-    other shape, an empty tuple or batch, and any angle outside the domain.
+    images of ``mat``, shape (k, 2^n, 2^n); ``check_angles`` and
+    ``check_matrix`` refuse any other shape or angle, and n above 6.
     ``linalg.contract_sites`` contracts each site's k superoperators
     sum_k K_k (.) K_k^dagger, laid out (row column in, row column out), into
     that site's row and column indices of the matrix: O(k n 4^n) work and no
@@ -74,10 +75,7 @@ def apply_channel(mat: np.ndarray,
     a = np.asarray(angles)
     n = a.shape[-1] if a.ndim else 0
     a = check_angles(a, n)
-    mat = np.asarray(mat, dtype=complex)
-    dim = 2 ** n
-    if mat.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
+    mat = check_matrix(mat, n, "matrix")
     batch = a.reshape(-1, n)
     kraus = _kraus_stack(batch)
     # Indexed (sample, site, row in column in, row out column out).

@@ -81,6 +81,7 @@ def tightness_check(protocol: BellProtocol) -> bool:
 
 def relative_violation(protocol: BellProtocol, beta_O: float) -> float:
     """Rescale beta_O so the local bound maps to 0 and the quantum to 1."""
+    beta_O = check_real(beta_O, "observed value")
     return (beta_O - protocol.beta_L) / (protocol.beta_Q - protocol.beta_L)
 
 

@@ -41,8 +41,8 @@ Independent routes cross-check the reduction:
   a batch of them and runs the same numpy expressions on both.
 * ``closed_form_crosscheck`` samples random angle tuples and confirms all of
   the above against the matrix route in batches of tuples: one ``build_T``
-  call and one call of each closed form per batch, each check one boolean
-  mask over the batch.
+  and one ``block_decompose`` call and one call of each closed form per
+  batch, each check one boolean mask over the batch.
 """
 from __future__ import annotations
 
@@ -55,8 +55,9 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, check_integer, check_real,
-                   chunk_corner_entries, corner_coefficient, ghz_phase)
+                   build_operator, check_angles, check_integer,
+                   check_matrix, check_real, chunk_corner_entries,
+                   corner_coefficient, ghz_phase)
 from .linalg import (chunk_sign_products, conjugate_pair_sum, walk_canonical,
                      x_blocks)
 from .root2 import Root2
@@ -191,40 +192,27 @@ def build_T(protocol: BellProtocol, angles: Sequence[float] | np.ndarray,
     return lam - s * w - mu * np.eye(protocol.dim)
 
 
-def block_decompose(t: np.ndarray, n: int) -> list:
+def block_decompose(t: np.ndarray, n: int) -> np.ndarray:
     """Split diagonal-plus-antidiagonal matrices into their 2 x 2 blocks.
 
-    Block i is t restricted to the index pair (i, 2^n - 1 - i), the i-th
-    diagonal block after the permutation that pairs each index with its
-    complement.  One
-    matrix, shape (2^n, 2^n), gives its list of blocks; a batch of k,
-    shape (k, 2^n, 2^n), gives k such lists.  Raises ValueError on
-    non-finite input and StructureViolation if any entry of any matrix off
-    the diagonal and antidiagonal exceeds ``_BLOCK_RESIDUE_TOL`` (1e-12).
+    Block i is t on the index pair (i, 2^n - 1 - i), the i-th diagonal
+    block after pairing each index with its complement (``x_blocks``).
+    One matrix, (2^n, 2^n), or a batch of k, (k, 2^n, 2^n), passes
+    ``check_matrix`` and gives its blocks, shape (2^(n-1), 2, 2) or
+    (k, 2^(n-1), 2, 2).  Raises ValueError on non-finite input and
+    StructureViolation if any entry off the diagonal and antidiagonal
+    exceeds ``_BLOCK_RESIDUE_TOL`` (1e-12).
     """
-    t = np.asarray(t, dtype=complex)
-    blocks = [list(matrix) for matrix in _block_array(t, n)]
-    return blocks if t.ndim == 3 else blocks[0]
-
-
-def _block_array(t: np.ndarray, n: int) -> np.ndarray:
-    """The blocks of ``block_decompose`` as one array, with the same checks.
-
-    One matrix or a batch of k gives shape (k, 2^(n-1), 2, 2), k = 1 for one
-    matrix; ``t`` must already be a complex array.
-    """
-    dim = 2 ** check_integer(n, "party count", lo=1)
-    if t.ndim not in (2, 3) or t.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected {dim} x {dim} matrices, got {t.shape}")
+    t = check_matrix(t, n, "matrices", batch=True)
     if not np.isfinite(t).all():
         raise ValueError("matrix has non-finite entries")
-    blocks, worst = x_blocks(t.reshape(-1, dim, dim))
+    blocks, worst = x_blocks(t.reshape((-1,) + t.shape[-2:]))
     if not (worst <= _BLOCK_RESIDUE_TOL).all():
         index = int(np.argmax(worst))
         raise StructureViolation(
             f"off-block weight {worst[index]} of matrix {index} exceeds "
             f"tolerance {_BLOCK_RESIDUE_TOL}", index)
-    return blocks
+    return blocks if t.ndim == 3 else blocks[0]
 
 
 def _min_block_over_products(
@@ -601,7 +589,7 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
                             size=(min(chunk, samples - start), protocol.n))
         ts = build_T(protocol, batch, constants.s, constants.mu)
         try:
-            blocks = _block_array(ts, protocol.n)
+            blocks = block_decompose(ts, protocol.n)
         except StructureViolation as exc:
             index = start + exc.index
             raise StructureViolation(

@@ -3,8 +3,8 @@
 ``build_operator``, ``apply_channel`` and ``build_T`` take one angle tuple,
 shape (n,), or a batch of k, shape (k, n); a batch must equal the stack of
 its single-tuple calls bit for bit, and one bad row must refuse the whole
-batch.  ``block_decompose`` splits a batch of matrices into one list of
-blocks per matrix.
+batch.  ``block_decompose`` splits a batch of matrices into one array of
+blocks, one row per matrix.
 """
 from __future__ import annotations
 

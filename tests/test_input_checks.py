@@ -21,10 +21,13 @@ from ghzcert import cli
 from ghzcert.bell import (SVETLICHNY, BellProtocol, build_operator,
                           check_integer, check_real, local_bound, observable,
                           validate_state)
+from ghzcert.linalg import hermitian_eigenvalues
 from ghzcert.simulate import (NoiseModel, born_probabilities, certify,
-                              estimate_violation, sample_outcomes)
+                              estimate_violation, outcome_products,
+                              sample_outcomes)
 from ghzcert.states import apply_channel, ghz_state
-from ghzcert.tradeoff import emit_curve, fidelity_lower_bound
+from ghzcert.tradeoff import (emit_curve, fidelity_lower_bound,
+                              relative_violation)
 from ghzcert.verifier import (GridSpec, block_decompose, catalog_constants,
                               closed_form_crosscheck, min_eig_over_grid,
                               parity_projector, projector_lambda,
@@ -210,7 +213,31 @@ MALFORMED = {
         "party count must be an integer, got 3.0"),
     "state check of -1 parties": (
         lambda: validate_state(ghz_state(SV3), -1),
-        "party count must be at least 1 and at most inf, got -1"),
+        "party count must be at least 1 and at most 6, got -1"),
+    "state check of 20000 parties": (
+        lambda: validate_state(np.eye(2) / 2, 20000),
+        "party count must be at least 1 and at most 6, got 20000"),
+    "block decomposition of 20000 parties": (
+        lambda: block_decompose(np.eye(2), 20000),
+        "party count must be at least 1 and at most 6, got 20000"),
+    "channel of 20000 parties": (
+        lambda: apply_channel(np.eye(2), np.zeros(20000)),
+        "party count must be at least 1 and at most 6, got 20000"),
+    "spectrum of an overflowing difference": (
+        lambda: hermitian_eigenvalues([[0, 1e308], [-1e308, 0]]),
+        "matrix is not Hermitian"),
+    "outcome products of 1.5 parties *": (
+        lambda: outcome_products(1.5),
+        "party count must be an integer, got 1.5"),
+    "outcome products of 0 parties *": (
+        lambda: outcome_products(0),
+        "party count must be at least 1 and at most 6, got 0"),
+    "relative violation complex *": (
+        lambda: relative_violation(SV3, 1j),
+        "observed value must be a finite real number, got 1j"),
+    "relative violation string *": (
+        lambda: relative_violation(SV3, "5"),
+        "observed value must be a finite real number, got '5'"),
     "block decomposition of '3' parties *": (
         lambda: block_decompose(ghz_state(SV3), "3"),
         "party count must be an integer, got '3'"),

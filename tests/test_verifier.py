@@ -782,6 +782,23 @@ def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
                 assert np.array_equal(np.concatenate(batches), draws)
 
 
+def test_closed_form_crosscheck_reads_blocks_through_block_decompose(
+        monkeypatch):
+    # 33 samples at n = 4 are a chunk of 32 and a tail of one; each chunk's
+    # blocks are read by the public function, the one a tracer can wrap.
+    calls = []
+    original = ghzcert.verifier.block_decompose
+
+    def counting(t, n):
+        calls.append(len(t))
+        return original(t, n)
+
+    monkeypatch.setattr(ghzcert.verifier, "block_decompose", counting)
+    report = closed_form_crosscheck(BellProtocol(SVETLICHNY, 4), samples=33)
+    assert report["passed"]
+    assert calls == [32, 1]
+
+
 def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
     protocol = BellProtocol(SVETLICHNY, 4)
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
