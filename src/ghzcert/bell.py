@@ -224,8 +224,9 @@ def build_operator(protocol: BellProtocol,
     is the batch of one.  ``linalg.contract_sites`` contracts the
     coefficient tensor c(x) with each party's k stacked pairs (A^0, A^1),
     laid out (x, row column), which replaces that party's setting index by
-    its row and column indices.
+    its row and column indices.  ValueError for n above 6.
     """
+    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     a = check_angles(angles, protocol.n)
     batch = a.reshape(-1, protocol.n)
     pairs = _observable_pairs(batch).reshape(len(batch), protocol.n, 2, 4)

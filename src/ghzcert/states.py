@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import (ANGLE_SLACK, SQRT2, BellProtocol, check_angles,
-                   check_matrix, ghz_phase)
+from .bell import (_MAX_PARTIES, _MIN_PARTIES, ANGLE_SLACK, SQRT2,
+                   BellProtocol, check_angles, check_integer, check_matrix,
+                   ghz_phase)
 from .linalg import contract_sites
 
 
@@ -91,8 +92,9 @@ def ghz_state(protocol: BellProtocol) -> np.ndarray:
 
     psi is ``ghz_phase``, the phase the certificate scan reads; only the
     corner pair (0, 2^n - 1) is nonzero.  Cached per protocol; the returned
-    matrix is read-only.
+    matrix is read-only.  ValueError for n above 6.
     """
+    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     last = protocol.dim - 1
     psi = ghz_phase(protocol)
     rho = np.zeros((protocol.dim, protocol.dim), dtype=complex)

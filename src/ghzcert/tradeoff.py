@@ -16,10 +16,9 @@ from typing import List
 
 from .bell import BellProtocol, check_integer, check_real
 from .root2 import SQRT2
-from .verifier import CertificateConstants, catalog_constants
+from .verifier import _CATALOG, CertificateConstants, catalog_constants
 
 _BETA_SLACK = 1e-9
-_TIGHTNESS_TOL = 1e-12
 # Most points emit_curve builds, at about 2 us and 180 bytes each.
 MAX_CURVE_POINTS = 100_000
 
@@ -72,11 +71,12 @@ def upper_bound_reference(protocol: BellProtocol) -> float:
 
 
 def tightness_check(protocol: BellProtocol) -> bool:
-    """Whether the certified lower bound meets the model upper bound."""
-    constants = catalog_constants(protocol)
-    reference = upper_bound_reference(protocol)
-    slope = 0.5 / (protocol.beta_Q - reference)
-    return bool(abs(constants.s - slope) <= _TIGHTNESS_TOL)
+    """Whether the certified lower bound meets the model upper bound, decided
+    exactly in Q[sqrt(2)]: 2 s (beta_Q - beta_Q/sqrt(2)) == 1, s the slope."""
+    catalog_constants(protocol)  # refuses a scenario outside the catalog
+    s = _CATALOG[(protocol.family, protocol.n)]
+    beta_q = protocol.beta_Q_exact
+    return bool(2 * s * (beta_q - beta_q / SQRT2) == 1)
 
 
 def relative_violation(protocol: BellProtocol, beta_O: float) -> float:

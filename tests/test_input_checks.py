@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ghzcert import cli
-from ghzcert.bell import (SVETLICHNY, BellProtocol, build_operator,
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
                           check_integer, check_real, local_bound, observable,
                           validate_state)
 from ghzcert.linalg import hermitian_eigenvalues
@@ -223,6 +223,18 @@ MALFORMED = {
     "channel of 20000 parties": (
         lambda: apply_channel(np.eye(2), np.zeros(20000)),
         "party count must be at least 1 and at most 6, got 20000"),
+    "operator of 7 parties *": (
+        lambda: build_operator(BellProtocol(SVETLICHNY, 7), (0.5,) * 7),
+        "party count must be at least 3 and at most 6, got 7"),
+    "operator of 20 parties *": (
+        lambda: build_operator(BellProtocol(SVETLICHNY, 20), (0.5,) * 20),
+        "party count must be at least 3 and at most 6, got 20"),
+    "GHZ state of 7 parties *": (
+        lambda: ghz_state(BellProtocol(MABK, 7)),
+        "party count must be at least 3 and at most 6, got 7"),
+    "GHZ state of 20 parties *": (
+        lambda: ghz_state(BellProtocol(MABK, 20)),
+        "party count must be at least 3 and at most 6, got 20"),
     "spectrum of an overflowing difference": (
         lambda: hermitian_eigenvalues([[0, 1e308], [-1e308, 0]]),
         "matrix is not Hermitian"),

@@ -120,7 +120,7 @@ def test_served_state_is_the_ghz_phase_corner_pair():
     # The certificate scan takes psi = ghz_phase and never reads the served
     # state; this ties the two together.
     for family in (SVETLICHNY, MABK):
-        for n in (3, 4, 5, 6, 7):
+        for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
             rho = ghz_state(protocol)
             psi = ghz_phase(protocol)
@@ -132,6 +132,9 @@ def test_served_state_is_the_ghz_phase_corner_pair():
             assert rho[last, 0] == psi / 2
             assert rho[0, last] == np.conj(psi) / 2
             assert np.trace(rho) == 1.0
+        # The dense state is refused where the dense route ends.
+        with pytest.raises(ValueError, match="at most 6, got 7"):
+            ghz_state(BellProtocol(family, 7))
 
 
 def test_ghz_phase_pair_is_the_unique_maximal_corner():

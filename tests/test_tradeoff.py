@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ghzcert.tradeoff
+import ghzcert.verifier
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
+from ghzcert.root2 import Root2
 from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
                               emit_curve, fidelity_lower_bound, format_float,
                               is_trivial_bound, relative_violation,
@@ -117,6 +121,49 @@ def test_tightness_catalog():
     }
     for (family, n), value in expected.items():
         assert tightness_check(BellProtocol(family, n)) is value
+
+
+def test_tightness_is_exact_for_a_near_tight_slope(monkeypatch):
+    # A slope 1e-15 off the tight line is within any float tolerance of it,
+    # yet the line it gives is not the best possible.
+    key = (SVETLICHNY, 4)
+    catalog_constants.cache_clear()
+    monkeypatch.setitem(ghzcert.verifier._CATALOG, key,
+                        ghzcert.verifier._CATALOG[key]
+                        * Root2(Fraction(10 ** 15 + 1, 10 ** 15)))
+    try:
+        assert tightness_check(BellProtocol(*key)) is False
+    finally:
+        catalog_constants.cache_clear()
+
+
+def _root2(x):
+    return x if isinstance(x, Root2) else Root2(x)
+
+
+@pytest.mark.parametrize("name, op", [
+    ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+    ("/", operator.truediv)])
+def test_root2_operands_follow_one_rule(name, op):
+    # Tightness rests on this arithmetic: a Root2, int or Fraction operand
+    # acts as its Root2, in either order, and any other raises TypeError.
+    x = Root2(Fraction(3, 16), Fraction(-1, 8))
+    for other in (Root2(2, 1), 3, Fraction(-5, 7), True):
+        for left, right in ((x, other), (other, x)):
+            assert op(left, right) == op(_root2(left), _root2(right)), name
+    for other in (0.5, "2", None):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
+def test_root2_equality_follows_the_same_rule():
+    assert Root2(3) == 3 and 3 == Root2(3)
+    assert Root2(Fraction(1, 2)) == Fraction(1, 2)
+    assert Root2(2, 1) == Root2(Fraction(4, 2), 1)
+    assert Root2(3, 1) != 3 and Root2(2) != Fraction(1, 2)
+    for other in (3.0, "3", None):
+        assert (Root2(3) == other) is False and (other == Root2(3)) is False
 
 
 def test_tight_protocols_match_upper_bound_slope():
