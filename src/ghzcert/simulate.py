@@ -56,6 +56,8 @@ class NoiseModel:
         check_real(self.visibility, "visibility", 0.0, 1.0)
         if self.kind == "separable_mixture" and self.sigma is None:
             raise ValueError("separable_mixture requires a sigma state")
+        if self.kind == "visibility" and self.sigma is not None:
+            raise ValueError("visibility noise takes no sigma state")
 
 
 def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:

@@ -40,9 +40,10 @@ Independent routes cross-check the reduction:
   the determinant and parity-sector routes.  Each takes one angle tuple or
   a batch of them and runs the same numpy expressions on both.
 * ``closed_form_crosscheck`` samples random angle tuples and confirms all of
-  the above against the matrix route in batches of tuples: one ``build_T``
-  and one ``block_decompose`` call and one call of each closed form per
-  batch, each check one boolean mask over the batch.
+  the above against the matrix route in batches of tuples, reading the
+  certificate only through ``block_decompose``: one ``build_T`` and one
+  ``block_decompose`` call and one call of each closed form per batch, each
+  check one boolean mask over the batch.
 """
 from __future__ import annotations
 
@@ -110,7 +111,8 @@ class GridSpec:
 
     ``points_per_axis`` may be any integer from 2, numpy's included, and is
     stored as an int; anything else, such as 5.0, raises ValueError.  The
-    ``domain`` (lo, hi), lo < hi, passes ``check_angles`` and is kept as given.
+    ``domain`` (lo, hi), lo < hi, passes ``check_angles`` and is stored as
+    a tuple of two floats, so equal specs compare and hash equal.
     ``refinement_depth`` is ``REFINEMENT_DEPTH`` as a class attribute, not
     a field: the benchmark worker reads it from an instance.
     """
@@ -125,6 +127,7 @@ class GridSpec:
         ends = check_angles(self.domain, 2)
         if not (ends.ndim == 1 and ends[0] < ends[1]):
             raise ValueError(f"invalid scan domain {self.domain}")
+        object.__setattr__(self, "domain", (float(ends[0]), float(ends[1])))
 
 
 @dataclass(frozen=True)
@@ -505,16 +508,6 @@ def parity_projector(x1: int, x2: int) -> np.ndarray:
             + (-1) ** (x1 + x2) * izz) / 4
 
 
-@functools.lru_cache(maxsize=None)
-def _parity_sectors() -> Dict[Tuple[int, int], np.ndarray]:
-    """Every ``parity_projector`` by its label pair, built once, read-only."""
-    sectors = {(x1, x2): parity_projector(x1, x2)
-               for x1 in (0, 1) for x2 in (0, 1)}
-    for projector in sectors.values():
-        projector.setflags(write=False)
-    return sectors
-
-
 def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
                      x1: int, x2: int) -> float | np.ndarray:
     """Closed-form pair invariant of the projected certificate matrix.
@@ -556,7 +549,8 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     Draws ``samples`` angle tuples from [0, pi/4]^n and checks the
     hand-expanded block entries (plus, for n = 4, the determinant expansion
     and the Sylvester positivity test, and for n = 3 the parity-sector
-    invariant) against the assembled certificate matrix.  Only the three- and
+    invariant) against the blocks of the assembled certificate matrix, read
+    by ``block_decompose`` and by nothing else.  Only the three- and
     four-party Svetlichny scenarios have closed forms.  ``samples`` must be
     an integer in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
     matrices are assembled in chunks of at most ``CROSSCHECK_CHUNK_ENTRIES``
@@ -565,23 +559,14 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     its sample's index in the whole run; failures are listed by sample,
     then by check.
     """
-    if protocol.family != SVETLICHNY or protocol.n not in (3, 4):
+    if protocol.family != SVETLICHNY or protocol.n not in _CROSSCHECKS:
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
     samples = check_integer(samples, "sample count", 1,
                             MAX_CROSSCHECK_SAMPLES)
     constants = catalog_constants(protocol)
     rng = np.random.default_rng(check_integer(seed, "seed"))
+    checks, messages, failure_mask = _CROSSCHECKS[protocol.n]
     failures: List[str] = []
-    if protocol.n == 3:
-        checks = ["block_entries", "parity_sector_invariant"]
-        sectors = _parity_sectors()
-        # One message per column of a chunk's failure mask.
-        messages = ([f"block {i} mismatch" for i in range(4)]
-                    + [f"sector ({x1},{x2}) mismatch" for x1, x2 in sectors])
-    else:
-        checks = ["block_entries", "determinant_expansion", "sylvester_test"]
-        messages = ["outer block mismatch", "determinant mismatch",
-                    "sylvester false positive", "sylvester false negative"]
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
     for start in range(0, samples, chunk):
         # One (k, n) draw is the same stream as k draws of n.
@@ -595,10 +580,7 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
             raise StructureViolation(
                 f"sample {index}: certificate matrix has off-block weight "
                 f"above tolerance {_BLOCK_RESIDUE_TOL}", index) from exc
-        if protocol.n == 3:
-            mask = _sv3_failures(batch, ts, blocks, sectors, constants.s)
-        else:
-            mask = _sv4_failures(batch, blocks, constants.s)
+        mask = failure_mask(batch, blocks, constants.s)
         # Sample first, then check, as the masks' rows and columns run.
         for offset, column in zip(*np.nonzero(mask)):
             failures.append(f"sample {start + offset}: {messages[column]}")
@@ -606,32 +588,32 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
         "family": protocol.family,
         "n": protocol.n,
         "samples": samples,
-        "checks": checks,
+        "checks": list(checks),
         "failures": failures,
         "passed": not failures,
     }
 
 
-def _sv3_failures(batch: np.ndarray, ts: np.ndarray, blocks: np.ndarray,
-                  sectors: Dict[Tuple[int, int], np.ndarray],
+def _sv3_failures(batch: np.ndarray, blocks: np.ndarray,
                   s: float) -> np.ndarray:
     """Failure mask of a chunk of three-party samples, shape (k, 8).
 
     Columns 0-3 flag blocks whose entries differ from
-    ``sv3_block_functions``; columns 4-7 flag parity sectors, in the order
-    of ``sectors`` (label pair to projector), whose ``projector_lambda``
-    differs from (Tr M)^2 - Tr(M^2) of the projected matrices M.
+    ``sv3_block_functions``; columns 4-7 flag parity sectors (x1, x2), in
+    lexicographic order, whose ``projector_lambda`` differs from twice the
+    determinant a c - |z|^2 of block b = 2 x1 + x2.  That is
+    (Tr M)^2 - Tr(M^2) of the projected matrix M = P T P:
+    ``parity_projector(x1, x2)`` is 1 exactly on indices b and 7 - b, and an
+    X matrix has no entry that links two pairs, so M is block b alone.
     """
     f = sv3_block_functions(batch, s)
-    columns = [(np.abs(blocks[:, :, 0, 0].real - f[:, 0::2]) > 1e-10)
-               | (np.abs(blocks[:, :, 0, 1] - f[:, 1::2]) > 1e-10)]
-    for (x1, x2), p in sectors.items():
-        m = p @ ts @ p
-        direct = (np.trace(m, axis1=1, axis2=2).real ** 2
-                  - np.trace(m @ m, axis1=1, axis2=2).real)
-        got = projector_lambda(batch, s, x1, x2)
-        columns.append((np.abs(got - direct) > 1e-10)[:, None])
-    return np.concatenate(columns, axis=1)
+    a, c = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    entries = ((np.abs(a - f[:, 0::2]) > 1e-10)
+               | (np.abs(blocks[..., 0, 1] - f[:, 1::2]) > 1e-10))
+    twice_det = 2 * (a * c - np.abs(blocks[..., 1, 0]) ** 2)
+    lam = np.stack([projector_lambda(batch, s, *divmod(b, 2))
+                    for b in range(4)], axis=1)
+    return np.concatenate([entries, np.abs(lam - twice_det) > 1e-10], axis=1)
 
 
 def _sv4_failures(batch: np.ndarray, blocks: np.ndarray,
@@ -656,3 +638,18 @@ def _sv4_failures(batch: np.ndarray, blocks: np.ndarray,
         (f1 > 1e-9) & (deter > 1e-9) & (lower < -1e-9),
         (lower > 1e-9) & ((f1 < -1e-9) | (deter < -1e-9)),
     ], axis=1)
+
+
+# Per party count: the report's check names, one failure message per column
+# of the chunk's failure mask, and the function that builds that mask from
+# the chunk's angles, its certificate blocks and the slope s.
+_CROSSCHECKS = {
+    3: (("block_entries", "parity_sector_invariant"),
+        [f"block {i} mismatch" for i in range(4)]
+        + [f"sector ({x1},{x2}) mismatch" for x1 in (0, 1) for x2 in (0, 1)],
+        _sv3_failures),
+    4: (("block_entries", "determinant_expansion", "sylvester_test"),
+        ["outer block mismatch", "determinant mismatch",
+         "sylvester false positive", "sylvester false negative"],
+        _sv4_failures),
+}

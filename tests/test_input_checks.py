@@ -117,6 +117,9 @@ MALFORMED = {
     "visibility 2": (
         lambda: NoiseModel("visibility", 2),
         "visibility must be at least 0.0 and at most 1.0, got 2"),
+    "visibility noise with sigma *": (
+        lambda: NoiseModel("visibility", 0.5, sigma=np.eye(8) / 8),
+        "visibility noise takes no sigma state"),
     "PSD tolerance complex *": (
         lambda: min_eig_over_grid(C3, SPEC, psd_tol=1e-8 + 0j),
         "PSD tolerance must be a finite real number"),

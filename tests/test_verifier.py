@@ -560,19 +560,26 @@ def test_grid_spec_validation():
         with pytest.raises(ValueError, match=re.escape(
                 f"grid points per axis must be an integer, got {bad!r}")):
             GridSpec(points_per_axis=bad)
+    # An array or list domain is stored as a tuple of floats, so the frozen
+    # spec compares and hashes, where it once raised on either.
+    tuple_spec = GridSpec(5, domain=(0.0, 0.5))
+    for domain in (np.array([0.0, 0.5]), [0.0, 0.5],
+                   (np.float64(0.0), np.float64(0.5))):
+        spec = GridSpec(5, domain=domain)
+        assert spec == tuple_spec and hash(spec) == hash(tuple_spec)
+        assert type(spec.domain) is tuple
+        assert all(type(end) is float for end in spec.domain)
 
 
-def test_crosscheck_parity_sectors_are_built_once_read_only():
-    sectors = ghzcert.verifier._parity_sectors()
-    assert sectors is ghzcert.verifier._parity_sectors()
-    assert list(sectors) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for (x1, x2), projector in sectors.items():
-        fresh = parity_projector(x1, x2)
-        assert projector.dtype == fresh.dtype
-        assert projector.tobytes() == fresh.tobytes()
-        assert not projector.flags.writeable
-        with pytest.raises(ValueError):
-            projector[0, 0] = 0.0
+def test_parity_projector_holds_one_index_pair():
+    # Sector (x1, x2) is the pair b = 2 x1 + x2 and its complement 7 - b,
+    # the mapping by which the crosscheck reads P T P off block b.
+    for x1 in (0, 1):
+        for x2 in (0, 1):
+            b = 2 * x1 + x2
+            diagonal = np.diag(parity_projector(x1, x2))
+            assert np.flatnonzero(diagonal).tolist() == [b, 7 - b]
+            assert np.array_equal(diagonal[[b, 7 - b]], [1.0, 1.0])
 
 
 def test_parity_projector():
@@ -821,6 +828,43 @@ def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
     assert drawn[0] == 3 * chunk
     assert report["failures"] == [f"sample {target}: outer block mismatch"]
     assert not report["passed"]
+
+
+def test_closed_form_crosscheck_sector_failure_names_its_global_sample(
+        monkeypatch):
+    protocol = BellProtocol(SVETLICHNY, 3)
+    chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
+    target = chunk + 5
+    original = ghzcert.verifier.projector_lambda
+    drawn = [0]
+
+    def perturbed(angles, s, x1, x2):
+        lam = original(angles, s, x1, x2)
+        if (x1, x2) == (1, 0):
+            offset = target - drawn[0]
+            drawn[0] += len(lam)
+            if 0 <= offset < len(lam):
+                lam = lam.copy()
+                lam[offset] += 1e-9
+        return lam
+
+    monkeypatch.setattr(ghzcert.verifier, "projector_lambda", perturbed)
+    report = closed_form_crosscheck(protocol, samples=3 * chunk, seed=5)
+    assert drawn[0] == 3 * chunk
+    assert report["failures"] == [f"sample {target}: sector (1,0) mismatch"]
+    assert not report["passed"]
+
+
+def test_closed_form_crosscheck_builds_no_parity_projector(monkeypatch):
+    # The sector invariant is read off the 2 x 2 blocks; the dense
+    # projectors stay the tests' reference for P T P.
+    def refuse(x1, x2):
+        raise AssertionError("parity_projector called")
+
+    monkeypatch.setattr(ghzcert.verifier, "parity_projector", refuse)
+    report = closed_form_crosscheck(BellProtocol(SVETLICHNY, 3),
+                                    samples=300, seed=3)
+    assert report["passed"] and report["failures"] == []
 
 
 def test_closed_form_crosscheck_structure_violation_names_its_global_sample(
