@@ -29,11 +29,18 @@ constant (A/2) e^{i k pi/4} (1 + i)^n (``corner_coefficient``).  Every
 such W is exactly antidiagonal in the computational basis, Hermitian, and
 persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  Those entries have a closed form (``corner_coefficient``),
-read off one ``sign_products`` table in real arithmetic; the quantum bound
-and the certificate scan read it chunk by chunk of ``linalg.walk_canonical``
-through one helper, ``chunk_corner_entries``.
-Its pair (0, 2^n - 1) is the largest, and ``ghz_phase``, the phase of that
-pair's eigenvector, defines the target state the scan and
+read off one ``sign_products`` table in real arithmetic; the certificate
+scan reads every pair chunk by chunk of ``linalg.walk_canonical`` through
+``chunk_corner_entries``.  At every angle tuple in [0, pi/2]^n the pair
+(0, 2^n - 1) is the largest, since
+
+    |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
+                            + prod_j (1 - sigma_j sin 2a_j)]
+                   + 2 Re(z_c^2) prod_j cos 2a_j
+
+and each even-order term of the bracket is largest with every sigma_j = +1;
+so the quantum bound reads that pair alone.  ``ghz_phase``, the phase of
+that pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
@@ -330,7 +337,15 @@ def quantum_bound(protocol: BellProtocol) -> float:
     W is antidiagonal, so its spectral norm is its largest antidiagonal
     magnitude; that is read off the antidiagonal closed form at the
     all-pi/4 point and cross-checked against the same magnitudes on a coarse
-    grid over the full angle domain, both in one walk.
+    grid over the full angle domain, both in one walk.  Every angle of both
+    grids lies in [0, pi/2], where
+
+        |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
+                                + prod_j (1 - sigma_j sin 2a_j)]
+                       + 2 Re(z_c^2) prod_j cos 2a_j
+
+    is largest at pair (0, 2^n - 1) (``_corner_magnitude_maxima``), so each
+    point reads that pair alone; outside that domain no claim is made.
     """
     n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
     # The all-pi/4 point is a grid of one value per axis, padded to the
@@ -351,14 +366,25 @@ def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,
     """Largest antidiagonal magnitude over each of several product grids.
 
     ``rows`` and ``lengths`` hold the grids' padded axes as
-    ``walk_canonical`` takes them, and one walk reads them all.  The
-    magnitudes of all pairs at a point are permuted along with the
-    parties, so only one sorted angle tuple per permutation orbit is
-    evaluated, all 2^(n-1) pairs at once.  The loop body runs once per
-    chunk of ``walk_canonical``, in its per-thread buffers, as the
-    certificate scan's does, and reads the chunk's entries with
-    ``chunk_corner_entries``; each is a function of its own point alone,
-    so each grid's maximum is that of a walk over it by itself.
+    ``walk_canonical`` takes them, every angle in [0, pi/2], and one walk
+    reads them all.  With T_b = prod_j (cos a_j + sigma_j sin a_j) and
+    T_b~ its complement (``corner_coefficient``), T_b T_b~ = prod_j cos 2a_j
+    for every pair, so
+
+        |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
+                                + prod_j (1 - sigma_j sin 2a_j)]
+                       + 2 Re(z_c^2) prod_j cos 2a_j.
+
+    The bracket is twice the sum of the even-order terms
+    prod_{j in S} sigma_j sin 2a_j; on [0, pi/2] every sin 2a_j >= 0, so
+    each term is largest with every sigma_j = +1, which is pair 0; outside
+    [0, pi/2] no claim is made.  Only that pair is evaluated, at one sorted
+    angle tuple per permutation orbit: ``np.prod`` over the sites forms its
+    two products left to right, as rows 0 and 2^n - 1 of ``sign_products``
+    are, bit for bit.  The loop body runs once per chunk of
+    ``walk_canonical``, in its per-thread buffers; each magnitude is a
+    function of its own point alone, so each grid's maximum is that of a
+    walk over it by itself.
     """
     values = rows.ravel()
     cs, sn = np.cos(values), np.sin(values)
@@ -366,8 +392,12 @@ def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,
     z = corner_coefficient(protocol)
     best = [0.0] * len(rows)
     for pieces, buffers in walk_canonical(rows, lengths):
-        magnitudes = np.abs(chunk_corner_entries(trig, z, buffers),
-                            out=buffers["scratch"][0])
+        factors = np.take(trig, buffers["cols"], axis=1,
+                          out=buffers["factors"], mode="clip")
+        table = np.prod(factors, axis=1, out=buffers["table"][:2])
+        scratch = buffers["scratch"][:, :1]
+        magnitudes = np.abs(conjugate_pair_sum(
+            table, z, buffers["bell"][:1], scratch), out=scratch[0])
         for grid, begin, end in pieces:
             best[grid] = max(best[grid],
                              float(magnitudes[:, begin:end].max()))

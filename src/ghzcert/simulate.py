@@ -190,9 +190,10 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     """Estimate the Bell value from simulated counts.
 
     Every setting string whose functional coefficient is nonzero is sampled
-    with ``shots_per_setting`` shots from its own PCG64 stream.  Streams are
-    spawned from ``seed`` for all 2^n settings in lexicographic order, so a
-    setting's stream does not depend on which others are skipped; the seed
+    with ``shots_per_setting`` shots from its own PCG64 stream, seeded by
+    the child ``SeedSequence(seed).spawn(2 ** n)`` would give the setting's
+    lexicographic index; only the sampled children are built, and a
+    setting's stream does not depend on which others are skipped.  The seed
     is checked like the shot count.  Returns the estimate and its
     propagated standard error.
     """
@@ -204,15 +205,16 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
                                       MAX_SHOTS)
     seed = check_integer(seed, "seed")
     coefficients = _coefficient_tensor(protocol).ravel()
-    children = np.random.SeedSequence(seed).spawn(2 ** n)
     products = outcome_products(n)
     sampled = np.flatnonzero(coefficients)
     # The setting bits of each sampled index, most significant (party 0) first.
     settings = (sampled[:, None] >> np.arange(n - 1, -1, -1)) & 1
     table = _born_table(state, settings, angles)
     beta_hat = variance = 0.0
-    for index, c, dist in zip(sampled, coefficients[sampled].tolist(), table):
-        rng = np.random.Generator(np.random.PCG64(children[index]))
+    for index, c, dist in zip(sampled.tolist(), coefficients[sampled].tolist(),
+                              table):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(index,))))
         counts = sample_outcomes(dist, shots_per_setting, rng)
         correlator = float(counts @ products) / shots_per_setting
         beta_hat += c * correlator

@@ -7,12 +7,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ghzcert.bell
 import ghzcert.linalg
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
-                          _corner_magnitude_maxima, build_operator,
-                          check_angles, chunk_corner_entries,
+from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
+                          _coefficient_tensor, _corner_magnitude_maxima,
+                          build_operator, check_angles, chunk_corner_entries,
                           corner_coefficient, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
 from ghzcert.linalg import hermitian_eigenvalues, walk_canonical
@@ -504,6 +506,54 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                     best = max(best, float(np.abs(want).max()))
                 assert _corner_magnitude_maxima(
                     protocol, *padded_grid([grid] * n)) == [best]
+
+
+@st.composite
+def family_and_angles(draw):
+    """A family and an angle tuple in [0, pi/2]^n, n = 3..6."""
+    n = draw(st.integers(3, 6))
+    angles = draw(st.lists(st.floats(0.0, math.pi / 2), min_size=n,
+                           max_size=n))
+    return BellProtocol(draw(st.sampled_from(FAMILIES)), n), np.array(angles)
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(BellProtocol(SVETLICHNY, 5), np.zeros(5)))
+@example(case=(BellProtocol(MABK, 6), np.full(6, math.pi / 4)))
+@given(case=family_and_angles())
+def test_pair_zero_binds_every_corner_on_the_angle_domain(case):
+    # |W_b|^2 = |z|^2 [prod (1 + s_j sin 2a) + prod (1 - s_j sin 2a)]
+    #         + 2 Re(z^2) prod cos 2a, largest at pair 0 on [0, pi/2]^n.
+    protocol, alpha = case
+    entries = complex_corner_entries(protocol, np.cos(alpha)[:, None],
+                                     np.sin(alpha)[:, None])[:, 0]
+    magnitudes = np.abs(entries)
+    assert magnitudes.max() <= magnitudes[0] * (1 + 1e-14)
+    z = per_family_corner_coefficient(protocol)
+    signs = pair_sign_matrix(protocol.n)
+    sines = np.sin(2 * alpha)
+    bracket = (np.prod(1 + signs * sines, axis=1)
+               + np.prod(1 - signs * sines, axis=1))
+    cross = 2 * (z * z).real * np.prod(np.cos(2 * alpha))
+    closed = abs(z) ** 2 * bracket + cross
+    # Relative to pair 0's terms: cos a - sin a rounds to within an ulp of
+    # the factors' size, not of its own, so a small pair's error is not small
+    # against that pair alone.
+    scale = abs(z) ** 2 * bracket[0] + abs(cross)
+    assert np.all(np.abs(magnitudes ** 2 - closed) <= 1e-12 * scale)
+
+
+def test_quantum_bound_reads_no_sign_table(monkeypatch):
+    # The bound reads pair 0 alone, never the all-pairs table.
+    def refuse(*args):
+        raise AssertionError("quantum_bound read the all-pairs table")
+
+    monkeypatch.setattr(ghzcert.bell, "chunk_sign_products", refuse)
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            assert quantum_bound(protocol) == pytest.approx(protocol.beta_Q,
+                                                            abs=1e-8)
 
 
 def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ghzcert import simulate
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
+from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, _coefficient_tensor
 from ghzcert.linalg import x_blocks
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               _born_table, _contracted_distribution,
@@ -18,7 +18,7 @@ from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               noisy_state, outcome_products, records_to_csv,
                               sample_outcomes)
 from ghzcert.states import ghz_state
-from ghzcert.verifier import catalog_constants
+from ghzcert.verifier import _CATALOG, catalog_constants
 from oracles import (dense_born_from_projectors, dense_born_probabilities,
                      dense_outcome_projectors, evaluate,
                      functional_coefficients, random_hermitian,
@@ -235,6 +235,35 @@ def test_skipping_zero_coefficients_keeps_records():
             want = _estimate_sampling_every_setting(
                 protocol, noisy_state(protocol, noise), quarter, 3000, seed)
             assert (record.estimated_beta, record.std_error) == want
+
+
+def test_sampled_streams_are_the_spawned_children(monkeypatch):
+    # Each sampled setting's generator starts where child ``index`` of
+    # SeedSequence(seed).spawn(2 ** n) does, the others never built.
+    streams = []
+    sample = simulate.sample_outcomes
+
+    def recording(dist, shots, rng):
+        streams.append(rng.bit_generator.state)
+        return sample(dist, shots, rng)
+
+    monkeypatch.setattr(simulate, "sample_outcomes", recording)
+    for protocol in itertools.starmap(BellProtocol, _CATALOG):
+        state = ghz_state(protocol)
+        sampled = np.flatnonzero(_coefficient_tensor(protocol))
+        for seed in (0, 2001):
+            streams.clear()
+            estimate_violation(protocol, state, (math.pi / 4,) * protocol.n,
+                               10, seed)
+            children = np.random.SeedSequence(seed).spawn(2 ** protocol.n)
+            assert len(streams) == len(sampled)
+            for index, state_dict in zip(sampled, streams):
+                bits = np.random.PCG64()
+                bits.state = state_dict
+                got = np.random.Generator(bits).integers(2 ** 62, size=8)
+                want = np.random.Generator(np.random.PCG64(
+                    children[index])).integers(2 ** 62, size=8)
+                assert got.tolist() == want.tolist()
 
 
 def test_certify_records_repeat_bit_identically():
