@@ -61,33 +61,29 @@ def contract_sites(tensor: np.ndarray, operators: np.ndarray) -> np.ndarray:
     ``tensor`` is one size-2 index per site, shape (2,) * n, or a 2^n x 2^n
     matrix; ``operators`` has shape (k, n, d, e), site j's operators
     mapping its one index (d = 2) or its row and column (d = 4) to one
-    outcome (e = 2) or a row and column (e = 4).  Site by site, that
-    site's indices are moved last and flattened, giving (k, rest, d), and
-    multiplied by its k operators in one batched matmul, which appends its
-    output indices at the end.  Returns (k, 2^n, 2^n), rows before columns,
-    when e = 4 and (k, 2^n) when e = 2.
+    outcome (e = 2) or a row and column (e = 4).  Sites go in cyclic
+    order: site j's index leads, so the running array read as (k, d, rest)
+    and transposed is a (k, rest, d) view, and one batched matmul by the
+    site's k operators appends its output index last.  Site 0 reads the
+    one tensor as (1, rest, d), broadcast over k.  The only copies are one
+    interleave of a matrix's rows and columns (d = 4) and the final move of
+    rows before columns (e = 4).  Returns a new array, (k, 2^n, 2^n), rows
+    before columns, when e = 4 and (k, 2^n) when e = 2.
     """
     k, n, d, e = operators.shape
-    out = np.broadcast_to(tensor, (k,) + tensor.shape).reshape(
-        (k,) + (2,) * (n * d // 2))
+    if d == 4:
+        # Site j's row and column indices side by side: (r0 c0 r1 c1 ...).
+        tensor = tensor.reshape((2,) * (2 * n)).transpose(
+            [i for j in range(n) for i in (j, n + j)])
+    out = tensor.reshape(1, d, -1)
     for j in range(n):
-        # Site j's indices lead what is left of the one index half, or of
-        # the row and column halves.
-        axes = (1,) if d == 2 else (1, 1 + n - j)
-        lhs = out.transpose(_axes_last(out.ndim, axes))
-        out = np.matmul(lhs.reshape(k, -1, d), operators[:, j]).reshape(
-            lhs.shape[:-len(axes)] + (2,) * (e // 2))
+        out = np.matmul(out.reshape(len(out), d, -1).swapaxes(1, 2),
+                        operators[:, j])
     if e == 4:
         # Each site left its row and column side by side; rows go first.
-        out = out.transpose([0] + list(range(1, 2 * n, 2))
-                            + list(range(2, 2 * n + 1, 2)))
+        out = out.reshape((k,) + (2,) * (2 * n)).transpose(
+            [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2)))
     return out.reshape((k,) + (2 ** n,) * (e // 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _axes_last(ndim: int, axes: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The axis order that moves ``axes``, in their order, behind the rest."""
-    return tuple(i for i in range(ndim) if i not in axes) + axes
 
 
 def sorted_index_tuples(size: int, length: int) -> np.ndarray:

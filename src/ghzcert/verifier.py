@@ -73,8 +73,9 @@ REFINEMENT_DEPTH = 6
 # 227, peaks at about 73 MB resident, most of it building the one-byte
 # canonical layout; the scan's tables are bounded by SCAN_CHUNK_EVALUATIONS.
 MAX_BLOCK_EVALUATIONS = 8_000_000
-# Most samples closed_form_crosscheck draws, at about 0.03 ms each (n = 3)
-# and 0.04 ms (n = 4), nearly all of it the batched matrix route.
+# Most samples closed_form_crosscheck draws, at about 0.006 ms each (n = 3)
+# and 0.013 ms (n = 4) in process on a 2-core machine, more than half of it
+# the batched matrix route.
 MAX_CROSSCHECK_SAMPLES = 100_000
 # Most matrix entries, k 4^n over a chunk of k samples, that
 # closed_form_crosscheck assembles in one batched build_T call: 32 samples
@@ -188,11 +189,16 @@ def build_T(protocol: BellProtocol, angles: Sequence[float] | np.ndarray,
 
     ``angles`` is one tuple, shape (n,), giving a 2^n x 2^n matrix, or a
     batch of k tuples, shape (k, n), giving k matrices from one batched
-    ``build_operator`` and one batched ``apply_channel`` call.
+    ``build_operator`` and one batched ``apply_channel`` call.  Both
+    return new arrays, so T is assembled inside them, with the operations
+    of (lam - s W) - mu I in that order.
     """
     w = build_operator(protocol, angles)
     lam = apply_channel(ghz_state(protocol), angles)
-    return lam - s * w - mu * np.eye(protocol.dim)
+    w *= s
+    lam -= w
+    lam -= mu * np.eye(protocol.dim)
+    return lam
 
 
 def block_decompose(t: np.ndarray, n: int) -> np.ndarray:

@@ -10,7 +10,10 @@ and the formula for g), ``dense_spectral_ghz_rho`` (the target state read
 off the Kronecker-sum operator) and ``dense_born_probabilities`` (one
 projector per outcome).  ``is_persymmetric`` and ``block_unitary`` (the
 permutation that pairs each index with its complement) are the references
-for the channel's persymmetry and for ``block_decompose``.  The scan
+for the channel's persymmetry and for ``block_decompose``.
+``transposing_contract_sites`` contracts sites by copying each site's
+indices last, the bit-for-bit reference for ``linalg.contract_sites``,
+which reads them in cyclic order without copying.  The scan
 oracles at the end keep the package's per-point closed forms but evaluate
 them on the whole product grid, one pair at a time, so the permutation
 orbit reduction of the package kernels can be checked against them.
@@ -298,6 +301,39 @@ def kraus_loop_channel(mat: np.ndarray, angles) -> np.ndarray:
         k = kron_chain([pairs[j][b] for j, b in enumerate(bits)])
         out += k @ mat @ k.conj().T
     return out
+
+
+def transposing_contract_sites(tensor: np.ndarray,
+                               operators: np.ndarray) -> np.ndarray:
+    """Site contraction that copies each site's indices last.
+
+    The reference for ``linalg.contract_sites``, which must match it bit
+    for bit.  k copies of ``tensor`` are contracted site by site: the
+    site's indices are moved last and flattened, giving (k, rest, d),
+    copied, and multiplied by its k operators in one batched matmul, which
+    appends its output indices at the end.  Returns (k, 2^n, 2^n), rows
+    before columns, when e = 4 and (k, 2^n) when e = 2.
+    """
+    k, n, d, e = operators.shape
+    out = np.broadcast_to(tensor, (k,) + tensor.shape).reshape(
+        (k,) + (2,) * (n * d // 2))
+    for j in range(n):
+        # Site j's indices lead what is left of the one index half, or of
+        # the row and column halves.
+        axes = (1,) if d == 2 else (1, 1 + n - j)
+        lhs = out.transpose(_axes_last(out.ndim, axes))
+        out = np.matmul(lhs.reshape(k, -1, d), operators[:, j]).reshape(
+            lhs.shape[:-len(axes)] + (2,) * (e // 2))
+    if e == 4:
+        # Each site left its row and column side by side; rows go first.
+        out = out.transpose([0] + list(range(1, 2 * n, 2))
+                            + list(range(2, 2 * n + 1, 2)))
+    return out.reshape((k,) + (2 ** n,) * (e // 2))
+
+
+def _axes_last(ndim: int, axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis order that moves ``axes``, in their order, behind the rest."""
+    return tuple(i for i in range(ndim) if i not in axes) + axes
 
 
 def evaluate(protocol, rho: np.ndarray, angles) -> float:

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from ghzcert.linalg import (canonical_layouts, conjugate_pair_sum,
-                            hermitian_eigenvalues, kron_all,
+                            contract_sites, hermitian_eigenvalues, kron_all,
                             least_block_eigenvalue, sign_products,
                             sorted_index_tuples, x_blocks)
 from oracles import (PAULI, canonical_tuples, eig2x2_hermitian,
                      exchange_matrix, is_persymmetric, kron, padded_grid,
                      pair_signs, random_hermitian, random_x_matrix,
-                     signed_site_product)
+                     signed_site_product, transposing_contract_sites)
 
 SQ2 = np.sqrt(2.0)
 
@@ -52,6 +52,36 @@ def test_kron_associative_on_integer_inputs():
     a, b, c = PAULI["X"], PAULI["Z"], PAULI["I"]
     assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
     assert np.array_equal(kron_all([a, b, c]), kron(a, kron(b, c)))
+
+
+@pytest.mark.parametrize("d, e, dtype", [(2, 4, complex), (2, 4, float),
+                                         (4, 4, complex), (4, 2, complex)])
+def test_contract_sites_matches_transposing_route_bit_for_bit(d, e, dtype):
+    # Every (d, e) a caller uses: the Bell operator (complex) and the local
+    # bound (real), the channel, and the non-X Born table.
+    rng = np.random.default_rng(53)
+
+    def draw(shape):
+        values = rng.normal(size=shape)
+        if dtype is complex:
+            values = values + 1j * rng.normal(size=shape)
+        return values
+
+    for n, k in itertools.product(range(1, 7), (1, 3)):
+        operators = draw((k, n, d, e))
+        base = draw((2,) * n if d == 2 else (2 ** n,) * 2)
+        read_only = base.copy()
+        read_only.setflags(write=False)
+        # A read-only input and a transposed, non-contiguous view.
+        for tensor in (read_only, base.T):
+            before = tensor.copy()
+            result = contract_sites(tensor, operators)
+            expected = transposing_contract_sites(tensor, operators)
+            assert result.dtype == expected.dtype
+            assert np.array_equal(result, expected)
+            assert np.array_equal(tensor, before)
+            assert result.flags.writeable
+            assert not np.shares_memory(result, tensor)
 
 
 def test_hermitian_eigenvalues_examples():

@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
+from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator
 from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
                             hermitian_eigenvalues, x_blocks)
 from ghzcert.root2 import Root2
-from ghzcert.states import ghz_state
+from ghzcert.states import apply_channel, ghz_state
 import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
@@ -128,6 +128,26 @@ def test_build_T_structure():
         mask[idx, idx] = False
         mask[idx, dim - 1 - idx] = False
         assert np.max(np.abs(t[mask])) <= 1e-12
+
+
+def test_build_T_in_place_matches_out_of_place_assembly_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        rho = ghz_state(protocol)
+        before = rho.copy()
+        batch = rng.uniform(0.0, math.pi / 2, size=(5, protocol.n))
+        for angles in (batch, batch[0]):
+            lam = apply_channel(rho, angles)
+            w = build_operator(protocol, angles)
+            expected = (lam - constants.s * w
+                        - constants.mu * np.eye(protocol.dim))
+            assert np.array_equal(
+                build_T(protocol, angles, constants.s, constants.mu),
+                expected)
+        assert ghz_state(protocol) is rho
+        assert not rho.flags.writeable
+        assert np.array_equal(rho, before)
 
 
 def test_kernel_condition_at_optimal_angles():
