@@ -30,8 +30,8 @@ such W is exactly antidiagonal in the computational basis, Hermitian, and
 persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  Those entries have a closed form (``corner_coefficient``),
 read off one ``sign_products`` table in real arithmetic; the certificate
-scan reads every pair chunk by chunk of ``linalg.walk_canonical`` through
-``chunk_corner_entries``.  At every angle tuple in [0, pi/2]^n the pair
+scan (``verifier``) forms every pair's chunk by chunk of
+``linalg.walk_canonical``.  At every angle tuple in [0, pi/2]^n the pair
 (0, 2^n - 1) is the largest, since
 
     |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
@@ -59,12 +59,11 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .linalg import (check_hermitian, chunk_sign_products,
-                     conjugate_pair_sum, contract_sites,
+from .linalg import (check_hermitian, conjugate_pair_sum, contract_sites,
                      least_block_eigenvalue, walk_canonical, x_blocks)
 from .root2 import Root2
 
@@ -382,37 +381,25 @@ def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,
     angle tuple per permutation orbit: ``np.prod`` over the sites forms its
     two products left to right, as rows 0 and 2^n - 1 of ``sign_products``
     are, bit for bit.  The loop body runs once per chunk of
-    ``walk_canonical``, in its per-thread buffers; each magnitude is a
-    function of its own point alone, so each grid's maximum is that of a
-    walk over it by itself.
+    ``walk_canonical``, in small arrays of its own (the quantum bound's two
+    grids hold 3004 canonical points at n = 6); each magnitude is a function
+    of its own point alone, so each grid's maximum is that of a walk over it
+    by itself.
     """
     values = rows.ravel()
     cs, sn = np.cos(values), np.sin(values)
     trig = np.stack([cs + sn, cs - sn])
     z = corner_coefficient(protocol)
     best = [0.0] * len(rows)
-    for pieces, buffers in walk_canonical(rows, lengths):
-        factors = np.take(trig, buffers["cols"], axis=1,
-                          out=buffers["factors"], mode="clip")
-        table = np.prod(factors, axis=1, out=buffers["table"][:2])
-        scratch = buffers["scratch"][:, :1]
+    for pieces, cols in walk_canonical(rows, lengths):
+        table = np.prod(np.take(trig, cols, axis=1, mode="clip"), axis=1)
+        scratch = np.empty((2, 1, cols.shape[1]))
         magnitudes = np.abs(conjugate_pair_sum(
-            table, z, buffers["bell"][:1], scratch), out=scratch[0])
+            table, z, np.empty(scratch.shape[1:], complex), scratch))
         for grid, begin, end in pieces:
             best[grid] = max(best[grid],
                              float(magnitudes[:, begin:end].max()))
     return best
-
-
-def chunk_corner_entries(trig: np.ndarray, z: complex,
-                         buffers: Dict[str, np.ndarray]) -> np.ndarray:
-    """Antidiagonal entries W[b, b~], b < 2^(n-1), at one ``walk_canonical``
-    chunk's points, in its ``bell`` buffer; ``trig`` holds cos + sin and
-    cos - sin of every value of the walk's concatenated axes, ``z`` the
-    ``corner_coefficient``.
-    """
-    return conjugate_pair_sum(chunk_sign_products(trig, buffers), z,
-                              buffers["bell"], buffers["scratch"])
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:

@@ -20,11 +20,10 @@ read-only, in one-byte indices up to 256 points per axis, at most
 ``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
 (the largest pass the certificate scan admits), is 3 one-byte indices per
 point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.
-``sign_products`` writes into caller-owned buffers when given them and
-``conjugate_pair_sum`` always does; ``walk_canonical`` yields each chunk with
-one set of buffers per thread, so the certificate scan and the quantum
-bound's grid check, two loop bodies over it, run their chunks without
-allocating.
+``walk_canonical`` yields only each chunk's point columns, in one index
+array per thread; ``sign_products`` writes into caller-owned buffers when
+given them and ``conjugate_pair_sum`` always does, so each loop body over
+the walk keeps its own workspace (the certificate scan's in ``verifier``).
 """
 from __future__ import annotations
 
@@ -211,87 +210,58 @@ def conjugate_pair_sum(table: np.ndarray, z: complex, out: np.ndarray,
     return out
 
 
-# The flat chunk buffers of this thread's walk, replaced when the chunk size
-# changes, so concurrent walks never share them.
-_CHUNK_BUFFERS = threading.local()
+# This thread's column buffer, grown to the largest chunk walked on it, so
+# concurrent walks never share it.
+_CHUNK_COLUMNS = threading.local()
 
 
 def walk_canonical(rows: np.ndarray, lengths: np.ndarray
                    ) -> Iterator[Tuple[List[Tuple[int, int, int]],
-                                       Dict[str, np.ndarray]]]:
+                                       np.ndarray]]:
     """Walk the canonical points of one or more product grids in chunks.
 
     ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
     as ``canonical_layouts`` takes them, and the walk groups each grid's
     equal axes through it.  The grids' canonical points are walked end to
     end, grid after grid, so one chunk may end one grid and start the next.
-    Yields ``(pieces, buffers)`` for each chunk of about
+    Yields ``(pieces, cols)`` for each chunk of about
     ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
     pairs): ``(grid, begin, end)`` for each grid with points in the chunk,
-    in order, whose points are the chunk's columns begin to end, and the
-    buffers, shaped (..., m) for its m points.  ``cols`` (n, m) holds each
-    site's column into ``rows.ravel()``, which never points into the
-    padding past an axis; the others are the caller's.  The buffers, about
-    3.1 MB at 2^15 evaluations, are allocated once per thread and chunk
-    size and reused by every chunk, so two walks must not be interleaved
-    on one thread (no caller does).
+    in order, whose points are the chunk's columns begin to end, and
+    ``cols`` (n, m), each site's column into ``rows.ravel()`` at the m
+    points, which never points into the padding past an axis.  ``cols`` is
+    a view of one array per thread, grown to the largest chunk and reused
+    by every chunk, so two walks must not be interleaved on one thread (no
+    caller does); each caller keeps its own workspace.
     """
     r, n, width = rows.shape
-    half = 2 ** (n - 1)
-    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
-    # Sized in block evaluations, so one set serves every n: m points at n
-    # parties take 2^n m table entries and n m <= 2^(n-1) m columns.
-    flat = getattr(_CHUNK_BUFFERS, "current", None)
-    if flat is None or len(flat["low"]) != step * half:
-        flat = _CHUNK_BUFFERS.current = {
-            name: np.empty(size * step * half, dtype) for name, size, dtype in
-            (("table", 2, float), ("low", 1, float), ("scratch", 2, float),
-             ("channel", 1, complex), ("bell", 1, complex),
-             ("cols", 1, np.intp), ("factors", 2, float))}
+    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (n - 1))
     layouts = canonical_layouts(rows, lengths)
     offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
     total = sum(layout.shape[1] for layout in layouts)
-    buffers: Dict[str, np.ndarray] = {}
+    size = n * min(step, total)
+    flat = getattr(_CHUNK_COLUMNS, "current", None)
+    if flat is None or len(flat) < size:
+        flat = _CHUNK_COLUMNS.current = np.empty(size, np.intp)
+    cols = None
     grid, local = 0, 0    # the next point's grid and index in it
     for start in range(0, total, step):
         m = min(step, total - start)
-        if not buffers or m < step:
-            pairs = half * m
-            buffers = {
-                "table": flat["table"][:2 * pairs].reshape(-1, m),
-                "low": flat["low"][:pairs].reshape(-1, m),
-                "scratch": flat["scratch"][:2 * pairs].reshape(2, -1, m),
-                "channel": flat["channel"][:pairs].reshape(-1, m),
-                "bell": flat["bell"][:pairs].reshape(-1, m),
-                "cols": flat["cols"][:n * m].reshape(n, m),
-                "factors": flat["factors"][:2 * n * m].reshape(2, n, m)}
+        if cols is None or m < step:
+            cols = flat[:n * m].reshape(n, m)
         pieces = []
         begin = 0
         while begin < m:
             layout = layouts[grid]
             end = begin + min(m - begin, layout.shape[1] - local)
             np.add(layout[:, local:local + end - begin], offsets[grid],
-                   out=buffers["cols"][:, begin:end])
+                   out=cols[:, begin:end])
             pieces.append((grid, begin, end))
             local += end - begin
             if local == layout.shape[1]:
                 grid, local = grid + 1, 0
             begin = end
-        yield pieces, buffers
-
-
-def chunk_sign_products(rows: np.ndarray,
-                        buffers: Dict[str, np.ndarray]) -> np.ndarray:
-    """``sign_products`` of a chunk's factors, into its ``table``.
-
-    ``rows`` holds the plus and the minus factor of every value of the
-    walk's concatenated axes; one ``np.take`` reads them at the chunk's
-    ``cols`` (mode="clip" is faster and clips nothing).
-    """
-    plus, minus = np.take(rows, buffers["cols"], axis=1,
-                          out=buffers["factors"], mode="clip")
-    return sign_products(plus, minus, buffers["table"],
-                         buffers["scratch"][0])
+        yield pieces, cols
 
 
 @functools.lru_cache(maxsize=None)

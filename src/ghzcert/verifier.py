@@ -14,20 +14,21 @@ product grids with local refinement around the minimizer.
 
 Bell coefficients depend only on Hamming weight and the channel acts the same
 way on every site, so permuting the parties maps block b at angles alpha to
-block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant
-on each permutation orbit of a grid, and the scan evaluates one sorted angle
-tuple per orbit: C(P + n - 1, n) of the P^n grid points, each with all
-2^(n-1) pairs at once, each block entry read off a ``sign_products`` table
-(the channel corner shares the diagonal's up to pi/4).  The points are
-walked by ``linalg.walk_canonical``, in chunks of about
-``SCAN_CHUNK_EVALUATIONS`` block evaluations in buffers kept per thread, so
-the tables neither grow with the grid nor are allocated per chunk, and the
-canonical points of a grid are a layout cached by its shape.  Refinement
-stencils shrink the same way along axes that coincide; the stencils of
-every remaining round are built, grouped and walked at once, and a round
-that moves the centre sends only the rounds after it to another walk.  A
-grid pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused
-before anything is allocated.
+block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant on
+each permutation orbit of a grid, and the scan evaluates one sorted angle tuple
+per orbit: C(P + n - 1, n) of the P^n grid points, each with all 2^(n-1) pairs
+at once, each block entry read off a ``sign_products`` table (the channel
+corner shares the diagonal's up to pi/4).  The points are walked by
+``linalg.walk_canonical``, which yields the point columns of chunks of about
+``SCAN_CHUNK_EVALUATIONS`` block evaluations; the kernel gathers each chunk's
+site factors and builds its tables in a workspace of its own kept per thread
+(``_workspace``), so the tables neither grow with the grid nor are allocated
+per chunk, and the canonical points of a grid are a layout cached by its shape.
+Refinement stencils shrink the same way along axes that coincide; the stencils
+of every remaining round are built, grouped and walked at once, and a round
+that moves the centre sends only the rounds after it to another walk.  A grid
+pass above ``MAX_BLOCK_EVALUATIONS`` block evaluations is refused before
+anything is allocated.
 
 Independent routes cross-check the reduction:
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Sequence, Tuple
@@ -57,9 +59,8 @@ import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angles, check_integer,
-                   check_matrix, check_real, chunk_corner_entries,
-                   corner_coefficient, ghz_phase)
-from .linalg import (chunk_sign_products, conjugate_pair_sum, walk_canonical,
+                   check_matrix, check_real, corner_coefficient, ghz_phase)
+from .linalg import (conjugate_pair_sum, sign_products, walk_canonical,
                      x_blocks)
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
@@ -224,6 +225,33 @@ def block_decompose(t: np.ndarray, n: int) -> np.ndarray:
     return blocks if t.ndim == 3 else blocks[0]
 
 
+# The scan kernel's flat buffers on this thread, grown to the largest chunk
+# it has been handed, so concurrent scans never share them.
+_WORKSPACE = threading.local()
+
+
+def _workspace(n: int, m: int) -> List[np.ndarray]:
+    """This thread's kernel buffers for a chunk of m points at n parties.
+
+    The sign table (2^n, m), D - mu (2^(n-1), m), the scratch
+    (2, 2^(n-1), m), the channel and Bell corners (2^(n-1), m), complex,
+    and the site factors (2, n, m): about 2.9 MB at 2^15 block evaluations.
+    Each is a view of one flat buffer sized in block evaluations, so one
+    set serves every n (2 n m <= 2^n m).
+    """
+    half = 2 ** (n - 1)
+    flat = getattr(_WORKSPACE, "current", None)
+    if flat is None or len(flat[1]) < half * m:
+        flat = _WORKSPACE.current = [
+            np.empty(size * half * m, dtype) for size, dtype in
+            ((2, float), (1, float), (2, float), (1, complex), (1, complex),
+             (2, float))]
+    shapes = ((2 * half, m), (half, m), (2, half, m), (half, m), (half, m),
+              (2, n, m))
+    return [buffer[:math.prod(shape)].reshape(shape)
+            for buffer, shape in zip(flat, shapes)]
+
+
 def _min_block_over_products(
         protocol: BellProtocol, s: float, mu: float, rows: np.ndarray,
         lengths: np.ndarray
@@ -243,19 +271,19 @@ def _min_block_over_products(
     same on every point of a permutation orbit and only one tuple per orbit
     is evaluated.
 
-    The loop body runs once per chunk of ``walk_canonical``, in its
-    per-thread buffers.  Each chunk builds the diagonal's table, the
-    channel corner's and the Bell corner's (``chunk_corner_entries``) in
-    turn, in one buffer.  The channel corner's site factors (dx + dy,
-    dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and dy = g, and
-    (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its table is the
-    diagonal's, rebuilt from the negated minus factors only when some axis
-    passes pi/4; a negated factor negates the product bit for bit.  Every
-    block value depends on its own point alone, so each grid's values are
-    those of a walk over that grid by itself.  Ties go to the first pair,
-    then the first canonical point of the grid, as one ``argmin`` over the
-    whole grid would choose.  Returns, per grid, the minimum, its angles,
-    the binding pair and the number of block evaluations.
+    The loop body runs once per chunk of ``walk_canonical``, in this thread's
+    ``_workspace`` sized to the chunk.  Each chunk gathers its site factors at
+    the walk's columns and builds the diagonal's table, the channel corner's
+    and the Bell corner's in turn, in one buffer.  The channel corner's site
+    factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
+    dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its
+    table is the diagonal's, rebuilt from the negated minus factors only when
+    some axis passes pi/4; a negated factor negates the product bit for bit.
+    Every block value depends on its own point alone, so each grid's values are
+    those of a walk over that grid by itself.  Ties go to the first pair, then
+    the first canonical point of the grid, as one ``argmin`` over the whole
+    grid would choose.  Returns, per grid, the minimum, its angles, the binding
+    pair and the number of block evaluations.
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
@@ -275,17 +303,24 @@ def _min_block_over_products(
     bell_z = corner_coefficient(protocol)
     best: list = [None] * len(rows)
     evaluations = [0] * len(rows)
-    for pieces, buffers in walk_canonical(rows, lengths):
-        low, scratch = buffers["low"], buffers["scratch"]
-        table = chunk_sign_products(diagonal, buffers)
+    low = None
+    for pieces, cols in walk_canonical(rows, lengths):
+        if low is None or low.shape[1] != cols.shape[1]:
+            table, low, scratch, corner, w, factors = _workspace(
+                n, cols.shape[1])
+        # mode="clip" is faster and clips nothing.
+        np.take(diagonal, cols, axis=1, out=factors, mode="clip")
+        sign_products(*factors, table, scratch[0])
         np.add(table[:half], table[::-1][:half], out=low)
         low *= scale
         low -= mu
         if flips:
-            chunk_sign_products(channel, buffers)
-        corner = conjugate_pair_sum(table, channel_z, buffers["channel"],
-                                    scratch)
-        w = chunk_corner_entries(trig, bell_z, buffers)
+            np.take(channel, cols, axis=1, out=factors, mode="clip")
+            sign_products(*factors, table, scratch[0])
+        conjugate_pair_sum(table, channel_z, corner, scratch)
+        np.take(trig, cols, axis=1, out=factors, mode="clip")
+        sign_products(*factors, table, scratch[0])
+        conjugate_pair_sum(table, bell_z, w, scratch)
         w.real *= s
         w.imag *= s
         corner -= w
@@ -297,8 +332,7 @@ def _min_block_over_products(
             # An earlier chunk holds earlier points, so it keeps a tie
             # unless the later one binds at a smaller pair.
             if best[grid] is None or (value, pair) < best[grid][:2]:
-                best[grid] = (value, pair,
-                              values[buffers["cols"][:, begin + k]])
+                best[grid] = (value, pair, values[cols[:, begin + k]])
             evaluations[grid] += part.size
     return [(value, tuple(float(v) for v in point), pair, count)
             for (value, pair, point), count in zip(best, evaluations)]

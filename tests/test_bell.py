@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from hypothesis import strategies as st
 
 import ghzcert.bell
 import ghzcert.linalg
+import ghzcert.verifier
 from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
                           _coefficient_tensor, _corner_magnitude_maxima,
-                          build_operator, check_angles, chunk_corner_entries,
-                          corner_coefficient, hybrid_bound, local_bound,
-                          observable, quantum_bound, validate_state)
-from ghzcert.linalg import hermitian_eigenvalues, walk_canonical
+                          build_operator, check_angles, corner_coefficient,
+                          hybrid_bound, local_bound, observable,
+                          quantum_bound, validate_state)
+from ghzcert.linalg import (conjugate_pair_sum, hermitian_eigenvalues,
+                            sign_products, walk_canonical)
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
                      kron_sum_operator, padded_grid, pair_sign_matrix,
@@ -478,8 +482,9 @@ def test_pair_sign_matrix_rows():
 
 
 def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
-    # Over chunks of one point, of seven and of the default size, every
-    # chunk's entries are the complex route's at its points, bit for bit,
+    # Over chunks of one point, of seven and of the default size, the
+    # sign table of every chunk's site factors, combined in conjugate
+    # pairs, gives the complex route's entries at its points, bit for bit,
     # and their largest magnitude is the quantum bound's grid maximum.
     grid = np.linspace(0.0, math.pi / 2, 9)
     default = ghzcert.linalg.SCAN_CHUNK_EVALUATIONS
@@ -495,10 +500,13 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                 monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                                     chunk)
                 best = 0.0
-                for _, buffers in walk_canonical(rows,
-                                                 np.full((1, n), len(grid))):
-                    got = chunk_corner_entries(trig, z, buffers)
-                    cols = buffers["cols"]
+                for _, cols in walk_canonical(rows,
+                                              np.full((1, n), len(grid))):
+                    table = sign_products(*np.take(trig, cols, axis=1))
+                    half = (len(table) // 2, cols.shape[1])
+                    got = conjugate_pair_sum(table, z,
+                                             np.empty(half, complex),
+                                             np.empty((2,) + half))
                     want = complex_corner_entries(protocol, cs[cols],
                                                   sn[cols])
                     assert got.shape == want.shape
@@ -548,12 +556,35 @@ def test_quantum_bound_reads_no_sign_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("quantum_bound read the all-pairs table")
 
-    monkeypatch.setattr(ghzcert.bell, "chunk_sign_products", refuse)
+    monkeypatch.setattr(ghzcert.linalg, "sign_products", refuse)
+    monkeypatch.setattr(ghzcert.verifier, "sign_products", refuse)
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
             assert quantum_bound(protocol) == pytest.approx(protocol.beta_Q,
                                                             abs=1e-8)
+
+
+def test_quantum_bound_allocates_no_scan_workspace():
+    # On a thread that never scanned, the bound's walk allocates only its
+    # small per-chunk arrays and the walk's columns, far below the scan
+    # kernel's tables of 2^15 block evaluations (about 3 MB).
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            want = quantum_bound(protocol)
+            got = []
+            thread = threading.Thread(
+                target=lambda: got.append(quantum_bound(protocol)))
+            tracemalloc.start()
+            try:
+                thread.start()
+                thread.join(timeout=60)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not thread.is_alive() and got == [want]
+            assert peak < 512_000
 
 
 def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():

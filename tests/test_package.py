@@ -1,6 +1,8 @@
-"""The documented and exported API: README code blocks and ``__all__``."""
+"""The documented and exported API: README code blocks and ``__all__``,
+and the imports of the package and the tests."""
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -33,3 +35,31 @@ def test_every_export_resolves():
     assert len(set(ghzcert.__all__)) == len(ghzcert.__all__)
     for name in ghzcert.__all__:
         getattr(ghzcert, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs in CI, so this is the check of unused imports: every
+    # top-level name a module imports must be read somewhere in it.  The
+    # package's __init__ is left out, since its imports are its API.
+    paths = [path for path in sorted((ROOT / "src" / "ghzcert").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert paths
+    assert unused == []

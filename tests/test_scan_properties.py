@@ -155,19 +155,15 @@ def test_walk_canonical_visits_every_canonical_point_in_order(case):
     cols, visits = [], []
     with mock.patch.object(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
                            evaluations):
-        for pieces, buffers in walk_canonical(rows, lengths):
-            m = buffers["cols"].shape[1]
-            assert {name: b.shape for name, b in buffers.items()} == {
-                "table": (2 * half, m), "low": (half, m),
-                "scratch": (2, half, m), "channel": (half, m),
-                "bell": (half, m), "cols": (n, m), "factors": (2, n, m)}
+        for pieces, chunk in walk_canonical(rows, lengths):
+            m = pieces[-1][2]
+            assert chunk.shape == (n, m)
             assert [piece[1:] for piece in pieces] == list(zip(
                 [0] + [end for _, _, end in pieces[:-1]],
                 [end for _, _, end in pieces]))
-            assert pieces[-1][2] == m
             visits += [grid for grid, begin, end in pieces
                        for _ in range(begin, end)]
-            cols.append(buffers["cols"].copy())
+            cols.append(chunk.copy())
     counts = [c.shape[1] for c in cols]
     assert all(m == step for m in counts[:-1]) and 1 <= counts[-1] <= step
     layouts = [canonical_tuples(axes) for axes in grids]

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, build_operator
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, build_operator,
+                          quantum_bound)
 from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
                             hermitian_eigenvalues, x_blocks)
 from ghzcert.root2 import Root2
@@ -990,8 +991,9 @@ def test_canonical_layout_cache_stays_bounded():
 
 def test_concurrent_scans_match_sequential_reports():
     # Four threads scan their own scenarios at once, each in its own
-    # workspace, switching often; the reports equal the sequential ones
-    # exactly.
+    # workspace, switching often, with a quantum bound, the walk's other
+    # loop body, between scans; the reports and bounds equal the
+    # sequential ones exactly.
     cases = []
     for protocol in ALL_PROTOCOLS:
         constants = catalog_constants(protocol)
@@ -1002,7 +1004,11 @@ def test_concurrent_scans_match_sequential_reports():
                     beta_T=constants.beta_T),
                     GridSpec(points_per_axis=11 if protocol.n == 5 else 15,
                              domain=(0.0, hi))))
-    expected = [min_eig_over_grid(*case) for case in cases]
+
+    def scan_and_bound(case):
+        return min_eig_over_grid(*case), quantum_bound(case[0].protocol)
+
+    expected = [scan_and_bound(case) for case in cases]
     shares = [cases[i::4] for i in range(4)]
     results = [[] for _ in shares]
     start = threading.Barrier(len(shares))
@@ -1010,7 +1016,7 @@ def test_concurrent_scans_match_sequential_reports():
     def scan(share, out):
         start.wait()
         for _ in range(3):
-            out.append([min_eig_over_grid(*case) for case in share])
+            out.append([scan_and_bound(case) for case in share])
 
     threads = [threading.Thread(target=scan, args=pair)
                for pair in zip(shares, results)]
