@@ -30,16 +30,21 @@ such W is exactly antidiagonal in the computational basis, Hermitian, and
 persymmetric; its spectral norm equals the largest antidiagonal entry
 magnitude.  Those entries have a closed form (``corner_coefficient``),
 read off one ``sign_products`` table in real arithmetic; the certificate
-scan (``verifier``) forms every pair's chunk by chunk of
-``linalg.walk_canonical``.  At every angle tuple in [0, pi/2]^n the pair
-(0, 2^n - 1) is the largest, since
+scan (``verifier``) forms every pair's, chunk by chunk of its walk.
+
+At every angle tuple in [0, pi/2]^n the pair (0, 2^n - 1) is the largest.
+With T_b = prod_j (cos a_j + sigma_j sin a_j) and T_b~ its complement,
+T_b T_b~ = prod_j cos 2a_j for every pair, so
 
     |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
                             + prod_j (1 - sigma_j sin 2a_j)]
-                   + 2 Re(z_c^2) prod_j cos 2a_j
+                   + 2 Re(z_c^2) prod_j cos 2a_j.
 
-and each even-order term of the bracket is largest with every sigma_j = +1;
-so the quantum bound reads that pair alone.  ``ghz_phase``, the phase of
+The bracket is twice the sum of the even-order terms
+prod_{j in S} sigma_j sin 2a_j; on [0, pi/2] every sin 2a_j >= 0, so each
+term is largest with every sigma_j = +1, which is pair 0.  So the quantum
+bound reads that pair alone; outside [0, pi/2] no claim is made.
+``ghz_phase``, the phase of
 that pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share.
 ``build_operator`` is the dense reference route the tests compare against:
@@ -59,12 +64,12 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (check_hermitian, conjugate_pair_sum, contract_sites,
-                     least_block_eigenvalue, walk_canonical, x_blocks)
+from .linalg import (canonical_layouts, check_hermitian, conjugate_pair_sum,
+                     contract_sites, least_block_eigenvalue, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -334,72 +339,47 @@ def quantum_bound(protocol: BellProtocol) -> float:
     """Maximal quantum value, computed as the norm at the optimal angles.
 
     W is antidiagonal, so its spectral norm is its largest antidiagonal
-    magnitude; that is read off the antidiagonal closed form at the
-    all-pi/4 point and cross-checked against the same magnitudes on a coarse
-    grid over the full angle domain, both in one walk.  Every angle of both
-    grids lies in [0, pi/2], where
-
-        |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
-                                + prod_j (1 - sigma_j sin 2a_j)]
-                       + 2 Re(z_c^2) prod_j cos 2a_j
-
-    is largest at pair (0, 2^n - 1) (``_corner_magnitude_maxima``), so each
-    point reads that pair alone; outside that domain no claim is made.
+    magnitude, and on [0, pi/2]^n that is pair 0's (module docstring).  The
+    bound is pair 0's magnitude at the all-pi/4 point, cross-checked
+    against the largest on a grid of 9 values per axis over [0, pi/2]
+    (``_pair_zero_magnitudes``).
     """
-    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
-    # The all-pi/4 point is a grid of one value per axis, padded to the
-    # coarse grid's 9 by repeating it.
-    rows = np.empty((2, n, 9))
-    rows[0] = math.pi / 4
-    rows[1] = np.linspace(0.0, math.pi / 2, 9)
-    value, grid_max = _corner_magnitude_maxima(
-        protocol, rows, np.array([[1] * n, [9] * n]))
+    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
+    value, grid_max = _pair_zero_magnitudes(protocol)
     if grid_max > value + 1e-8:
         raise ArithmeticError(
             f"grid norm {grid_max} exceeds optimal-point norm {value}")
     return value
 
 
-def _corner_magnitude_maxima(protocol: BellProtocol, rows: np.ndarray,
-                             lengths: np.ndarray) -> List[float]:
-    """Largest antidiagonal magnitude over each of several product grids.
+def _pair_zero_magnitudes(protocol: BellProtocol) -> Tuple[float, float]:
+    """Pair 0's antidiagonal magnitude at the all-pi/4 point, and its
+    largest over the canonical points of the 9^n check grid.
 
-    ``rows`` and ``lengths`` hold the grids' padded axes as
-    ``walk_canonical`` takes them, every angle in [0, pi/2], and one walk
-    reads them all.  With T_b = prod_j (cos a_j + sigma_j sin a_j) and
-    T_b~ its complement (``corner_coefficient``), T_b T_b~ = prod_j cos 2a_j
-    for every pair, so
-
-        |W[b, b~]|^2 = |z_c|^2 [prod_j (1 + sigma_j sin 2a_j)
-                                + prod_j (1 - sigma_j sin 2a_j)]
-                       + 2 Re(z_c^2) prod_j cos 2a_j.
-
-    The bracket is twice the sum of the even-order terms
-    prod_{j in S} sigma_j sin 2a_j; on [0, pi/2] every sin 2a_j >= 0, so
-    each term is largest with every sigma_j = +1, which is pair 0; outside
-    [0, pi/2] no claim is made.  Only that pair is evaluated, at one sorted
-    angle tuple per permutation orbit: ``np.prod`` over the sites forms its
-    two products left to right, as rows 0 and 2^n - 1 of ``sign_products``
-    are, bit for bit.  The loop body runs once per chunk of
-    ``walk_canonical``, in small arrays of its own (the quantum bound's two
-    grids hold 3004 canonical points at n = 6); each magnitude is a function
-    of its own point alone, so each grid's maximum is that of a walk over it
-    by itself.
+    The grid's cached orbit layout (``linalg.canonical_layouts``) gets one
+    more column, pi/4 read as a tenth axis value.  Pair 0's two products
+    are a running product of the ``cos +- sin`` factors over the sites,
+    left to right, as rows 0 and 2^n - 1 of ``sign_products`` are, and
+    ``conjugate_pair_sum`` combines them, so each magnitude is that of the
+    all-pairs table bit for bit.
     """
-    values = rows.ravel()
+    n = protocol.n
+    axis = np.linspace(0.0, math.pi / 2, 9)
+    layout, = canonical_layouts(np.broadcast_to(axis, (1, n, 9)),
+                                np.full((1, n), 9))
+    cols = np.concatenate([layout, np.full((n, 1), 9, layout.dtype)],
+                          axis=1)
+    values = np.append(axis, math.pi / 4)
     cs, sn = np.cos(values), np.sin(values)
     trig = np.stack([cs + sn, cs - sn])
-    z = corner_coefficient(protocol)
-    best = [0.0] * len(rows)
-    for pieces, cols in walk_canonical(rows, lengths):
-        table = np.prod(np.take(trig, cols, axis=1, mode="clip"), axis=1)
-        scratch = np.empty((2, 1, cols.shape[1]))
-        magnitudes = np.abs(conjugate_pair_sum(
-            table, z, np.empty(scratch.shape[1:], complex), scratch))
-        for grid, begin, end in pieces:
-            best[grid] = max(best[grid],
-                             float(magnitudes[:, begin:end].max()))
-    return best
+    table = trig.take(cols[0], axis=1)
+    for col in cols[1:]:
+        table *= trig.take(col, axis=1)
+    m = cols.shape[1]
+    magnitudes, = np.abs(conjugate_pair_sum(
+        table, corner_coefficient(protocol), np.empty((1, m), complex),
+        np.empty((2, 1, m))))
+    return float(magnitudes[-1]), float(magnitudes[:-1].max())
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:

@@ -5,9 +5,9 @@ contraction of a tensor or matrix with a batch of per-site operators
 (``contract_sites``, which the dense Bell operator, the extraction channel,
 the non-X Born table and the local bound call), the canonical index tuples
 of product grids given as padded rows (``canonical_layouts``, one tuple per
-permutation orbit) and the one chunked walk over one or more such grids
-(``walk_canonical``), the per-site products over every sign choice
-(``sign_products``) and their conjugate-pair combination
+permutation orbit, which the certificate scan's walk in ``verifier`` and
+the quantum bound's check grid read), the per-site products over every
+sign choice (``sign_products``) and their conjugate-pair combination
 (``conjugate_pair_sum``), the one reader of the 2 x 2 pair blocks of an
 X matrix or a batch (``x_blocks``, which the state check, the Born table and
 ``verifier.block_decompose`` call) and their least eigenvalue, which
@@ -20,29 +20,24 @@ read-only, in one-byte indices up to 256 points per axis, at most
 ``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
 (the largest pass the certificate scan admits), is 3 one-byte indices per
 point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.
-``walk_canonical`` yields only each chunk's point columns, in one index
-array per thread; ``sign_products`` writes into caller-owned buffers when
-given them and ``conjugate_pair_sum`` always does, so each loop body over
-the walk keeps its own workspace (the certificate scan's in ``verifier``).
+``sign_products`` writes into caller-owned buffers when given them and
+``conjugate_pair_sum`` always does, so each caller keeps its own
+workspace; this module keeps no per-thread state.
 """
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 # Largest |m - m^dagger| entry a Hermitian matrix may have.
 HERMITICITY_TOL = 1e-10
-# Block evaluations (points times pairs) per chunk of a walk over canonical
-# grid points, about 0.5 MB per table: 4096 points at n = 4.  The fastest
-# of 2^13 to 2^17 for the certificate scan at n = 4 on grid 31; the
-# quantum-bound grid check walks its points in chunks of the same size.
-SCAN_CHUNK_EVALUATIONS = 2 ** 15
 # Canonical layouts kept by ``_canonical_layout``, least recently used
-# first out; a cycle of the scan benchmark's verify ops uses 8.
+# first out; a cycle of the scan benchmark's verify ops uses 8, and one of
+# the reference benchmark's bounds ops 4, one 9^n check grid per n.
 CANONICAL_LAYOUT_CACHE = 12
+
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty sequence of matrices, left to right."""
@@ -208,60 +203,6 @@ def conjugate_pair_sum(table: np.ndarray, z: complex, out: np.ndarray,
     np.multiply(-z.imag, low, out=second)
     np.add(first, second, out=out.imag)
     return out
-
-
-# This thread's column buffer, grown to the largest chunk walked on it, so
-# concurrent walks never share it.
-_CHUNK_COLUMNS = threading.local()
-
-
-def walk_canonical(rows: np.ndarray, lengths: np.ndarray
-                   ) -> Iterator[Tuple[List[Tuple[int, int, int]],
-                                       np.ndarray]]:
-    """Walk the canonical points of one or more product grids in chunks.
-
-    ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
-    as ``canonical_layouts`` takes them, and the walk groups each grid's
-    equal axes through it.  The grids' canonical points are walked end to
-    end, grid after grid, so one chunk may end one grid and start the next.
-    Yields ``(pieces, cols)`` for each chunk of about
-    ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
-    pairs): ``(grid, begin, end)`` for each grid with points in the chunk,
-    in order, whose points are the chunk's columns begin to end, and
-    ``cols`` (n, m), each site's column into ``rows.ravel()`` at the m
-    points, which never points into the padding past an axis.  ``cols`` is
-    a view of one array per thread, grown to the largest chunk and reused
-    by every chunk, so two walks must not be interleaved on one thread (no
-    caller does); each caller keeps its own workspace.
-    """
-    r, n, width = rows.shape
-    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (n - 1))
-    layouts = canonical_layouts(rows, lengths)
-    offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
-    total = sum(layout.shape[1] for layout in layouts)
-    size = n * min(step, total)
-    flat = getattr(_CHUNK_COLUMNS, "current", None)
-    if flat is None or len(flat) < size:
-        flat = _CHUNK_COLUMNS.current = np.empty(size, np.intp)
-    cols = None
-    grid, local = 0, 0    # the next point's grid and index in it
-    for start in range(0, total, step):
-        m = min(step, total - start)
-        if cols is None or m < step:
-            cols = flat[:n * m].reshape(n, m)
-        pieces = []
-        begin = 0
-        while begin < m:
-            layout = layouts[grid]
-            end = begin + min(m - begin, layout.shape[1] - local)
-            np.add(layout[:, local:local + end - begin], offsets[grid],
-                   out=cols[:, begin:end])
-            pieces.append((grid, begin, end))
-            local += end - begin
-            if local == layout.shape[1]:
-                grid, local = grid + 1, 0
-            begin = end
-        yield pieces, cols
 
 
 @functools.lru_cache(maxsize=None)

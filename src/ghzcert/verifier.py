@@ -19,11 +19,12 @@ each permutation orbit of a grid, and the scan evaluates one sorted angle tuple
 per orbit: C(P + n - 1, n) of the P^n grid points, each with all 2^(n-1) pairs
 at once, each block entry read off a ``sign_products`` table (the channel
 corner shares the diagonal's up to pi/4).  The points are walked by
-``linalg.walk_canonical``, which yields the point columns of chunks of about
+``walk_canonical``, which yields the point columns of chunks of about
 ``SCAN_CHUNK_EVALUATIONS`` block evaluations; the kernel gathers each chunk's
-site factors and builds its tables in a workspace of its own kept per thread
-(``_workspace``), so the tables neither grow with the grid nor are allocated
-per chunk, and the canonical points of a grid are a layout cached by its shape.
+site factors and builds its tables there.  The columns and the tables are
+views of one workspace kept per thread (``_workspace``), so they neither
+grow with the grid nor are allocated per chunk, and the canonical points of
+a grid are a layout cached by its shape (``linalg.canonical_layouts``).
 Refinement stencils shrink the same way along axes that coincide; the stencils
 of every remaining round are built, grouped and walked at once, and a round
 that moves the centre sends only the rounds after it to another walk.  A grid
@@ -53,14 +54,14 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angles, check_integer,
                    check_matrix, check_real, corner_coefficient, ghz_phase)
-from .linalg import (conjugate_pair_sum, sign_products, walk_canonical,
+from .linalg import (canonical_layouts, conjugate_pair_sum, sign_products,
                      x_blocks)
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
@@ -69,6 +70,10 @@ PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
 # Rounds of local refinement around a grid minimum near zero.
 REFINEMENT_DEPTH = 6
+# Block evaluations (points times pairs) per chunk of the scan's walk over
+# canonical grid points, about 0.5 MB per table: 4096 points at n = 4.  The
+# fastest of 2^13 to 2^17 at n = 4 on grid 31.
+SCAN_CHUNK_EVALUATIONS = 2 ** 15
 # Largest grid pass min_eig_over_grid accepts, in 2 x 2 block evaluations
 # (canonical points times pairs).  The largest accepted pass, n = 3 on grid
 # 227, peaks at about 73 MB resident, most of it building the one-byte
@@ -225,19 +230,20 @@ def block_decompose(t: np.ndarray, n: int) -> np.ndarray:
     return blocks if t.ndim == 3 else blocks[0]
 
 
-# The scan kernel's flat buffers on this thread, grown to the largest chunk
-# it has been handed, so concurrent scans never share them.
+# The scan's flat buffers on this thread, grown to the largest chunk it has
+# walked, so concurrent scans never share them.
 _WORKSPACE = threading.local()
 
 
 def _workspace(n: int, m: int) -> List[np.ndarray]:
-    """This thread's kernel buffers for a chunk of m points at n parties.
+    """This thread's scan buffers for a chunk of m points at n parties.
 
-    The sign table (2^n, m), D - mu (2^(n-1), m), the scratch
+    The kernel's sign table (2^n, m), D - mu (2^(n-1), m), the scratch
     (2, 2^(n-1), m), the channel and Bell corners (2^(n-1), m), complex,
-    and the site factors (2, n, m): about 2.9 MB at 2^15 block evaluations.
-    Each is a view of one flat buffer sized in block evaluations, so one
-    set serves every n (2 n m <= 2^n m).
+    and the site factors (2, n, m), then the walk's point columns (n, m),
+    intp: about 3.1 MB at 2^15 block evaluations.  Each is a view of one
+    flat buffer sized in block evaluations, so one set serves every n
+    (n <= 2^(n-1)).  The scan keeps no other per-thread state.
     """
     half = 2 ** (n - 1)
     flat = getattr(_WORKSPACE, "current", None)
@@ -245,11 +251,56 @@ def _workspace(n: int, m: int) -> List[np.ndarray]:
         flat = _WORKSPACE.current = [
             np.empty(size * half * m, dtype) for size, dtype in
             ((2, float), (1, float), (2, float), (1, complex), (1, complex),
-             (2, float))]
+             (2, float), (1, np.intp))]
     shapes = ((2 * half, m), (half, m), (2, half, m), (half, m), (half, m),
-              (2, n, m))
+              (2, n, m), (n, m))
     return [buffer[:math.prod(shape)].reshape(shape)
             for buffer, shape in zip(flat, shapes)]
+
+
+def walk_canonical(rows: np.ndarray, lengths: np.ndarray
+                   ) -> Iterator[Tuple[List[Tuple[int, int, int]],
+                                       np.ndarray]]:
+    """Walk the canonical points of one or more product grids in chunks.
+
+    ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
+    as ``linalg.canonical_layouts`` takes them, and the walk groups each
+    grid's equal axes through it.  The grids' canonical points are walked
+    end to end, grid after grid, so one chunk may end one grid and start
+    the next.  Yields ``(pieces, cols)`` for each chunk of about
+    ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
+    pairs): ``(grid, begin, end)`` for each grid with points in the chunk,
+    in order, whose points are the chunk's columns begin to end, and
+    ``cols`` (n, m), each site's column into ``rows.ravel()`` at the m
+    points, which never points into the padding past an axis.  ``cols`` is
+    the last view of this thread's ``_workspace``, sized for the walk's
+    largest chunk before the first is yielded, so two walks must not be
+    interleaved on one thread (no caller does).
+    """
+    r, n, width = rows.shape
+    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (n - 1))
+    layouts = canonical_layouts(rows, lengths)
+    offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
+    total = sum(layout.shape[1] for layout in layouts)
+    cols = _workspace(n, min(step, total))[-1]
+    grid, local = 0, 0    # the next point's grid and index in it
+    for start in range(0, total, step):
+        m = min(step, total - start)
+        if m < cols.shape[1]:
+            cols = _workspace(n, m)[-1]
+        pieces = []
+        begin = 0
+        while begin < m:
+            layout = layouts[grid]
+            end = begin + min(m - begin, layout.shape[1] - local)
+            np.add(layout[:, local:local + end - begin], offsets[grid],
+                   out=cols[:, begin:end])
+            pieces.append((grid, begin, end))
+            local += end - begin
+            if local == layout.shape[1]:
+                grid, local = grid + 1, 0
+            begin = end
+        yield pieces, cols
 
 
 def _min_block_over_products(
@@ -306,7 +357,7 @@ def _min_block_over_products(
     low = None
     for pieces, cols in walk_canonical(rows, lengths):
         if low is None or low.shape[1] != cols.shape[1]:
-            table, low, scratch, corner, w, factors = _workspace(
+            table, low, scratch, corner, w, factors, _ = _workspace(
                 n, cols.shape[1])
         # mode="clip" is faster and clips nothing.
         np.take(diagonal, cols, axis=1, out=factors, mode="clip")

@@ -16,15 +16,16 @@ import ghzcert.bell
 import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
-                          _coefficient_tensor, _corner_magnitude_maxima,
+                          _coefficient_tensor, _pair_zero_magnitudes,
                           build_operator, check_angles, corner_coefficient,
                           hybrid_bound, local_bound, observable,
                           quantum_bound, validate_state)
 from ghzcert.linalg import (conjugate_pair_sum, hermitian_eigenvalues,
-                            sign_products, walk_canonical)
+                            sign_products)
+from ghzcert.verifier import walk_canonical
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
-                     kron_sum_operator, padded_grid, pair_sign_matrix,
+                     kron_sum_operator, pair_sign_matrix,
                      pair_signs, pauli_coefficient, pauli_string,
                      per_family_beta_Q_exact, per_family_corner_coefficient,
                      reference_svetlichny_3, reference_svetlichny_4)
@@ -405,37 +406,27 @@ def test_quantum_bound_matches_catalog():
 
 
 
-def test_quantum_bound_walks_its_point_and_grid_at_once(monkeypatch):
-    # The all-pi/4 point and the coarse check grid are two grids of one
-    # walk.  Under chunks that split the walk anywhere, each grid's maximum
-    # is that of a walk over it alone, bit for bit.
-    walks = []
-    walk = ghzcert.bell.walk_canonical
+def test_quantum_bound_reads_pair_zero_without_the_scan_walk(monkeypatch):
+    # The bound reads its grid's cached layout in one pass, never the scan's
+    # walk or workspace.  Its grid maximum is the all-pairs oracle's and its
+    # value pair 0's magnitude at pi/4, both bit for bit.
+    def refuse(*args):
+        raise AssertionError("quantum_bound ran the certificate scan's walk")
 
-    def counting(rows, lengths):
-        walks.append(len(rows))
-        return walk(rows, lengths)
-
-    monkeypatch.setattr(ghzcert.bell, "walk_canonical", counting)
-    default = ghzcert.linalg.SCAN_CHUNK_EVALUATIONS
-    point, grid = np.array([math.pi / 4]), np.linspace(0.0, math.pi / 2, 9)
+    grid = np.linspace(0.0, math.pi / 2, 9)
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            rows = np.stack([np.full((n, 9), math.pi / 4),
-                             np.stack([grid] * n)])
-            lengths = np.array([[1] * n, [9] * n])
-            for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
-                monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
-                                    chunk)
-                alone = [_corner_magnitude_maxima(
-                    protocol, *padded_grid([axis] * n))[0]
-                    for axis in (point, grid)]
-                assert _corner_magnitude_maxima(protocol, rows,
-                                                lengths) == alone
-                walks.clear()
-                assert quantum_bound(protocol) == alone[0]
-                assert walks == [2]
+            want = quantum_bound(protocol)
+            with monkeypatch.context() as patch:
+                patch.setattr(ghzcert.verifier, "walk_canonical", refuse)
+                patch.setattr(ghzcert.verifier, "_workspace", refuse)
+                assert quantum_bound(protocol) == want
+            value, grid_max = _pair_zero_magnitudes(protocol)
+            assert grid_max == full_grid_corner_max(protocol, grid)
+            quarter = np.full((n, 1), math.pi / 4)
+            assert value == want == np.abs(complex_corner_entries(
+                protocol, np.cos(quarter), np.sin(quarter)))[0, 0]
 
 
 def test_corner_magnitude_max_matches_full_grid_oracle():
@@ -443,26 +434,9 @@ def test_corner_magnitude_max_matches_full_grid_oracle():
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
-            reduced, = _corner_magnitude_maxima(protocol,
-                                                *padded_grid([grid] * n))
+            reduced = _pair_zero_magnitudes(protocol)[1]
             assert abs(reduced - full_grid_corner_max(protocol, grid)) <= 1e-15
             assert abs(reduced - protocol.beta_Q) <= 1e-8
-
-
-@pytest.mark.parametrize("points", [1, 7])
-def test_corner_magnitude_max_chunks_match_full_grid_oracle(monkeypatch,
-                                                           points):
-    # Chunks of one and of seven canonical points put chunk boundaries
-    # everywhere; the maximum over the chunks is the full grid's, bit for bit.
-    grid = np.linspace(0.0, math.pi / 2, 9)
-    for family in (SVETLICHNY, MABK):
-        for n in (3, 4, 5, 6):
-            protocol = BellProtocol(family, n)
-            monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
-                                points * 2 ** (n - 1))
-            assert (_corner_magnitude_maxima(protocol,
-                                             *padded_grid([grid] * n))
-                    == [full_grid_corner_max(protocol, grid)])
 
 
 def test_coefficient_tensor_is_built_once_and_read_only():
@@ -487,7 +461,7 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
     # pairs, gives the complex route's entries at its points, bit for bit,
     # and their largest magnitude is the quantum bound's grid maximum.
     grid = np.linspace(0.0, math.pi / 2, 9)
-    default = ghzcert.linalg.SCAN_CHUNK_EVALUATIONS
+    default = ghzcert.verifier.SCAN_CHUNK_EVALUATIONS
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
@@ -497,8 +471,8 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
             trig = np.stack([cs + sn, cs - sn])
             z = corner_coefficient(protocol)
             for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
-                monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
-                                    chunk)
+                monkeypatch.setattr(ghzcert.verifier,
+                                    "SCAN_CHUNK_EVALUATIONS", chunk)
                 best = 0.0
                 for _, cols in walk_canonical(rows,
                                               np.full((1, n), len(grid))):
@@ -512,8 +486,7 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     best = max(best, float(np.abs(want).max()))
-                assert _corner_magnitude_maxima(
-                    protocol, *padded_grid([grid] * n)) == [best]
+                assert _pair_zero_magnitudes(protocol)[1] == best
 
 
 @st.composite

@@ -63,3 +63,20 @@ def test_no_module_imports_a_name_it_never_uses():
                    for name, line in imported.items() if name not in used]
     assert paths
     assert unused == []
+
+
+def test_only_the_verifier_keeps_per_thread_state():
+    # The certificate scan's workspace is the package's one per-thread
+    # state, so no other module imports threading.
+    importers = []
+    for path in sorted((ROOT / "src" / "ghzcert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "threading" for module in modules):
+                importers.append(path.name)
+    assert importers == ["verifier.py"]

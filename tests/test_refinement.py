@@ -16,7 +16,6 @@ import math
 import numpy as np
 import pytest
 
-import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.verifier import (REFINEMENT_DEPTH, GridSpec,
@@ -112,7 +111,7 @@ def test_batch_kernel_equals_each_stencil_alone(monkeypatch, protocol,
     # complex route over that stencil alone.  Centres on the pi/4 face keep
     # the n = 5 stencils small.
     n = protocol.n
-    monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                         points * 2 ** (n - 1))
     constants = catalog_constants(protocol)
     rng = np.random.default_rng(200 + n)

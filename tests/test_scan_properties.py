@@ -1,9 +1,8 @@
 """Property tests over the certificate scan's library entry point.
 
-``linalg.walk_canonical``, the one chunked walk the scan and the quantum
-bound's grid check run over, must visit every canonical point once, in
-order, for any axes that coincide, any number of grids walked end to
-end and any chunk size.
+``verifier.walk_canonical``, the one chunked walk, which only the scan
+runs over, must visit every canonical point once, in order, for any axes
+that coincide, any number of grids walked end to end and any chunk size.
 
 The scan kernel reads the channel corner off the diagonal sign table, which
 rests on one identity per site: the corner factors (dx + dy, dx - dy) equal
@@ -26,12 +25,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ghzcert.linalg
+import ghzcert.verifier
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
-from ghzcert.linalg import canonical_layouts, walk_canonical
+from ghzcert.linalg import canonical_layouts
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
-                              _stencils, catalog_constants, min_eig_over_grid)
+                              _stencils, catalog_constants, min_eig_over_grid,
+                              walk_canonical)
 from oracles import canonical_tuples, channel_corner_factors, per_axis_stencil
 
 
@@ -153,7 +153,7 @@ def test_walk_canonical_visits_every_canonical_point_in_order(case):
                       for axis in axes] for axes in grids])
     step = max(1, evaluations // half)
     cols, visits = [], []
-    with mock.patch.object(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+    with mock.patch.object(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                            evaluations):
         for pieces, chunk in walk_canonical(rows, lengths):
             m = pieces[-1][2]

@@ -19,7 +19,6 @@ from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
                             hermitian_eigenvalues, x_blocks)
 from ghzcert.root2 import Root2
 from ghzcert.states import apply_channel, ghz_state
-import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
                               CertificateConstants,
@@ -427,7 +426,7 @@ def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
     # Chunks of one and of three canonical points put chunk boundaries
     # between neighbouring points all over the grid.
     n = protocol.n
-    monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS",
+    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                         points * 2 ** (n - 1))
     constants = catalog_constants(protocol)
     cases = [([np.linspace(0.0, math.pi / 4, 11 if n == 5 else 21)] * n,
@@ -463,7 +462,7 @@ def test_scan_chunks_keep_first_pair_then_first_point(monkeypatch, x, s,
     # point (four pairs) per chunk the tie lies across chunk boundaries.
     protocol = BellProtocol(SVETLICHNY, 3)
     mu = catalog_constants(protocol).mu
-    monkeypatch.setattr(ghzcert.linalg, "SCAN_CHUNK_EVALUATIONS", 4)
+    monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS", 4)
     ends = []
     for point in ((x, x, 0.0), (0.0, x, x)):
         axes = [np.array([a]) for a in point]
@@ -991,9 +990,8 @@ def test_canonical_layout_cache_stays_bounded():
 
 def test_concurrent_scans_match_sequential_reports():
     # Four threads scan their own scenarios at once, each in its own
-    # workspace, switching often, with a quantum bound, the walk's other
-    # loop body, between scans; the reports and bounds equal the
-    # sequential ones exactly.
+    # workspace, switching often, with a quantum bound between scans; the
+    # reports and bounds equal the sequential ones exactly.
     cases = []
     for protocol in ALL_PROTOCOLS:
         constants = catalog_constants(protocol)
