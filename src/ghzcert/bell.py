@@ -46,7 +46,9 @@ term is largest with every sigma_j = +1, which is pair 0.  So the quantum
 bound reads that pair alone; outside [0, pi/2] no claim is made.
 ``ghz_phase``, the phase of
 that pair's eigenvector, defines the target state the scan and
-``states.ghz_state`` share.
+``states.ghz_state`` share; ``corner_turn``, its conjugate square read
+exactly off the family octant, lets the scan read the channel's and the
+Bell corner's entries through one real table.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) through ``linalg.contract_sites`` (``local_bound`` does so with
@@ -271,6 +273,20 @@ def ghz_phase(protocol: BellProtocol) -> complex:
     """
     zc = corner_coefficient(protocol)
     return zc / abs(zc)
+
+
+def corner_turn(protocol: BellProtocol) -> complex:
+    """conj(u)^2 of the GHZ phase u = ``ghz_phase``, exactly 1, -1j, -1 or 1j.
+
+    z_c = (A/2) e^(i k pi/4) (1 + i)^n with A > 0, so u = e^(i (k + n) pi/4)
+    and conj(u)^2 = (-i)^(k + n), read off ``_FAMILY_TABLE`` without
+    rounding.  The certificate scan reads each pair's corner entry as u
+    times one real table of sign products (``verifier``), whose two rows
+    of the pair enter with relative phase this turn.
+    """
+    _, octants = _FAMILY_TABLE[protocol.family]
+    quarter_turns = (octants[protocol.n % 2] + protocol.n) % 4
+    return (1 + 0j, -1j, -1 + 0j, 1j)[quarter_turns]
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,15 @@ the non-X Born table and the local bound call), the canonical index tuples
 of product grids given as padded rows (``canonical_layouts``, one tuple per
 permutation orbit, which the certificate scan's walk in ``verifier`` and
 the quantum bound's check grid read), the per-site products over every
-sign choice (``sign_products``) and their conjugate-pair combination
-(``conjugate_pair_sum``), the one reader of the 2 x 2 pair blocks of an
-X matrix or a batch (``x_blocks``, which the state check, the Born table and
-``verifier.block_decompose`` call) and their least eigenvalue, which
-certification and state validation read, and the one Hermiticity check
-(``check_hermitian``) of states and of the full spectrum the tests read.
+sign choice (``sign_products``, the certificate scan's tables) and their
+conjugate-pair combination (``conjugate_pair_sum``, which only the
+quantum bound's pair 0 reads: the scan combines each pair's rows through
+the shared GHZ phase in real arithmetic), the one reader of the 2 x 2
+pair blocks of an X matrix or a batch (``x_blocks``, which the state
+check, the Born table and ``verifier.block_decompose`` call) and their
+least eigenvalue, which certification and state validation read, and the
+one Hermiticity check (``check_hermitian``) of states and of the full
+spectrum the tests read.
 
 The canonical index layout depends only on the axis lengths and on which
 axes are equal, so it is built once per such structure and cached:

@@ -18,7 +18,10 @@ block pi(b) at pi(alpha).  The minimum over all blocks is therefore constant on
 each permutation orbit of a grid, and the scan evaluates one sorted angle tuple
 per orbit: C(P + n - 1, n) of the P^n grid points, each with all 2^(n-1) pairs
 at once, each block entry read off a ``sign_products`` table (the channel
-corner shares the diagonal's up to pi/4).  The points are walked by
+corner shares the diagonal's up to pi/4).  The channel and Bell corners
+share the GHZ phase u, so each pair's |K_c - s W_c| is one real table's
+two rows combined by the exact turn v = conj(u)^2 (``bell.corner_turn``):
+no complex product is formed.  The points are walked by
 ``walk_canonical``, which yields the point columns of chunks of about
 ``SCAN_CHUNK_EVALUATIONS`` block evaluations; the kernel gathers each chunk's
 site factors and builds its tables there.  The columns and the tables are
@@ -60,9 +63,8 @@ import numpy as np
 
 from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
                    build_operator, check_angles, check_integer,
-                   check_matrix, check_real, corner_coefficient, ghz_phase)
-from .linalg import (canonical_layouts, conjugate_pair_sum, sign_products,
-                     x_blocks)
+                   check_matrix, check_real, corner_coefficient, corner_turn)
+from .linalg import canonical_layouts, sign_products, x_blocks
 from .root2 import Root2
 from .states import apply_channel, g_values, ghz_state
 
@@ -238,22 +240,21 @@ _WORKSPACE = threading.local()
 def _workspace(n: int, m: int) -> List[np.ndarray]:
     """This thread's scan buffers for a chunk of m points at n parties.
 
-    The kernel's sign table (2^n, m), D - mu (2^(n-1), m), the scratch
-    (2, 2^(n-1), m), the channel and Bell corners (2^(n-1), m), complex,
-    and the site factors (2, n, m), then the walk's point columns (n, m),
-    intp: about 3.1 MB at 2^15 block evaluations.  Each is a view of one
-    flat buffer sized in block evaluations, so one set serves every n
-    (n <= 2^(n-1)).  The scan keeps no other per-thread state.
+    The kernel's two sign tables (2^n, m), D - mu (2^(n-1), m) and the
+    scratch (2^(n-1), m), the site factors (2, n, m), then the walk's point
+    columns (n, m), intp: about 2.4 MB at 2^15 block evaluations.  Each is
+    a view of one flat buffer sized in block evaluations, so one set serves
+    every n (n <= 2^(n-1)).  The scan keeps no other per-thread state.
     """
     half = 2 ** (n - 1)
     flat = getattr(_WORKSPACE, "current", None)
-    if flat is None or len(flat[1]) < half * m:
+    if flat is None or len(flat[2]) < half * m:
         flat = _WORKSPACE.current = [
             np.empty(size * half * m, dtype) for size, dtype in
-            ((2, float), (1, float), (2, float), (1, complex), (1, complex),
-             (2, float), (1, np.intp))]
-    shapes = ((2 * half, m), (half, m), (2, half, m), (half, m), (half, m),
-              (2, n, m), (n, m))
+            ((2, float), (2, float), (1, float), (1, float), (2, float),
+             (1, np.intp))]
+    shapes = ((2 * half, m), (2 * half, m), (half, m), (half, m), (2, n, m),
+              (n, m))
     return [buffer[:math.prod(shape)].reshape(shape)
             for buffer, shape in zip(flat, shapes)]
 
@@ -316,16 +317,27 @@ def _min_block_over_products(
     closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
     block, where D and K_c are the diagonal and corner entries of the
     channel output and W_c the corner entry of the Bell operator.  Each
-    sums the per-site products of pair b and its complement, rows of a
-    ``sign_products`` table.  Permuting parties maps block b at a point to
+    sums the per-site products of pair b and its complement b~, rows of a
+    ``sign_products`` table: D with scale = 2^-(n+1), K_c with scale u and
+    W_c with z_c = |z_c| u, u the GHZ phase.  So with C and B the channel's
+    and the Bell corner's tables,
+
+        |K_c - s W_c| = scale |X[b~] + v X[b]|,  X = C - (s |z_c| / scale) B,
+
+    and v = conj(u)^2 is exactly 1, -1, i or -i (``bell.corner_turn``): one
+    real add or subtract and ``abs`` for v = +-1, and for v = +-i the two
+    half tables as the real and imaginary parts of one complex buffer and
+    numpy's complex ``abs``.  Permuting parties maps block b at a point to
     block pi(b) at the permuted point, so the minimum over all pairs is the
     same on every point of a permutation orbit and only one tuple per orbit
     is evaluated.
 
     The loop body runs once per chunk of ``walk_canonical``, in this thread's
     ``_workspace`` sized to the chunk.  Each chunk gathers its site factors at
-    the walk's columns and builds the diagonal's table, the channel corner's
-    and the Bell corner's in turn, in one buffer.  The channel corner's site
+    the walk's columns and builds the diagonal's table, then the channel
+    corner's in the same buffer, then the Bell corner's in the second, where
+    X is formed in place; the complex buffer of v = +-i is the first
+    table's memory, free by then.  The channel corner's site
     factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
     dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its
     table is the diagonal's, rebuilt from the negated minus factors only when
@@ -350,32 +362,43 @@ def _min_block_over_products(
                         np.where(beyond, -diagonal[1], diagonal[1])])
     cs, sn = np.cos(values), np.sin(values)
     trig = np.stack([cs + sn, cs - sn])
-    channel_z = scale * ghz_phase(protocol)
-    bell_z = corner_coefficient(protocol)
+    # A numpy scalar, so that an overflow of the ratio raises as the
+    # table's would; dividing by the power of two scale is exact.
+    ratio = np.float64(s) * (abs(corner_coefficient(protocol)) / scale)
+    turn = corner_turn(protocol)
     best: list = [None] * len(rows)
     evaluations = [0] * len(rows)
     low = None
     for pieces, cols in walk_canonical(rows, lengths):
         if low is None or low.shape[1] != cols.shape[1]:
-            table, low, scratch, corner, w, factors, _ = _workspace(
+            table, x, low, scratch, factors, _ = _workspace(
                 n, cols.shape[1])
+            # The first table read as complex (2^(n-1), m).
+            parts = table.reshape(-1).view(complex).reshape(low.shape)
         # mode="clip" is faster and clips nothing.
         np.take(diagonal, cols, axis=1, out=factors, mode="clip")
-        sign_products(*factors, table, scratch[0])
+        sign_products(*factors, table, scratch)
         np.add(table[:half], table[::-1][:half], out=low)
         low *= scale
         low -= mu
         if flips:
             np.take(channel, cols, axis=1, out=factors, mode="clip")
-            sign_products(*factors, table, scratch[0])
-        conjugate_pair_sum(table, channel_z, corner, scratch)
+            sign_products(*factors, table, scratch)
         np.take(trig, cols, axis=1, out=factors, mode="clip")
-        sign_products(*factors, table, scratch[0])
-        conjugate_pair_sum(table, bell_z, w, scratch)
-        w.real *= s
-        w.imag *= s
-        corner -= w
-        low -= np.abs(corner, out=scratch[0])
+        sign_products(*factors, x, scratch)
+        x *= ratio
+        np.subtract(table, x, out=x)
+        if turn.imag:
+            # |X[b~] +- i X[b]|, the first table free to hold both halves.
+            parts.real = x[::-1][:half]
+            parts.imag = x[:half]
+            np.abs(parts, out=scratch)
+        else:
+            (np.add if turn.real > 0 else np.subtract)(
+                x[::-1][:half], x[:half], out=scratch)
+            np.abs(scratch, out=scratch)
+        scratch *= scale
+        low -= scratch
         for grid, begin, end in pieces:
             part = low[:, begin:end]
             pair, k = divmod(int(part.argmin()), end - begin)

@@ -21,10 +21,12 @@ orbit reduction of the package kernels can be checked against them.
 per-pair route to the corner closed form and the orbit-reduced scan, with
 ``channel_corner_factors`` the channel corner's site factors: one
 ``signed_site_product`` per pair table and sign, corner algebra in complex
-arrays; the package's sign tables and real arithmetic must match them bit
-for bit.  ``canonical_tuples`` picks the canonical points of a grid by
-brute force over the full product, apart from the package's layout
-cache, for ``complex_min_block_over_axes`` and the walk's tests.  The
+arrays.  ``real_min_block_over_axes`` is the same scan through the shared
+corner phase, one real table X = C - (s |z_c|/scale) B per pair and sign,
+which the package's scan kernel must match bit for bit; the complex route
+agrees with it to 1e-15.  ``canonical_tuples`` picks the canonical points
+of a grid by brute force over the full product, apart from the package's
+layout cache, for both orbit-reduced oracles and the walk's tests.  The
 package's kernels take grids only as padded rows and lengths;
 ``padded_grid`` turns a list of axes, ragged or not, into that form.
 ``per_axis_stencil`` builds a refinement stencil one axis at a
@@ -576,17 +578,13 @@ def canonical_tuples(axes) -> np.ndarray:
     return kept[order].T
 
 
-def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
-    """Orbit-reduced scan minimum in complex arithmetic.
+def _canonical_scan_tables(protocol, axes) -> tuple:
+    """What both orbit-reduced scan oracles read at ``canonical_tuples``.
 
-    Same contract and return tuple as ``verifier._min_block_over_products``
-    gives for the one grid ``padded_grid(axes)``: the minimum, its angles,
-    the binding pair and the evaluation count.  The points are
-    ``canonical_tuples(axes)``.
+    Returns the tuples, the pair signs, each pair's diagonal entry D (mu
+    not yet subtracted), and the channel's and the Bell corner's per-site
+    values, (dx, dy) and (cos, sin), at every canonical point.
     """
-    n = protocol.n
-    zc = per_family_corner_coefficient(protocol)
-    psi = zc / abs(zc)
     idx = canonical_tuples(axes)
 
     def at_points(per_axis):
@@ -599,17 +597,65 @@ def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     dy = at_points([f[1] for f in factors])
     gs = at_points([g_values(a) for a in axes])
     ones = np.ones_like(gs)
-    sig = pair_sign_matrix(n)
-    scale = 1.0 / 2 ** (n + 1)
+    sig = pair_sign_matrix(protocol.n)
+    scale = 1.0 / 2 ** (protocol.n + 1)
     diag = scale * (signed_site_product(ones, gs, sig)
                     + signed_site_product(ones, gs, -sig))
+    return idx, sig, diag, (dx, dy), (cs, sn)
+
+
+def _scan_minimum(low: np.ndarray, idx: np.ndarray, axes) -> tuple:
+    """The first pair's, then the first point's, least block value, its
+    angles, its pair and the number of values, as the scan reports them."""
+    pair, k = divmod(int(np.argmin(low)), low.shape[1])
+    point = tuple(float(axes[j][idx[j, k]]) for j in range(len(axes)))
+    return float(low[pair, k]), point, pair, low.size
+
+
+def complex_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
+    """Orbit-reduced scan minimum in complex arithmetic.
+
+    Same contract and return tuple as ``verifier._min_block_over_products``
+    gives for the one grid ``padded_grid(axes)``: the minimum, its angles,
+    the binding pair and the evaluation count.  The points are
+    ``canonical_tuples(axes)``.  The channel corner takes the phase
+    z_c/|z_c| and the Bell corner z_c, each pair's two products combined
+    in complex arithmetic.
+    """
+    zc = per_family_corner_coefficient(protocol)
+    psi = zc / abs(zc)
+    idx, sig, diag, (dx, dy), (cs, sn) = _canonical_scan_tables(protocol,
+                                                                axes)
+    scale = 1.0 / 2 ** (protocol.n + 1)
     kc = scale * (np.conj(psi) * signed_site_product(dx, dy, sig)
                   + psi * signed_site_product(dx, dy, -sig))
     low = (diag - mu) - np.abs(kc - s * complex_corner_entries(protocol,
                                                                 cs, sn))
-    pair, k = divmod(int(np.argmin(low)), low.shape[1])
-    point = tuple(float(axes[j][idx[j, k]]) for j in range(n))
-    return float(low[pair, k]), point, pair, low.size
+    return _scan_minimum(low, idx, axes)
+
+
+def real_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
+    """Orbit-reduced scan minimum through one real table per pair.
+
+    Same contract and return tuple as ``complex_min_block_over_axes``.  The
+    channel and Bell corners share the phase u = z_c/|z_c|, so
+    |K_b - s W_b| = scale |X_b~ + v X_b| with X = C - (s |z_c|/scale) B, C
+    and B the channel's and the Bell corner's signed products per pair and
+    sign, and v = conj(u)^2 rounded to the nearest of 1, -1, i and -i.  The
+    package's scan kernel must match this bit for bit.
+    """
+    zc = per_family_corner_coefficient(protocol)
+    v = np.conj(zc / abs(zc)) ** 2
+    v = complex(round(v.real), round(v.imag))
+    idx, sig, diag, (dx, dy), (cs, sn) = _canonical_scan_tables(protocol,
+                                                                axes)
+    scale = 1.0 / 2 ** (protocol.n + 1)
+    ratio = s * (abs(zc) / scale)
+    x, x_complement = (signed_site_product(dx, dy, signs)
+                       - ratio * signed_site_product(cs, sn, signs)
+                       for signs in (sig, -sig))
+    low = (diag - mu) - scale * np.abs(x_complement + v * x)
+    return _scan_minimum(low, idx, axes)
 
 
 def per_axis_stencil(p: np.ndarray, h: float, lo: float,

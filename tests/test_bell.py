@@ -18,8 +18,8 @@ import ghzcert.verifier
 from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
                           _coefficient_tensor, _pair_zero_magnitudes,
                           build_operator, check_angles, corner_coefficient,
-                          hybrid_bound, local_bound, observable,
-                          quantum_bound, validate_state)
+                          corner_turn, ghz_phase, hybrid_bound, local_bound,
+                          observable, quantum_bound, validate_state)
 from ghzcert.linalg import (conjugate_pair_sum, hermitian_eigenvalues,
                             sign_products)
 from ghzcert.verifier import walk_canonical
@@ -525,12 +525,16 @@ def test_pair_zero_binds_every_corner_on_the_angle_domain(case):
 
 
 def test_quantum_bound_reads_no_sign_table(monkeypatch):
-    # The bound reads pair 0 alone, never the all-pairs table.
+    # The bound reads pair 0 alone, never the all-pairs table, through any
+    # module's binding of the name: ``bell`` would bind one imported from
+    # ``linalg`` at import, which patching ``linalg`` does not reach.
     def refuse(*args):
         raise AssertionError("quantum_bound read the all-pairs table")
 
     monkeypatch.setattr(ghzcert.linalg, "sign_products", refuse)
     monkeypatch.setattr(ghzcert.verifier, "sign_products", refuse)
+    monkeypatch.setattr(ghzcert.bell, "sign_products", refuse,
+                        raising=False)
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
@@ -539,9 +543,9 @@ def test_quantum_bound_reads_no_sign_table(monkeypatch):
 
 
 def test_quantum_bound_allocates_no_scan_workspace():
-    # On a thread that never scanned, the bound's walk allocates only its
-    # small per-chunk arrays and the walk's columns, far below the scan
-    # kernel's tables of 2^15 block evaluations (about 3 MB).
+    # On a thread that never scanned, the bound allocates only its check
+    # grid's small arrays, far below the scan kernel's workspace of 2^15
+    # block evaluations (about 2.4 MB).
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
@@ -558,6 +562,27 @@ def test_quantum_bound_allocates_no_scan_workspace():
                 tracemalloc.stop()
             assert not thread.is_alive() and got == [want]
             assert peak < 512_000
+
+
+def test_corner_coefficient_is_its_magnitude_times_the_ghz_phase():
+    # The scan's channel and Bell corners share the phase u = ghz_phase.
+    for family in FAMILIES:
+        for n in range(3, 7):
+            protocol = BellProtocol(family, n)
+            zc = corner_coefficient(protocol)
+            assert abs(zc - abs(zc) * ghz_phase(protocol)) <= 1e-15 * abs(zc)
+
+
+def test_corner_turn_is_the_conjugate_square_of_the_ghz_phase():
+    # Read off the family octant, the turn v = conj(u)^2 is one of 1, -1, i
+    # and -i exactly: Svetlichny at odd n, alone, has v = +-1.
+    for family in FAMILIES:
+        for n in range(3, 7):
+            protocol = BellProtocol(family, n)
+            v = corner_turn(protocol)
+            assert v in (1, -1, 1j, -1j)
+            assert abs(v - np.conj(ghz_phase(protocol)) ** 2) <= 1e-15
+            assert (v.imag == 0) == (family == SVETLICHNY and n % 2 == 1)
 
 
 def test_coefficient_tensor_matches_per_weight_oracle_bit_for_bit():

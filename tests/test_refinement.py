@@ -22,17 +22,19 @@ from ghzcert.verifier import (REFINEMENT_DEPTH, GridSpec,
                               _min_block_over_products, _stencils,
                               catalog_constants, min_eig_over_grid)
 from oracles import (complex_min_block_over_axes, per_axis_stencil,
-                     sequential_refinement)
+                     real_min_block_over_axes, sequential_refinement)
 
 PROTOCOLS = [BellProtocol(family, n) for family in (SVETLICHNY, MABK)
              for n in (3, 4, 5)]
-# The catalog scans whose refinement moves the centre before its last
-# round, and the 0-based rounds that move it.
+# Catalog scans whose refinement moves the centre before its last round,
+# and the 0-based rounds that move it, two per domain.  Each move lowers
+# the minimum by 2.2e-16 or 4.4e-16, rounding at the scale of the block
+# entries, so the list follows the kernel's rounding.
 CENTRE_MOVES = [
-    (MABK, 3, 21, math.pi / 4, [1, 4]),
-    (SVETLICHNY, 4, 7, math.pi / 4, [2]),
-    (MABK, 3, 9, math.pi / 2, [0]),
-    (MABK, 5, 9, math.pi / 2, [2]),
+    (MABK, 4, 11, math.pi / 4, [2]),
+    (SVETLICHNY, 4, 7, math.pi / 4, [1]),
+    (SVETLICHNY, 3, 2, math.pi / 2, [0]),
+    (MABK, 4, 7, math.pi / 2, [2]),
 ]
 
 
@@ -92,13 +94,15 @@ def test_centre_moving_scans_batch_again(family, n, points, hi, rounds,
 
 def test_catalog_scans_walk_once_per_batch(walks):
     # Svetlichny n = 4 never moves the centre on grid 21: the grid pass and
-    # one batch of all six rounds.  MABK n = 3 moves it twice.
+    # one batch of all six rounds.  MABK n = 4 over [0, pi/2] moves it once,
+    # at round 2, and walks the three rounds after it again.
     report, count = _scan(catalog_constants(BellProtocol(SVETLICHNY, 4)),
                           GridSpec(points_per_axis=21), walks)
     assert report.refined and count == 2
-    report, count = _scan(catalog_constants(BellProtocol(MABK, 3)),
-                          GridSpec(points_per_axis=21), walks)
-    assert report.refined and count == 1 + 3
+    report, count = _scan(catalog_constants(BellProtocol(MABK, 4)),
+                          GridSpec(points_per_axis=21,
+                                   domain=(0.0, math.pi / 2)), walks)
+    assert report.refined and count == 1 + 2
 
 
 @pytest.mark.parametrize("points", [1, 3, 7])
@@ -108,8 +112,9 @@ def test_batch_kernel_equals_each_stencil_alone(monkeypatch, protocol,
                                                 points):
     # Chunks of 1, 3 and 7 points end inside grids and between them;
     # each stencil's minimum, point, pair and count are still those of the
-    # complex route over that stencil alone.  Centres on the pi/4 face keep
-    # the n = 5 stencils small.
+    # real route over that stencil alone, and its minimum that of the
+    # complex route to 1e-15.  Centres on the pi/4 face keep the n = 5
+    # stencils small.
     n = protocol.n
     monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                         points * 2 ** (n - 1))
@@ -126,6 +131,9 @@ def test_batch_kernel_equals_each_stencil_alone(monkeypatch, protocol,
         for s in (constants.s, 1.1 * constants.s):
             got = _min_block_over_products(protocol, s, constants.mu,
                                            *_stencils(p, steps, 0.0, hi))
-            assert got == [complex_min_block_over_axes(
-                protocol, s, constants.mu, per_axis_stencil(p, step, 0.0, hi))
-                for step in steps]
+            alone = [per_axis_stencil(p, step, 0.0, hi) for step in steps]
+            assert got == [real_min_block_over_axes(
+                protocol, s, constants.mu, axes) for axes in alone]
+            for (value, *_), axes in zip(got, alone):
+                assert abs(value - complex_min_block_over_axes(
+                    protocol, s, constants.mu, axes)[0]) <= 1e-15

@@ -12,7 +12,9 @@ answer every finite slope on either domain with a finite minimum, raise
 nothing and emit no warning.  Its refinement stencils, every remaining
 round's built in one call over every axis, must equal the per-axis
 construction bit for bit, and the walk and the stencils' layouts must
-take the points and order of the brute-force ``canonical_tuples``.
+take the points and order of the brute-force ``canonical_tuples``.  The
+kernel's value at one point, read through the shared corner phase, must be
+the least block eigenvalue of the assembled certificate matrix there.
 """
 from __future__ import annotations
 
@@ -27,12 +29,14 @@ from hypothesis import strategies as st
 
 import ghzcert.verifier
 from ghzcert.bell import ANGLE_SLACK, FAMILIES, BellProtocol
-from ghzcert.linalg import canonical_layouts
+from ghzcert.linalg import canonical_layouts, least_block_eigenvalue
 from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
-                              _stencils, catalog_constants, min_eig_over_grid,
-                              walk_canonical)
-from oracles import canonical_tuples, channel_corner_factors, per_axis_stencil
+                              _min_block_over_products, _stencils,
+                              block_decompose, build_T, catalog_constants,
+                              min_eig_over_grid, walk_canonical)
+from oracles import (canonical_tuples, channel_corner_factors, padded_grid,
+                     per_axis_stencil)
 
 
 def bits(x: float) -> bytes:
@@ -80,6 +84,33 @@ def test_min_eig_over_grid_answers_every_finite_slope(family, n, s, grid,
     assert report.passed is (report.min_eigenvalue >= -PSD_TOLERANCE)
     assert all(0.0 <= angle <= hi for angle in report.argmin_angles)
     assert 0 <= report.binding_pair < 2 ** (n - 1)
+
+
+@st.composite
+def certificate_points(draw):
+    """A scenario, a point of either domain, a slope of 0.5-1.5 times the
+    catalog's and a free offset mu."""
+    protocol = BellProtocol(draw(st.sampled_from(FAMILIES)),
+                            draw(st.integers(3, 5)))
+    hi = draw(st.sampled_from([math.pi / 4, math.pi / 2]))
+    # Axes at 0, at pi/4, just either side of it, at hi, or anywhere.
+    axis = st.one_of(st.sampled_from([0.0, math.pi / 4 - 1e-9, math.pi / 4,
+                                      math.pi / 4 + 1e-9, hi]),
+                     st.floats(min_value=0.0, max_value=hi))
+    point = [min(draw(axis), hi) for _ in range(protocol.n)]
+    s = catalog_constants(protocol).s * draw(st.floats(0.5, 1.5))
+    return protocol, point, s, draw(st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=certificate_points())
+def test_kernel_at_one_point_is_the_least_block_eigenvalue(case):
+    protocol, point, s, mu = case
+    (value, at, _, count), = _min_block_over_products(
+        protocol, s, mu, *padded_grid([np.array([a]) for a in point]))
+    blocks = block_decompose(build_T(protocol, point, s, mu), protocol.n)
+    assert abs(value - least_block_eigenvalue(blocks)) <= 1e-14
+    assert at == tuple(point) and count == 2 ** (protocol.n - 1)
 
 
 @st.composite

@@ -32,7 +32,8 @@ from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
 from oracles import (PastValidation, block_unitary,
                      complex_min_block_over_axes, eig2x2_hermitian,
                      full_grid_min_block, is_persymmetric, padded_grid,
-                     pauli_string, random_x_matrix, stop_past_validation)
+                     pauli_string, random_x_matrix, real_min_block_over_axes,
+                     stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -388,11 +389,23 @@ def test_reduced_scan_matches_full_grid_oracle_on_stencils():
                 _assert_matches_oracle(protocol, s, constants.mu, axes)
 
 
+def _assert_matches_both_routes(protocol, s, mu, axes):
+    # The kernel is the real route bit for bit: minimum, point, pair and
+    # count.  The complex route rounds differently, so only its minimum is
+    # compared, to 1e-15.
+    got = _min_block_over_products(protocol, s, mu, *padded_grid(axes))
+    assert got == [real_min_block_over_axes(protocol, s, mu, axes)]
+    assert abs(got[0][0] - complex_min_block_over_axes(protocol, s, mu,
+                                                       axes)[0]) <= 1e-15
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
                          ids=lambda p: f"{p.family}-{p.n}")
 def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
-    # Grid 31 at n = 5 takes seconds and about 0.5 GB in the complex route;
-    # grid 16 keeps the n = 5 case small.
+    # Bit for bit against the real route, and to 1e-15 against the complex
+    # route (``_assert_matches_both_routes``).  Grid 31 at n = 5 takes
+    # seconds and about 0.5 GB in the oracles; grid 16 keeps the n = 5 case
+    # small.
     n = protocol.n
     constants = catalog_constants(protocol)
     grids = [np.linspace(0.0, math.pi / 4, 11 if n == 5 else 21),
@@ -400,22 +413,17 @@ def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
              np.linspace(0.0, math.pi / 4, 16 if n == 5 else 31)]
     for s in (constants.s, 1.1 * constants.s, 0.7 * constants.s):
         for axis in grids:
-            axes = [axis] * n
-            assert (_min_block_over_products(protocol, s, constants.mu,
-                                             *padded_grid(axes))
-                    == [complex_min_block_over_axes(protocol, s,
-                                                    constants.mu, axes)])
+            _assert_matches_both_routes(protocol, s, constants.mu,
+                                        [axis] * n)
     rng = np.random.default_rng(n)
     for _ in range(20):
         hi = rng.choice([math.pi / 4, math.pi / 2])
         h = rng.uniform(1e-4, 0.2)
         axes = [np.unique(np.clip(np.linspace(c - h, c + h, 5), 0.0, hi))
                 for c in rng.uniform(0.0, hi, size=n)]
-        s = constants.s * rng.uniform(0.5, 1.5)
-        assert (_min_block_over_products(protocol, s, constants.mu,
-                                         *padded_grid(axes))
-                == [complex_min_block_over_axes(protocol, s, constants.mu,
-                                                axes)])
+        _assert_matches_both_routes(protocol,
+                                    constants.s * rng.uniform(0.5, 1.5),
+                                    constants.mu, axes)
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -424,7 +432,8 @@ def test_scan_kernel_matches_complex_route_bit_for_bit(protocol):
 def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
                                                      points):
     # Chunks of one and of three canonical points put chunk boundaries
-    # between neighbouring points all over the grid.
+    # between neighbouring points all over the grid; the routes are
+    # compared as in the test above.
     n = protocol.n
     monkeypatch.setattr(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                         points * 2 ** (n - 1))
@@ -442,10 +451,7 @@ def test_scan_chunks_match_complex_route_bit_for_bit(monkeypatch, protocol,
         cases.append(([np.linspace(c - h, c + h, 3) for c in centres],
                       constants.s * rng.uniform(0.5, 1.5)))
     for axes, s in cases:
-        assert (_min_block_over_products(protocol, s, constants.mu,
-                                         *padded_grid(axes))
-                == [complex_min_block_over_axes(protocol, s, constants.mu,
-                                                axes)])
+        _assert_matches_both_routes(protocol, s, constants.mu, axes)
 
 
 @pytest.mark.parametrize("x, s, pairs, binding", [
@@ -472,7 +478,7 @@ def test_scan_chunks_keep_first_pair_then_first_point(monkeypatch, x, s,
     axes = [np.array([x, 0.0]), np.array([x]), np.array([0.0, x])]
     result, = _min_block_over_products(protocol, s, mu, *padded_grid(axes))
     assert result == (ends[0][0], binding, min(pairs), 4 * 4)
-    assert result == complex_min_block_over_axes(protocol, s, mu, axes)
+    assert result == real_min_block_over_axes(protocol, s, mu, axes)
 
 
 def test_min_eig_over_grid_reports_scan_size():
@@ -542,6 +548,28 @@ def test_min_eig_over_grid_rejects_overflowing_constants():
             report = min_eig_over_grid(odd, spec)
         assert math.isfinite(report.min_eigenvalue)
         assert report.passed is passed
+
+
+def test_min_eig_over_grid_raises_when_the_corner_ratio_overflows():
+    # The kernel scales the Bell corner's table by s |z_c| / scale, which
+    # is 2^(n+1) s |z_c|: at n = 3, s = +-1e307 overflows that constant
+    # and 2e306 the scaled table.  Both raise ValueError, so an overflow
+    # never reaches the report as a non-finite minimum; 1e306 still gives
+    # a finite verdict.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    constants = catalog_constants(protocol)
+    spec = GridSpec(points_per_axis=5)
+    for s in (1e307, -1e307, 2e306):
+        odd = CertificateConstants(protocol=protocol, s=s, mu=constants.mu,
+                                   beta_T=constants.beta_T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s=.* and mu=.* overflow"):
+                min_eig_over_grid(odd, spec)
+    odd = CertificateConstants(protocol=protocol, s=1e306, mu=constants.mu,
+                               beta_T=constants.beta_T)
+    report = min_eig_over_grid(odd, spec)
+    assert math.isfinite(report.min_eigenvalue) and not report.passed
 
 
 def test_min_eig_over_grid_never_passes_a_non_finite_minimum(monkeypatch):
