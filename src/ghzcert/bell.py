@@ -47,16 +47,17 @@ bound reads that pair alone; outside [0, pi/2] no claim is made.
 ``ghz_phase``, the phase of
 that pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share; ``corner_turn``, its conjugate square read
-exactly off the family octant, lets the scan read the channel's and the
-Bell corner's entries through one real table.
+exactly off the family octant, lets the scan and the quantum bound read
+corner entries through one real table.
 ``build_operator`` is the dense reference route the tests compare against:
 it contracts the coefficient tensor c(x) with each party's stacked pair
 (A^0, A^1) through ``linalg.contract_sites`` (``local_bound`` does so with
 its outcome pairs), for one angle tuple or a batch of them at once, and
 assumes no structure of W.
 Each input from a caller passes one check here, by kind: ``check_integer``
-(counts, seeds, 0/1 labels), ``check_real``, ``check_angles`` or
-``check_matrix`` (2^n x 2^n, n <= 6), each raising a ValueError naming it.
+(counts, seeds, 0/1 labels), ``check_real``, ``check_angles``,
+``check_matrix`` (2^n x 2^n) or ``check_dense_parties`` (n <= 6), each
+raising a ValueError naming it.
 """
 from __future__ import annotations
 
@@ -70,8 +71,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (canonical_layouts, check_hermitian, conjugate_pair_sum,
-                     contract_sites, least_block_eigenvalue, x_blocks)
+from .linalg import (canonical_layouts, check_hermitian, contract_sites,
+                     least_block_eigenvalue, pair_magnitudes, x_blocks)
 from .root2 import Root2
 
 SVETLICHNY = "svetlichny"
@@ -196,6 +197,12 @@ def check_angles(angles: Sequence[float] | np.ndarray, n: int,
     return a
 
 
+def check_dense_parties(protocol: BellProtocol) -> int:
+    """The scenario's n, if at most 6, the most the dense routes admit."""
+    return check_integer(protocol.n, "party count", _MIN_PARTIES,
+                         _MAX_PARTIES)
+
+
 def check_matrix(m: np.ndarray, n: int, what: str,
                  batch: bool = False) -> np.ndarray:
     """``m`` as a complex 2^n x 2^n matrix, or with ``batch`` also a batch
@@ -239,8 +246,7 @@ def build_operator(protocol: BellProtocol,
     laid out (x, row column), which replaces that party's setting index by
     its row and column indices.  ValueError for n above 6.
     """
-    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
-    a = check_angles(angles, protocol.n)
+    a = check_angles(angles, check_dense_parties(protocol))
     batch = a.reshape(-1, protocol.n)
     pairs = _observable_pairs(batch).reshape(len(batch), protocol.n, 2, 4)
     w = contract_sites(_coefficient_tensor(protocol).astype(complex), pairs)
@@ -280,9 +286,9 @@ def corner_turn(protocol: BellProtocol) -> complex:
 
     z_c = (A/2) e^(i k pi/4) (1 + i)^n with A > 0, so u = e^(i (k + n) pi/4)
     and conj(u)^2 = (-i)^(k + n), read off ``_FAMILY_TABLE`` without
-    rounding.  The certificate scan reads each pair's corner entry as u
-    times one real table of sign products (``verifier``), whose two rows
-    of the pair enter with relative phase this turn.
+    rounding.  The certificate scan and the quantum bound read each pair's
+    corner entry as u times one real table of sign products, whose two
+    rows enter at this turn (``linalg.pair_magnitudes``).
     """
     _, octants = _FAMILY_TABLE[protocol.family]
     quarter_turns = (octants[protocol.n % 2] + protocol.n) % 4
@@ -316,7 +322,7 @@ def local_bound(protocol: BellProtocol) -> float:
     2^floor((n+1)/2), below the catalog's hybrid ``beta_L`` for n >= 4
     (see ``hybrid_bound``).
     """
-    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
+    n = check_dense_parties(protocol)
     values = contract_sites(_coefficient_tensor(protocol), np.broadcast_to(
         _OUTCOME_PAIRS.T, (1, n, 2, 4)))
     return float(np.max(values))
@@ -336,7 +342,7 @@ def hybrid_bound(protocol: BellProtocol) -> float:
     which is exact because the best f_G~ is the sign of the inner sum.  For
     Svetlichny this is the catalog ``beta_L`` = 2^(n-1).
     """
-    n = check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
+    n = check_dense_parties(protocol)
     c = _coefficient_tensor(protocol)
     best = -math.inf
     for mask in range(1, 2 ** (n - 1)):
@@ -360,7 +366,7 @@ def quantum_bound(protocol: BellProtocol) -> float:
     against the largest on a grid of 9 values per axis over [0, pi/2]
     (``_pair_zero_magnitudes``).
     """
-    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
+    check_dense_parties(protocol)
     value, grid_max = _pair_zero_magnitudes(protocol)
     if grid_max > value + 1e-8:
         raise ArithmeticError(
@@ -375,9 +381,9 @@ def _pair_zero_magnitudes(protocol: BellProtocol) -> Tuple[float, float]:
     The grid's cached orbit layout (``linalg.canonical_layouts``) gets one
     more column, pi/4 read as a tenth axis value.  Pair 0's two products
     are a running product of the ``cos +- sin`` factors over the sites,
-    left to right, as rows 0 and 2^n - 1 of ``sign_products`` are, and
-    ``conjugate_pair_sum`` combines them, so each magnitude is that of the
-    all-pairs table bit for bit.
+    left to right, as rows 0 and 2^n - 1 of ``sign_products`` are, and each
+    magnitude is |z_c| times their ``linalg.pair_magnitudes`` at
+    ``corner_turn``, as the certificate scan reads every pair.
     """
     n = protocol.n
     axis = np.linspace(0.0, math.pi / 2, 9)
@@ -392,9 +398,9 @@ def _pair_zero_magnitudes(protocol: BellProtocol) -> Tuple[float, float]:
     for col in cols[1:]:
         table *= trig.take(col, axis=1)
     m = cols.shape[1]
-    magnitudes, = np.abs(conjugate_pair_sum(
-        table, corner_coefficient(protocol), np.empty((1, m), complex),
-        np.empty((2, 1, m))))
+    magnitudes, = pair_magnitudes(table, corner_turn(protocol),
+                                  np.empty((1, m)), np.empty((1, m), complex))
+    magnitudes *= abs(corner_coefficient(protocol))
     return float(magnitudes[-1]), float(magnitudes[:-1].max())
 
 

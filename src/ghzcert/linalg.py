@@ -7,10 +7,10 @@ the non-X Born table and the local bound call), the canonical index tuples
 of product grids given as padded rows (``canonical_layouts``, one tuple per
 permutation orbit, which the certificate scan's walk in ``verifier`` and
 the quantum bound's check grid read), the per-site products over every
-sign choice (``sign_products``, the certificate scan's tables) and their
-conjugate-pair combination (``conjugate_pair_sum``, which only the
-quantum bound's pair 0 reads: the scan combines each pair's rows through
-the shared GHZ phase in real arithmetic), the one reader of the 2 x 2
+sign choice (``sign_products``, the certificate scan's tables), the one
+combination of each pair's two rows at the GHZ phase's turn
+(``pair_magnitudes``, which the scan and the quantum bound read every
+corner through, in real arithmetic), the one reader of the 2 x 2
 pair blocks of an X matrix or a batch (``x_blocks``, which the state
 check, the Born table and ``verifier.block_decompose`` call) and their
 least eigenvalue, which certification and state validation read, and the
@@ -24,8 +24,8 @@ read-only, in one-byte indices up to 256 points per axis, at most
 (the largest pass the certificate scan admits), is 3 one-byte indices per
 point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.
 ``sign_products`` writes into caller-owned buffers when given them and
-``conjugate_pair_sum`` always does, so each caller keeps its own
-workspace; this module keeps no per-thread state.
+``pair_magnitudes`` always does, so each caller keeps its own workspace;
+this module keeps no per-thread state.
 """
 from __future__ import annotations
 
@@ -186,26 +186,23 @@ def sign_products(plus: np.ndarray, minus: np.ndarray,
     return out
 
 
-def conjugate_pair_sum(table: np.ndarray, z: complex, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
-    """z table[2^n - 1 - b] + conj(z) table[b] for every row b < 2^(n-1).
+def pair_magnitudes(table: np.ndarray, turn: complex, out: np.ndarray,
+                    parts: np.ndarray) -> np.ndarray:
+    """|table[2^n - 1 - b] + turn table[b]| for every row b < 2^(n-1).
 
-    ``table`` is a real ``sign_products`` table; the real and imaginary parts
-    are formed in real arithmetic, each complement row first.  The result
-    goes to ``out``, a complex array of the half table's shape; the two
-    products of each part are formed in ``scratch``, a real array of shape
-    (2,) + that shape.
+    ``table`` is real and ``turn`` exactly 1, -1, 1j or -1j: one real add or
+    subtract and ``abs``, or for +-i numpy's complex ``abs`` of the two
+    halves as the real and imaginary parts of ``parts``, a complex array of
+    the half table's shape.  The result goes to ``out``, a real one.
     """
     half = len(table) // 2
-    low, high = table[:half], table[::-1][:half]
-    first, second = scratch
-    np.multiply(z.real, high, out=first)
-    np.multiply(z.real, low, out=second)
-    np.add(first, second, out=out.real)
-    np.multiply(z.imag, high, out=first)
-    np.multiply(-z.imag, low, out=second)
-    np.add(first, second, out=out.imag)
-    return out
+    high, low = table[::-1][:half], table[:half]
+    if turn.imag:
+        parts.real = high
+        parts.imag = low
+        return np.abs(parts, out=out)
+    (np.add if turn.real > 0 else np.subtract)(high, low, out=out)
+    return np.abs(out, out=out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,12 +11,13 @@ maximal eigenvector of the dense operator (``tests/oracles.py``).
 The extraction channel is Kaniewski's dephasing map: at each site it
 applies the Kraus pair built from the attenuation parameter
 g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1) (``g_values``),
-flipping the dephasing axis from X to Y at alpha = pi/4.  The channel is
-unital, self-adjoint, trace preserving, and maps persymmetric matrices to
-persymmetric matrices.  ``apply_channel`` is a dense reference route: it
-contracts each site's Kraus superoperator into that site's row and column
-indices through ``linalg.contract_sites``, for one angle tuple or a batch of
-them at once, and assumes no structure of its input.
+flipping the dephasing axis from X to Y at alpha = pi/4 (``y_axis``, which
+the certificate scan reads too).  The channel is unital, self-adjoint,
+trace preserving, and maps persymmetric matrices to persymmetric matrices.
+``apply_channel`` is a dense reference route: it contracts each site's
+Kraus superoperator into that site's row and column indices through
+``linalg.contract_sites``, for one angle tuple or a batch of them at once,
+and assumes no structure of its input.
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import (_MAX_PARTIES, _MIN_PARTIES, ANGLE_SLACK, SQRT2,
-                   BellProtocol, check_angles, check_integer, check_matrix,
-                   ghz_phase)
+from .bell import (ANGLE_SLACK, SQRT2, BellProtocol, check_angles,
+                   check_dense_parties, check_matrix, ghz_phase)
 from .linalg import contract_sites
 
 
@@ -41,6 +41,11 @@ def g_values(alpha: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
+def y_axis(alpha: np.ndarray) -> np.ndarray:
+    """Whether each angle dephases along Y: past pi/4 + ANGLE_SLACK, or NaN."""
+    return ~(alpha <= math.pi / 4 + ANGLE_SLACK)
+
+
 def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
     """Kraus pairs (K0, K1) at each angle, shape alpha.shape + (2, 2, 2).
 
@@ -50,13 +55,13 @@ def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
     g = g_values(alpha)
     k0 = np.sqrt((1.0 + g) / 2.0)
     k1 = np.sqrt(np.maximum((1.0 - g) / 2.0, 0.0))
-    x_axis = alpha <= math.pi / 4 + ANGLE_SLACK
+    beyond = y_axis(alpha)
     kraus = np.zeros(np.shape(alpha) + (2, 2, 2), dtype=complex)
     kraus.real[..., 0, 0, 0] = kraus.real[..., 0, 1, 1] = k0
     kraus.real[..., 1, 0, 1] = kraus.real[..., 1, 1, 0] = np.where(
-        x_axis, k1, 0.0)
-    kraus.imag[..., 1, 0, 1] = np.where(x_axis, 0.0, -k1)
-    kraus.imag[..., 1, 1, 0] = np.where(x_axis, 0.0, k1)
+        beyond, 0.0, k1)
+    kraus.imag[..., 1, 0, 1] = np.where(beyond, -k1, 0.0)
+    kraus.imag[..., 1, 1, 0] = np.where(beyond, k1, 0.0)
     return kraus
 
 
@@ -94,7 +99,7 @@ def ghz_state(protocol: BellProtocol) -> np.ndarray:
     corner pair (0, 2^n - 1) is nonzero.  Cached per protocol; the returned
     matrix is read-only.  ValueError for n above 6.
     """
-    check_integer(protocol.n, "party count", _MIN_PARTIES, _MAX_PARTIES)
+    check_dense_parties(protocol)
     last = protocol.dim - 1
     psi = ghz_phase(protocol)
     rho = np.zeros((protocol.dim, protocol.dim), dtype=complex)

@@ -61,12 +61,13 @@ from typing import ClassVar, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .bell import (ANGLE_SLACK, MABK, SQRT2, SVETLICHNY, BellProtocol,
-                   build_operator, check_angles, check_integer,
-                   check_matrix, check_real, corner_coefficient, corner_turn)
-from .linalg import canonical_layouts, sign_products, x_blocks
+from .bell import (MABK, SQRT2, SVETLICHNY, BellProtocol, build_operator,
+                   check_angles, check_integer, check_matrix, check_real,
+                   corner_coefficient, corner_turn)
+from .linalg import (canonical_layouts, pair_magnitudes, sign_products,
+                     x_blocks)
 from .root2 import Root2
-from .states import apply_channel, g_values, ghz_state
+from .states import apply_channel, g_values, ghz_state, y_axis
 
 PSD_TOLERANCE = 1e-8
 _BLOCK_RESIDUE_TOL = 1e-12
@@ -324,13 +325,11 @@ def _min_block_over_products(
 
         |K_c - s W_c| = scale |X[b~] + v X[b]|,  X = C - (s |z_c| / scale) B,
 
-    and v = conj(u)^2 is exactly 1, -1, i or -i (``bell.corner_turn``): one
-    real add or subtract and ``abs`` for v = +-1, and for v = +-i the two
-    half tables as the real and imaginary parts of one complex buffer and
-    numpy's complex ``abs``.  Permuting parties maps block b at a point to
-    block pi(b) at the permuted point, so the minimum over all pairs is the
-    same on every point of a permutation orbit and only one tuple per orbit
-    is evaluated.
+    and v = conj(u)^2 is exactly 1, -1, i or -i (``bell.corner_turn``): no
+    complex product is formed (``linalg.pair_magnitudes``).  Permuting
+    parties maps block b at a point to block pi(b) at the permuted point,
+    so the minimum over all pairs is the same on every point of a
+    permutation orbit and only one tuple per orbit is evaluated.
 
     The loop body runs once per chunk of ``walk_canonical``, in this thread's
     ``_workspace`` sized to the chunk.  Each chunk gathers its site factors at
@@ -356,7 +355,7 @@ def _min_block_over_products(
     values = rows.ravel()
     g = g_values(values)
     diagonal = np.stack([1.0 + g, 1.0 - g])
-    beyond = ~(values <= math.pi / 4 + ANGLE_SLACK)
+    beyond = y_axis(values)
     flips = bool(beyond.any())
     channel = np.stack([diagonal[0],
                         np.where(beyond, -diagonal[1], diagonal[1])])
@@ -388,15 +387,7 @@ def _min_block_over_products(
         sign_products(*factors, x, scratch)
         x *= ratio
         np.subtract(table, x, out=x)
-        if turn.imag:
-            # |X[b~] +- i X[b]|, the first table free to hold both halves.
-            parts.real = x[::-1][:half]
-            parts.imag = x[:half]
-            np.abs(parts, out=scratch)
-        else:
-            (np.add if turn.real > 0 else np.subtract)(
-                x[::-1][:half], x[:half], out=scratch)
-            np.abs(scratch, out=scratch)
+        pair_magnitudes(x, turn, scratch, parts)
         scratch *= scale
         low -= scratch
         for grid, begin, end in pieces:

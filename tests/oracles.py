@@ -21,12 +21,16 @@ orbit reduction of the package kernels can be checked against them.
 per-pair route to the corner closed form and the orbit-reduced scan, with
 ``channel_corner_factors`` the channel corner's site factors: one
 ``signed_site_product`` per pair table and sign, corner algebra in complex
-arrays.  ``real_min_block_over_axes`` is the same scan through the shared
-corner phase, one real table X = C - (s |z_c|/scale) B per pair and sign,
-which the package's scan kernel must match bit for bit; the complex route
-agrees with it to 1e-15.  ``canonical_tuples`` picks the canonical points
-of a grid by brute force over the full product, apart from the package's
-layout cache, for both orbit-reduced oracles and the walk's tests.  The
+arrays.  ``real_corner_magnitudes`` (and ``full_grid_corner_max`` with
+``real``) read the same corners through the shared phase u = z_c/|z_c|,
+|z_c| |T~ + v T| with v = conj(u)^2 (``exact_turn``), which the quantum
+bound must match bit for bit; ``real_min_block_over_axes`` is the scan
+that way, one real table X = C - (s |z_c|/scale) B per pair and sign,
+which the package's scan kernel must match bit for bit.  The complex
+routes agree with both to 1e-15.  ``canonical_tuples`` picks the
+canonical points of a grid by brute force over the full product, apart
+from the package's layout cache, for both orbit-reduced oracles and the
+walk's tests.  The
 package's kernels take grids only as padded rows and lengths;
 ``padded_grid`` turns a list of axes, ragged or not, into that form.
 ``per_axis_stencil`` builds a refinement stencil one axis at a
@@ -475,8 +479,14 @@ def full_grid_min_block(protocol, s: float, mu: float, axes) -> tuple:
     return best, best_point, best_pair
 
 
-def full_grid_corner_max(protocol, grid: np.ndarray) -> float:
-    """Largest antidiagonal magnitude of the Bell operator on the full grid."""
+def full_grid_corner_max(protocol, grid: np.ndarray,
+                         real: bool = False) -> float:
+    """Largest antidiagonal magnitude of the Bell operator on the full grid.
+
+    Each pair's entries are z_c and its conjugate against its two products
+    in complex arithmetic, or with ``real`` their magnitudes through the
+    shared phase (``real_corner_magnitude``).
+    """
     n = protocol.n
     zc = per_family_corner_coefficient(protocol)
     cs, sn = np.cos(grid), np.sin(grid)
@@ -485,8 +495,9 @@ def full_grid_corner_max(protocol, grid: np.ndarray) -> float:
         sig = pair_signs(n, b)
         minus = outer_all([cs - sig[j] * sn for j in range(n)])
         plus = outer_all([cs + sig[j] * sn for j in range(n)])
-        best = max(best, float(np.max(np.abs(zc * minus
-                                             + np.conj(zc) * plus))))
+        magnitudes = (real_corner_magnitude(zc, minus, plus) if real
+                      else np.abs(zc * minus + np.conj(zc) * plus))
+        best = max(best, float(np.max(magnitudes)))
     return best
 
 
@@ -522,6 +533,30 @@ def complex_corner_entries(protocol, cs: np.ndarray,
     sig = pair_sign_matrix(protocol.n)
     return (zc * signed_site_product(cs, sn, -sig)
             + np.conj(zc) * signed_site_product(cs, sn, sig))
+
+
+def exact_turn(zc: complex) -> complex:
+    """v = conj(u)^2 of the phase u = z_c/|z_c|, rounded to the nearest of
+    1, -1, i and -i."""
+    v = np.conj(zc / abs(zc)) ** 2
+    return complex(round(v.real), round(v.imag))
+
+
+def real_corner_magnitude(zc: complex, complement: np.ndarray,
+                          table: np.ndarray) -> np.ndarray:
+    """|z_c T~ + conj(z_c) T| through the shared phase u = z_c/|z_c|:
+    |z_c| |T~ + v T|, v = ``exact_turn(zc)``, for real products T~ and T."""
+    return abs(zc) * np.abs(complement + exact_turn(zc) * table)
+
+
+def real_corner_magnitudes(protocol, cs: np.ndarray,
+                           sn: np.ndarray) -> np.ndarray:
+    """|W[b, b~]| of every pair, one signed product per pair and sign,
+    combined through the shared phase (``real_corner_magnitude``)."""
+    sig = pair_sign_matrix(protocol.n)
+    return real_corner_magnitude(per_family_corner_coefficient(protocol),
+                                 signed_site_product(cs, sn, -sig),
+                                 signed_site_product(cs, sn, sig))
 
 
 def channel_corner_factors(alpha: np.ndarray) -> tuple:
@@ -645,8 +680,6 @@ def real_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     package's scan kernel must match this bit for bit.
     """
     zc = per_family_corner_coefficient(protocol)
-    v = np.conj(zc / abs(zc)) ** 2
-    v = complex(round(v.real), round(v.imag))
     idx, sig, diag, (dx, dy), (cs, sn) = _canonical_scan_tables(protocol,
                                                                 axes)
     scale = 1.0 / 2 ** (protocol.n + 1)
@@ -654,7 +687,7 @@ def real_min_block_over_axes(protocol, s: float, mu: float, axes) -> tuple:
     x, x_complement = (signed_site_product(dx, dy, signs)
                        - ratio * signed_site_product(cs, sn, signs)
                        for signs in (sig, -sig))
-    low = (diag - mu) - scale * np.abs(x_complement + v * x)
+    low = (diag - mu) - scale * np.abs(x_complement + exact_turn(zc) * x)
     return _scan_minimum(low, idx, axes)
 
 

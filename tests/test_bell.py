@@ -20,7 +20,7 @@ from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
                           build_operator, check_angles, corner_coefficient,
                           corner_turn, ghz_phase, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
-from ghzcert.linalg import (conjugate_pair_sum, hermitian_eigenvalues,
+from ghzcert.linalg import (hermitian_eigenvalues, pair_magnitudes,
                             sign_products)
 from ghzcert.verifier import walk_canonical
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
@@ -28,7 +28,8 @@ from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      kron_sum_operator, pair_sign_matrix,
                      pair_signs, pauli_coefficient, pauli_string,
                      per_family_beta_Q_exact, per_family_corner_coefficient,
-                     reference_svetlichny_3, reference_svetlichny_4)
+                     real_corner_magnitudes, reference_svetlichny_3,
+                     reference_svetlichny_4)
 
 SQ2 = math.sqrt(2.0)
 SV3 = BellProtocol(SVETLICHNY, 3)
@@ -409,7 +410,8 @@ def test_quantum_bound_matches_catalog():
 def test_quantum_bound_reads_pair_zero_without_the_scan_walk(monkeypatch):
     # The bound reads its grid's cached layout in one pass, never the scan's
     # walk or workspace.  Its grid maximum is the all-pairs oracle's and its
-    # value pair 0's magnitude at pi/4, both bit for bit.
+    # value pair 0's magnitude at pi/4, both bit for bit through the shared
+    # phase and to 1e-15 of beta_Q through the complex route.
     def refuse(*args):
         raise AssertionError("quantum_bound ran the certificate scan's walk")
 
@@ -423,10 +425,15 @@ def test_quantum_bound_reads_pair_zero_without_the_scan_walk(monkeypatch):
                 patch.setattr(ghzcert.verifier, "_workspace", refuse)
                 assert quantum_bound(protocol) == want
             value, grid_max = _pair_zero_magnitudes(protocol)
-            assert grid_max == full_grid_corner_max(protocol, grid)
-            quarter = np.full((n, 1), math.pi / 4)
-            assert value == want == np.abs(complex_corner_entries(
-                protocol, np.cos(quarter), np.sin(quarter)))[0, 0]
+            assert grid_max == full_grid_corner_max(protocol, grid, real=True)
+            assert abs(grid_max - full_grid_corner_max(protocol, grid)) \
+                <= 1e-15 * protocol.beta_Q
+            cs, sn = np.cos(math.pi / 4), np.sin(math.pi / 4)
+            quarter = (np.full((n, 1), cs), np.full((n, 1), sn))
+            assert value == want == real_corner_magnitudes(
+                protocol, *quarter)[0, 0]
+            assert abs(value - abs(complex_corner_entries(
+                protocol, *quarter)[0, 0])) <= 1e-15 * protocol.beta_Q
 
 
 def test_corner_magnitude_max_matches_full_grid_oracle():
@@ -435,7 +442,9 @@ def test_corner_magnitude_max_matches_full_grid_oracle():
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
             reduced = _pair_zero_magnitudes(protocol)[1]
-            assert abs(reduced - full_grid_corner_max(protocol, grid)) <= 1e-15
+            assert reduced == full_grid_corner_max(protocol, grid, real=True)
+            assert abs(reduced - full_grid_corner_max(protocol, grid)) \
+                <= 1e-15 * protocol.beta_Q
             assert abs(reduced - protocol.beta_Q) <= 1e-8
 
 
@@ -457,9 +466,10 @@ def test_pair_sign_matrix_rows():
 
 def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
     # Over chunks of one point, of seven and of the default size, the
-    # sign table of every chunk's site factors, combined in conjugate
-    # pairs, gives the complex route's entries at its points, bit for bit,
-    # and their largest magnitude is the quantum bound's grid maximum.
+    # sign table of every chunk's site factors, each pair's rows combined
+    # at the corner turn, gives the shared-phase route's magnitudes at its
+    # points bit for bit, and the complex route's to 1e-15 of beta_Q; their
+    # largest is the quantum bound's grid maximum.
     grid = np.linspace(0.0, math.pi / 2, 9)
     default = ghzcert.verifier.SCAN_CHUNK_EVALUATIONS
     for family in (SVETLICHNY, MABK):
@@ -469,7 +479,7 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
             values = rows.ravel()
             cs, sn = np.cos(values), np.sin(values)
             trig = np.stack([cs + sn, cs - sn])
-            z = corner_coefficient(protocol)
+            zc, turn = abs(corner_coefficient(protocol)), corner_turn(protocol)
             for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
                 monkeypatch.setattr(ghzcert.verifier,
                                     "SCAN_CHUNK_EVALUATIONS", chunk)
@@ -478,14 +488,16 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
                                               np.full((1, n), len(grid))):
                     table = sign_products(*np.take(trig, cols, axis=1))
                     half = (len(table) // 2, cols.shape[1])
-                    got = conjugate_pair_sum(table, z,
-                                             np.empty(half, complex),
-                                             np.empty((2,) + half))
-                    want = complex_corner_entries(protocol, cs[cols],
+                    got = zc * pair_magnitudes(table, turn, np.empty(half),
+                                               np.empty(half, complex))
+                    want = real_corner_magnitudes(protocol, cs[cols],
                                                   sn[cols])
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
-                    best = max(best, float(np.abs(want).max()))
+                    assert np.abs(got - np.abs(complex_corner_entries(
+                        protocol, cs[cols], sn[cols]))).max() \
+                        <= 1e-15 * protocol.beta_Q
+                    best = max(best, float(want.max()))
                 assert _pair_zero_magnitudes(protocol)[1] == best
 
 

@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.linalg import (canonical_layouts, conjugate_pair_sum,
-                            contract_sites, hermitian_eigenvalues, kron_all,
-                            least_block_eigenvalue, sign_products,
-                            sorted_index_tuples, x_blocks)
+from ghzcert.linalg import (canonical_layouts, contract_sites,
+                            hermitian_eigenvalues, kron_all,
+                            least_block_eigenvalue, pair_magnitudes,
+                            sign_products, sorted_index_tuples, x_blocks)
 from oracles import (PAULI, canonical_tuples, eig2x2_hermitian,
                      exchange_matrix, is_persymmetric, kron, padded_grid,
                      pair_signs, random_hermitian, random_x_matrix,
@@ -255,19 +255,33 @@ def test_sign_products_match_signed_site_products():
                 assert got.tobytes() == sign_products(plus, minus).tobytes()
 
 
-def test_conjugate_pair_sum_matches_complex_formula():
-    # A real factor times a complex one rounds each part once, so the real
-    # arithmetic route gives the complex formula's bits.
+def test_pair_magnitudes_matches_complex_formula():
+    # |u T~ + conj(u) T| = |T~ + turn T| for a unit u with conj(u)^2 = turn:
+    # to 1e-15 against the complex formula, and bit for bit against the
+    # real add or subtract and abs (turn +-1), or the complex abs of the
+    # two halves (turn +-i), that the scan kernel inlined before.
     rng = np.random.default_rng(12)
     for n in range(1, 7):
         table = sign_products(rng.normal(size=(n, 9)), rng.normal(size=(n, 9)))
-        z = complex(*rng.normal(size=2))
         half = 2 ** (n - 1)
-        expected = z * table[::-1][:half] + np.conj(z) * table[:half]
-        out = np.full((half, 9), np.nan, dtype=complex)
-        scratch = np.full((2, half, 9), np.nan)
-        assert conjugate_pair_sum(table, z, out, scratch) is out
-        assert np.array_equal(out.view(float), expected.view(float))
+        high, low = table[::-1][:half], table[:half]
+        for quarter, turn in enumerate((1 + 0j, -1j, -1 + 0j, 1j)):
+            u = np.exp(1j * math.pi / 4 * (quarter + 4 * rng.integers(2)))
+            assert abs(np.conj(u) ** 2 - turn) <= 1e-15
+            out = np.full((half, 9), np.nan)
+            parts = np.full((half, 9), np.nan, dtype=complex)
+            assert pair_magnitudes(table, turn, out, parts) is out
+            complex_route = np.abs(u * high + np.conj(u) * low)
+            assert np.all(np.abs(out - complex_route)
+                          <= 1e-15 * np.abs(table).max())
+            if turn.imag:
+                inline = np.empty((half, 9), dtype=complex)
+                inline.real, inline.imag = high, low
+                inline = np.abs(inline)
+            else:
+                inline = np.abs((np.add if turn.real > 0 else np.subtract)(
+                    high, low))
+            assert out.tobytes() == inline.tobytes()
 
 
 def test_x_blocks_reads_pairs_and_rejects_other_entries():

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, ghz_phase
-from ghzcert.states import apply_channel, g_values, ghz_state
+from ghzcert.bell import (ANGLE_SLACK, MABK, SVETLICHNY, BellProtocol,
+                          ghz_phase)
+from ghzcert.states import apply_channel, g_values, ghz_state, y_axis
 from oracles import (complex_corner_entries, dense_spectral_ghz_rho,
                      evaluate, is_persymmetric, kraus_loop_channel,
                      kraus_pair, pauli_string, random_hermitian,
@@ -62,6 +63,15 @@ def test_kraus_pair_examples():
     k0, k1 = kraus_pair(math.pi / 2)
     assert np.allclose(k0, np.eye(2) / SQ2, atol=1e-12)
     assert np.allclose(k1, pauli_string("Y") / SQ2, atol=1e-12)
+
+
+def test_y_axis_flips_past_the_slack_and_at_nan():
+    # The one statement of the flip, which the Kraus pairs and the scan
+    # kernel read: X up to pi/4 + ANGLE_SLACK, Y beyond it and at NaN.
+    quarter = math.pi / 4
+    alpha = np.array([0.0, quarter, quarter + ANGLE_SLACK,
+                      quarter + 2 * ANGLE_SLACK, math.pi / 2, math.nan])
+    assert y_axis(alpha).tolist() == [False, False, False, True, True, True]
 
 
 def test_kraus_pair_completeness_and_hermiticity():
