@@ -21,13 +21,13 @@ at once, each block entry read off a ``sign_products`` table (the channel
 corner shares the diagonal's up to pi/4).  The channel and Bell corners
 share the GHZ phase u, so each pair's |K_c - s W_c| is one real table's
 two rows combined by the exact turn v = conj(u)^2 (``bell.corner_turn``):
-no complex product is formed.  The points are walked by
-``walk_canonical``, which yields the point columns of chunks of about
-``SCAN_CHUNK_EVALUATIONS`` block evaluations; the kernel gathers each chunk's
-site factors and builds its tables there.  The columns and the tables are
-views of one workspace kept per thread (``_workspace``), so they neither
-grow with the grid nor are allocated per chunk, and the canonical points of
-a grid are a layout cached by its shape (``linalg.canonical_layouts``).
+no complex product is formed.  The scan kernel walks the points in chunks
+of about ``SCAN_CHUNK_EVALUATIONS`` block evaluations, writing each chunk's
+point columns, gathering its site factors there and building its tables.
+The columns and the tables are views of one workspace kept per thread
+(``_workspace``), so they neither grow with the grid nor are allocated per
+chunk, and the canonical points of a grid are a layout cached by its shape
+(``linalg.canonical_layouts``).
 Refinement stencils shrink the same way along axes that coincide; the stencils
 of every remaining round are built, grouped and walked at once, and a round
 that moves the centre sends only the rounds after it to another walk.  A grid
@@ -57,7 +57,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, Iterator, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -242,7 +242,7 @@ def _workspace(n: int, m: int) -> List[np.ndarray]:
     """This thread's scan buffers for a chunk of m points at n parties.
 
     The kernel's two sign tables (2^n, m), D - mu (2^(n-1), m) and the
-    scratch (2^(n-1), m), the site factors (2, n, m), then the walk's point
+    scratch (2^(n-1), m), the site factors (2, n, m), then the point
     columns (n, m), intp: about 2.4 MB at 2^15 block evaluations.  Each is
     a view of one flat buffer sized in block evaluations, so one set serves
     every n (n <= 2^(n-1)).  The scan keeps no other per-thread state.
@@ -260,64 +260,21 @@ def _workspace(n: int, m: int) -> List[np.ndarray]:
             for buffer, shape in zip(flat, shapes)]
 
 
-def walk_canonical(rows: np.ndarray, lengths: np.ndarray
-                   ) -> Iterator[Tuple[List[Tuple[int, int, int]],
-                                       np.ndarray]]:
-    """Walk the canonical points of one or more product grids in chunks.
-
-    ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
-    as ``linalg.canonical_layouts`` takes them, and the walk groups each
-    grid's equal axes through it.  The grids' canonical points are walked
-    end to end, grid after grid, so one chunk may end one grid and start
-    the next.  Yields ``(pieces, cols)`` for each chunk of about
-    ``SCAN_CHUNK_EVALUATIONS`` block evaluations (points times 2^(n-1)
-    pairs): ``(grid, begin, end)`` for each grid with points in the chunk,
-    in order, whose points are the chunk's columns begin to end, and
-    ``cols`` (n, m), each site's column into ``rows.ravel()`` at the m
-    points, which never points into the padding past an axis.  ``cols`` is
-    the last view of this thread's ``_workspace``, sized for the walk's
-    largest chunk before the first is yielded, so two walks must not be
-    interleaved on one thread (no caller does).
-    """
-    r, n, width = rows.shape
-    step = max(1, SCAN_CHUNK_EVALUATIONS // 2 ** (n - 1))
-    layouts = canonical_layouts(rows, lengths)
-    offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
-    total = sum(layout.shape[1] for layout in layouts)
-    cols = _workspace(n, min(step, total))[-1]
-    grid, local = 0, 0    # the next point's grid and index in it
-    for start in range(0, total, step):
-        m = min(step, total - start)
-        if m < cols.shape[1]:
-            cols = _workspace(n, m)[-1]
-        pieces = []
-        begin = 0
-        while begin < m:
-            layout = layouts[grid]
-            end = begin + min(m - begin, layout.shape[1] - local)
-            np.add(layout[:, local:local + end - begin], offsets[grid],
-                   out=cols[:, begin:end])
-            pieces.append((grid, begin, end))
-            local += end - begin
-            if local == layout.shape[1]:
-                grid, local = grid + 1, 0
-            begin = end
-        yield pieces, cols
-
-
 def _min_block_over_products(
         protocol: BellProtocol, s: float, mu: float, rows: np.ndarray,
         lengths: np.ndarray
 ) -> List[Tuple[float, Tuple[float, ...], int, int]]:
     """Minimum block lower-eigenvalue over each of several product grids.
 
-    ``rows`` and ``lengths`` hold the grids' padded axes as
-    ``walk_canonical`` takes them, and one walk evaluates them all, end to
-    end.  For every
-    antidiagonal pair b and every canonical grid point it evaluates the
-    closed-form lower eigenvalue (D - mu) - |K_c - s W_c| of the 2 x 2
-    block, where D and K_c are the diagonal and corner entries of the
-    channel output and W_c the corner entry of the Bell operator.  Each
+    ``rows`` (r, n, w) and ``lengths`` (r, n) hold r grids of n axes each,
+    as ``linalg.canonical_layouts`` takes them, and one walk evaluates the
+    grids' canonical points end to end, grid after grid, in chunks of about
+    ``SCAN_CHUNK_EVALUATIONS`` block evaluations, so one chunk may end one
+    grid and start the next.  For every antidiagonal pair b and every
+    canonical grid point it evaluates the closed-form lower eigenvalue
+    (D - mu) - |K_c - s W_c| of the 2 x 2 block, where D and K_c are the
+    diagonal and corner entries of the channel output and W_c the corner
+    entry of the Bell operator.  Each
     sums the per-site products of pair b and its complement b~, rows of a
     ``sign_products`` table: D with scale = 2^-(n+1), K_c with scale u and
     W_c with z_c = |z_c| u, u the GHZ phase.  So with C and B the channel's
@@ -331,12 +288,13 @@ def _min_block_over_products(
     so the minimum over all pairs is the same on every point of a
     permutation orbit and only one tuple per orbit is evaluated.
 
-    The loop body runs once per chunk of ``walk_canonical``, in this thread's
-    ``_workspace`` sized to the chunk.  Each chunk gathers its site factors at
-    the walk's columns and builds the diagonal's table, then the channel
-    corner's in the same buffer, then the Bell corner's in the second, where
-    X is formed in place; the complex buffer of v = +-i is the first
-    table's memory, free by then.  The channel corner's site
+    The loop body runs once per chunk, in this thread's ``_workspace``
+    sized to the chunk.  Each chunk writes its point columns, each site's
+    index into ``rows.ravel()`` (never into the padding past an axis),
+    gathers its site factors there and builds the diagonal's table, then
+    the channel corner's in the same buffer, then the Bell corner's in the
+    second, where X is formed in place; the complex buffer of v = +-i is
+    the first table's memory, free by then.  The channel corner's site
     factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
     dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its
     table is the diagonal's, rebuilt from the negated minus factors only when
@@ -365,15 +323,35 @@ def _min_block_over_products(
     # table's would; dividing by the power of two scale is exact.
     ratio = np.float64(s) * (abs(corner_coefficient(protocol)) / scale)
     turn = corner_turn(protocol)
-    best: list = [None] * len(rows)
-    evaluations = [0] * len(rows)
-    low = None
-    for pieces, cols in walk_canonical(rows, lengths):
-        if low is None or low.shape[1] != cols.shape[1]:
-            table, x, low, scratch, factors, _ = _workspace(
-                n, cols.shape[1])
+    r, _, width = rows.shape
+    best: list = [None] * r
+    evaluations = [0] * r
+    step = max(1, SCAN_CHUNK_EVALUATIONS // half)
+    layouts = canonical_layouts(rows, lengths)
+    offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
+    total = sum(layout.shape[1] for layout in layouts)
+    at, local = 0, 0    # the next point's grid and index in it
+    for start in range(0, total, step):
+        m = min(step, total - start)
+        if start == 0 or m < step:
+            # The first chunk's width, then a shorter tail's.
+            table, x, low, scratch, factors, cols = _workspace(n, m)
             # The first table read as complex (2^(n-1), m).
             parts = table.reshape(-1).view(complex).reshape(low.shape)
+        # (grid, begin, end) for each grid whose points are the chunk's
+        # columns begin to end, in order.
+        pieces = []
+        begin = 0
+        while begin < m:
+            layout = layouts[at]
+            end = begin + min(m - begin, layout.shape[1] - local)
+            np.add(layout[:, local:local + end - begin], offsets[at],
+                   out=cols[:, begin:end])
+            pieces.append((at, begin, end))
+            local += end - begin
+            if local == layout.shape[1]:
+                at, local = at + 1, 0
+            begin = end
         # mode="clip" is faster and clips nothing.
         np.take(diagonal, cols, axis=1, out=factors, mode="clip")
         sign_products(*factors, table, scratch)
@@ -411,9 +389,9 @@ def _stencils(p: np.ndarray, steps: np.ndarray, lo: float,
     clipping at the domain edge repeats the edge point, and each axis keeps
     each point once, in ascending order.  Built in one ``linspace`` over
     every step and axis, one clip and one pass that drops the repeats.
-    Returns ``rows`` and ``lengths`` as ``walk_canonical`` takes them: row
-    j of stencil k, ``rows[k, j]``, holds its ``lengths[k, j]`` points of
-    axis j, padded to 5 by repeating the last one.
+    Returns ``rows`` and ``lengths`` as ``_min_block_over_products`` takes
+    them: row j of stencil k, ``rows[k, j]``, holds its ``lengths[k, j]``
+    points of axis j, padded to 5 by repeating the last one.
     """
     points = np.clip(np.linspace(p - steps[:, None], p + steps[:, None], 5,
                                  axis=2), lo, hi)

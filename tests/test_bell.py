@@ -20,9 +20,9 @@ from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
                           build_operator, check_angles, corner_coefficient,
                           corner_turn, ghz_phase, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
-from ghzcert.linalg import (hermitian_eigenvalues, pair_magnitudes,
-                            sign_products)
-from ghzcert.verifier import walk_canonical
+from ghzcert.linalg import (canonical_layouts, hermitian_eigenvalues,
+                            pair_magnitudes, sign_products)
+from ghzcert.verifier import SCAN_CHUNK_EVALUATIONS
 from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
                      kron_sum_operator, pair_sign_matrix,
@@ -408,12 +408,12 @@ def test_quantum_bound_matches_catalog():
 
 
 def test_quantum_bound_reads_pair_zero_without_the_scan_walk(monkeypatch):
-    # The bound reads its grid's cached layout in one pass, never the scan's
-    # walk or workspace.  Its grid maximum is the all-pairs oracle's and its
-    # value pair 0's magnitude at pi/4, both bit for bit through the shared
-    # phase and to 1e-15 of beta_Q through the complex route.
+    # The bound reads its grid's cached layout in one pass, never the scan
+    # kernel or its workspace.  Its grid maximum is the all-pairs oracle's
+    # and its value pair 0's magnitude at pi/4, both bit for bit through the
+    # shared phase and to 1e-15 of beta_Q through the complex route.
     def refuse(*args):
-        raise AssertionError("quantum_bound ran the certificate scan's walk")
+        raise AssertionError("quantum_bound ran the certificate scan")
 
     grid = np.linspace(0.0, math.pi / 2, 9)
     for family in (SVETLICHNY, MABK):
@@ -421,7 +421,8 @@ def test_quantum_bound_reads_pair_zero_without_the_scan_walk(monkeypatch):
             protocol = BellProtocol(family, n)
             want = quantum_bound(protocol)
             with monkeypatch.context() as patch:
-                patch.setattr(ghzcert.verifier, "walk_canonical", refuse)
+                patch.setattr(ghzcert.verifier, "_min_block_over_products",
+                              refuse)
                 patch.setattr(ghzcert.verifier, "_workspace", refuse)
                 assert quantum_bound(protocol) == want
             value, grid_max = _pair_zero_magnitudes(protocol)
@@ -464,14 +465,13 @@ def test_pair_sign_matrix_rows():
             assert tuple(row) == pair_signs(n, b)
 
 
-def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
-    # Over chunks of one point, of seven and of the default size, the
+def test_corner_entries_match_complex_route_bit_for_bit():
+    # Over chunks of one point, of seven and of the scan's default size, the
     # sign table of every chunk's site factors, each pair's rows combined
     # at the corner turn, gives the shared-phase route's magnitudes at its
     # points bit for bit, and the complex route's to 1e-15 of beta_Q; their
     # largest is the quantum bound's grid maximum.
     grid = np.linspace(0.0, math.pi / 2, 9)
-    default = ghzcert.verifier.SCAN_CHUNK_EVALUATIONS
     for family in (SVETLICHNY, MABK):
         for n in (3, 4, 5, 6):
             protocol = BellProtocol(family, n)
@@ -480,12 +480,14 @@ def test_corner_entries_match_complex_route_bit_for_bit(monkeypatch):
             cs, sn = np.cos(values), np.sin(values)
             trig = np.stack([cs + sn, cs - sn])
             zc, turn = abs(corner_coefficient(protocol)), corner_turn(protocol)
-            for chunk in (2 ** (n - 1), 7 * 2 ** (n - 1), default):
-                monkeypatch.setattr(ghzcert.verifier,
-                                    "SCAN_CHUNK_EVALUATIONS", chunk)
+            # Each site's column into the raveled rows at every canonical
+            # point.
+            points = (canonical_layouts(rows, np.full((1, n), len(grid)))[0]
+                      + len(grid) * np.arange(n)[:, None])
+            for step in (1, 7, SCAN_CHUNK_EVALUATIONS // 2 ** (n - 1)):
                 best = 0.0
-                for _, cols in walk_canonical(rows,
-                                              np.full((1, n), len(grid))):
+                for start in range(0, points.shape[1], step):
+                    cols = points[:, start:start + step]
                     table = sign_products(*np.take(trig, cols, axis=1))
                     half = (len(table) // 2, cols.shape[1])
                     got = zc * pair_magnitudes(table, turn, np.empty(half),

@@ -120,6 +120,20 @@ def test_verify_rejects_bad_tolerance(value, capsys):
     assert captured.out == ""
 
 
+def test_negative_exponent_values_take_the_equals_form(capsys):
+    # argparse reads "-7e-1" after a flag as an option, not a number, so
+    # "--mu -7e-1" exits 2 with a usage error; "--mu=-7e-1" is "--mu -0.7".
+    assert main(["verify", "-n", "4", "--mu", "-7e-1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --mu: expected one argument" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    code = main(["verify", "-n", "4", "--mu=-7e-1"])
+    joined = capsys.readouterr()
+    assert main(["verify", "-n", "4", "--mu", "-0.7"]) == code == 1
+    assert capsys.readouterr() == joined
+    assert ",-0.7," in joined.out
+
+
 def test_verify_refuses_oversized_grid_without_allocating(capsys):
     tracemalloc.start()
     start = time.perf_counter()

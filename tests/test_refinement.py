@@ -40,15 +40,17 @@ CENTRE_MOVES = [
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts the scan kernel's walks over the canonical points."""
+    """Counts the scan kernel's walks over the canonical points, one per
+    call."""
     count = [0]
-    walk = ghzcert.verifier.walk_canonical
+    kernel = ghzcert.verifier._min_block_over_products
 
-    def counting(rows, lengths):
+    def counting(*args):
         count[0] += 1
-        return walk(rows, lengths)
+        return kernel(*args)
 
-    monkeypatch.setattr(ghzcert.verifier, "walk_canonical", counting)
+    monkeypatch.setattr(ghzcert.verifier, "_min_block_over_products",
+                        counting)
     return count
 
 

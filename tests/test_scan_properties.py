@@ -1,8 +1,10 @@
 """Property tests over the certificate scan's library entry point.
 
-``verifier.walk_canonical``, the one chunked walk, which only the scan
-runs over, must visit every canonical point once, in order, for any axes
-that coincide, any number of grids walked end to end and any chunk size.
+The scan kernel ``_min_block_over_products`` walks several grids end to
+end in chunks; for any axes that coincide, any number of grids and any
+chunk size, each grid's minimum, point, pair and count must be those of
+the grid scanned alone, bit for bit, and those of the real route over its
+brute-force canonical points.
 
 The scan kernel reads the channel corner off the diagonal sign table, which
 rests on one identity per site: the corner factors (dx + dy, dx - dy) equal
@@ -11,8 +13,8 @@ the diagonal factors (1 + g, 1 - g) bit for bit up to pi/4 (+
 answer every finite slope on either domain with a finite minimum, raise
 nothing and emit no warning.  Its refinement stencils, every remaining
 round's built in one call over every axis, must equal the per-axis
-construction bit for bit, and the walk and the stencils' layouts must
-take the points and order of the brute-force ``canonical_tuples``.  The
+construction bit for bit, and the stencils' layouts must take the points
+and order of the brute-force ``canonical_tuples``.  The
 kernel's value at one point, read through the shared corner phase, must be
 the least block eigenvalue of the assembled certificate matrix there.
 """
@@ -34,9 +36,9 @@ from ghzcert.states import g_values
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH, GridSpec,
                               _min_block_over_products, _stencils,
                               block_decompose, build_T, catalog_constants,
-                              min_eig_over_grid, walk_canonical)
+                              min_eig_over_grid)
 from oracles import (canonical_tuples, channel_corner_factors, padded_grid,
-                     per_axis_stencil)
+                     per_axis_stencil, real_min_block_over_axes)
 
 
 def bits(x: float) -> bytes:
@@ -152,10 +154,10 @@ def test_one_call_stencil_matches_per_axis_stencil(case):
 
 @st.composite
 def walk_cases(draw):
-    """1 to 3 grids of the same 1 to 5 axes of 1 to 9 points, some equal to
+    """1 to 3 grids of the same 3 to 5 axes of 1 to 9 points, some equal to
     others as refinement stencils make them, and a chunk size from one
     point to more than all the grids, in block evaluations."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(3, 5))
     grids = []
     for _ in range(draw(st.integers(1, 3))):
         distinct = draw(st.lists(
@@ -170,38 +172,27 @@ def walk_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=walk_cases())
-def test_walk_canonical_visits_every_canonical_point_in_order(case):
-    # The grids are walked end to end: a chunk may end one and start the
-    # next, its pieces name which columns hold which grid, and each site's
-    # columns index the padded rows of every grid, raveled in order.  The
-    # walk groups each grid's axes as canonical_tuples does.
+@given(case=walk_cases(), family=st.sampled_from(FAMILIES))
+def test_kernel_walks_every_grid_as_it_walks_it_alone(case, family):
+    # The grids are walked end to end, padded to one width, and a chunk may
+    # end one and start the next; still each grid's minimum, point, pair and
+    # count are those of the grid scanned alone, which are the real route's
+    # over canonical_tuples, one value per canonical point and pair.
     grids, evaluations = case
     n, width = len(grids[0]), 9
-    half = 2 ** (n - 1)
+    protocol = BellProtocol(family, n)
+    constants = catalog_constants(protocol)
+    s, mu = constants.s, constants.mu
     lengths = np.array([[len(axis) for axis in axes] for axes in grids])
     rows = np.array([[np.concatenate([axis, [axis[-1]] * (width - len(axis))])
                       for axis in axes] for axes in grids])
-    step = max(1, evaluations // half)
-    cols, visits = [], []
     with mock.patch.object(ghzcert.verifier, "SCAN_CHUNK_EVALUATIONS",
                            evaluations):
-        for pieces, chunk in walk_canonical(rows, lengths):
-            m = pieces[-1][2]
-            assert chunk.shape == (n, m)
-            assert [piece[1:] for piece in pieces] == list(zip(
-                [0] + [end for _, _, end in pieces[:-1]],
-                [end for _, _, end in pieces]))
-            visits += [grid for grid, begin, end in pieces
-                       for _ in range(begin, end)]
-            cols.append(chunk.copy())
-    counts = [c.shape[1] for c in cols]
-    assert all(m == step for m in counts[:-1]) and 1 <= counts[-1] <= step
-    layouts = [canonical_tuples(axes) for axes in grids]
-    assert visits == [k for k, layout in enumerate(layouts)
-                      for _ in range(layout.shape[1])]
-    offsets = width * np.arange(len(grids) * n).reshape(len(grids), n, 1)
-    want = np.concatenate([layout + offset
-                           for layout, offset in zip(layouts, offsets)],
-                          axis=1)
-    assert np.array_equal(np.concatenate(cols, axis=1), want)
+        got = _min_block_over_products(protocol, s, mu, rows, lengths)
+    assert len(got) == len(grids)
+    for result, axes in zip(got, grids):
+        (alone,) = _min_block_over_products(protocol, s, mu,
+                                            *padded_grid(axes))
+        assert bits(result[0]) == bits(alone[0]) and result == alone
+        assert result == real_min_block_over_axes(protocol, s, mu, axes)
+        assert result[3] == canonical_tuples(axes).shape[1] * 2 ** (n - 1)
