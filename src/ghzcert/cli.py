@@ -24,6 +24,7 @@ or 0/false/no/off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -108,8 +109,8 @@ def _constants_for(args: argparse.Namespace,
 
 
 def _render(value: object) -> str:
-    """One csv or text field: lists joined by ';', lowercase bools."""
-    if isinstance(value, list):
+    """One csv or text field: tuples joined by ';', lowercase bools."""
+    if isinstance(value, tuple):
         return ";".join(format_float(item) for item in value)
     if isinstance(value, bool):
         return str(value).lower()
@@ -126,20 +127,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         11 if protocol.n == 5 else 21)
     spec = GridSpec(points_per_axis=grid, domain=domain)
     report = min_eig_over_grid(constants, spec, psd_tol=args.tol)
-    fields = {
-        "family": protocol.family,
-        "n": protocol.n,
-        "s": constants.s,
-        "mu": constants.mu,
-        "beta_T": constants.beta_T,
-        "grid_points_per_axis": report.grid_points_per_axis,
-        "min_eigenvalue": report.min_eigenvalue,
-        "argmin_angles": list(report.argmin_angles),
-        "refined": report.refined,
-        "passed": report.passed,
-        "binding_pair": report.binding_pair,
-        "block_evaluations": report.block_evaluations,
-    }
+    # The constants, then the report's own fields in declaration order.
+    fields = {"family": protocol.family, "n": protocol.n, "s": constants.s,
+              "mu": constants.mu, "beta_T": constants.beta_T}
+    fields.update((field.name, getattr(report, field.name))
+                  for field in dataclasses.fields(report)
+                  if field.name != "constants")
     if args.format == "json":
         text = json.dumps(fields, indent=2) + "\n"
     elif args.format == "csv":
@@ -279,10 +272,9 @@ def _parse(parser: argparse.ArgumentParser,
     args = parser.parse_args(argv)
     if args.command is None or args.config is None:
         return args
-    options = vars(parser.parse_args([args.command]))
     flags = [("-n=" if key == "n" else f"--{key.replace('_', '-')}=") + value
              for key, value in _load_config(args.config).items()
-             if key in options and key not in ("command", "config")]
+             if key in vars(args) and key not in ("command", "config")]
     at = argv.index(args.command) + 1
     return parser.parse_args(argv[:at] + flags + argv[at:])
 

@@ -289,21 +289,24 @@ def _min_block_over_products(
     permutation orbit and only one tuple per orbit is evaluated.
 
     The loop body runs once per chunk, in this thread's ``_workspace``
-    sized to the chunk.  Each chunk writes its point columns, each site's
-    index into ``rows.ravel()`` (never into the padding past an axis),
-    gathers its site factors there and builds the diagonal's table, then
-    the channel corner's in the same buffer, then the Bell corner's in the
-    second, where X is formed in place; the complex buffer of v = +-i is
-    the first table's memory, free by then.  The channel corner's site
-    factors (dx + dy, dx - dy) are (1 + g, 1 - g) up to pi/4, where dx = 1 and
-    dy = g, and (1 + g, -(1 - g)) beyond, where dx = g and dy = 1.  So its
-    table is the diagonal's, rebuilt from the negated minus factors only when
-    some axis passes pi/4; a negated factor negates the product bit for bit.
+    sized to the chunk.  The walk runs through the grids' canonical points
+    in order.  Each chunk writes its point columns from the grids that
+    overlap it, each site's index into ``rows.ravel()`` (never into the
+    padding past an axis), gathers its site factors there and builds the
+    diagonal's table, then the channel corner's in the same buffer, then
+    the Bell corner's in the second, where X is formed in place; the
+    complex buffer of v = +-i is the first table's memory, free by then.
+    The channel corner's site factors (dx + dy, dx - dy) are (1 + g, 1 - g)
+    up to pi/4, where dx = 1 and dy = g, and (1 + g, -(1 - g)) beyond, where
+    dx = g and dy = 1.  So its table is the diagonal's, rebuilt from the
+    negated minus factors only when some axis passes pi/4; a negated factor
+    negates the product bit for bit.
     Every block value depends on its own point alone, so each grid's values are
     those of a walk over that grid by itself.  Ties go to the first pair, then
     the first canonical point of the grid, as one ``argmin`` over the whole
     grid would choose.  Returns, per grid, the minimum, its angles, the binding
-    pair and the number of block evaluations.
+    pair and the number of block evaluations, its canonical points times
+    2^(n-1).
     """
     n = protocol.n
     half, scale = 2 ** (n - 1), 1.0 / 2 ** (n + 1)
@@ -325,14 +328,14 @@ def _min_block_over_products(
     turn = corner_turn(protocol)
     r, _, width = rows.shape
     best: list = [None] * r
-    evaluations = [0] * r
     step = max(1, SCAN_CHUNK_EVALUATIONS // half)
     layouts = canonical_layouts(rows, lengths)
     offsets = np.arange(0, r * n * width, width).reshape(r, n, 1)
-    total = sum(layout.shape[1] for layout in layouts)
-    at, local = 0, 0    # the next point's grid and index in it
-    for start in range(0, total, step):
-        m = min(step, total - start)
+    sizes = [layout.shape[1] for layout in layouts]
+    # Each grid's first point in the walk, then the total.
+    firsts = np.cumsum([0] + sizes).tolist()
+    for start in range(0, firsts[-1], step):
+        m = min(step, firsts[-1] - start)
         if start == 0 or m < step:
             # The first chunk's width, then a shorter tail's.
             table, x, low, scratch, factors, cols = _workspace(n, m)
@@ -340,18 +343,13 @@ def _min_block_over_products(
             parts = table.reshape(-1).view(complex).reshape(low.shape)
         # (grid, begin, end) for each grid whose points are the chunk's
         # columns begin to end, in order.
-        pieces = []
-        begin = 0
-        while begin < m:
-            layout = layouts[at]
-            end = begin + min(m - begin, layout.shape[1] - local)
-            np.add(layout[:, local:local + end - begin], offsets[at],
+        pieces = [(g, max(first - start, 0), min(first + size - start, m))
+                  for g, (first, size) in enumerate(zip(firsts, sizes))
+                  if first < start + m and start < first + size]
+        for g, begin, end in pieces:
+            at = start + begin - firsts[g]
+            np.add(layouts[g][:, at:at + end - begin], offsets[g],
                    out=cols[:, begin:end])
-            pieces.append((at, begin, end))
-            local += end - begin
-            if local == layout.shape[1]:
-                at, local = at + 1, 0
-            begin = end
         # mode="clip" is faster and clips nothing.
         np.take(diagonal, cols, axis=1, out=factors, mode="clip")
         sign_products(*factors, table, scratch)
@@ -376,9 +374,8 @@ def _min_block_over_products(
             # unless the later one binds at a smaller pair.
             if best[grid] is None or (value, pair) < best[grid][:2]:
                 best[grid] = (value, pair, values[cols[:, begin + k]])
-            evaluations[grid] += part.size
-    return [(value, tuple(float(v) for v in point), pair, count)
-            for (value, pair, point), count in zip(best, evaluations)]
+    return [(value, tuple(float(v) for v in point), pair, size * half)
+            for (value, pair, point), size in zip(best, sizes)]
 
 
 def _stencils(p: np.ndarray, steps: np.ndarray, lo: float,
@@ -451,20 +448,19 @@ def min_eig_over_grid(constants: CertificateConstants, grid: GridSpec,
             if abs(best) <= 10 * psd_tol:
                 refined = True
                 h = (hi - lo) / (grid.points_per_axis - 1)
-                rounds = REFINEMENT_DEPTH
-                while rounds:
+                done = 0    # the rounds accepted so far
+                while done < REFINEMENT_DEPTH:
                     # Every remaining round around the current centre, in
-                    # one walk; halving a float is exact, so each step
-                    # equals the one the rounds reach by halving in turn.
-                    steps = h / 2.0 ** np.arange(rounds)
+                    # one walk; dividing a float by a power of two is
+                    # exact, so each step equals the one the rounds reach
+                    # by halving in turn.
+                    steps = h / 2.0 ** np.arange(done, REFINEMENT_DEPTH)
                     batch = _min_block_over_products(
                         protocol, constants.s, constants.mu,
                         *_stencils(np.array(point), steps, lo, hi))
-                    for step, (value, sub_point, sub_pair, count) in zip(
-                            steps, batch):
+                    for value, sub_point, sub_pair, count in batch:
                         evaluations += count
-                        rounds -= 1
-                        h = step / 2.0
+                        done += 1
                         # A new minimum moves the centre, so the rounds
                         # after it are scanned again around it.
                         if value < best:

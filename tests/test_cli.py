@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, and config handling."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -100,6 +101,34 @@ def test_verify_appends_scan_fields(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == f"binding_pair={payload['binding_pair']}"
     assert lines[-1] == f"block_evaluations={payload['block_evaluations']}"
+
+
+def test_verify_prints_a_new_report_field_last(monkeypatch, capsys):
+    @dataclasses.dataclass(frozen=True)
+    class ExtendedReport(ghzcert.verifier.CertificationReport):
+        extra: int = 7
+
+    scan = ghzcert.verifier.min_eig_over_grid
+
+    def extended(*args, **kwargs):
+        report = scan(*args, **kwargs)
+        return ExtendedReport(**{field.name: getattr(report, field.name)
+                                 for field in dataclasses.fields(report)})
+
+    monkeypatch.setattr(ghzcert.cli, "min_eig_over_grid", extended)
+    args = ["verify", "-n", "3", "--grid", "7"]
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload)[-2:] == ["block_evaluations", "extra"]
+    assert payload["extra"] == 7
+    assert main(args + ["--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[-2:] == ["block_evaluations", "extra"]
+    assert row.split(",")[-2:] == [str(payload["block_evaluations"]), "7"]
+    assert main(args + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        f"block_evaluations={payload['block_evaluations']}", "extra=7"]
 
 
 @pytest.mark.parametrize("flag", ["--s", "--mu"])
