@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -42,6 +43,11 @@ from .verifier import (_CATALOG, PSD_TOLERANCE, CertificateConstants,
 _BOUNDS_TOL = 1e-8
 _SCAN_PARTY_RANGE = tuple(sorted({n for _, n in _CATALOG}))
 _BOUNDS_PARTY_RANGE = tuple(range(_MIN_PARTIES, _MAX_PARTIES + 1))
+# A negative number as argparse should read it after a flag, exponent form
+# included ("-7e-1"); before Python 3.14 argparse takes only "-7" and "-0.7"
+# and reads anything else as an option.  No option string here starts with
+# a digit, so none of them matches.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -258,6 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random angle samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -47,8 +47,9 @@ Independent routes cross-check the reduction:
 * ``closed_form_crosscheck`` samples random angle tuples and confirms all of
   the above against the matrix route in batches of tuples, reading the
   certificate only through ``block_decompose``: one ``build_T`` and one
-  ``block_decompose`` call and one call of each closed form per batch, each
-  check one boolean mask over the batch.
+  ``block_decompose`` call per chunk of matrices, and one call of each
+  closed form per batch of chunks, each check one boolean mask over the
+  batch.
 """
 from __future__ import annotations
 
@@ -83,14 +84,19 @@ SCAN_CHUNK_EVALUATIONS = 2 ** 15
 # canonical layout; the scan's tables are bounded by SCAN_CHUNK_EVALUATIONS.
 MAX_BLOCK_EVALUATIONS = 8_000_000
 # Most samples closed_form_crosscheck draws, at about 0.006 ms each (n = 3)
-# and 0.013 ms (n = 4) in process on a 2-core machine, more than half of it
-# the batched matrix route.
+# and 0.013 ms (n = 4) in process on a 2-core machine, 80% and 95% of it the
+# batched matrix route.
 MAX_CROSSCHECK_SAMPLES = 100_000
 # Most matrix entries, k 4^n over a chunk of k samples, that
 # closed_form_crosscheck assembles in one batched build_T call: 32 samples
 # at n = 4 and 128 at n = 3, so its memory does not grow with the sample
 # count.
 CROSSCHECK_CHUNK_ENTRIES = 2 ** 13
+# Samples closed_form_crosscheck checks with one call of each closed form,
+# their blocks gathered from the chunks above.  Batches of 128 or 256 ran
+# slower than 512 to 2048 (n = 3 and 4, 2-core machine); at 1024 an n = 4
+# run peaks at about 1.2 MB traced.
+CROSSCHECK_BATCH_SAMPLES = 1024
 
 
 class StructureViolation(Exception):
@@ -632,11 +638,13 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     by ``block_decompose`` and by nothing else.  Only the three- and
     four-party Svetlichny scenarios have closed forms.  ``samples`` must be
     an integer in [1, ``MAX_CROSSCHECK_SAMPLES``]; ValueError otherwise.  The
-    matrices are assembled in chunks of at most ``CROSSCHECK_CHUNK_ENTRIES``
-    entries, one batched ``build_T`` call per chunk, and each closed form
-    is evaluated once per chunk on the chunk's tuples.  Each failure names
-    its sample's index in the whole run; failures are listed by sample,
-    then by check.
+    samples are drawn in batches of ``CROSSCHECK_BATCH_SAMPLES``.  Each
+    batch's matrices are assembled in chunks of at most
+    ``CROSSCHECK_CHUNK_ENTRIES`` entries, one batched ``build_T`` and one
+    ``block_decompose`` call per chunk, into one block array, and each
+    closed form is evaluated once per batch on the batch's tuples.  Each
+    failure names its sample's index in the whole run; failures are listed
+    by sample, then by check.
     """
     if protocol.family != SVETLICHNY or protocol.n not in _CROSSCHECKS:
         raise ValueError("closed forms exist only for svetlichny n in {3, 4}")
@@ -647,19 +655,24 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
     checks, messages, failure_mask = _CROSSCHECKS[protocol.n]
     failures: List[str] = []
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
-    for start in range(0, samples, chunk):
+    blocks = np.empty((min(CROSSCHECK_BATCH_SAMPLES, samples),
+                       protocol.dim // 2, 2, 2), dtype=complex)
+    for start in range(0, samples, CROSSCHECK_BATCH_SAMPLES):
         # One (k, n) draw is the same stream as k draws of n.
-        batch = rng.uniform(0.0, math.pi / 4,
-                            size=(min(chunk, samples - start), protocol.n))
-        ts = build_T(protocol, batch, constants.s, constants.mu)
-        try:
-            blocks = block_decompose(ts, protocol.n)
-        except StructureViolation as exc:
-            index = start + exc.index
-            raise StructureViolation(
-                f"sample {index}: certificate matrix has off-block weight "
-                f"above tolerance {_BLOCK_RESIDUE_TOL}", index) from exc
-        mask = failure_mask(batch, blocks, constants.s)
+        batch = rng.uniform(0.0, math.pi / 4, size=(
+            min(CROSSCHECK_BATCH_SAMPLES, samples - start), protocol.n))
+        for begin in range(0, len(batch), chunk):
+            ts = build_T(protocol, batch[begin:begin + chunk], constants.s,
+                         constants.mu)
+            try:
+                blocks[begin:begin + len(ts)] = block_decompose(ts,
+                                                                protocol.n)
+            except StructureViolation as exc:
+                index = start + begin + exc.index
+                raise StructureViolation(
+                    f"sample {index}: certificate matrix has off-block weight "
+                    f"above tolerance {_BLOCK_RESIDUE_TOL}", index) from exc
+        mask = failure_mask(batch, blocks[:len(batch)], constants.s)
         # Sample first, then check, as the masks' rows and columns run.
         for offset, column in zip(*np.nonzero(mask)):
             failures.append(f"sample {start + offset}: {messages[column]}")
@@ -675,7 +688,7 @@ def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
 
 def _sv3_failures(batch: np.ndarray, blocks: np.ndarray,
                   s: float) -> np.ndarray:
-    """Failure mask of a chunk of three-party samples, shape (k, 8).
+    """Failure mask of a batch of three-party samples, shape (k, 8).
 
     Columns 0-3 flag blocks whose entries differ from
     ``sv3_block_functions``; columns 4-7 flag parity sectors (x1, x2), in
@@ -697,7 +710,7 @@ def _sv3_failures(batch: np.ndarray, blocks: np.ndarray,
 
 def _sv4_failures(batch: np.ndarray, blocks: np.ndarray,
                   s: float) -> np.ndarray:
-    """Failure mask of a chunk of four-party samples, shape (k, 4).
+    """Failure mask of a batch of four-party samples, shape (k, 4).
 
     Columns flag, in order: an outer block that differs from
     ``sv4_block_functions``, a ``sv4_determinant`` that differs from
@@ -720,8 +733,8 @@ def _sv4_failures(batch: np.ndarray, blocks: np.ndarray,
 
 
 # Per party count: the report's check names, one failure message per column
-# of the chunk's failure mask, and the function that builds that mask from
-# the chunk's angles, its certificate blocks and the slope s.
+# of the batch's failure mask, and the function that builds that mask from
+# the batch's angles, its certificate blocks and the slope s.
 _CROSSCHECKS = {
     3: (("block_entries", "parity_sector_invariant"),
         [f"block {i} mismatch" for i in range(4)]

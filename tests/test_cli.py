@@ -149,18 +149,26 @@ def test_verify_rejects_bad_tolerance(value, capsys):
     assert captured.out == ""
 
 
-def test_negative_exponent_values_take_the_equals_form(capsys):
-    # argparse reads "-7e-1" after a flag as an option, not a number, so
-    # "--mu -7e-1" exits 2 with a usage error; "--mu=-7e-1" is "--mu -0.7".
-    assert main(["verify", "-n", "4", "--mu", "-7e-1"]) == 2
-    captured = capsys.readouterr()
-    assert "argument --mu: expected one argument" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
-    code = main(["verify", "-n", "4", "--mu=-7e-1"])
-    joined = capsys.readouterr()
-    assert main(["verify", "-n", "4", "--mu", "-0.7"]) == code == 1
-    assert capsys.readouterr() == joined
-    assert ",-0.7," in joined.out
+def test_negative_exponent_values_parse_with_or_without_equals(capsys):
+    # argparse before 3.14 reads "-7e-1" after a flag as an option, so the
+    # parsers take exponent-form negative numbers as values: "--mu -7e-1"
+    # is "--mu=-7e-1" is "--mu -0.7", on every real-valued option.
+    for flag, value, plain in (("--mu", "-7e-1", "-0.7"),
+                               ("--s", "-1E+0", "-1"),
+                               ("--tol", "-1e-3", "-0.001")):
+        spaced = main(["verify", "-n", "4", flag, value])
+        first = capsys.readouterr()
+        assert main(["verify", "-n", "4", f"{flag}={value}"]) == spaced
+        assert capsys.readouterr() == first
+        assert main(["verify", "-n", "4", flag, plain]) == spaced
+        assert capsys.readouterr() == first
+        assert "Traceback" not in first.err
+        assert "expected one argument" not in first.err
+    assert main(["verify", "-n", "4", "--mu", "-7e-1"]) == 1
+    assert ",-0.7," in capsys.readouterr().out
+    assert main(["simulate", "--visibility", "-1e-1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: visibility must be at least 0.0")
 
 
 def test_verify_refuses_oversized_grid_without_allocating(capsys):

@@ -20,7 +20,8 @@ from ghzcert.linalg import (CANONICAL_LAYOUT_CACHE, _canonical_layout,
 from ghzcert.root2 import Root2
 from ghzcert.states import apply_channel, ghz_state
 import ghzcert.verifier
-from ghzcert.verifier import (CROSSCHECK_CHUNK_ENTRIES, MAX_CROSSCHECK_SAMPLES,
+from ghzcert.verifier import (CROSSCHECK_BATCH_SAMPLES, CROSSCHECK_CHUNK_ENTRIES,
+                              MAX_CROSSCHECK_SAMPLES,
                               CertificateConstants,
                               GridSpec, StructureViolation,
                               _min_block_over_products,
@@ -793,8 +794,9 @@ def test_closed_form_crosscheck_rejects_empty_sample():
 
 
 def test_closed_form_crosscheck_sample_limit(monkeypatch):
-    # The largest run takes about seven seconds; stopping at the first
-    # chunk of certificates shows the limit itself is accepted.
+    # The largest run takes about 1.4 s in process on a 2-core machine;
+    # stopping at the first chunk of certificates shows the limit itself
+    # is accepted.
     protocol = BellProtocol(SVETLICHNY, 4)
     monkeypatch.setattr(ghzcert.verifier, "build_T", stop_past_validation)
     with pytest.raises(PastValidation):
@@ -805,18 +807,23 @@ def test_closed_form_crosscheck_sample_limit(monkeypatch):
 
 def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
         monkeypatch):
-    # One (k, n) draw per chunk is the same stream as one draw of n per
-    # sample, and each closed form (each parity sector's projector_lambda
-    # apart) is called once per chunk; together its batches hold every
-    # drawn tuple once, in draw order.
+    # One (k, n) draw per batch is the same stream as one draw of n per
+    # sample.  Each closed form (each parity sector's projector_lambda
+    # apart) is called once per batch of CROSSCHECK_BATCH_SAMPLES, and
+    # block_decompose once per matrix chunk of CROSSCHECK_CHUNK_ENTRIES
+    # inside it; each side's calls hold every drawn tuple once, in draw
+    # order.
     forms = {3: ("sv3_block_functions", "projector_lambda"),
              4: ("sv4_block_functions", "sv4_determinant")}
     originals = {name: getattr(ghzcert.verifier, name)
-                 for names in forms.values() for name in names}
+                 for names in forms.values()
+                 for name in names + ("build_T", "block_decompose")}
+    batch = CROSSCHECK_BATCH_SAMPLES
     for n, names in forms.items():
         chunk = CROSSCHECK_CHUNK_ENTRIES // 4 ** n
-        for samples in (chunk - 1, chunk, chunk + 1):
-            seen = {}
+        for samples in (chunk - 1, chunk, chunk + 1, batch - 1, batch,
+                        batch + 1, 2 * batch + chunk + 1):
+            seen, assembled, decomposed = {}, [], []
             for name in names:
 
                 def recording(angles, s, *labels, name=name):
@@ -825,6 +832,18 @@ def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
                     return originals[name](angles, s, *labels)
 
                 monkeypatch.setattr(ghzcert.verifier, name, recording)
+
+            def assembling(protocol, angles, s, mu):
+                assembled.append(np.array(angles))
+                return originals["build_T"](protocol, angles, s, mu)
+
+            def decomposing(t, n):
+                decomposed.append(len(t))
+                return originals["block_decompose"](t, n)
+
+            monkeypatch.setattr(ghzcert.verifier, "build_T", assembling)
+            monkeypatch.setattr(ghzcert.verifier, "block_decompose",
+                                decomposing)
             report = closed_form_crosscheck(BellProtocol(SVETLICHNY, n),
                                             samples=samples, seed=11)
             assert report["passed"] and report["samples"] == samples
@@ -832,9 +851,14 @@ def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
             draws = np.array([rng.uniform(0.0, math.pi / 4, size=n)
                               for _ in range(samples)])
             assert len(seen) == (5 if n == 3 else 2)
+            sizes = [min(batch, samples - start)
+                     for start in range(0, samples, batch)]
             for batches in seen.values():
-                assert len(batches) == -(-samples // chunk)
+                assert [len(b) for b in batches] == sizes
                 assert np.array_equal(np.concatenate(batches), draws)
+            assert decomposed == [min(chunk, size - begin) for size in sizes
+                                  for begin in range(0, size, chunk)]
+            assert np.array_equal(np.concatenate(assembled), draws)
 
 
 def test_closed_form_crosscheck_reads_blocks_through_block_decompose(
@@ -855,52 +879,61 @@ def test_closed_form_crosscheck_reads_blocks_through_block_decompose(
 
 
 def test_closed_form_crosscheck_failure_names_its_global_sample(monkeypatch):
+    # A target past the first matrix chunk, and one that opens the second
+    # batch of closed-form calls.
     protocol = BellProtocol(SVETLICHNY, 4)
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
-    target = chunk + 3
     original = ghzcert.verifier.sv4_block_functions
-    drawn = [0]
+    for samples, target in ((3 * chunk, chunk + 3),
+                            (CROSSCHECK_BATCH_SAMPLES + 1,
+                             CROSSCHECK_BATCH_SAMPLES)):
+        drawn = [0]
 
-    def perturbed(angles, s):
-        # -f2 keeps |f2|, so only the block entry check sees the change.
-        f1, f2 = original(angles, s)
-        offset = target - drawn[0]
-        drawn[0] += len(f2)
-        if 0 <= offset < len(f2):
-            f2 = f2.copy()
-            f2[offset] = -f2[offset]
-        return f1, f2
+        def perturbed(angles, s, target=target, drawn=drawn):
+            # -f2 keeps |f2|, so only the block entry check sees the change.
+            f1, f2 = original(angles, s)
+            offset = target - drawn[0]
+            drawn[0] += len(f2)
+            if 0 <= offset < len(f2):
+                f2 = f2.copy()
+                f2[offset] = -f2[offset]
+            return f1, f2
 
-    monkeypatch.setattr(ghzcert.verifier, "sv4_block_functions", perturbed)
-    report = closed_form_crosscheck(protocol, samples=3 * chunk, seed=5)
-    assert drawn[0] == 3 * chunk
-    assert report["failures"] == [f"sample {target}: outer block mismatch"]
-    assert not report["passed"]
+        monkeypatch.setattr(ghzcert.verifier, "sv4_block_functions",
+                            perturbed)
+        report = closed_form_crosscheck(protocol, samples=samples, seed=5)
+        assert drawn[0] == samples
+        assert report["failures"] == [
+            f"sample {target}: outer block mismatch"]
+        assert not report["passed"]
 
 
 def test_closed_form_crosscheck_sector_failure_names_its_global_sample(
         monkeypatch):
     protocol = BellProtocol(SVETLICHNY, 3)
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
-    target = chunk + 5
     original = ghzcert.verifier.projector_lambda
-    drawn = [0]
+    for samples, target in ((3 * chunk, chunk + 5),
+                            (CROSSCHECK_BATCH_SAMPLES + 1,
+                             CROSSCHECK_BATCH_SAMPLES)):
+        drawn = [0]
 
-    def perturbed(angles, s, x1, x2):
-        lam = original(angles, s, x1, x2)
-        if (x1, x2) == (1, 0):
-            offset = target - drawn[0]
-            drawn[0] += len(lam)
-            if 0 <= offset < len(lam):
-                lam = lam.copy()
-                lam[offset] += 1e-9
-        return lam
+        def perturbed(angles, s, x1, x2, target=target, drawn=drawn):
+            lam = original(angles, s, x1, x2)
+            if (x1, x2) == (1, 0):
+                offset = target - drawn[0]
+                drawn[0] += len(lam)
+                if 0 <= offset < len(lam):
+                    lam = lam.copy()
+                    lam[offset] += 1e-9
+            return lam
 
-    monkeypatch.setattr(ghzcert.verifier, "projector_lambda", perturbed)
-    report = closed_form_crosscheck(protocol, samples=3 * chunk, seed=5)
-    assert drawn[0] == 3 * chunk
-    assert report["failures"] == [f"sample {target}: sector (1,0) mismatch"]
-    assert not report["passed"]
+        monkeypatch.setattr(ghzcert.verifier, "projector_lambda", perturbed)
+        report = closed_form_crosscheck(protocol, samples=samples, seed=5)
+        assert drawn[0] == samples
+        assert report["failures"] == [
+            f"sample {target}: sector (1,0) mismatch"]
+        assert not report["passed"]
 
 
 def test_closed_form_crosscheck_builds_no_parity_projector(monkeypatch):
@@ -919,37 +952,43 @@ def test_closed_form_crosscheck_structure_violation_names_its_global_sample(
         monkeypatch):
     protocol = BellProtocol(SVETLICHNY, 3)
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
-    target = chunk + 3
     original = ghzcert.verifier.build_T
-    assembled = [0]
+    for samples, target in ((3 * chunk, chunk + 3),
+                            (CROSSCHECK_BATCH_SAMPLES + chunk + 1,
+                             CROSSCHECK_BATCH_SAMPLES + chunk)):
+        assembled = [0]
 
-    def unstructured(protocol, angles, s, mu):
-        # Adds off-block weight to the target sample's certificate only.
-        ts = original(protocol, angles, s, mu)
-        offset = target - assembled[0]
-        if 0 <= offset < len(ts):
-            ts[offset, 0, 1] = 1e-9
-        assembled[0] += len(ts)
-        return ts
+        def unstructured(protocol, angles, s, mu, target=target,
+                         assembled=assembled):
+            # Adds off-block weight to the target sample's certificate only.
+            ts = original(protocol, angles, s, mu)
+            offset = target - assembled[0]
+            if 0 <= offset < len(ts):
+                ts[offset, 0, 1] = 1e-9
+            assembled[0] += len(ts)
+            return ts
 
-    monkeypatch.setattr(ghzcert.verifier, "build_T", unstructured)
-    with pytest.raises(StructureViolation,
-                       match=f"^sample {target}: ") as caught:
-        closed_form_crosscheck(protocol, samples=3 * chunk)
-    assert caught.value.index == target
+        monkeypatch.setattr(ghzcert.verifier, "build_T", unstructured)
+        with pytest.raises(StructureViolation,
+                           match=f"^sample {target}: ") as caught:
+            closed_form_crosscheck(protocol, samples=samples)
+        assert caught.value.index == target
 
 
 def test_closed_form_crosscheck_memory_does_not_grow_with_samples():
-    protocol = BellProtocol(SVETLICHNY, 4)
-    closed_form_crosscheck(protocol, samples=1)
-    tracemalloc.start()
-    try:
-        report = closed_form_crosscheck(protocol, samples=5000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report["passed"]
-    assert peak < 2_000_000
+    # Bounded by one batch of blocks and closed-form values plus one chunk
+    # of matrices: about 1.0 MB at n = 3 and 1.2 MB at n = 4.
+    for n in (3, 4):
+        protocol = BellProtocol(SVETLICHNY, n)
+        closed_form_crosscheck(protocol, samples=1)
+        tracemalloc.start()
+        try:
+            report = closed_form_crosscheck(protocol, samples=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("n, grid, bound", [(4, 31, 8_000_000),
