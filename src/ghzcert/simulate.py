@@ -4,6 +4,8 @@ Simulated runs draw multinomial outcome counts from the Born distribution of
 a noisy target state, one independent PCG64 stream per measurement setting,
 estimate the Bell value with its standard error, and convert the estimate
 into a certified fidelity bound.  Each run can be appended to a JSONL log.
+Each setting's stream is numpy's spawned ``SeedSequence`` child, its PCG64
+state derived for every sampled setting in one batched pass.
 
 A run reads one Born table from ``_born_table``, one row per sampled
 setting.  The target state and its ``visibility`` mixtures are diagonal
@@ -34,6 +36,30 @@ from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
 
 RNG_ALGORITHM = "PCG64"
+
+# numpy's SeedSequence hash and PCG64 seeding step, both kept stable across
+# numpy releases (NEP 19).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _hash_steps(start: int, multiplier: int, words: int) -> np.ndarray:
+    """The hash constant before (row 0) and after (row 1) each hashed word."""
+    return np.array([[start * multiplier ** (i + step) % 2 ** 32
+                      for i in range(words)] for step in (0, 1)],
+                    dtype=np.uint32)
+
+
+# A spawn word is hashed once into each of the 4 pool words, from a start
+# that depends on the seed's length.
+_SPAWN_STEPS = _hash_steps(1, _HASH_MULT_A, 4)
+_SPAWN_STEPS.setflags(write=False)
+# generate_state(4, uint64) hashes the 4-word pool twice over.
+_STATE_HASHES = _hash_steps(_HASH_INIT_B, _HASH_MULT_B, 8).reshape(2, 2, 4)
+_STATE_HASHES.setflags(write=False)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2 ** 128 - 1
 
 _NOISE_KINDS = ("visibility", "separable_mixture")
 _PROB_FLOOR = -1e-12
@@ -184,18 +210,55 @@ def sample_outcomes(dist: np.ndarray, shots: int,
     return rng.multinomial(shots, dist)
 
 
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    return words ^ (words >> 16)
+
+
+def _spawned_pcg64_states(root: np.random.SeedSequence,
+                          keys: np.ndarray) -> List[Tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of the child of ``root`` at each spawn key.
+
+    For ``root = SeedSequence(seed)`` and each key i, this is the state of
+    ``PCG64(SeedSequence(seed, spawn_key=(i,)))``, computed for every key in
+    one pass.  numpy pads a child's short run entropy to the pool size with
+    hashed zeros, as it does the root's, so the child's pool is the root's
+    pool with the spawn word mixed into each of its four words; by then an
+    L-word seed has advanced the hash constant 16 + 4 max(0, L - 4) times.
+    ``generate_state(4, uint64)`` and PCG64's srandom step follow.  The
+    uint32 arrays wrap silently; the 128-bit step runs on Python ints.
+    """
+    words = max(1, -(-root.entropy.bit_length() // 32))
+    start = (_HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, words - 4),
+                                2 ** 32) % 2 ** 32)
+    before, after = np.uint32(start) * _SPAWN_STEPS
+    spawn = _xorshift((np.asarray(keys, dtype=np.uint32)[:, None] ^ before)
+                      * after)
+    pools = _xorshift(root.pool * _MIX_MULT_L - _MIX_MULT_R * spawn)
+    before, after = _STATE_HASHES
+    seeds = _xorshift((pools[:, None] ^ before) * after)
+    states = []
+    for s_high, s_low, q_high, q_low in (
+            seeds.astype("<u4", copy=False).view("<u8").reshape(-1, 4)
+            .tolist()):
+        inc = (q_high << 65 | q_low << 1 | 1) & _MASK128
+        states.append(((((s_high << 64 | s_low) + inc) * _PCG64_MULT + inc)
+                       & _MASK128, inc))
+    return states
+
+
 def estimate_violation(protocol: BellProtocol, state: np.ndarray,
                        angles: Sequence[float], shots_per_setting: int,
                        seed: int) -> Tuple[float, float]:
     """Estimate the Bell value from simulated counts.
 
     Every setting string whose functional coefficient is nonzero is sampled
-    with ``shots_per_setting`` shots from its own PCG64 stream, seeded by
-    the child ``SeedSequence(seed).spawn(2 ** n)`` would give the setting's
-    lexicographic index; only the sampled children are built, and a
-    setting's stream does not depend on which others are skipped.  The seed
-    is checked like the shot count.  Returns the estimate and its
-    propagated standard error.
+    with ``shots_per_setting`` shots from its own PCG64 stream, the one
+    seeded by the child ``SeedSequence(seed).spawn(2 ** n)`` would give the
+    setting's lexicographic index.  ``_spawned_pcg64_states`` derives the
+    sampled children's PCG64 states in one pass, and one generator restarts
+    at each; a setting's stream does not depend on which others are
+    skipped.  The seed is checked like the shot count.  Returns the
+    estimate and its propagated standard error.
     """
     n = protocol.n
     state = validate_state(state, n)
@@ -210,12 +273,18 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     # The setting bits of each sampled index, most significant (party 0) first.
     settings = (sampled[:, None] >> np.arange(n - 1, -1, -1)) & 1
     table = _born_table(state, settings, angles)
+    root = np.random.SeedSequence(seed)
+    bits = np.random.PCG64(root)
+    rng = np.random.Generator(bits)
     beta_hat = variance = 0.0
-    for index, c, dist in zip(sampled.tolist(), coefficients[sampled].tolist(),
-                              table):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(index,))))
+    for (start, inc), c, dist in zip(_spawned_pcg64_states(root, sampled),
+                                     coefficients[sampled].tolist(), table):
+        bits.state = {"bit_generator": RNG_ALGORITHM,
+                      "state": {"state": start, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         counts = sample_outcomes(dist, shots_per_setting, rng)
+        # One dot product per row: a (k, 2^n) matrix product sums counts
+        # above 2^53 in another order and can change the last bits.
         correlator = float(counts @ products) / shots_per_setting
         beta_hat += c * correlator
         variance += c ** 2 * (1.0 - correlator ** 2) / shots_per_setting

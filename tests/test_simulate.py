@@ -228,13 +228,38 @@ def test_skipping_zero_coefficients_keeps_records():
     for protocol in ALL_PROTOCOLS:
         constants = catalog_constants(protocol)
         quarter = (math.pi / 4,) * protocol.n
-        for v, seed in ((1.0, 0), (0.8, 3), (0.0, 5)):
+        for v, seed in ((1.0, 0), (0.8, 3), (0.0, 5), (0.9, 2 ** 128),
+                        (0.5, 2 ** 200 + 7)):
             noise = NoiseModel("visibility", v)
             record = certify(constants, noise, shots_per_setting=3000,
                              seed=seed)
             want = _estimate_sampling_every_setting(
                 protocol, noisy_state(protocol, noise), quarter, 3000, seed)
             assert (record.estimated_beta, record.std_error) == want
+
+
+def test_records_at_the_largest_shot_count_keep_their_bits():
+    # Counts above 2^53 round as floats, so the correlator sums must run in
+    # the per-setting oracle's order to keep every bit.
+    for protocol in (BellProtocol(SVETLICHNY, 5), BellProtocol(MABK, 3)):
+        state = noisy_state(protocol, NoiseModel("visibility", 0.9))
+        quarter = (math.pi / 4,) * protocol.n
+        for seed in (0, 2 ** 128):
+            got = estimate_violation(protocol, state, quarter,
+                                     simulate.MAX_SHOTS, seed)
+            assert got == _estimate_sampling_every_setting(
+                protocol, state, quarter, simulate.MAX_SHOTS, seed)
+
+
+def test_batched_seeding_is_numpys_spawned_children():
+    for seed in (0, 2001, 2 ** 32 - 1, 2 ** 32, 2 ** 128 - 1, 2 ** 128,
+                 2 ** 200 + 7):
+        children = np.random.SeedSequence(seed).spawn(2 ** 6)
+        got = simulate._spawned_pcg64_states(np.random.SeedSequence(seed),
+                                             np.arange(2 ** 6))
+        for (state, inc), child in zip(got, children):
+            want = np.random.PCG64(child).state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
 
 
 def test_sampled_streams_are_the_spawned_children(monkeypatch):
@@ -251,7 +276,7 @@ def test_sampled_streams_are_the_spawned_children(monkeypatch):
     for protocol in itertools.starmap(BellProtocol, _CATALOG):
         state = ghz_state(protocol)
         sampled = np.flatnonzero(_coefficient_tensor(protocol))
-        for seed in (0, 2001):
+        for seed in (0, 2001, 2 ** 128, 2 ** 200 + 7):
             streams.clear()
             estimate_violation(protocol, state, (math.pi / 4,) * protocol.n,
                                10, seed)
