@@ -3,7 +3,9 @@
 Provides the Kronecker product ``kron_all``, the one site-by-site
 contraction of a tensor or matrix with a batch of per-site operators
 (``contract_sites``, which the dense Bell operator, the extraction channel,
-the non-X Born table and the local bound call), the canonical index tuples
+the non-X Born table and the local bound call; real operators on a complex
+input run in real arithmetic, and one gather along a flat index cached per
+shape orders every result), the canonical index tuples
 of product grids given as padded rows (``canonical_layouts``, one tuple per
 permutation orbit, which the certificate scan's walk in ``verifier`` and
 the quantum bound's check grid read), the per-site products over every
@@ -22,7 +24,10 @@ axes are equal, so it is built once per such structure and cached:
 read-only, in one-byte indices up to 256 points per axis, at most
 ``CANONICAL_LAYOUT_CACHE`` = 12 layouts.  The largest, n = 3 on grid 227
 (the largest pass the certificate scan admits), is 3 one-byte indices per
-point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.
+point, 5.9 MB, so the cache holds at most 12 x 5.9 = 71 MB.  The result
+order of ``contract_sites`` is one read-only flat index per (n, e, planes)
+(``_site_order``); every caller bounds n to 6, so there are at most 24,
+the largest 8192 entries (64 kB).
 ``sign_products`` writes into caller-owned buffers when given them and
 ``pair_magnitudes`` always does, so each caller keeps its own workspace;
 this module keeps no per-thread state.
@@ -62,25 +67,47 @@ def contract_sites(tensor: np.ndarray, operators: np.ndarray) -> np.ndarray:
     order: site j's index leads, so the running array read as (k, d, rest)
     and transposed is a (k, rest, d) view, and one batched matmul by the
     site's k operators appends its output index last.  Site 0 reads the
-    one tensor as (1, rest, d), broadcast over k.  The only copies are one
-    interleave of a matrix's rows and columns (d = 4) and the final move of
-    rows before columns (e = 4).  Returns a new array, (k, 2^n, 2^n), rows
-    before columns, when e = 4 and (k, 2^n) when e = 2.
+    one tensor as (1, rest, d), broadcast over k.  Real operators on a
+    complex tensor run in real arithmetic on the tensor's float view, its
+    real and imaginary planes one trailing index that no site touches.
+    The only copies are one interleave of a matrix's rows and columns
+    (d = 4) and one gather along the cached ``_site_order`` that puts rows
+    before columns (e = 4) and the planes last.  Returns a new array,
+    (k, 2^n, 2^n), rows before columns, when e = 4 and (k, 2^n) when e = 2.
     """
     k, n, d, e = operators.shape
+    dtype = np.result_type(tensor, operators)
+    planes = np.iscomplexobj(tensor) and not np.iscomplexobj(operators)
     if d == 4:
         # Site j's row and column indices side by side: (r0 c0 r1 c1 ...).
         tensor = tensor.reshape((2,) * (2 * n)).transpose(
             [i for j in range(n) for i in (j, n + j)])
+    if planes:
+        tensor = tensor[..., None].view(tensor.real.dtype)
     out = tensor.reshape(1, d, -1)
     for j in range(n):
         out = np.matmul(out.reshape(len(out), d, -1).swapaxes(1, 2),
                         operators[:, j])
-    if e == 4:
-        # Each site left its row and column side by side; rows go first.
-        out = out.reshape((k,) + (2,) * (2 * n)).transpose(
-            [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2)))
+    if e == 4 or planes:
+        out = out.reshape(k, -1).take(_site_order(n, e, planes), axis=1)
+    if planes:
+        out = out.view(dtype)
     return out.reshape((k,) + (2 ** n,) * (e // 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _site_order(n: int, e: int, planes: bool) -> np.ndarray:
+    """Flat index, read-only, of each result entry in ``contract_sites``'s
+    loop output: (planes,) then each site's outcome, or its row and column
+    side by side, read as every row, then every column, then the planes."""
+    half = e // 2
+    axes = [half * j + i for i in range(half) for j in range(n)]
+    if planes:
+        axes = [axis + 1 for axis in axes] + [0]
+    order = np.arange(2 ** len(axes)).reshape((2,) * len(axes))
+    order = order.transpose(axes).ravel()
+    order.setflags(write=False)
+    return order
 
 
 def sorted_index_tuples(size: int, length: int) -> np.ndarray:

@@ -14,10 +14,12 @@ g(alpha) = (1 + sqrt(2))(sin(alpha) + cos(alpha) - 1) (``g_values``),
 flipping the dephasing axis from X to Y at alpha = pi/4 (``y_axis``, which
 the certificate scan reads too).  The channel is unital, self-adjoint,
 trace preserving, and maps persymmetric matrices to persymmetric matrices.
-``apply_channel`` is a dense reference route: it contracts each site's
-Kraus superoperator into that site's row and column indices through
-``linalg.contract_sites``, for one angle tuple or a batch of them at once,
-and assumes no structure of its input.
+``apply_channel`` is a dense reference route: it builds each site's real
+superoperator (1 + g)/2 I (x) I + (1 - g)/2 Gamma (x) conj(Gamma) directly
+and contracts it into that site's row and column indices through
+``linalg.contract_sites``, on the real and imaginary planes of the input in
+real arithmetic, for one angle tuple or a batch of them at once.  It
+assumes no structure of its input.
 """
 from __future__ import annotations
 
@@ -46,25 +48,6 @@ def y_axis(alpha: np.ndarray) -> np.ndarray:
     return ~(alpha <= math.pi / 4 + ANGLE_SLACK)
 
 
-def _kraus_stack(alpha: np.ndarray) -> np.ndarray:
-    """Kraus pairs (K0, K1) at each angle, shape alpha.shape + (2, 2, 2).
-
-    K0 = sqrt((1 + g)/2) I and K1 = sqrt((1 - g)/2) Gamma, with Gamma = X up
-    to pi/4 and Y beyond; the angles are not checked.
-    """
-    g = g_values(alpha)
-    k0 = np.sqrt((1.0 + g) / 2.0)
-    k1 = np.sqrt(np.maximum((1.0 - g) / 2.0, 0.0))
-    beyond = y_axis(alpha)
-    kraus = np.zeros(np.shape(alpha) + (2, 2, 2), dtype=complex)
-    kraus.real[..., 0, 0, 0] = kraus.real[..., 0, 1, 1] = k0
-    kraus.real[..., 1, 0, 1] = kraus.real[..., 1, 1, 0] = np.where(
-        beyond, 0.0, k1)
-    kraus.imag[..., 1, 0, 1] = np.where(beyond, -k1, 0.0)
-    kraus.imag[..., 1, 1, 0] = np.where(beyond, k1, 0.0)
-    return kraus
-
-
 def apply_channel(mat: np.ndarray,
                   angles: Sequence[float] | np.ndarray) -> np.ndarray:
     """Apply the product channel, one angle per site, to a 2^n x 2^n matrix.
@@ -73,20 +56,27 @@ def apply_channel(mat: np.ndarray,
     2^n x 2^n matrix, or a batch of k tuples, shape (k, n), giving the k
     images of ``mat``, shape (k, 2^n, 2^n); ``check_angles`` and
     ``check_matrix`` refuse any other shape or angle, and n above 6.
-    ``linalg.contract_sites`` contracts each site's k superoperators
-    sum_k K_k (.) K_k^dagger, laid out (row column in, row column out), into
-    that site's row and column indices of the matrix: O(k n 4^n) work and no
-    2^n x 2^n Kraus operator.
+    Each site's superoperator (1 + g)/2 I (x) I + (1 - g)/2 Gamma (x)
+    conj(Gamma) is real, laid out (row column in, row column out):
+    (1 + g)/2 on the identity, (1 - g)/2 at 00 <-> 11 and at 01 <-> 10,
+    negated there where ``y_axis`` says Y.  ``linalg.contract_sites``
+    contracts the k superoperators of each site into that site's row and
+    column indices of the matrix, in real arithmetic on its two planes:
+    O(k n 4^n) work and no 2^n x 2^n Kraus operator.
     """
     a = np.asarray(angles)
     n = a.shape[-1] if a.ndim else 0
     a = check_angles(a, n)
     mat = check_matrix(mat, n, "matrix")
     batch = a.reshape(-1, n)
-    kraus = _kraus_stack(batch)
+    g = g_values(batch)
+    keep, swap = (1.0 + g) / 2.0, (1.0 - g) / 2.0
     # Indexed (sample, site, row in column in, row out column out).
-    superoperators = np.einsum("...kab,...kcd->...bdac", kraus,
-                               kraus.conj()).reshape(len(batch), n, 4, 4)
+    superoperators = np.zeros(batch.shape + (4, 4))
+    superoperators[..., range(4), range(4)] = keep[..., None]
+    superoperators[..., [0, 3], [3, 0]] = swap[..., None]
+    superoperators[..., [1, 2], [2, 1]] = np.where(
+        y_axis(batch), -swap, swap)[..., None]
     out = contract_sites(mat, superoperators)
     return out if a.ndim == 2 else out[0]
 

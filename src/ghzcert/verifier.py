@@ -607,6 +607,17 @@ def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
     x1 = check_integer(x1, "parity label x1", hi=1)
     x2 = check_integer(x2, "parity label x2", hi=1)
     a = check_angles(angles, 3, math.pi / 4)
+    lam = _sector_invariants(a, s)[:, 2 * x1 + x2]
+    return lam if a.ndim == 2 else float(lam[0])
+
+
+def _sector_invariants(a: np.ndarray, s: float) -> np.ndarray:
+    """``projector_lambda`` of checked tuples ``a`` (see ``_site_rows``) in
+    every parity sector (x1, x2), in lexicographic order, shape (k, 4).
+
+    The terms all sectors share are formed once; each sector adds its three
+    signed terms to them, left to right.
+    """
     rows, (g1, g2, g3) = _site_rows(a)
     mu = 1 - 4 * SQRT2 * s
     c1, c2, c3 = np.cos(rows)
@@ -616,15 +627,15 @@ def projector_lambda(angles: Sequence[float] | np.ndarray, s: float,
     t3 = g1 * g3 / 8 - 4 * s * s1 * c2 * s3
     t4 = g1 * g2 / 8 - 4 * s * s1 * s2 * c3
     q = 1 / 8 - mu
-    lam = (2 * q ** 2 - 2 * (t1 ** 2 + t2 ** 2 + t3 ** 2 + t4 ** 2)
-           + (g1 ** 2 * g2 ** 2 + g2 ** 2 * g3 ** 2 + g3 ** 2 * g1 ** 2) / 32
-           + (-1) ** x1 * ((q + g3 ** 2 / 8) * g1 * g2 / 2
-                           - 4 * (t2 * t3 - t1 * t4))
-           + (-1) ** x2 * ((q + g2 ** 2 / 8) * g1 * g3 / 2
-                           - 4 * (t2 * t4 - t1 * t3))
-           + (-1) ** (x1 + x2) * ((q + g1 ** 2 / 8) * g2 * g3 / 2
-                                  - 4 * (t3 * t4 - t1 * t2)))
-    return lam if a.ndim == 2 else float(lam[0])
+    shared = (2 * q ** 2 - 2 * (t1 ** 2 + t2 ** 2 + t3 ** 2 + t4 ** 2)
+              + (g1 ** 2 * g2 ** 2 + g2 ** 2 * g3 ** 2 + g3 ** 2 * g1 ** 2)
+              / 32)
+    first = (q + g3 ** 2 / 8) * g1 * g2 / 2 - 4 * (t2 * t3 - t1 * t4)
+    second = (q + g2 ** 2 / 8) * g1 * g3 / 2 - 4 * (t2 * t4 - t1 * t3)
+    both = (q + g1 ** 2 / 8) * g2 * g3 / 2 - 4 * (t3 * t4 - t1 * t2)
+    return np.stack([shared + (-1) ** x1 * first + (-1) ** x2 * second
+                     + (-1) ** (x1 + x2) * both
+                     for x1 in (0, 1) for x2 in (0, 1)], axis=1)
 
 
 def closed_form_crosscheck(protocol: BellProtocol, samples: int = 200,
@@ -692,8 +703,9 @@ def _sv3_failures(batch: np.ndarray, blocks: np.ndarray,
 
     Columns 0-3 flag blocks whose entries differ from
     ``sv3_block_functions``; columns 4-7 flag parity sectors (x1, x2), in
-    lexicographic order, whose ``projector_lambda`` differs from twice the
-    determinant a c - |z|^2 of block b = 2 x1 + x2.  That is
+    lexicographic order, whose ``projector_lambda``, read for all four at
+    once off ``_sector_invariants``, differs from twice the determinant
+    a c - |z|^2 of block b = 2 x1 + x2.  That is
     (Tr M)^2 - Tr(M^2) of the projected matrix M = P T P:
     ``parity_projector(x1, x2)`` is 1 exactly on indices b and 7 - b, and an
     X matrix has no entry that links two pairs, so M is block b alone.
@@ -703,8 +715,7 @@ def _sv3_failures(batch: np.ndarray, blocks: np.ndarray,
     entries = ((np.abs(a - f[:, 0::2]) > 1e-10)
                | (np.abs(blocks[..., 0, 1] - f[:, 1::2]) > 1e-10))
     twice_det = 2 * (a * c - np.abs(blocks[..., 1, 0]) ** 2)
-    lam = np.stack([projector_lambda(batch, s, *divmod(b, 2))
-                    for b in range(4)], axis=1)
+    lam = _sector_invariants(batch, s)
     return np.concatenate([entries, np.abs(lam - twice_det) > 1e-10], axis=1)
 
 

@@ -84,6 +84,32 @@ def test_contract_sites_matches_transposing_route_bit_for_bit(d, e, dtype):
             assert not np.shares_memory(result, tensor)
 
 
+@pytest.mark.parametrize("d, e", [(2, 2), (2, 4), (4, 2), (4, 4)])
+def test_contract_sites_runs_real_operators_on_complex_planes(d, e):
+    # Real operators on a complex tensor contract its real and imaginary
+    # planes in real arithmetic; the complex-operator route is the
+    # reference, to 1e-15 of the largest result entry.
+    rng = np.random.default_rng(54)
+    for n, k in itertools.product(range(1, 7), (1, 3)):
+        operators = rng.normal(size=(k, n, d, e))
+        shape = (2,) * n if d == 2 else (2 ** n,) * 2
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        read_only = base.copy()
+        read_only.setflags(write=False)
+        # A read-only input and a transposed, non-contiguous view.
+        for tensor in (read_only, base.T):
+            before = tensor.copy()
+            result = contract_sites(tensor, operators)
+            expected = contract_sites(tensor, operators.astype(complex))
+            assert result.dtype == expected.dtype
+            assert result.shape == expected.shape
+            assert (np.max(np.abs(result - expected))
+                    <= 1e-15 * np.max(np.abs(expected)))
+            assert np.array_equal(tensor, before)
+            assert result.flags.writeable
+            assert not np.shares_memory(result, tensor)
+
+
 def test_hermitian_eigenvalues_examples():
     assert np.allclose(hermitian_eigenvalues(PAULI["Z"]), [-1, 1], atol=1e-12)
     m = kron(PAULI["X"], PAULI["X"]) + kron(PAULI["Z"], PAULI["Z"])

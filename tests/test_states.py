@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import ghzcert.states
 from ghzcert.bell import (ANGLE_SLACK, MABK, SVETLICHNY, BellProtocol,
                           ghz_phase)
 from ghzcert.states import apply_channel, g_values, ghz_state, y_axis
@@ -177,6 +178,55 @@ def test_apply_channel_matches_kraus_loop_oracle():
             for mat in (random_hermitian(rng, dim), general):
                 assert np.max(np.abs(apply_channel(mat, angles)
                                      - kraus_loop_channel(mat, angles))) <= 1e-14
+
+
+def _recorded_superoperators(monkeypatch, mat, angles):
+    """The operator stacks ``apply_channel(mat, angles)`` contracts."""
+    seen = []
+    original = ghzcert.states.contract_sites
+
+    def recording(tensor, operators):
+        seen.append(operators)
+        return original(tensor, operators)
+
+    monkeypatch.setattr(ghzcert.states, "contract_sites", recording)
+    apply_channel(mat, angles)
+    return seen
+
+
+def test_apply_channel_contracts_real_superoperators(monkeypatch):
+    # Real superoperators let contract_sites run on the matrix's two real
+    # planes; a complex stack would take the slower complex route.
+    rng = np.random.default_rng(42)
+    for n in (1, 3, 6):
+        rho = random_hermitian(rng, 2 ** n)
+        for angles in (rng.uniform(0.0, math.pi / 2, size=n),
+                       rng.uniform(0.0, math.pi / 2, size=(5, n))):
+            seen = _recorded_superoperators(monkeypatch, rho, angles)
+            assert [(ops.dtype, ops.shape) for ops in seen] == [
+                (np.dtype(np.float64), (len(angles.reshape(-1, n)), n, 4, 4))]
+
+
+def test_apply_channel_superoperators_match_kraus_einsum(monkeypatch):
+    # Each site's superoperator sum_m K_m (.) conj(K_m), laid out (row
+    # column in, row column out), from the oracle's Kraus pairs, on both
+    # sides of pi/4 and at 0, pi/4 and pi/2.  The entries lie in [0, 1];
+    # the Kraus route squares rounded square roots, one unit in the last
+    # place of an entry in [1/2, 1) at most.
+    rng = np.random.default_rng(43)
+    n = 4
+    angles = np.concatenate([rng.uniform(0.0, math.pi / 4, size=(20, n)),
+                             rng.uniform(math.pi / 4, math.pi / 2,
+                                         size=(20, n)),
+                             [[0.0, math.pi / 4, math.pi / 2, math.pi / 4]]])
+    angles[::3, 0] = rng.uniform(math.pi / 4, math.pi / 2, size=14)
+    [got] = _recorded_superoperators(monkeypatch, np.eye(2 ** n), angles)
+    kraus = np.array([[kraus_pair(alpha) for alpha in row]
+                      for row in angles])
+    expected = np.einsum("...kab,...kcd->...bdac", kraus,
+                         kraus.conj()).reshape(len(angles), n, 4, 4)
+    assert np.max(np.abs(expected.imag)) == 0.0
+    assert np.max(np.abs(got - expected.real)) <= 2.0 ** -53
 
 
 def test_apply_channel_identity_at_quarter_pi():

@@ -808,12 +808,13 @@ def test_closed_form_crosscheck_sample_limit(monkeypatch):
 def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
         monkeypatch):
     # One (k, n) draw per batch is the same stream as one draw of n per
-    # sample.  Each closed form (each parity sector's projector_lambda
-    # apart) is called once per batch of CROSSCHECK_BATCH_SAMPLES, and
+    # sample.  Each closed form (at n = 3 the four parity sectors'
+    # invariants together) is called once per batch of
+    # CROSSCHECK_BATCH_SAMPLES, and
     # block_decompose once per matrix chunk of CROSSCHECK_CHUNK_ENTRIES
     # inside it; each side's calls hold every drawn tuple once, in draw
     # order.
-    forms = {3: ("sv3_block_functions", "projector_lambda"),
+    forms = {3: ("sv3_block_functions", "_sector_invariants"),
              4: ("sv4_block_functions", "sv4_determinant")}
     originals = {name: getattr(ghzcert.verifier, name)
                  for names in forms.values()
@@ -850,7 +851,7 @@ def test_closed_form_crosscheck_checks_each_draw_once_across_chunks(
             rng = np.random.default_rng(11)
             draws = np.array([rng.uniform(0.0, math.pi / 4, size=n)
                               for _ in range(samples)])
-            assert len(seen) == (5 if n == 3 else 2)
+            assert len(seen) == 2
             sizes = [min(batch, samples - start)
                      for start in range(0, samples, batch)]
             for batches in seen.values():
@@ -912,23 +913,22 @@ def test_closed_form_crosscheck_sector_failure_names_its_global_sample(
         monkeypatch):
     protocol = BellProtocol(SVETLICHNY, 3)
     chunk = CROSSCHECK_CHUNK_ENTRIES // protocol.dim ** 2
-    original = ghzcert.verifier.projector_lambda
+    original = ghzcert.verifier._sector_invariants
     for samples, target in ((3 * chunk, chunk + 5),
                             (CROSSCHECK_BATCH_SAMPLES + 1,
                              CROSSCHECK_BATCH_SAMPLES)):
         drawn = [0]
 
-        def perturbed(angles, s, x1, x2, target=target, drawn=drawn):
-            lam = original(angles, s, x1, x2)
-            if (x1, x2) == (1, 0):
-                offset = target - drawn[0]
-                drawn[0] += len(lam)
-                if 0 <= offset < len(lam):
-                    lam = lam.copy()
-                    lam[offset] += 1e-9
+        def perturbed(angles, s, target=target, drawn=drawn):
+            # Column 2 is sector (1, 0).
+            lam = original(angles, s)
+            offset = target - drawn[0]
+            drawn[0] += len(lam)
+            if 0 <= offset < len(lam):
+                lam[offset, 2] += 1e-9
             return lam
 
-        monkeypatch.setattr(ghzcert.verifier, "projector_lambda", perturbed)
+        monkeypatch.setattr(ghzcert.verifier, "_sector_invariants", perturbed)
         report = closed_form_crosscheck(protocol, samples=samples, seed=5)
         assert drawn[0] == samples
         assert report["failures"] == [
