@@ -20,6 +20,9 @@ subcommand becomes that flag, placed before the command-line flags and
 checked like them; other keys are ignored.  So explicit flags win over
 config values, which win over defaults.  ``full_domain`` takes 1/true/yes/on
 or 0/false/no/off.
+
+An argv is parsed once, by the parser of the subcommand it names first; the
+top-level parser answers only a missing or unknown subcommand and ``-h``.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import json
 import math
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bell import (_MAX_PARTIES, _MIN_PARTIES, FAMILIES, SVETLICHNY,
                    BellProtocol, check_real, local_bound, quantum_bound)
@@ -217,18 +220,25 @@ def _add_common(parser: argparse.ArgumentParser,
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; each parse returns a new Namespace."""
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built once;
+    each parse returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="ghzcert",
         description="Certify GHZ fidelity from multipartite Bell violations.")
     sub = parser.add_subparsers(dest="command")
+    commands: Dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("bounds", help="compare computed and catalog bounds")
-    _add_common(p, _BOUNDS_PARTY_RANGE)
+    def add(name: str, summary: str,
+            parties: Sequence[int]) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=summary)
+        _add_common(p, parties)
+        return p
 
-    p = sub.add_parser("verify", help="scan the certificate over a grid")
-    _add_common(p, _SCAN_PARTY_RANGE)
+    add("bounds", "compare computed and catalog bounds", _BOUNDS_PARTY_RANGE)
+
+    p = add("verify", "scan the certificate over a grid", _SCAN_PARTY_RANGE)
     p.add_argument("--grid", type=int,
                    help="points per angle axis (default 21, 11 when n = 5)")
     p.add_argument("--tol", type=float, default=PSD_TOLERANCE,
@@ -242,57 +252,72 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report format")
     p.add_argument("--out", help="write the report to this path")
 
-    p = sub.add_parser("curve", help="emit the fidelity tradeoff curve")
-    _add_common(p, _SCAN_PARTY_RANGE)
+    p = add("curve", "emit the fidelity tradeoff curve", _SCAN_PARTY_RANGE)
     p.add_argument("--resolution", type=int, default=50,
                    help="number of curve points")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format")
     p.add_argument("--out", help="write the curve to this path")
 
-    p = sub.add_parser("simulate", help="simulate a finite-statistics run")
-    _add_common(p, _SCAN_PARTY_RANGE)
+    p = add("simulate", "simulate a finite-statistics run", _SCAN_PARTY_RANGE)
     p.add_argument("--visibility", type=float, default=1.0,
                    help="target state visibility")
     p.add_argument("--shots", type=int, default=10000, help="shots per setting")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", help="append a JSONL record to this path")
 
-    p = sub.add_parser("crosscheck", help="check closed forms against matrices")
-    _add_common(p, _SCAN_PARTY_RANGE)
+    p = add("crosscheck", "check closed forms against matrices",
+            _SCAN_PARTY_RANGE)
     p.add_argument("--samples", type=int, default=500,
                    help="random angle samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    for each in (parser, *sub.choices.values()):
+    for each in (parser, *commands.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+    return parser, commands
 
 
-def _parse(parser: argparse.ArgumentParser,
-           argv: List[str]) -> argparse.Namespace:
-    """Parse ``argv``, with ``--config`` lines read in as leading flags.
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv`` once, with the parser of the subcommand it names first.
 
-    Config keys that name none of the subcommand's options are dropped; the
-    rest become ``--key=value`` flags right after the subcommand name, so
-    the command-line flags after them win.
+    The top-level parser answers only an ``argv`` that names no subcommand
+    first: none, an unknown one, or ``-h``.  Arguments the subcommand leaves
+    over go to the top-level parser's error, as a full parse would send
+    them.  ``--config`` lines whose keys name an option of the subcommand
+    become ``--key=value`` flags placed before its command-line flags, so
+    those win; the other keys are dropped.
     """
-    args = parser.parse_args(argv)
-    if args.command is None or args.config is None:
-        return args
-    flags = [("-n=" if key == "n" else f"--{key.replace('_', '-')}=") + value
-             for key, value in _load_config(args.config).items()
-             if key in vars(args) and key not in ("command", "config")]
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + flags + argv[at:])
+    parser, commands = _build_parser()
+    command = argv[0] if argv else None
+    if command not in commands:
+        return parser.parse_args(argv)
+    sub, rest = commands[command], argv[1:]
+    args = _parse_command(parser, sub, rest)
+    if args.config is not None:
+        flags = [("-n=" if key == "n" else f"--{key.replace('_', '-')}=")
+                 + value
+                 for key, value in _load_config(args.config).items()
+                 if key in vars(args) and key != "config"]
+        args = _parse_command(parser, sub, flags + rest)
+    args.command = command
+    return args
+
+
+def _parse_command(parser: argparse.ArgumentParser,
+                   sub: argparse.ArgumentParser,
+                   argv: List[str]) -> argparse.Namespace:
+    """``argv`` parsed by ``sub``; leftovers exit through ``parser``."""
+    args, extras = sub.parse_known_args(argv)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = _parse(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
         if args.command is None:
-            parser.print_usage(sys.stderr)
+            _build_parser()[0].print_usage(sys.stderr)
             return 2
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

@@ -50,7 +50,12 @@ take the corner constant, and the target phase z_c/|z_c|, from the first.
 ``stop_past_validation`` stands in for the first step after an input
 check, so a test can show that a large input is accepted without running
 it.  ``random_x_matrix`` builds random diagonal-plus-antidiagonal inputs
-from one random 2 x 2 block per index pair.
+from one random 2 x 2 block per index pair.  ``emit_curve_by_point`` and
+``curve_to_csv_by_field`` are the per-point curve and csv routes, the
+bit-for-bit references for ``tradeoff.emit_curve``'s arrays and
+``curve_to_csv``'s row template; ``full_parse`` parses a command line with
+the CLI's top-level parser and then again with ``--config`` flags, the
+reference for its one-parse dispatch.
 """
 from __future__ import annotations
 
@@ -60,11 +65,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ghzcert.bell import ANGLE_SLACK, SVETLICHNY, validate_state
+import ghzcert.cli
+from ghzcert.bell import ANGLE_SLACK, SVETLICHNY, check_integer, validate_state
 from ghzcert.root2 import Root2
 from ghzcert.states import g_values
+from ghzcert.tradeoff import (MAX_CURVE_POINTS, CurvePoint, TradeoffCurve,
+                              fidelity_lower_bound, format_float,
+                              relative_violation)
 from ghzcert.verifier import (PSD_TOLERANCE, REFINEMENT_DEPTH,
-                              CertificationReport, _min_block_over_products)
+                              CertificationReport, _min_block_over_products,
+                              catalog_constants)
 
 SQ2 = np.sqrt(2.0)
 # Largest |m - J m^T J| entry a persymmetric matrix may have.
@@ -763,3 +773,45 @@ def random_x_matrix(rng: np.random.Generator, n: int,
     if density:
         m /= np.trace(m).real
     return m
+
+
+def emit_curve_by_point(protocol, resolution: int = 50) -> TradeoffCurve:
+    """The tradeoff curve one point at a time, through the scalar checks."""
+    resolution = check_integer(resolution, "curve resolution", 2,
+                               MAX_CURVE_POINTS)
+    constants = catalog_constants(protocol)
+    start = constants.beta_T
+    stop = protocol.beta_Q
+    step = (stop - start) / (resolution - 1)
+    points = []
+    for i in range(resolution):
+        beta = stop if i == resolution - 1 else start + i * step
+        points.append(CurvePoint(
+            beta_O=beta,
+            relative_violation=relative_violation(protocol, beta),
+            fidelity_bound=fidelity_lower_bound(constants, beta)))
+    return TradeoffCurve(protocol=protocol, points=points)
+
+
+def curve_to_csv_by_field(curve: TradeoffCurve) -> str:
+    """The curve's csv, every field through ``format_float``."""
+    lines = ["beta_O,relative_violation,fidelity_bound"]
+    for point in curve.points:
+        lines.append(",".join(format_float(v) for v in (
+            point.beta_O, point.relative_violation, point.fidelity_bound)))
+    return "\n".join(lines) + "\n"
+
+
+def full_parse(argv: list[str]):
+    """``argv`` parsed whole by the CLI's top-level parser; with
+    ``--config``, parsed whole again with the file's flags placed right
+    after the subcommand's name."""
+    parser = ghzcert.cli._build_parser()[0]
+    args = parser.parse_args(argv)
+    if args.command is None or args.config is None:
+        return args
+    flags = [("-n=" if key == "n" else f"--{key.replace('_', '-')}=") + value
+             for key, value in ghzcert.cli._load_config(args.config).items()
+             if key in vars(args) and key not in ("command", "config")]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])

@@ -17,7 +17,7 @@ from ghzcert.bell import SVETLICHNY, BellProtocol
 from ghzcert.cli import main
 from ghzcert.tradeoff import MAX_CURVE_POINTS
 from ghzcert.verifier import MAX_CROSSCHECK_SAMPLES, StructureViolation
-from oracles import PastValidation, stop_past_validation
+from oracles import PastValidation, full_parse, stop_past_validation
 
 SQ2 = math.sqrt(2.0)
 
@@ -409,6 +409,62 @@ def test_cached_parser_gives_same_output_as_fresh_parsers(capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
     assert in_sequence[0] != in_sequence[2]
+
+
+PARITY_CONFIG = "family=mabk\nn=4\nresolution=3\nformat=json\nshots=9\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--bogus"], 2),
+    (["verify", "-n", "3", "extra"], 2),
+    (["bounds", "--family", "bogus"], 2),
+    (["verify", "-n", "3", "--format", "yaml"], 2),
+    (["bounds", "-h"], 0),
+    ([], 2),
+    (["-h"], 0),
+    (["bogus"], 2),
+    (["-x", "bounds"], 2),
+    (["curve", "--config", "{config}", "-n", "3", "--format", "csv"], 0),
+    (["curve", "--config", "{config}"], 0),
+    (["curve", "--config", "{config}", "--bogus"], 2),
+    (["bounds", "--config", "{config}", "-n", "3"], 0),
+])
+def test_dispatch_matches_the_full_top_level_parse(tmp_path, monkeypatch,
+                                                   capsys, argv, code):
+    config = _write_config(tmp_path, PARITY_CONFIG)
+    argv = [arg.replace("{config}", config) for arg in argv]
+    with monkeypatch.context() as patch:
+        patch.setattr(ghzcert.cli, "_parse", full_parse)
+        expected = (main(argv), *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == expected
+    assert expected[0] == code and "Traceback" not in expected[2]
+
+
+def test_unrecognized_arguments_name_the_top_level_parser(capsys):
+    assert main(["bounds", "--bogus"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "\nghzcert: error: unrecognized arguments: --bogus\n")
+
+
+def test_named_subcommand_never_reaches_the_top_level_parser(monkeypatch,
+                                                            capsys):
+    parser = ghzcert.cli._build_parser()[0]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for argv in (["bounds", "-n", "3"], ["verify", "-n", "3", "--grid", "3"],
+                 ["curve", "--resolution", "2"],
+                 ["simulate", "--shots", "10"],
+                 ["crosscheck", "--samples", "1"], ["bounds", "--bogus"],
+                 ["curve", "-h"]):
+        main(argv)
+    assert seen == []
+    assert main(["bogus"]) == 2 and seen
+    capsys.readouterr()
 
 
 def test_usage_errors():

@@ -1,6 +1,7 @@
 """Fidelity bounds, thresholds, tightness checks, and tradeoff curves."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -14,13 +15,15 @@ import ghzcert.tradeoff
 import ghzcert.verifier
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.root2 import Root2
-from ghzcert.tradeoff import (MAX_CURVE_POINTS, curve_to_csv, curve_to_json,
-                              emit_curve, fidelity_lower_bound, format_float,
+from ghzcert.tradeoff import (MAX_CURVE_POINTS, CurvePoint, TradeoffCurve,
+                              curve_to_csv, curve_to_json, emit_curve,
+                              fidelity_lower_bound, format_float,
                               is_trivial_bound, relative_violation,
                               tightness_check, upper_bound_reference)
 from ghzcert.simulate import NoiseModel, certify
 from ghzcert.verifier import CertificateConstants, catalog_constants
-from oracles import (PastValidation, per_family_upper_bound_reference,
+from oracles import (PastValidation, curve_to_csv_by_field,
+                     emit_curve_by_point, per_family_upper_bound_reference,
                      stop_past_validation)
 
 SQ2 = math.sqrt(2.0)
@@ -225,6 +228,112 @@ def test_emit_curve_resolution_limit(monkeypatch):
         emit_curve(protocol, resolution=MAX_CURVE_POINTS)
     with pytest.raises(ValueError, match="at most 100000, got 100001"):
         emit_curve(protocol, resolution=MAX_CURVE_POINTS + 1)
+
+
+ORACLE_RESOLUTIONS = (2, 3, 50, 997)
+
+
+def _bits(curve):
+    return [(p.beta_O.hex(), p.relative_violation.hex(),
+             p.fidelity_bound.hex()) for p in curve.points]
+
+
+def _oracle_curves():
+    for family, n in INTERCEPTS:
+        for resolution in ORACLE_RESOLUTIONS:
+            yield emit_curve(BellProtocol(family, n), resolution=resolution)
+
+
+def _odd_curves():
+    """Hand-built curves json and csv must spell as they spell any float."""
+    values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22, 0.0, 5e-324,
+              1.7976931348623157e308, 0.1, 1.0, 2.0 / 3.0, -1e16, 123456789.0]
+    odd = TradeoffCurve(protocol=BellProtocol(MABK, 5), points=[
+        CurvePoint(a, b, c) for a, b, c in zip(
+            values, values[1:] + values[:1], values[2:] + values[:2])])
+    one = TradeoffCurve(protocol=BellProtocol(SVETLICHNY, 3),
+                        points=[CurvePoint(math.nan, -0.0, math.inf)])
+    empty = TradeoffCurve(protocol=BellProtocol(SVETLICHNY, 4), points=[])
+    return [odd, one, empty]
+
+
+def test_emit_curve_matches_per_point_oracle_bit_for_bit():
+    for family, n in INTERCEPTS:
+        protocol = BellProtocol(family, n)
+        for resolution in ORACLE_RESOLUTIONS:
+            curve = emit_curve(protocol, resolution=resolution)
+            expected = emit_curve_by_point(protocol, resolution=resolution)
+            assert curve.protocol == expected.protocol
+            assert all(type(value) is float for point in curve.points
+                       for value in dataclasses.astuple(point))
+            assert _bits(curve) == _bits(expected), (family, n, resolution)
+
+
+@pytest.mark.parametrize("resolution", [
+    1, 0, -3, MAX_CURVE_POINTS + 1, 2.5, 5.0, "5", None, 1j])
+def test_emit_curve_refuses_the_resolutions_the_oracle_refuses(resolution):
+    protocol = BellProtocol(MABK, 3)
+    with pytest.raises(ValueError) as expected:
+        emit_curve_by_point(protocol, resolution=resolution)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        emit_curve(protocol, resolution=resolution)
+
+
+@pytest.mark.parametrize("s, mu, beta_t", [
+    (math.nan, 0.0, 2.9),
+    (0.3, math.inf, 2.9),
+    (math.inf, -math.inf, 2.9),
+    # Only points above beta = 3.5 overflow.
+    (1.7976931348623157e308 / 3.5, 0.0, 2.9),
+    (0.3, 0.0, 1.5),
+    (0.3, 0.0, math.nan),
+    (0.3, 0.0, -math.inf),
+])
+def test_emit_curve_raises_the_scalar_checks_error_first(monkeypatch, s, mu,
+                                                        beta_t):
+    # MABK n = 3 spans beta_L = 2 to beta_Q = 4.
+    protocol = BellProtocol(MABK, 3)
+    monkeypatch.setattr(
+        ghzcert.tradeoff, "catalog_constants",
+        lambda p: CertificateConstants(protocol=p, s=s, mu=mu, beta_T=beta_t))
+    monkeypatch.setattr("oracles.catalog_constants",
+                        ghzcert.tradeoff.catalog_constants)
+    with pytest.raises(ValueError) as expected:
+        emit_curve_by_point(protocol, resolution=9)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        emit_curve(protocol, resolution=9)
+
+
+def test_emit_curve_ends_at_beta_q_where_the_steps_round_off_it(monkeypatch):
+    # Every catalog row's steps land on beta_Q exactly; this threshold's
+    # 35 steps do not, so the last point must be set to beta_Q.
+    protocol, beta_t, resolution = BellProtocol(MABK, 4), 3.024428539838434, 36
+    step = (protocol.beta_Q - beta_t) / (resolution - 1)
+    assert beta_t + (resolution - 1) * step != protocol.beta_Q
+    monkeypatch.setattr(
+        ghzcert.tradeoff, "catalog_constants",
+        lambda p: CertificateConstants(protocol=p, s=0.2, mu=-0.1,
+                                       beta_T=beta_t))
+    monkeypatch.setattr("oracles.catalog_constants",
+                        ghzcert.tradeoff.catalog_constants)
+    curve = emit_curve(protocol, resolution=resolution)
+    assert curve.points[-1].beta_O == protocol.beta_Q
+    assert _bits(curve) == _bits(emit_curve_by_point(protocol, resolution))
+
+
+def test_curve_to_json_is_json_dumps_byte_for_byte():
+    for curve in [*_oracle_curves(), *_odd_curves()]:
+        payload = {
+            "family": curve.protocol.family,
+            "n": curve.protocol.n,
+            "points": [dataclasses.asdict(p) for p in curve.points],
+        }
+        assert curve_to_json(curve) == json.dumps(payload, indent=2)
+
+
+def test_curve_to_csv_matches_format_float_join():
+    for curve in [*_oracle_curves(), *_odd_curves()]:
+        assert curve_to_csv(curve) == curve_to_csv_by_field(curve)
 
 
 def test_curve_serialization():
