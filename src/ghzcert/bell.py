@@ -137,14 +137,22 @@ class BellProtocol:
         (a, b), _ = _FAMILY_TABLE[self.family]
         return Root2(a << (self.n - 1), b << (self.n - 1))
 
-    # Cached in the instance: the tradeoff curve reads both once per point.
-    @functools.cached_property
+    @property
     def beta_L(self) -> float:
-        return float(self.beta_L_exact)
+        return _float_bounds(self)[0]
 
-    @functools.cached_property
+    @property
     def beta_Q(self) -> float:
-        return float(self.beta_Q_exact)
+        return _float_bounds(self)[1]
+
+
+# n has no upper bound, so the cache has one: both families at n = 3..34.
+@functools.lru_cache(maxsize=64)
+def _float_bounds(protocol: BellProtocol) -> Tuple[float, float]:
+    """``float`` of the exact beta_L and beta_Q, once per scenario, so a
+    fresh protocol, as each CLI op builds, does not redo the exact
+    arithmetic."""
+    return float(protocol.beta_L_exact), float(protocol.beta_Q_exact)
 
 
 def check_integer(value: int, name: str, lo: int = 0,
@@ -416,12 +424,34 @@ def validate_state(rho: np.ndarray, n: int) -> np.ndarray:
     """
     rho = check_hermitian(check_matrix(rho, n, "state"), "state")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
-            raise ValueError("state trace differs from 1")
+        _check_unit_trace(np.trace(rho))
         blocks, off_lines = x_blocks(rho)
-        least = (np.linalg.eigvalsh(rho)[0] if off_lines != 0.0
-                 else least_block_eigenvalue(blocks))
+        _check_positive(np.linalg.eigvalsh(rho)[0] if off_lines != 0.0
+                        else least_block_eigenvalue(blocks))
+    return rho
+
+
+def validate_x_blocks(blocks: np.ndarray) -> complex:
+    """The trace of the X state with these 2^(n-1) pair blocks, shape
+    (2^(n-1), 2, 2) as ``x_blocks`` lays them out, after ``validate_state``'s
+    three checks on the blocks alone: Hermiticity, unit trace and least
+    block eigenvalue.  The trace sums the diagonal in index order, as
+    ``np.trace`` does the dense one, so it has the same bits.
+    """
+    check_hermitian(blocks, "state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.concatenate([blocks[:, 0, 0], blocks[::-1, 1, 1]]).sum()
+        _check_unit_trace(trace)
+        _check_positive(least_block_eigenvalue(blocks))
+    return trace
+
+
+def _check_unit_trace(trace: complex) -> None:
+    if not abs(trace - 1.0) <= _TRACE_TOL:
+        raise ValueError("state trace differs from 1")
+
+
+def _check_positive(least: float) -> None:
     if not least >= -_STATE_PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {least}")
-    return rho
 

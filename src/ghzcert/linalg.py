@@ -275,10 +275,12 @@ def least_block_eigenvalue(blocks: np.ndarray) -> float:
 
 
 def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    """Return square ``m`` if Hermitian within ``HERMITICITY_TOL``, else raise
-    ValueError naming ``what`` (also, unwarned, on a non-finite difference)."""
+    """Return square ``m``, or a batch (..., d, d), if Hermitian within
+    ``HERMITICITY_TOL``, else raise ValueError naming ``what`` (also,
+    unwarned, on a non-finite difference)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
+        worst = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+        if not worst <= HERMITICITY_TOL:
             raise ValueError(f"{what} is not Hermitian within tolerance")
     return m
 

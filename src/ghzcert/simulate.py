@@ -7,14 +7,25 @@ into a certified fidelity bound.  Each run can be appended to a JSONL log.
 Each setting's stream is numpy's spawned ``SeedSequence`` child, its PCG64
 state derived for every sampled setting in one batched pass.
 
-A run reads one Born table from ``_born_table``, one row per sampled
-setting.  The target state and its ``visibility`` mixtures are diagonal
-plus antidiagonal, and on such a state every distribution has a closed form
-in the 2^(n-1) antidiagonal corners.  Any other state, such as a
-``separable_mixture`` with an arbitrary background, is contracted site by
-site, every row at once, through ``linalg.contract_sites``.
-``born_probabilities`` is the one-row call of the same kernel.  Counts, seeds,
-angles and the visibility, a float in records, pass ``bell``'s checks.
+A run reads one Born table, one row per sampled setting, and samples it in
+one loop (``_sampled_estimate``).  The target state and its ``visibility``
+mixtures are diagonal plus antidiagonal (X states), and on such a state
+every distribution has a closed form in the 2^(n-1) 2 x 2 pair blocks
+(``_x_born_table``).  ``certify`` with visibility noise never forms a
+2^n x 2^n array: it mixes ``states.ghz_blocks`` with white noise block by
+block, checks the blocks as ``validate_state`` checks a dense state
+(``bell.validate_x_blocks``) and reads the scenario's all-pi/4 pair
+products from ``_setting_table``, a bounded cache filled on first use that
+also holds the sampled settings and their coefficients.  A one-off run
+gains the dense work it skips; repeated runs of a scenario, as in seed
+sweeps, also share the cached table.  A dense matrix is still formed by
+``noisy_state``, for its return value and for ``separable_mixture`` noise,
+and on the public dense entries ``estimate_violation`` and
+``born_probabilities``, whose ``_born_table`` reads an X state's blocks
+with ``linalg.x_blocks`` and contracts any other state site by site, every
+row at once, through ``linalg.contract_sites``.  Both routes give the same
+bits.  Counts, seeds, angles and the visibility, a float in records, pass
+``bell``'s checks.
 """
 from __future__ import annotations
 
@@ -23,15 +34,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bell import (_MAX_PARTIES, BellProtocol, _coefficient_tensor,
                    _observable_pairs, check_angles, check_integer, check_real,
-                   validate_state)
+                   validate_state, validate_x_blocks)
 from .linalg import contract_sites, sign_products, x_blocks
-from .states import ghz_state
+from .states import ghz_blocks, ghz_state
 from .tradeoff import fidelity_lower_bound, format_float, is_trivial_bound
 from .verifier import CertificateConstants
 
@@ -66,6 +77,9 @@ _PROB_FLOOR = -1e-12
 _PROB_SUM_TOL = 1e-10
 # The largest draw count numpy's multinomial accepts (an int64).
 MAX_SHOTS = 2 ** 63 - 1
+# Setting tables kept by ``_setting_table``: one per scenario that
+# ``estimate_violation`` admits, two families at n = 3..6.
+SETTING_TABLE_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -89,12 +103,18 @@ class NoiseModel:
 def noisy_state(protocol: BellProtocol, noise: NoiseModel) -> np.ndarray:
     """Mix the target state with white noise or a supplied separable state."""
     rho = ghz_state(protocol)
-    v = noise.visibility
     if noise.kind == "visibility":
         background = np.eye(protocol.dim, dtype=complex) / protocol.dim
     else:
         background = validate_state(noise.sigma, protocol.n)
-    return v * rho + (1.0 - v) * background
+    return _mixture(noise.visibility, rho, background)
+
+
+def _mixture(v: float, target: np.ndarray,
+             background: np.ndarray) -> np.ndarray:
+    """v target + (1 - v) background, entry by entry: on dense matrices or
+    on pair blocks, each entry's bits are the same."""
+    return v * target + (1.0 - v) * background
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,15 +177,32 @@ def _born_table(state: np.ndarray, settings: np.ndarray,
     settings = settings.astype(int)
     blocks, off_lines = x_blocks(state)
     if off_lines != 0.0:
-        dist = _contracted_distribution(state, settings, alphas)
-    else:
-        factors = (np.cos(alphas)
-                   - 1j * (1 - 2 * settings) * np.sin(alphas)).T
-        products = sign_products(factors, factors.conj())
-        pairs = np.ascontiguousarray(products[:2 ** (n - 1)].T)
-        correlators = 2.0 * (blocks[..., 1, 0] * pairs).real.sum(axis=-1)
-        dist = (np.trace(state).real
-                + correlators[:, None] * outcome_products(n)) * 2.0 ** -n
+        return _normalised(_contracted_distribution(state, settings, alphas))
+    return _x_born_table(blocks, np.trace(state),
+                         _pair_products(settings, alphas))
+
+
+def _pair_products(settings: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """prod_j A_j^{x_j}[b_j, b~_j] of each (k, n) settings row x, one
+    contiguous row per setting string and one column per pair b."""
+    factors = (np.cos(alphas) - 1j * (1 - 2 * settings) * np.sin(alphas)).T
+    products = sign_products(factors, factors.conj())
+    return np.ascontiguousarray(products[:len(products) // 2].T)
+
+
+def _x_born_table(blocks: np.ndarray, trace: complex,
+                  pairs: np.ndarray) -> np.ndarray:
+    """``_born_table``'s closed form on an X state's pair blocks and trace,
+    one row per row of ``_pair_products``."""
+    n = len(blocks).bit_length()
+    correlators = 2.0 * (blocks[..., 1, 0] * pairs).real.sum(axis=-1)
+    return _normalised((trace.real + correlators[:, None]
+                        * outcome_products(n)) * 2.0 ** -n)
+
+
+def _normalised(dist: np.ndarray) -> np.ndarray:
+    """Each row of unnormalised Born probabilities, checked, clipped at 0
+    and divided by its sum."""
     least = np.min(dist, axis=-1)
     if not np.all(least >= _PROB_FLOOR):
         raise ValueError(f"negative Born probability {np.min(least)}")
@@ -260,25 +297,72 @@ def estimate_violation(protocol: BellProtocol, state: np.ndarray,
     skipped.  The seed is checked like the shot count.  Returns the
     estimate and its propagated standard error.
     """
-    n = protocol.n
-    state = validate_state(state, n)
+    state = validate_state(state, protocol.n)
     # The count divides every correlator, so a fractional one is refused
     # here, not only where the shots are drawn.
     shots_per_setting = check_integer(shots_per_setting, "shot count", 1,
                                       MAX_SHOTS)
     seed = check_integer(seed, "seed")
+    plan = _setting_table(protocol)
+    return _sampled_estimate(_born_table(state, plan.settings, angles), plan,
+                             shots_per_setting, seed)
+
+
+class _SettingTable(NamedTuple):
+    """A scenario's sampled setting strings, those of nonzero coefficient:
+    their lexicographic indices, their bits (k, n), party 0 first, their
+    coefficients, and ``_pair_products`` at the all-pi/4 angles."""
+
+    indices: np.ndarray
+    settings: np.ndarray
+    coefficients: Tuple[float, ...]
+    quarter_pairs: np.ndarray
+
+
+@functools.lru_cache(maxsize=SETTING_TABLE_CACHE)
+def _setting_table(protocol: BellProtocol) -> _SettingTable:
+    """The scenario's ``_SettingTable``, built on first use; every array in
+    it is read-only, as every run of the scenario shares it."""
+    n = protocol.n
     coefficients = _coefficient_tensor(protocol).ravel()
-    products = outcome_products(n)
-    sampled = np.flatnonzero(coefficients)
-    # The setting bits of each sampled index, most significant (party 0) first.
-    settings = (sampled[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    table = _born_table(state, settings, angles)
+    indices = np.flatnonzero(coefficients)
+    settings = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    table = _SettingTable(indices, settings,
+                          tuple(coefficients[indices].tolist()),
+                          _pair_products(settings, check_angles(
+                              (math.pi / 4,) * n, n)))
+    for array in (table.indices, table.settings, table.quarter_pairs):
+        array.setflags(write=False)
+    return table
+
+
+def _visibility_born_table(protocol: BellProtocol,
+                           visibility: float) -> np.ndarray:
+    """``_born_table`` of ``noisy_state``'s visibility mixture at the
+    all-pi/4 angles, one row per setting of ``_setting_table``, with the
+    same bits, read off the mixture's pair blocks: no 2^n x 2^n array."""
+    # A visibility such as Fraction(1, 2) mixes to an object array, which
+    # validate_state's shape check makes complex.
+    blocks = np.asarray(_mixture(visibility, ghz_blocks(protocol),
+                                 np.eye(2, dtype=complex) / protocol.dim),
+                        dtype=complex)
+    return _x_born_table(blocks, validate_x_blocks(blocks),
+                         _setting_table(protocol).quarter_pairs)
+
+
+def _sampled_estimate(table: np.ndarray, plan: _SettingTable,
+                      shots_per_setting: int, seed: int
+                      ) -> Tuple[float, float]:
+    """``estimate_violation``'s sampling loop over the Born table's rows,
+    one per setting of ``plan``, with checked shots and seed."""
+    products = outcome_products(plan.settings.shape[1])
     root = np.random.SeedSequence(seed)
     bits = np.random.PCG64(root)
     rng = np.random.Generator(bits)
     beta_hat = variance = 0.0
-    for (start, inc), c, dist in zip(_spawned_pcg64_states(root, sampled),
-                                     coefficients[sampled].tolist(), table):
+    for (start, inc), c, dist in zip(
+            _spawned_pcg64_states(root, plan.indices), plan.coefficients,
+            table):
         bits.state = {"bit_generator": RNG_ALGORITHM,
                       "state": {"state": start, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
@@ -328,14 +412,23 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
     bound it is clamped into [beta_L, beta_Q] so statistical overshoot
     never certifies a fidelity above 1, and undershoot is flagged as
     trivial instead of extrapolated.  The record holds the seed as an int.
+    Visibility noise keeps the state X, so the run reads the mixture's pair
+    blocks and the scenario's cached pi/4 table, and gives the bits of
+    ``estimate_violation`` on ``noisy_state``, the route any other noise
+    takes.
     """
     protocol = constants.protocol
     shots_per_setting = check_integer(shots_per_setting, "shot count", 1,
                                       MAX_SHOTS)
     seed = check_integer(seed, "seed")
-    state = noisy_state(protocol, noise)
-    beta_hat, std_error = estimate_violation(
-        protocol, state, (math.pi / 4,) * protocol.n, shots_per_setting, seed)
+    if noise.kind == "visibility":
+        beta_hat, std_error = _sampled_estimate(
+            _visibility_born_table(protocol, noise.visibility),
+            _setting_table(protocol), shots_per_setting, seed)
+    else:
+        beta_hat, std_error = estimate_violation(
+            protocol, noisy_state(protocol, noise),
+            (math.pi / 4,) * protocol.n, shots_per_setting, seed)
     clipped = min(max(beta_hat, protocol.beta_L), protocol.beta_Q)
     bound = fidelity_lower_bound(constants, clipped)
     record = ExperimentRecord(

@@ -1,12 +1,13 @@
 """GHZ target states and the angle-dependent dephasing extraction channel.
 
-``ghz_state`` is the one definition of the target state: the GHZ pair on
+``ghz_blocks`` is the one definition of the target state: the GHZ pair on
 (0, 2^n - 1) with the relative phase ``bell.ghz_phase``, the same phase the
-certificate scan reads, so the scan, ``build_T``, the noisy states and the
-Born table share one target.  It is the single cache of that state, and
-the returned matrix is read-only so no caller can alter what the others
-read.  The tests check it against printed Pauli expansions and against the
-maximal eigenvector of the dense operator (``tests/oracles.py``).
+certificate scan reads, as 2^(n-1) pair blocks; ``ghz_state`` is its dense
+matrix.  So the scan, ``build_T``, the noisy states and the Born table
+share one target.  Each is the single cache of its form, and the returned
+arrays are read-only so no caller can alter what the others read.  The
+tests check it against printed Pauli expansions and against the maximal
+eigenvector of the dense operator (``tests/oracles.py``).
 
 The extraction channel is Kaniewski's dephasing map: at each site it
 applies the Kraus pair built from the attenuation parameter
@@ -82,19 +83,31 @@ def apply_channel(mat: np.ndarray,
 
 
 @functools.lru_cache(maxsize=None)
+def ghz_blocks(protocol: BellProtocol) -> np.ndarray:
+    """The target's 2^(n-1) pair blocks, laid out as ``linalg.x_blocks``
+    reads them from ``ghz_state``: block 0, on the corner pair, is
+    [[1/2, conj(psi)/2], [psi/2, 1/2]] and every other block is 0.  Cached
+    per protocol and read-only.  ValueError for n above 6.
+    """
+    check_dense_parties(protocol)
+    psi = ghz_phase(protocol)
+    blocks = np.zeros((protocol.dim // 2, 2, 2), dtype=complex)
+    blocks[0] = [[0.5, np.conj(psi) / 2], [psi / 2, 0.5]]
+    blocks.setflags(write=False)
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
 def ghz_state(protocol: BellProtocol) -> np.ndarray:
     """Target density matrix |v><v|, v = (|0...0> + psi |1...1>) / sqrt(2).
 
     psi is ``ghz_phase``, the phase the certificate scan reads; only the
-    corner pair (0, 2^n - 1) is nonzero.  Cached per protocol; the returned
-    matrix is read-only.  ValueError for n above 6.
+    corner pair (0, 2^n - 1), ``ghz_blocks``'s block 0, is nonzero.  Cached
+    per protocol; the returned matrix is read-only.  ValueError for n above
+    6.
     """
-    check_dense_parties(protocol)
-    last = protocol.dim - 1
-    psi = ghz_phase(protocol)
+    corner = ghz_blocks(protocol)[0]
     rho = np.zeros((protocol.dim, protocol.dim), dtype=complex)
-    rho[0, 0] = rho[last, last] = 0.5
-    rho[last, 0] = psi / 2
-    rho[0, last] = np.conj(psi) / 2
+    rho[np.ix_((0, -1), (0, -1))] = corner
     rho.setflags(write=False)
     return rho

@@ -16,7 +16,8 @@ import ghzcert.bell
 import ghzcert.linalg
 import ghzcert.verifier
 from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
-                          _coefficient_tensor, _pair_zero_magnitudes,
+                          _coefficient_tensor, _float_bounds,
+                          _pair_zero_magnitudes,
                           build_operator, check_angles, corner_coefficient,
                           corner_turn, ghz_phase, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
@@ -133,6 +134,19 @@ def test_protocol_catalog_bounds():
         assert abs(protocol.beta_L - beta_l) <= 1e-12
         assert abs(protocol.beta_Q - beta_q) <= 1e-12
         assert protocol.beta_Q > protocol.beta_L
+
+
+def test_float_bounds_are_derived_once_per_scenario():
+    for family in (SVETLICHNY, MABK):
+        for n in range(3, 13):
+            protocol = BellProtocol(family, n)
+            want = (float(protocol.beta_L_exact), float(protocol.beta_Q_exact))
+            assert (protocol.beta_L, protocol.beta_Q) == want
+            # A fresh instance of the scenario reads both from the cache.
+            hits = _float_bounds.cache_info().hits
+            fresh = BellProtocol(family, n)
+            assert (fresh.beta_L, fresh.beta_Q) == want
+            assert _float_bounds.cache_info().hits == hits + 2
 
 
 def test_protocol_rejects_bad_inputs():

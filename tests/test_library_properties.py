@@ -1,18 +1,22 @@
-"""Property tests over ``validate_state``, ``closed_form_crosscheck``,
-``certify`` and ``emit_curve``.
+"""Property tests over ``validate_state``, ``validate_x_blocks``,
+``closed_form_crosscheck``, ``certify`` and ``emit_curve``.
 
 ``validate_state`` must answer every finite input by returning the state or
 raising ValueError, with no other exception and no warning, and must never
 accept an X state whose least 2 x 2-block eigenvalue is below the
-positivity tolerance.  ``closed_form_crosscheck`` must pass on every seed
-and sample count, since every closed form is exact.  ``certify`` must return
-a record or raise ValueError for any constants, and never record a
-non-finite fidelity bound as a certification; ``emit_curve`` must return
-only finite points ending at fidelity 1, or raise ValueError.
+positivity tolerance; ``validate_x_blocks`` must answer an X state's blocks
+as ``validate_state`` answers the state.  ``closed_form_crosscheck`` must
+pass on every seed and sample count, since every closed form is exact.
+``certify`` must return a record or raise ValueError for any constants,
+never record a non-finite fidelity bound as a certification, and under
+visibility noise record what the public dense entries give; ``emit_curve``
+must return only finite points ending at fidelity 1, or raise ValueError.
 """
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +24,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ghzcert.bell import FAMILIES, SVETLICHNY, BellProtocol, validate_state
-from ghzcert.simulate import NoiseModel, certify
-from ghzcert.tradeoff import MAX_CURVE_POINTS, emit_curve
+from ghzcert.bell import (FAMILIES, SVETLICHNY, BellProtocol, validate_state,
+                          validate_x_blocks)
+from ghzcert.linalg import x_blocks
+from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
+                              certify, estimate_violation, noisy_state)
+from ghzcert.tradeoff import (MAX_CURVE_POINTS, emit_curve,
+                              fidelity_lower_bound, is_trivial_bound)
 from ghzcert.verifier import (CertificateConstants, catalog_constants,
                               closed_form_crosscheck)
 
@@ -75,6 +83,21 @@ def test_validate_state_returns_or_raises_value_error(case):
     assert np.linalg.eigvalsh(rho)[0] >= -1e-8 - 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=finite_states())
+def test_x_blocks_validate_as_their_dense_state(case):
+    rho, n = case
+    assume(rho.shape == (2 ** n, 2 ** n) and x_blocks(rho)[1] == 0.0)
+    blocks = x_blocks(rho)[0]
+    try:
+        validate_state(rho, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            validate_x_blocks(blocks)
+        return
+    assert validate_x_blocks(blocks).tobytes() == np.trace(rho).tobytes()
+
+
 @st.composite
 def negative_x_states(draw):
     """An X state of unit trace with one block's least eigenvalue -delta,
@@ -108,6 +131,8 @@ def test_x_state_below_tolerance_never_validates(case):
     assert np.linalg.eigvalsh(rho)[0] <= -delta + 1e-13
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_state(rho, n)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_x_blocks(x_blocks(rho)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,6 +182,31 @@ def test_certify_returns_or_raises_value_error(case, shots, seed):
         return
     assert math.isfinite(record.fidelity_bound) or record.trivial
     assert record.trivial == (record.fidelity_bound < 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@example(family="mabk", n=5, v=0.9, shots=1, seed=7)
+@example(family="svetlichny", n=4, v=Fraction(1, 3), shots=100, seed=2)
+@example(family="mabk", n=3, v=np.float32(0.7), shots=100, seed=2)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(3, 5), v=UNIT,
+       shots=st.integers(1, 10 ** 7),
+       seed=st.integers(min_value=0, max_value=2 ** 130))
+def test_certify_record_is_the_dense_route_record(family, n, v, shots, seed):
+    # certify runs visibility noise on pair blocks and a cached table; the
+    # public dense entries must give the same record, timestamp aside.
+    constants = catalog_constants(BellProtocol(family, n))
+    protocol = constants.protocol
+    noise = NoiseModel("visibility", v)
+    beta, error = estimate_violation(protocol, noisy_state(protocol, noise),
+                                     (math.pi / 4,) * n, shots, seed)
+    clipped = min(max(beta, protocol.beta_L), protocol.beta_Q)
+    bound = fidelity_lower_bound(constants, clipped)
+    want = ExperimentRecord(family, n, "visibility", float(v), shots, seed,
+                            beta, error, bound, clipped != beta,
+                            is_trivial_bound(bound), RNG_ALGORITHM, "")
+    got = certify(constants, noise, shots, seed)
+    got.timestamp = ""
+    assert got.to_json_line() == want.to_json_line()
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ghzcert import simulate
-from ghzcert.bell import MABK, SVETLICHNY, BellProtocol, _coefficient_tensor
+from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
+                          validate_state)
 from ghzcert.linalg import x_blocks
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               _born_table, _contracted_distribution,
@@ -527,21 +528,33 @@ EIGHT_PROTOCOLS = [BellProtocol(family, n) for family in (SVETLICHNY, MABK)
 
 def test_closed_form_matches_dense_oracle_on_scenarios():
     # The dense projectors depend on the settings and angles only, so each
-    # is built once for both families and three visibilities.
+    # is built once for both families and three visibilities.  At pi/4 the
+    # block route's table (certify's) has one row per sampled setting, each
+    # with the bits of the dense route's row.
     rng = np.random.default_rng(44)
     for n in (3, 4, 5, 6):
-        states = [noisy_state(BellProtocol(family, n),
-                              NoiseModel("visibility", v))
-                  for family in (SVETLICHNY, MABK) for v in (1.0, 0.7, 0.0)]
+        quarter = (math.pi / 4,) * n
+        scenarios = [(BellProtocol(family, n), v)
+                     for family in (SVETLICHNY, MABK) for v in (1.0, 0.7, 0.0)]
+        states = [noisy_state(protocol, NoiseModel("visibility", v))
+                  for protocol, v in scenarios]
         assert all(x_blocks(state)[1] == 0.0 for state in states)
-        for angles in ((math.pi / 4,) * n,
-                       tuple(rng.uniform(0.0, math.pi / 2, size=n))):
+        block_rows = [dict(zip(map(tuple, simulate._setting_table(
+            protocol).settings.tolist()), simulate._visibility_born_table(
+                protocol, v))) for protocol, v in scenarios]
+        assert all(len(rows) > 0 for rows in block_rows)
+        for angles in (quarter, tuple(rng.uniform(0.0, math.pi / 2, size=n))):
             for settings in all_settings(n):
                 projectors = dense_outcome_projectors(settings, angles)
-                for state in states:
+                for state, rows in zip(states, block_rows):
                     got = born_probabilities(state, settings, angles)
                     want = dense_born_from_projectors(state, projectors)
                     assert np.max(np.abs(got - want)) <= ORACLE_TOL
+                    if angles == quarter and settings in rows:
+                        row = rows.pop(settings)
+                        assert row.tobytes() == got.tobytes()
+                        assert np.max(np.abs(row - want)) <= ORACLE_TOL
+        assert block_rows == [{}] * len(scenarios)
 
 
 def test_closed_form_matches_dense_oracle_on_random_x_states(monkeypatch):
@@ -646,6 +659,50 @@ def test_sampled_rows_equal_born_probabilities_bit_for_bit(monkeypatch):
             for row, dist in zip(settings, table):
                 assert np.array_equal(
                     dist, born_probabilities(state, tuple(row), angles))
+
+
+def test_certify_never_forms_a_dense_state_under_visibility_noise(
+        monkeypatch):
+    def dense(*args):
+        raise AssertionError("a 2^n x 2^n state was formed")
+
+    simulate._setting_table.cache_clear()
+    for name in ("noisy_state", "validate_state", "x_blocks", "ghz_state"):
+        monkeypatch.setattr(simulate, name, dense)
+    for protocol in ALL_PROTOCOLS:
+        for v in (1.0, 0.6, 0.0):
+            record = certify(catalog_constants(protocol),
+                             NoiseModel("visibility", v), 100, 3)
+            assert record.shots_per_setting == 100
+
+
+def test_visibility_blocks_are_checked_as_the_dense_state_is():
+    # A visibility outside [0, 1] never reaches a NoiseModel; the block
+    # route's checks refuse the mixture it would make.
+    protocol = BellProtocol(SVETLICHNY, 3)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        simulate._visibility_born_table(protocol, 1.5)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_state(simulate._mixture(1.5, ghz_state(protocol),
+                                         np.eye(8) / 8), 3)
+
+
+def test_setting_tables_are_cached_read_only_and_bounded():
+    protocols = [BellProtocol(family, n) for family in (SVETLICHNY, MABK)
+                 for n in range(3, 8)]
+    assert len(protocols) > simulate.SETTING_TABLE_CACHE
+    for protocol in protocols:
+        table = simulate._setting_table(protocol)
+        again = BellProtocol(protocol.family, protocol.n)
+        assert simulate._setting_table(again) is table
+        for array in (table.indices, table.settings, table.quarter_pairs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert isinstance(table.coefficients, tuple)
+        info = simulate._setting_table.cache_info()
+        assert info.maxsize == simulate.SETTING_TABLE_CACHE
+        assert info.currsize <= simulate.SETTING_TABLE_CACHE
 
 
 def test_outcome_products_cached_and_read_only():

@@ -10,7 +10,9 @@ import pytest
 import ghzcert.states
 from ghzcert.bell import (ANGLE_SLACK, MABK, SVETLICHNY, BellProtocol,
                           ghz_phase)
-from ghzcert.states import apply_channel, g_values, ghz_state, y_axis
+from ghzcert.linalg import x_blocks
+from ghzcert.states import (apply_channel, g_values, ghz_blocks, ghz_state,
+                            y_axis)
 from oracles import (complex_corner_entries, dense_spectral_ghz_rho,
                      evaluate, is_persymmetric, kraus_loop_channel,
                      kraus_pair, pauli_string, random_hermitian,
@@ -101,14 +103,24 @@ def test_ghz_state_density_matrix_properties():
 
 def test_ghz_state_is_cached_and_read_only():
     for protocol in ALL_PROTOCOLS:
-        first = ghz_state(protocol)
-        second = ghz_state(BellProtocol(protocol.family, protocol.n))
-        assert second is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            first += 1.0
+        for form in (ghz_state, ghz_blocks):
+            first = form(protocol)
+            second = form(BellProtocol(protocol.family, protocol.n))
+            assert second is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                first += 1.0
+
+
+def test_ghz_blocks_are_the_dense_target_s_pair_blocks():
+    for family in (SVETLICHNY, MABK):
+        for n in (3, 4, 5, 6):
+            protocol = BellProtocol(family, n)
+            blocks, off_lines = x_blocks(ghz_state(protocol))
+            assert off_lines == 0.0
+            assert ghz_blocks(protocol).tobytes() == blocks.tobytes()
 
 
 def test_ghz_state_matches_printed_expansions():
