@@ -39,12 +39,11 @@ from .bell import (_MAX_PARTIES, _MIN_PARTIES, FAMILIES, SVETLICHNY,
                    BellProtocol, check_real, local_bound, quantum_bound)
 from .simulate import NoiseModel, certify
 from .tradeoff import curve_to_csv, curve_to_json, emit_curve, format_float
-from .verifier import (_CATALOG, PSD_TOLERANCE, CertificateConstants,
+from .verifier import (CATALOG_PARTIES, PSD_TOLERANCE, CertificateConstants,
                        GridSpec, StructureViolation, catalog_constants,
                        closed_form_crosscheck, min_eig_over_grid)
 
 _BOUNDS_TOL = 1e-8
-_SCAN_PARTY_RANGE = tuple(sorted({n for _, n in _CATALOG}))
 _BOUNDS_PARTY_RANGE = tuple(range(_MIN_PARTIES, _MAX_PARTIES + 1))
 # A negative number as argparse should read it after a flag, exponent form
 # included ("-7e-1"); before Python 3.14 argparse takes only "-7" and "-0.7"
@@ -238,7 +237,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
 
     add("bounds", "compare computed and catalog bounds", _BOUNDS_PARTY_RANGE)
 
-    p = add("verify", "scan the certificate over a grid", _SCAN_PARTY_RANGE)
+    p = add("verify", "scan the certificate over a grid", CATALOG_PARTIES)
     p.add_argument("--grid", type=int,
                    help="points per angle axis (default 21, 11 when n = 5)")
     p.add_argument("--tol", type=float, default=PSD_TOLERANCE,
@@ -252,14 +251,14 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
                    help="report format")
     p.add_argument("--out", help="write the report to this path")
 
-    p = add("curve", "emit the fidelity tradeoff curve", _SCAN_PARTY_RANGE)
+    p = add("curve", "emit the fidelity tradeoff curve", CATALOG_PARTIES)
     p.add_argument("--resolution", type=int, default=50,
                    help="number of curve points")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format")
     p.add_argument("--out", help="write the curve to this path")
 
-    p = add("simulate", "simulate a finite-statistics run", _SCAN_PARTY_RANGE)
+    p = add("simulate", "simulate a finite-statistics run", CATALOG_PARTIES)
     p.add_argument("--visibility", type=float, default=1.0,
                    help="target state visibility")
     p.add_argument("--shots", type=int, default=10000, help="shots per setting")
@@ -267,7 +266,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--out", help="append a JSONL record to this path")
 
     p = add("crosscheck", "check closed forms against matrices",
-            _SCAN_PARTY_RANGE)
+            CATALOG_PARTIES)
     p.add_argument("--samples", type=int, default=500,
                    help="random angle samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

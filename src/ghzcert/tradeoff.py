@@ -18,7 +18,7 @@ import numpy as np
 
 from .bell import BellProtocol, check_integer, check_real
 from .root2 import SQRT2
-from .verifier import _CATALOG, CertificateConstants, catalog_constants
+from .verifier import CertificateConstants, catalog_constants, catalog_slope
 
 _BETA_SLACK = 1e-9
 # Most points emit_curve builds, at about 0.9 us and 176 retained bytes
@@ -75,8 +75,9 @@ def fidelity_lower_bound(constants: CertificateConstants,
 
 
 def is_trivial_bound(value: float) -> bool:
-    """A fidelity bound below 1/2 carries no GHZ certification content."""
-    return value < 0.5
+    """A fidelity bound below 1/2, or NaN, carries no GHZ certification
+    content."""
+    return not value >= 0.5
 
 
 def upper_bound_reference(protocol: BellProtocol) -> float:
@@ -89,7 +90,7 @@ def tightness_check(protocol: BellProtocol) -> bool:
     """Whether the certified lower bound meets the model upper bound, decided
     exactly in Q[sqrt(2)]: 2 s (beta_Q - beta_Q/sqrt(2)) == 1, s the slope."""
     catalog_constants(protocol)  # refuses a scenario outside the catalog
-    s = _CATALOG[(protocol.family, protocol.n)]
+    s = catalog_slope(protocol)
     beta_q = protocol.beta_Q_exact
     return bool(2 * s * (beta_q - beta_q / SQRT2) == 1)
 

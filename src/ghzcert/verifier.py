@@ -58,11 +58,11 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
 import numpy as np
 
-from .bell import (MABK, SQRT2, SVETLICHNY, BellProtocol, build_operator,
+from .bell import (SQRT2, SVETLICHNY, BellProtocol, build_operator,
                    check_angles, check_integer, check_matrix, check_real,
                    corner_coefficient, corner_turn)
 from .linalg import (canonical_layouts, pair_magnitudes, sign_products,
@@ -166,32 +166,49 @@ class CertificationReport:
     block_evaluations: int
 
 
-# The one free constant of each scenario, the slope s.  Tightness at the
-# ideal state fixes the offset mu = 1 - s * beta_Q.
-_CATALOG: Dict[Tuple[str, int], Root2] = {
-    (SVETLICHNY, 3): Root2(Fraction(3, 16), Fraction(3, 16)),
-    (SVETLICHNY, 4): Root2(Fraction(1, 16), Fraction(1, 16)),
-    (SVETLICHNY, 5): Root2(Fraction(1, 32), Fraction(1, 32)),
-    (MABK, 3): Root2(Fraction(1, 4), Fraction(1, 8)),
-    (MABK, 4): Root2(Fraction(1, 8), Fraction(1, 16)),
-    (MABK, 5): Root2(Fraction(1, 16), Fraction(1, 32)),
-}
+# Party counts with catalog constants, the -n choices of scan subcommands.
+CATALOG_PARTIES = (3, 4, 5)
+
+
+def catalog_slope(protocol: BellProtocol) -> Root2:
+    """The catalog slope s of a scenario, exact in Q[sqrt(2)], at any n.
+
+    A unital channel keeps tr K = 1, so K >= s W + mu I, mu = 1 - s beta_Q,
+    needs tr((s W + mu I)_+) <= 1 at every angle tuple: s is at least
+    (1 - 1/m) / (beta_Q - w), w the top eigenvalue of W and m its
+    multiplicity, with equality at the two points below.  Over {0, pi/4}^n
+    the least s is 1 / beta_Q with every angle at pi/4 and
+    (1 + 2^(-j/2)) / beta_Q with 0 < j < n angles at 0, largest at j = 1:
+    there w = beta_Q / sqrt(2) and m = 2.  With every angle at 0,
+    W = (sum_x c(x)) X^(x)n, so w = 2^(1 - n/2) |cos((k + n) pi/4)| beta_Q
+    and m = 2^(n-1), or W = 0 and m = 2^n; |cos| is 1, 1/sqrt(2) or 0 as
+    the real part of ``corner_turn`` is 1, 0 or -1.  The slope is the larger
+    of the two, each formed as s beta_Q = (1 - 1/m) / (1 - w/beta_Q); they
+    differ by more than 10% at every n, so their floats order them.  The
+    scan checks that the slope is feasible.
+    """
+    n, turn = protocol.n, int(corner_turn(protocol).real)
+    one_zero = Fraction(1, 2) / (1 - Root2(0, Fraction(1, 2)))
+    half, odd = divmod(1 - n + turn, 2)  # all 0: w/beta_Q = 2^(half + odd/2)
+    w = Root2(0, Fraction(2) ** half) if odd else Root2(Fraction(2) ** half)
+    w, m = (w, 2 ** (n - 1)) if turn >= 0 else (Root2(0), 2 ** n)
+    all_zero = (1 - Fraction(1, m)) / (1 - w)
+    return max(one_zero, all_zero, key=float) / protocol.beta_Q_exact
 
 
 @functools.lru_cache(maxsize=None)
 def catalog_constants(protocol: BellProtocol) -> CertificateConstants:
     """Certificate constants for the supported scenarios.
 
-    The catalog slope s fixes mu = 1 - s * beta_Q and the threshold
-    beta_T = (1/2 - mu) / s, where the fidelity bound s * beta + mu is 1/2;
-    both are derived exactly in Q[sqrt(2)] and stored as floats.  Derived
-    once per scenario (the exact arithmetic takes about 0.1 ms); every
-    caller shares the frozen result.
+    The slope s (``catalog_slope``) fixes mu = 1 - s * beta_Q and the
+    threshold beta_T = (1/2 - mu) / s, where the fidelity bound
+    s * beta + mu is 1/2; all three are exact in Q[sqrt(2)] and stored as
+    floats.  Derived once per scenario (the exact arithmetic takes about
+    0.3 ms); every caller shares the frozen result.
     """
-    key = (protocol.family, protocol.n)
-    if key not in _CATALOG:
+    if protocol.n not in CATALOG_PARTIES:
         raise ValueError(f"no catalog constants for {protocol.family} n={protocol.n}")
-    s = _CATALOG[key]
+    s = catalog_slope(protocol)
     mu = 1 - s * protocol.beta_Q_exact
     beta_t = (Fraction(1, 2) - mu) / s
     return CertificateConstants(protocol=protocol, s=float(s), mu=float(mu),

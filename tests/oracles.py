@@ -55,7 +55,9 @@ from one random 2 x 2 block per index pair.  ``emit_curve_by_point`` and
 bit-for-bit references for ``tradeoff.emit_curve``'s arrays and
 ``curve_to_csv``'s row template; ``full_parse`` parses a command line with
 the CLI's top-level parser and then again with ``--config`` flags, the
-reference for its one-parse dispatch.
+reference for its one-parse dispatch.  ``trace_bound_slope`` reads the
+trace condition of a unital channel off the dense spectrum of W, the
+reference for ``verifier.catalog_slope``'s two lattice points.
 """
 from __future__ import annotations
 
@@ -66,7 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 import ghzcert.cli
-from ghzcert.bell import ANGLE_SLACK, SVETLICHNY, check_integer, validate_state
+from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, build_operator,
+                          check_integer, validate_state)
 from ghzcert.root2 import Root2
 from ghzcert.states import g_values
 from ghzcert.tradeoff import (MAX_CURVE_POINTS, CurvePoint, TradeoffCurve,
@@ -363,6 +366,22 @@ def evaluate(protocol, rho: np.ndarray, angles) -> float:
     if abs(value.imag) > 1e-10:
         raise ArithmeticError(f"Bell value has imaginary part {value.imag}")
     return value.real
+
+
+def trace_bound_slope(protocol, angles) -> np.ndarray:
+    """Smallest s with sum_i (1 - s (beta_Q - lambda_i))_+ <= 1, lambda_i
+    the eigenvalues of the dense ``build_operator`` W, at each tuple of a
+    (k, n) batch: the trace condition that a unital channel puts on the
+    catalog slope, with mu = 1 - s beta_Q.
+
+    With the gaps d_i = beta_Q - lambda_i in ascending order the sum is at
+    least j - s (d_1 + ... + d_j) for every j, with equality for the j
+    gaps below 1/s, so s is the largest (j - 1) / (d_1 + ... + d_j).  The
+    j = 1 term is 0 and is left out.
+    """
+    eigenvalues = np.linalg.eigvalsh(build_operator(protocol, angles))
+    gaps = np.cumsum(protocol.beta_Q - eigenvalues[:, ::-1], axis=-1)
+    return np.max(np.arange(1, protocol.dim) / gaps[:, 1:], axis=-1)
 
 
 def is_persymmetric(m: np.ndarray) -> bool:

@@ -80,3 +80,18 @@ def test_only_the_verifier_keeps_per_thread_state():
             if any(module.split(".")[0] == "threading" for module in modules):
                 importers.append(path.name)
     assert importers == ["verifier.py"]
+
+
+def test_no_module_imports_a_private_name_of_the_verifier_or_tradeoff():
+    # The catalog lives behind verifier's public names (catalog_slope,
+    # catalog_constants, CATALOG_PARTIES), so no other module of the package
+    # reaches into verifier or tradeoff for an underscore name.
+    private = []
+    for path in sorted((ROOT / "src" / "ghzcert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module and
+                    node.module.split(".")[-1] in ("verifier", "tradeoff")):
+                private += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from ghzcert import simulate
-from ghzcert.bell import (MABK, SVETLICHNY, BellProtocol, _coefficient_tensor,
-                          validate_state)
+from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
+                          _coefficient_tensor, validate_state)
 from ghzcert.linalg import x_blocks
 from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               _born_table, _contracted_distribution,
@@ -19,7 +19,7 @@ from ghzcert.simulate import (RNG_ALGORITHM, ExperimentRecord, NoiseModel,
                               noisy_state, outcome_products, records_to_csv,
                               sample_outcomes)
 from ghzcert.states import ghz_state
-from ghzcert.verifier import _CATALOG, catalog_constants
+from ghzcert.verifier import CATALOG_PARTIES, catalog_constants
 from oracles import (dense_born_from_projectors, dense_born_probabilities,
                      dense_outcome_projectors, evaluate,
                      functional_coefficients, random_hermitian,
@@ -274,7 +274,8 @@ def test_sampled_streams_are_the_spawned_children(monkeypatch):
         return sample(dist, shots, rng)
 
     monkeypatch.setattr(simulate, "sample_outcomes", recording)
-    for protocol in itertools.starmap(BellProtocol, _CATALOG):
+    for protocol in itertools.starmap(
+            BellProtocol, itertools.product(FAMILIES, CATALOG_PARTIES)):
         state = ghz_state(protocol)
         sampled = np.flatnonzero(_coefficient_tensor(protocol))
         for seed in (0, 2001, 2 ** 128, 2 ** 200 + 7):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import ghzcert.tradeoff
-import ghzcert.verifier
 from ghzcert.bell import MABK, SVETLICHNY, BellProtocol
 from ghzcert.root2 import Root2
 from ghzcert.tradeoff import (MAX_CURVE_POINTS, CurvePoint, TradeoffCurve,
@@ -90,6 +89,10 @@ def test_trivial_regime_flagging():
     assert not is_trivial_bound(fidelity_lower_bound(m3, 3.5))
     value = fidelity_lower_bound(m3, 2.5)
     assert value < 0.5
+    # A bound of exactly 1/2 certifies; anything below it, or NaN, does not.
+    assert not is_trivial_bound(0.5)
+    assert is_trivial_bound(math.nextafter(0.5, 0))
+    assert is_trivial_bound(math.nan)
 
 
 def test_upper_bound_reference_values():
@@ -129,15 +132,11 @@ def test_tightness_catalog():
 def test_tightness_is_exact_for_a_near_tight_slope(monkeypatch):
     # A slope 1e-15 off the tight line is within any float tolerance of it,
     # yet the line it gives is not the best possible.
-    key = (SVETLICHNY, 4)
-    catalog_constants.cache_clear()
-    monkeypatch.setitem(ghzcert.verifier._CATALOG, key,
-                        ghzcert.verifier._CATALOG[key]
-                        * Root2(Fraction(10 ** 15 + 1, 10 ** 15)))
-    try:
-        assert tightness_check(BellProtocol(*key)) is False
-    finally:
-        catalog_constants.cache_clear()
+    derived = ghzcert.tradeoff.catalog_slope
+    near = Root2(Fraction(10 ** 15 + 1, 10 ** 15))
+    monkeypatch.setattr(ghzcert.tradeoff, "catalog_slope",
+                        lambda protocol: derived(protocol) * near)
+    assert tightness_check(BellProtocol(SVETLICHNY, 4)) is False
 
 
 def _root2(x):

@@ -1,6 +1,7 @@
 """Certificate operator assembly, block reduction, grid scans, and crosschecks."""
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
@@ -26,7 +27,8 @@ from ghzcert.verifier import (CROSSCHECK_BATCH_SAMPLES, CROSSCHECK_CHUNK_ENTRIES
                               GridSpec, StructureViolation,
                               _min_block_over_products,
                               block_decompose, build_T,
-                              catalog_constants, closed_form_crosscheck,
+                              catalog_constants, catalog_slope,
+                              closed_form_crosscheck,
                               min_eig_over_grid, parity_projector,
                               projector_lambda, sv3_block_functions,
                               sv4_block_functions, sv4_determinant)
@@ -34,7 +36,7 @@ from oracles import (PastValidation, block_unitary,
                      complex_min_block_over_axes, eig2x2_hermitian,
                      full_grid_min_block, is_persymmetric, padded_grid,
                      pauli_string, random_x_matrix, real_min_block_over_axes,
-                     stop_past_validation)
+                     stop_past_validation, trace_bound_slope)
 
 SQ2 = math.sqrt(2.0)
 ALL_PROTOCOLS = [BellProtocol(f, n) for f in (SVETLICHNY, MABK) for n in (3, 4, 5)]
@@ -76,8 +78,9 @@ def test_catalog_constants_values():
 
 
 def test_catalog_constants_derive_mu_and_threshold_from_the_slope():
-    """mu and beta_T derived exactly from each catalog slope equal the stored
-    triples, and catalog_constants holds their floats bit for bit."""
+    """Each derived slope, and mu and beta_T derived exactly from it, equal
+    the stored triples, and catalog_constants holds their floats bit for
+    bit."""
     stored = {
         (SVETLICHNY, 3): (Root2(Fraction(3, 16), Fraction(3, 16)),
                           Root2(Fraction(-1, 2), Fraction(-3, 4)),
@@ -95,13 +98,44 @@ def test_catalog_constants_derive_mu_and_threshold_from_the_slope():
     }
     for (family, n), exact in stored.items():
         protocol = BellProtocol(family, n)
-        s = ghzcert.verifier._CATALOG[(family, n)]
+        s = catalog_slope(protocol)
         mu = 1 - s * protocol.beta_Q_exact
         assert (s, mu, (Fraction(1, 2) - mu) / s) == exact
         constants = catalog_constants(protocol)
         floats = (constants.s, constants.mu, constants.beta_T)
         assert [struct.pack("<d", x) for x in floats] == \
             [struct.pack("<d", float(x)) for x in exact]
+
+
+def test_catalog_slope_closed_forms_at_every_n():
+    # One party at 0 and the rest at pi/4 binds from n = 4 on, and for MABK
+    # n = 3; Svetlichny n = 3 binds with every party at 0.
+    assert catalog_slope(BellProtocol(SVETLICHNY, 3)) == \
+        3 * Root2(1, 1) / 16
+    assert catalog_slope(BellProtocol(MABK, 3)) == Root2(2, 1) / 8
+    for n in range(4, 13):
+        assert catalog_slope(BellProtocol(SVETLICHNY, n)) == \
+            Root2(1, 1) / 2 ** n
+        assert catalog_slope(BellProtocol(MABK, n)) == Root2(2, 1) / 2 ** n
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
+def test_trace_bound_never_exceeds_the_catalog_slope(protocol):
+    # The catalog slope is feasible, so the trace condition it stands for
+    # asks no more at any angle tuple of the full domain.
+    s = float(catalog_slope(protocol))
+    rng = np.random.default_rng(4500 + protocol.n)
+    angles = rng.uniform(0.0, math.pi / 2, (300, protocol.n))
+    assert trace_bound_slope(protocol, angles).max() <= s * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
+def test_trace_bound_lattice_maximum_is_the_catalog_slope(protocol):
+    lattice = np.array(list(itertools.product(
+        (0.0, math.pi / 4, math.pi / 2), repeat=protocol.n)))
+    s = float(catalog_slope(protocol))
+    assert trace_bound_slope(protocol, lattice).max() == \
+        pytest.approx(s, rel=1e-12, abs=0)
 
 
 def test_build_T_examples():
