@@ -43,7 +43,9 @@ T_b T_b~ = prod_j cos 2a_j for every pair, so
 The bracket is twice the sum of the even-order terms
 prod_{j in S} sigma_j sin 2a_j; on [0, pi/2] every sin 2a_j >= 0, so each
 term is largest with every sigma_j = +1, which is pair 0.  So the quantum
-bound reads that pair alone; outside [0, pi/2] no claim is made.
+bound reads that pair alone; outside [0, pi/2] no claim is made.  Its two
+products over the check grid depend on n alone, so both families read
+one read-only table built per n (``_pair_zero_products``).
 ``ghz_phase``, the phase of
 that pair's eigenvector, defines the target state the scan and
 ``states.ghz_state`` share; ``corner_turn``, its conjugate square read
@@ -94,6 +96,9 @@ _TRACE_TOL = 1e-10
 _STATE_PSD_TOL = 1e-8
 # Outcome pairs (a(0), a(1)) of one party's deterministic strategies.
 _OUTCOME_PAIRS = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
+# Check-grid tables kept by ``_pair_zero_products``: one per party count
+# that ``check_dense_parties`` admits.
+_CHECK_GRID_CACHE = _MAX_PARTIES - _MIN_PARTIES + 1
 
 
 @dataclass(frozen=True)
@@ -372,13 +377,15 @@ def quantum_bound(protocol: BellProtocol) -> float:
     magnitude, and on [0, pi/2]^n that is pair 0's (module docstring).  The
     bound is pair 0's magnitude at the all-pi/4 point, cross-checked
     against the largest on a grid of 9 values per axis over [0, pi/2]
-    (``_pair_zero_magnitudes``).
+    (``_pair_zero_magnitudes``); ArithmeticError naming the cross-check
+    if the grid's exceeds it.
     """
     check_dense_parties(protocol)
     value, grid_max = _pair_zero_magnitudes(protocol)
     if grid_max > value + 1e-8:
         raise ArithmeticError(
-            f"grid norm {grid_max} exceeds optimal-point norm {value}")
+            f"quantum_bound cross-check failed: grid norm {grid_max} "
+            f"exceeds optimal-point norm {value}")
     return value
 
 
@@ -386,14 +393,31 @@ def _pair_zero_magnitudes(protocol: BellProtocol) -> Tuple[float, float]:
     """Pair 0's antidiagonal magnitude at the all-pi/4 point, and its
     largest over the canonical points of the 9^n check grid.
 
-    The grid's cached orbit layout (``linalg.canonical_layouts``) gets one
-    more column, pi/4 read as a tenth axis value.  Pair 0's two products
-    are a running product of the ``cos +- sin`` factors over the sites,
-    left to right, as rows 0 and 2^n - 1 of ``sign_products`` are, and each
-    magnitude is |z_c| times their ``linalg.pair_magnitudes`` at
-    ``corner_turn``, as the certificate scan reads every pair.
+    Each call reads the products of ``_pair_zero_products``, built once
+    per n and shared by both families, and does the family's work on
+    them: each magnitude is |z_c| times their ``linalg.pair_magnitudes``
+    at ``corner_turn``, as the certificate scan reads every pair.
     """
-    n = protocol.n
+    table = _pair_zero_products(protocol.n)
+    m = table.shape[1]
+    magnitudes, = pair_magnitudes(table, corner_turn(protocol),
+                                  np.empty((1, m)), np.empty((1, m), complex))
+    magnitudes *= abs(corner_coefficient(protocol))
+    return float(magnitudes[-1]), float(magnitudes[:-1].max())
+
+
+@functools.lru_cache(maxsize=_CHECK_GRID_CACHE)
+def _pair_zero_products(n: int) -> np.ndarray:
+    """Pair 0's two products, prod_j (cos a_j +- sin a_j), at each canonical
+    point of the 9^n check grid and then at the all-pi/4 point: shape
+    (2, m + 1), read-only, built on first use per n.
+
+    The grid's cached orbit layout (``linalg.canonical_layouts``) gets one
+    more column, pi/4 read as a tenth axis value.  Each product runs over
+    the sites left to right, as rows 0 and 2^n - 1 of ``sign_products``
+    do.  The largest table, n = 6, is 3004 columns (48 kB); all four
+    n = 3..6 hold 79 kB.
+    """
     axis = np.linspace(0.0, math.pi / 2, 9)
     layout, = canonical_layouts(np.broadcast_to(axis, (1, n, 9)),
                                 np.full((1, n), 9))
@@ -405,11 +429,8 @@ def _pair_zero_magnitudes(protocol: BellProtocol) -> Tuple[float, float]:
     table = trig.take(cols[0], axis=1)
     for col in cols[1:]:
         table *= trig.take(col, axis=1)
-    m = cols.shape[1]
-    magnitudes, = pair_magnitudes(table, corner_turn(protocol),
-                                  np.empty((1, m)), np.empty((1, m), complex))
-    magnitudes *= abs(corner_coefficient(protocol))
-    return float(magnitudes[-1]), float(magnitudes[:-1].max())
+    table.setflags(write=False)
+    return table
 
 
 def validate_state(rho: np.ndarray, n: int) -> np.ndarray:

@@ -10,9 +10,10 @@ curve       emit the fidelity-versus-violation tradeoff curve as CSV or JSON
 simulate    run a finite-statistics experiment and certify the estimate
 crosscheck  compare the hand-expanded closed forms with the matrix route
 
-Exit codes: 0 success, 1 certification or bounds failure, 2 usage or input
-error (including an ``--out`` path that cannot be written), 3 structural
-violation in the block reduction.
+Exit codes: 0 success, 1 certification or bounds failure (including a
+failed quantum-bound cross-check, reported on one ``error:`` line), 2 usage
+or input error (including an ``--out`` path that cannot be written), 3
+structural violation in the block reduction.
 
 Options may also come from a ``--config`` file of flat ``key=value`` lines
 (``#`` starts a comment).  Each line whose key names an option of the
@@ -87,7 +88,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def cmd_bounds(args: argparse.Namespace) -> int:
     protocol = BellProtocol(args.family, args.n)
     local = local_bound(protocol)
-    quantum = quantum_bound(protocol)
+    try:
+        quantum = quantum_bound(protocol)
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     local_ok = abs(local - protocol.beta_L) <= _BOUNDS_TOL
     quantum_ok = abs(quantum - protocol.beta_Q) <= _BOUNDS_TOL
     print(f"family={protocol.family} n={protocol.n}")

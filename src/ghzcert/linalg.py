@@ -7,9 +7,9 @@ the non-X Born table and the local bound call; real operators on a complex
 input run in real arithmetic, and one gather along a flat index cached per
 shape orders every result), the canonical index tuples
 of product grids given as padded rows (``canonical_layouts``, one tuple per
-permutation orbit, which the certificate scan's walk in ``verifier`` and
-the quantum bound's check grid read), the per-site products over every
-sign choice (``sign_products``, the certificate scan's tables), the one
+permutation orbit, which the certificate scan's walk in ``verifier`` reads,
+and the quantum bound's check grid once per n), the per-site products over
+every sign choice (``sign_products``, the certificate scan's tables), the one
 combination of each pair's two rows at the GHZ phase's turn
 (``pair_magnitudes``, which the scan and the quantum bound read every
 corner through, in real arithmetic), the one reader of the 2 x 2
@@ -42,8 +42,9 @@ import numpy as np
 # Largest |m - m^dagger| entry a Hermitian matrix may have.
 HERMITICITY_TOL = 1e-10
 # Canonical layouts kept by ``_canonical_layout``, least recently used
-# first out; a cycle of the scan benchmark's verify ops uses 8, and one of
-# the reference benchmark's bounds ops 4, one 9^n check grid per n.
+# first out; a cycle of the scan benchmark's verify ops uses 8.  The quantum
+# bound's 9^n check grids take 4 more, read once per n per process
+# (``bell._pair_zero_products``), not once per call.
 CANONICAL_LAYOUT_CACHE = 12
 
 

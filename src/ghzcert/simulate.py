@@ -16,9 +16,10 @@ every distribution has a closed form in the 2^(n-1) 2 x 2 pair blocks
 block, checks the blocks as ``validate_state`` checks a dense state
 (``bell.validate_x_blocks``) and reads the scenario's all-pi/4 pair
 products from ``_setting_table``, a bounded cache filled on first use that
-also holds the sampled settings and their coefficients.  A one-off run
-gains the dense work it skips; repeated runs of a scenario, as in seed
-sweeps, also share the cached table.  A dense matrix is still formed by
+also holds the sampled settings and their coefficients.  The Born table
+so made is itself cached per (scenario, visibility)
+(``_visibility_born_table``), so repeated runs at one key, as in seed
+sweeps, pay only for sampling.  A dense matrix is still formed by
 ``noisy_state``, for its return value and for ``separable_mixture`` noise,
 and on the public dense entries ``estimate_violation`` and
 ``born_probabilities``, whose ``_born_table`` reads an X state's blocks
@@ -80,6 +81,10 @@ MAX_SHOTS = 2 ** 63 - 1
 # Setting tables kept by ``_setting_table``: one per scenario that
 # ``estimate_violation`` admits, two families at n = 3..6.
 SETTING_TABLE_CACHE = 8
+# Born tables kept by ``_visibility_born_table``, one per (scenario,
+# visibility): a benchmark cycle of six scenarios at three visibilities
+# uses 18, and a seed sweep at one visibility 1.
+VISIBILITY_TABLE_CACHE = 32
 
 
 @dataclass(frozen=True)
@@ -336,18 +341,29 @@ def _setting_table(protocol: BellProtocol) -> _SettingTable:
     return table
 
 
+@functools.lru_cache(maxsize=VISIBILITY_TABLE_CACHE)
 def _visibility_born_table(protocol: BellProtocol,
                            visibility: float) -> np.ndarray:
     """``_born_table`` of ``noisy_state``'s visibility mixture at the
     all-pi/4 angles, one row per setting of ``_setting_table``, with the
-    same bits, read off the mixture's pair blocks: no 2^n x 2^n array."""
+    same bits, read off the mixture's pair blocks: no 2^n x 2^n array.
+
+    Built on first use per (scenario, visibility) and read-only, as every
+    run at that key shares it; a visibility whose blocks fail the state
+    checks raises on every call and is never kept.  Equal keys, such as
+    0.5 and Fraction(1, 2), share an entry; their tables have the same
+    bits.  The largest, n = 6, is 64 x 64 floats (32 kB), so the cache
+    holds at most ``VISIBILITY_TABLE_CACHE`` x 32 kB = 1 MB.
+    """
     # A visibility such as Fraction(1, 2) mixes to an object array, which
     # validate_state's shape check makes complex.
     blocks = np.asarray(_mixture(visibility, ghz_blocks(protocol),
                                  np.eye(2, dtype=complex) / protocol.dim),
                         dtype=complex)
-    return _x_born_table(blocks, validate_x_blocks(blocks),
-                         _setting_table(protocol).quarter_pairs)
+    table = _x_born_table(blocks, validate_x_blocks(blocks),
+                          _setting_table(protocol).quarter_pairs)
+    table.setflags(write=False)
+    return table
 
 
 def _sampled_estimate(table: np.ndarray, plan: _SettingTable,
@@ -412,10 +428,12 @@ def certify(constants: CertificateConstants, noise: NoiseModel,
     bound it is clamped into [beta_L, beta_Q] so statistical overshoot
     never certifies a fidelity above 1, and undershoot is flagged as
     trivial instead of extrapolated.  The record holds the seed as an int.
-    Visibility noise keeps the state X, so the run reads the mixture's pair
-    blocks and the scenario's cached pi/4 table, and gives the bits of
+    Visibility noise keeps the state X, so the run samples the Born table
+    of the mixture's pair blocks, cached per (scenario, visibility)
+    (``_visibility_born_table``), and gives the bits of
     ``estimate_violation`` on ``noisy_state``, the route any other noise
-    takes.
+    takes; repeated runs at one key, as in a seed sweep, pay only for
+    sampling.
     """
     protocol = constants.protocol
     shots_per_setting = check_integer(shots_per_setting, "shot count", 1,

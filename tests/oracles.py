@@ -58,6 +58,9 @@ the CLI's top-level parser and then again with ``--config`` flags, the
 reference for its one-parse dispatch.  ``trace_bound_slope`` reads the
 trace condition of a unital channel off the dense spectrum of W, the
 reference for ``verifier.catalog_slope``'s two lattice points.
+``per_call_pair_zero_magnitudes`` builds the quantum bound's check-grid
+products afresh on every call, the bit-for-bit reference for the table
+``bell`` builds once per n.
 """
 from __future__ import annotations
 
@@ -69,7 +72,9 @@ import numpy as np
 
 import ghzcert.cli
 from ghzcert.bell import (ANGLE_SLACK, SVETLICHNY, build_operator,
-                          check_integer, validate_state)
+                          check_integer, corner_coefficient, corner_turn,
+                          validate_state)
+from ghzcert.linalg import canonical_layouts, pair_magnitudes
 from ghzcert.root2 import Root2
 from ghzcert.states import g_values
 from ghzcert.tradeoff import (MAX_CURVE_POINTS, CurvePoint, TradeoffCurve,
@@ -528,6 +533,31 @@ def full_grid_corner_max(protocol, grid: np.ndarray,
                       else np.abs(zc * minus + np.conj(zc) * plus))
         best = max(best, float(np.max(magnitudes)))
     return best
+
+
+def per_call_pair_zero_magnitudes(protocol) -> tuple[float, float]:
+    """Pair 0's magnitude at the all-pi/4 point and its largest over the
+    canonical points of the 9^n check grid, every product built in this
+    call: the check grid's cached layout plus a pi/4 column, each site's
+    ``cos +- sin`` factors multiplied in left to right, then
+    ``linalg.pair_magnitudes`` at the corner turn, times |z_c|."""
+    n = protocol.n
+    axis = np.linspace(0.0, math.pi / 2, 9)
+    layout, = canonical_layouts(np.broadcast_to(axis, (1, n, 9)),
+                                np.full((1, n), 9))
+    cols = np.concatenate([layout, np.full((n, 1), 9, layout.dtype)],
+                          axis=1)
+    values = np.append(axis, math.pi / 4)
+    cs, sn = np.cos(values), np.sin(values)
+    trig = np.stack([cs + sn, cs - sn])
+    table = trig.take(cols[0], axis=1)
+    for col in cols[1:]:
+        table *= trig.take(col, axis=1)
+    m = cols.shape[1]
+    magnitudes, = pair_magnitudes(table, corner_turn(protocol),
+                                  np.empty((1, m)), np.empty((1, m), complex))
+    magnitudes *= abs(corner_coefficient(protocol))
+    return float(magnitudes[-1]), float(magnitudes[:-1].max())
 
 
 def pair_signs(n: int, b: int) -> tuple[float, ...]:

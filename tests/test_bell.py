@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import ghzcert.bell
 import ghzcert.linalg
 import ghzcert.verifier
-from ghzcert.bell import (FAMILIES, MABK, SVETLICHNY, BellProtocol,
-                          _coefficient_tensor, _float_bounds,
-                          _pair_zero_magnitudes,
+from ghzcert.bell import (_CHECK_GRID_CACHE, FAMILIES, MABK, SVETLICHNY,
+                          BellProtocol, _coefficient_tensor, _float_bounds,
+                          _pair_zero_magnitudes, _pair_zero_products,
                           build_operator, check_angles, corner_coefficient,
                           corner_turn, ghz_phase, hybrid_bound, local_bound,
                           observable, quantum_bound, validate_state)
@@ -28,7 +28,8 @@ from oracles import (coefficient_table, complex_corner_entries, evaluate,
                      full_grid_corner_max, functional_coefficients,
                      kron_sum_operator, pair_sign_matrix,
                      pair_signs, pauli_coefficient, pauli_string,
-                     per_family_beta_Q_exact, per_family_corner_coefficient,
+                     per_call_pair_zero_magnitudes, per_family_beta_Q_exact,
+                     per_family_corner_coefficient,
                      real_corner_magnitudes, reference_svetlichny_3,
                      reference_svetlichny_4)
 
@@ -461,6 +462,63 @@ def test_corner_magnitude_max_matches_full_grid_oracle():
             assert abs(reduced - full_grid_corner_max(protocol, grid)) \
                 <= 1e-15 * protocol.beta_Q
             assert abs(reduced - protocol.beta_Q) <= 1e-8
+
+
+def test_check_grid_table_gives_the_per_call_bounds_bit_for_bit():
+    # From a cold cache, then a warm one, the bound and the grid maximum
+    # are the per-call construction's floats, both families, n = 3..6.
+    _pair_zero_products.cache_clear()
+    for _ in range(2):
+        for family in (SVETLICHNY, MABK):
+            for n in (3, 4, 5, 6):
+                protocol = BellProtocol(family, n)
+                want = per_call_pair_zero_magnitudes(protocol)
+                assert repr(_pair_zero_magnitudes(protocol)) == repr(want)
+                assert repr(quantum_bound(protocol)) == repr(want[0])
+    assert repr(quantum_bound(BellProtocol(SVETLICHNY, 6))) \
+        == "45.25483399593902"
+
+
+def test_check_grid_table_is_cached_read_only_and_shared(monkeypatch):
+    # One table per n, built once for both families; n = 7 is refused
+    # before it reaches the cache.
+    built = []
+
+    def spy(*args):
+        built.append(args[0].shape[1])
+        return canonical_layouts(*args)
+
+    _pair_zero_products.cache_clear()
+    monkeypatch.setattr(ghzcert.bell, "canonical_layouts", spy)
+    for n in (3, 4, 5, 6):
+        for family in (SVETLICHNY, MABK, SVETLICHNY):
+            quantum_bound(BellProtocol(family, n))
+        table = _pair_zero_products(n)
+        assert table.shape == (2, math.comb(n + 8, n) + 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    assert built == [3, 4, 5, 6]
+    for family in (SVETLICHNY, MABK):
+        with pytest.raises(ValueError, match="at most 6"):
+            quantum_bound(BellProtocol(family, 7))
+    info = _pair_zero_products.cache_info()
+    assert info.maxsize == _CHECK_GRID_CACHE == 4
+    assert info.currsize == 4
+    assert sum(_pair_zero_products(n).nbytes for n in (3, 4, 5, 6)) \
+        <= 80_000
+
+
+def test_failed_quantum_bound_cross_check_raises(monkeypatch):
+    # A grid point whose products exceed the pi/4 column's fails the
+    # cross-check; its error names the check.
+    table = np.array([[2.0, 1.0], [0.0, 0.0]])
+    table.setflags(write=False)
+    monkeypatch.setattr(ghzcert.bell, "_pair_zero_products", lambda n: table)
+    for family in (SVETLICHNY, MABK):
+        with pytest.raises(ArithmeticError,
+                           match="quantum_bound cross-check failed: grid norm"):
+            quantum_bound(BellProtocol(family, 3))
 
 
 def test_coefficient_tensor_is_built_once_and_read_only():

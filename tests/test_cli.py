@@ -8,8 +8,10 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
+import ghzcert.bell
 import ghzcert.cli
 import ghzcert.tradeoff
 import ghzcert.verifier
@@ -33,6 +35,19 @@ def test_bounds_reports_catalog_mismatch(capsys):
     assert main(["bounds", "--family", "svetlichny", "-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "4" in out and "8" in out
+
+
+def test_bounds_failed_cross_check_exits_1_with_one_error_line(
+        monkeypatch, capsys):
+    table = np.array([[2.0, 1.0], [0.0, 0.0]])
+    table.setflags(write=False)
+    monkeypatch.setattr(ghzcert.bell, "_pair_zero_products", lambda n: table)
+    assert main(["bounds", "--family", "mabk", "-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: quantum_bound cross-check failed: ")
+    assert "Traceback" not in captured.err
 
 
 def test_bounds_deterministic(capsys):

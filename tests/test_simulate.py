@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -667,7 +668,9 @@ def test_certify_never_forms_a_dense_state_under_visibility_noise(
     def dense(*args):
         raise AssertionError("a 2^n x 2^n state was formed")
 
+    # Both caches start empty, so every table is built under the patches.
     simulate._setting_table.cache_clear()
+    simulate._visibility_born_table.cache_clear()
     for name in ("noisy_state", "validate_state", "x_blocks", "ghz_state"):
         monkeypatch.setattr(simulate, name, dense)
     for protocol in ALL_PROTOCOLS:
@@ -675,6 +678,9 @@ def test_certify_never_forms_a_dense_state_under_visibility_noise(
             record = certify(catalog_constants(protocol),
                              NoiseModel("visibility", v), 100, 3)
             assert record.shots_per_setting == 100
+    assert simulate._setting_table.cache_info().misses == len(ALL_PROTOCOLS)
+    assert (simulate._visibility_born_table.cache_info().misses
+            == 3 * len(ALL_PROTOCOLS))
 
 
 def test_visibility_blocks_are_checked_as_the_dense_state_is():
@@ -704,6 +710,65 @@ def test_setting_tables_are_cached_read_only_and_bounded():
         info = simulate._setting_table.cache_info()
         assert info.maxsize == simulate.SETTING_TABLE_CACHE
         assert info.currsize <= simulate.SETTING_TABLE_CACHE
+
+
+def test_visibility_born_tables_are_cached_read_only_and_bounded():
+    simulate._visibility_born_table.cache_clear()
+    keys = [(protocol, v) for protocol in EIGHT_PROTOCOLS
+            for v in (1.0, 0.75, 0.5, 0.25, 0.0)]
+    assert len(keys) > simulate.VISIBILITY_TABLE_CACHE
+    for protocol, v in keys:
+        table = simulate._visibility_born_table(protocol, v)
+        again = BellProtocol(protocol.family, protocol.n)
+        assert simulate._visibility_born_table(again, v) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert table.nbytes <= 32 * 1024
+        info = simulate._visibility_born_table.cache_info()
+        assert info.maxsize == simulate.VISIBILITY_TABLE_CACHE
+        assert info.currsize <= simulate.VISIBILITY_TABLE_CACHE
+
+
+def test_refused_visibility_never_enters_the_born_table_cache():
+    simulate._visibility_born_table.cache_clear()
+    protocol = BellProtocol(SVETLICHNY, 3)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            simulate._visibility_born_table(protocol, 1.5)
+        assert simulate._visibility_born_table.cache_info().currsize == 0
+
+
+def test_equal_visibility_keys_give_the_same_born_table_bits():
+    # Equal keys share one cache entry, so whichever comes first must give
+    # the other's bits.
+    pairs = ((0.5, Fraction(1, 2)), (0.9, np.float64(0.9)), (1.0, 1),
+             (1.0, True), (0.0, -0.0))
+    for protocol in EIGHT_PROTOCOLS:
+        for first, second in pairs:
+            assert first == second and hash(first) == hash(second)
+            tables = []
+            for v in (first, second):
+                simulate._visibility_born_table.cache_clear()
+                tables.append(
+                    simulate._visibility_born_table(protocol, v).tobytes())
+            assert tables[0] == tables[1]
+
+
+def test_certify_records_match_from_cold_and_warm_born_tables():
+    for protocol in ALL_PROTOCOLS:
+        constants = catalog_constants(protocol)
+        for v in (1.0, 0.9, 0.8, 0.5, 0.0):
+            noise = NoiseModel("visibility", v)
+            for seed, shots in itertools.product((0, 7, 2001),
+                                                 (1, 100, 10 ** 4)):
+                simulate._visibility_born_table.cache_clear()
+                cold = vars(certify(constants, noise, shots, seed))
+                warm = vars(certify(constants, noise, shots, seed))
+                info = simulate._visibility_born_table.cache_info()
+                assert (info.misses, info.hits) == (1, 1)
+                del cold["timestamp"], warm["timestamp"]
+                assert repr(cold) == repr(warm)
 
 
 def test_outcome_products_cached_and_read_only():

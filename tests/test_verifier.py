@@ -1131,3 +1131,21 @@ def test_concurrent_scans_match_sequential_reports():
     assert not any(thread.is_alive() for thread in threads)
     for i, rounds in enumerate(results):
         assert rounds == [expected[i::4]] * 3
+
+
+def test_scan_workspace_buffers_start_on_page_boundaries():
+    # On a fresh thread and as the workspace grows, every buffer of the
+    # scan starts on a page, wherever the allocator put the allocation.
+    starts = []
+
+    def scan():
+        for n, m in ((3, 1), (5, 7), (4, 4096), (3, 8192), (5, 2048)):
+            buffers = ghzcert.verifier._workspace(n, m)
+            assert [b.shape[-1] for b in buffers] == [m] * 6
+            starts.append([b.ctypes.data % 4096 for b in buffers])
+
+    thread = threading.Thread(target=scan)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert starts == [[0] * 6] * 5
